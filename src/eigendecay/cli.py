@@ -27,7 +27,15 @@ from .data import (
     load_idx,
     write_delimited,
 )
-from .margin import save_margin_reports, verify_theorem1
+from .linalg import MAX_JACOBI_SIDE
+from .margin import (
+    AnchorSamplingError,
+    BisectionToleranceError,
+    DegenerateGradientError,
+    NoCrossingError,
+    save_margin_reports,
+    verify_theorem1,
+)
 from .model import SMOOTH_ACTIVATIONS, init_mlp, load_model, save_model
 from .objectives import LOSS_KINDS, LayerPenalty, RegularizerSpec
 from .train import (
@@ -62,12 +70,18 @@ class DataError(ValueError):
     pass
 
 
+class CheckError(RuntimeError):
+    """A verification could not be carried out to a verdict."""
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config path is a directory: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
@@ -112,7 +126,7 @@ def _build_dataset(spec):
 
 
 def _load_csv(path, sep=",", header=False, n_classes=None):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"data file not found: {path}")
     try:
         return load_delimited(path, sep=sep, header=header, n_classes=n_classes)
@@ -122,7 +136,7 @@ def _load_csv(path, sep=",", header=False, n_classes=None):
 
 def _load_idx_pair(images, labels, n_classes=None, limit=None):
     for path in (images, labels):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise DataError(f"data file not found: {path}")
     try:
         return load_idx(images, labels, n_classes=n_classes, limit=limit)
@@ -181,7 +195,11 @@ def _build_train_config(spec, seed_override=None, epochs_override=None):
         return TrainConfig(
             learning_rate=spec["learning_rate"],
             batch_size=spec.get("batch_size", 32),
-            max_epochs=epochs_override or spec.get("max_epochs", 100),
+            max_epochs=(
+                epochs_override
+                if epochs_override is not None
+                else spec.get("max_epochs", 100)
+            ),
             seed=seed_override if seed_override is not None else spec.get("seed", 0),
             early_stopping=es,
             shuffle=spec.get("shuffle", True),
@@ -275,8 +293,16 @@ def _load_eval_data(args):
     raise ConfigError("provide --data CSV or --images/--labels IDX paths")
 
 
+def _require_fit(model, dataset):
+    if (dataset.n_features, dataset.n_classes) != (model.n_in, model.n_out):
+        raise DataError(
+            f"data has {dataset.n_features} features and {dataset.n_classes} "
+            f"classes; the model maps {model.n_in} inputs to {model.n_out} outputs"
+        )
+
+
 def _load_model_file(path):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"model file not found: {path}")
     try:
         return load_model(path)
@@ -289,6 +315,7 @@ def cmd_eval(args):
     out = _out_dir(args)
     model = _load_model_file(args.model)
     dataset = _load_eval_data(args)
+    _require_fit(model, dataset)
     if args.loss not in LOSS_KINDS:
         raise ConfigError(f"unknown loss {args.loss!r}; pick one of {LOSS_KINDS}")
     scores = evaluate(model, dataset, args.loss)
@@ -401,14 +428,33 @@ def cmd_verify(args):
                     f"theorem1 verification needs differentiable activations; "
                     f"the model uses {layer.activation.kind!r}"
                 )
+        if not 0 <= args.cls < model.n_out:
+            raise ConfigError(
+                f"--class {args.cls} out of range for {model.n_out} outputs"
+            )
+        if args.anchors < 1:
+            raise ConfigError(f"--anchors must be >= 1, got {args.anchors}")
+        for layer in model.hidden:
+            if layer.out_dim > MAX_JACOBI_SIDE:
+                raise DataError(
+                    f"theorem1 verification needs hidden layers at most "
+                    f"{MAX_JACOBI_SIDE} wide (the exact eigensolver's cap); "
+                    f"the model has one {layer.out_dim} wide"
+                )
         dataset = _load_eval_data(args)
-        reports, ok = verify_theorem1(
-            model,
-            dataset,
-            args.cls,
-            anchors_per_example=args.anchors,
-            threads=_thread_count(args),
-        )
+        _require_fit(model, dataset)
+        try:
+            reports, ok = verify_theorem1(
+                model,
+                dataset,
+                args.cls,
+                anchors_per_example=args.anchors,
+                threads=_thread_count(args),
+            )
+        except AnchorSamplingError as exc:
+            raise DataError(f"theorem1: {exc}") from None
+        except (NoCrossingError, BisectionToleranceError, DegenerateGradientError) as exc:
+            raise CheckError(f"theorem1: {exc}") from None
         save_margin_reports(reports, out / "margin.jsonl")
         summary = {
             "mode": mode,
@@ -550,6 +596,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except CheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ denominator is at most the product of the layer spectral norms times the
 largest activation slopes. Surface points are located by bisection toward
 opposite-prediction anchors; the bound factors use the exact eigensolver so
 a violation cannot be blamed on eigenvalue underestimation.
+
+The layer eigenvalues depend on the weights alone, so verify_theorem1
+computes them once per call (layer_lambda_dom). Each surface point then
+costs one forward pass, shared by its signed distance and its bound term;
+the bisection steps that find it evaluate the class output without
+building a trace.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -74,7 +80,11 @@ class MarginReport:
 
 
 def _class_output(model, x, l):
-    return float(forward(model, x).output[l])
+    # the per-layer arithmetic of forward(), without its input checks or trace
+    y = x
+    for layer in model.hidden:
+        y = layer.activation.value(layer.weights @ y + layer.bias)
+    return float((model.output.weights @ y + model.output.bias)[l])
 
 
 def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
@@ -82,6 +92,11 @@ def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
     drops below tol."""
     x_a = as_vector(x_a)
     x_b = as_vector(x_b)
+    for x in (x_a, x_b):
+        if x.shape[0] != model.n_in:
+            raise ValueError(
+                f"input has length {x.shape[0]} but the model expects {model.n_in}"
+            )
     fa = _class_output(model, x_a, l)
     fb = _class_output(model, x_b, l)
     if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
@@ -92,6 +107,8 @@ def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
     lo, hi = x_a, x_b
     for _ in range(BISECTION_MAX_STEPS):
         mid = 0.5 * (lo + hi)
+        if not np.isfinite(mid).all():
+            raise ValueError("vector entries must be finite")
         fm = _class_output(model, mid, l)
         if abs(fm) < tol:
             return SurfacePoint(mid, l, abs(fm))
@@ -105,12 +122,15 @@ def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
     )
 
 
-def signed_distance(model, x_i, surface_point, l):
+def signed_distance(model, x_i, surface_point, l, *, trace=None):
     """First-order signed distance from x_i to the surface point, using the
     output gradient evaluated at the surface point. Negative values mean
-    x_i sits on the negative side of the class-l output."""
+    x_i sits on the negative side of the class-l output.
+
+    trace, when given, is forward(model, surface_point.point)."""
     x_i = as_vector(x_i)
-    trace = forward(model, surface_point.point)
+    if trace is None:
+        trace = forward(model, surface_point.point)
     g = input_gradient(model, trace, l)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
@@ -138,37 +158,48 @@ def _require_smooth(model):
             )
 
 
-def bound_ingredients(model, surface_point, l):
+def layer_lambda_dom(model):
+    """Dominant eigenvalue of W W^T for each hidden layer, from the exact
+    solver. Raises ValueError for a layer wider than its side cap."""
+    return [exact_dominant_eigen(gram(layer.weights)) for layer in model.hidden]
+
+
+def bound_ingredients(model, surface_point, l, *, trace=None, lambda_dom=None):
     """Per-layer factors of the margin bound, evaluated at a surface point.
 
     Gamma_k is the diagonal of activation derivatives at the layer's
     pre-activation; omega transposed equals the output-row input gradient;
-    the eigenvalues come from the exact solver.
+    the eigenvalues come from the exact solver. trace, when given, is
+    forward(model, surface_point.point); lambda_dom, when given, is
+    layer_lambda_dom(model).
     """
     _require_smooth(model)
-    trace = forward(model, surface_point.point)
+    if trace is None:
+        trace = forward(model, surface_point.point)
+    if lambda_dom is None:
+        lambda_dom = layer_lambda_dom(model)
     gammas = []
     lambda_activ = []
-    lambda_dom = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
         slopes = layer.activation.deriv(v)
         gammas.append(np.diag(slopes))
         lambda_activ.append(float(np.max(slopes**2)))
-        lambda_dom.append(exact_dominant_eigen(gram(layer.weights)))
         factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
         omega = factor if omega is None else omega @ factor
-    return BoundIngredients(gammas, omega, lambda_activ, lambda_dom)
+    return BoundIngredients(gammas, omega, lambda_activ, list(lambda_dom))
 
 
-def per_point_bound(model, x_i, surface_point, l, y_target):
+def per_point_bound(model, x_i, surface_point, l, y_target, *, trace=None,
+                    lambda_dom=None):
     """One term of the margin lower bound: the gradient numerator rescaled
     by the layer spectral norms and activation slopes instead of the true
-    gradient norm."""
+    gradient norm. trace and lambda_dom are passed to bound_ingredients."""
     x_i = as_vector(x_i)
     if y_target not in (-1.0, 1.0, -1, 1):
         raise ValueError(f"target must be +/-1, got {y_target}")
-    ing = bound_ingredients(model, surface_point, l)
+    ing = bound_ingredients(model, surface_point, l, trace=trace,
+                            lambda_dom=lambda_dom)
     w_row = model.output.weights[l]
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
@@ -184,7 +215,8 @@ def per_point_bound(model, x_i, surface_point, l, y_target):
     return numerator / denom
 
 
-def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_example, tol):
+def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_example,
+                        tol, lambda_dom):
     x_i = dataset.features[i]
     target = float(dataset.encoded[i, l])
     # nearest opposite-prediction anchors, by euclidean distance
@@ -199,8 +231,10 @@ def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_examp
     records = []
     for j in opposite[order]:
         sp = find_surface_point(model, x_i, dataset.features[j], l, tol)
-        d = signed_distance(model, x_i, sp, l)
-        bound = per_point_bound(model, x_i, sp, l, target)
+        trace = forward(model, sp.point)
+        d = signed_distance(model, x_i, sp, l, trace=trace)
+        bound = per_point_bound(model, x_i, sp, l, target, trace=trace,
+                                lambda_dom=lambda_dom)
         ok = target * d >= bound - BOUND_EPS_REL * (1.0 + abs(d))
         records.append(PointRecord(float(d), float(bound), bool(ok)))
     margin = min(r.distance * target for r in records)
@@ -227,13 +261,16 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL,
 
     at each surface point. Returns (reports, all_ok); reports are ordered
     by example index. Misclassified examples are skipped, so a dataset with
-    no correct examples passes vacuously with an empty report list.
+    no correct examples passes vacuously with an empty report list. The
+    layer eigenvalues are computed on entry, so a hidden layer wider than
+    the exact solver's cap raises ValueError before any bisection.
     """
     _require_smooth(model)
     if not 0 <= l < model.n_out:
         raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
     if anchors_per_example < 1:
         raise ValueError("anchors_per_example must be >= 1")
+    lambda_dom = layer_lambda_dom(model)
     _, _, Yhat = forward_batch(model, dataset.features)
     yl = Yhat[:, l]
     correct = [
@@ -243,7 +280,8 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL,
 
     def job(i):
         return _report_for_example(
-            model, dataset, i, l, yl, anchor_pool, anchors_per_example, tol
+            model, dataset, i, l, yl, anchor_pool, anchors_per_example, tol,
+            lambda_dom,
         )
 
     if threads > 1:

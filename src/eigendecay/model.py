@@ -11,12 +11,12 @@ from .linalg import as_matrix, as_vector
 
 
 def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp of -|v| never overflows; 1/(1+e) for v >= 0 and e/(1+e) below
+    # are the two stable forms. minimum(v, -v) is -|v| that keeps the sign
+    # of a nan, so nan inputs pass through with their bits unchanged.
+    e = np.exp(np.minimum(v, -v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def _sigmoid_deriv(v):

@@ -113,6 +113,17 @@ class TestEvalCommand:
                    "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "e")])
         assert rc == 2
 
+    @pytest.mark.parametrize("layers", [[2, 4, 3], [3, 4, 2]])
+    def test_model_data_shape_mismatch_is_data_error(self, tmp_path, capsys, layers):
+        from eigendecay.data import gen_two_gaussians
+
+        save_model(init_mlp(layers, "sigmoid", seed=0), tmp_path / "m.json")
+        write_delimited(gen_two_gaussians(5, seed=1), tmp_path / "d.csv")
+        rc = main(["eval", "--model", str(tmp_path / "m.json"),
+                   "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "the model maps" in capsys.readouterr().err
+
     def test_perfect_model_scores_exactly_one(self, tmp_path):
         from eigendecay.data import gen_two_gaussians
 
@@ -227,6 +238,92 @@ class TestVerifyCommand:
                    "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "v")])
         assert rc == 1
 
+    def _theorem1(self, tmp_path, model, features, labels, cls=0, anchors=1):
+        import numpy as np
+
+        from eigendecay.data import Dataset
+
+        save_model(model, tmp_path / "m.json")
+        ds = Dataset.from_arrays(np.asarray(features, dtype=float), np.asarray(labels),
+                                 n_classes=2)
+        write_delimited(ds, tmp_path / "d.csv")
+        return main(["verify", "--mode", "theorem1", "--model", str(tmp_path / "m.json"),
+                     "--data", str(tmp_path / "d.csv"), "--class", str(cls),
+                     "--anchors", str(anchors), "--out", str(tmp_path / "v")])
+
+    def _assert_one_line_error(self, capsys, needle):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert needle in err
+
+    def test_theorem1_constant_output_is_data_error(self, tmp_path, capsys):
+        # class 0 reads +1 everywhere: no example has an opposite anchor
+        import numpy as np
+
+        from eigendecay.model import Activation, DenseLayer, MlpModel
+
+        model = MlpModel(
+            [DenseLayer(np.zeros((2, 2)), np.zeros(2), Activation("sigmoid"))],
+            DenseLayer(np.zeros((2, 2)), np.array([1.0, -1.0]), Activation("linear")),
+        )
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
+        assert rc == 2
+        self._assert_one_line_error(capsys, "anchors")
+
+    def test_theorem1_wide_layer_is_data_error(self, tmp_path, capsys):
+        model = init_mlp([2, 80, 2], "sigmoid", seed=0)
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
+        assert rc == 2
+        self._assert_one_line_error(capsys, "64")
+
+    def test_theorem1_data_model_mismatch_is_data_error(self, tmp_path, capsys):
+        model = init_mlp([3, 4, 2], "sigmoid", seed=0)
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
+        assert rc == 2
+        self._assert_one_line_error(capsys, "features")
+
+    @pytest.mark.parametrize("flag, cls, anchors", [("--class", 2, 1), ("--anchors", 0, 0)])
+    def test_theorem1_bad_flag_is_config_error(self, tmp_path, capsys, flag, cls, anchors):
+        model = init_mlp([2, 4, 2], "sigmoid", seed=0)
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1],
+                            cls=cls, anchors=anchors)
+        assert rc == 1
+        self._assert_one_line_error(capsys, flag)
+
+    def test_theorem1_vanishing_gradient_exits_4(self, tmp_path, capsys):
+        # two saturated tanh units cancel exactly for |x1| < 0.3, so the
+        # first midpoint is an exact root where every slope is 0
+        import numpy as np
+
+        from eigendecay.model import Activation, DenseLayer, MlpModel
+
+        model = MlpModel(
+            [DenseLayer(np.array([[100.0, 0.0], [100.0, 0.0]]), np.array([50.0, -50.0]),
+                        Activation("tanh"))],
+            DenseLayer(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.zeros(2),
+                       Activation("linear")),
+        )
+        rc = self._theorem1(tmp_path, model, [[-1.0, 0.0], [1.0, 0.0]], [1, 0])
+        assert rc == 4
+        self._assert_one_line_error(capsys, "gradient vanishes")
+
+    def test_theorem1_unreachable_tolerance_exits_4(self, tmp_path, capsys):
+        # near the root the class output moves in steps of 4096 between
+        # adjacent floats and is offset by 0.5, so it never drops below 1e-10
+        import numpy as np
+
+        from eigendecay.model import Activation, DenseLayer, MlpModel
+
+        lin = Activation("linear")
+        model = MlpModel(
+            [DenseLayer(np.array([[1e20, 0.0]]), np.array([-3e19]), lin)],
+            DenseLayer(np.array([[1.0], [-1.0]]), np.array([0.5, -0.5]), lin),
+        )
+        rc = self._theorem1(tmp_path, model, [[-1.0, 0.0], [1.0, 0.0]], [1, 0])
+        assert rc == 4
+        self._assert_one_line_error(capsys, "bisection")
+
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["verify", "--mode", "bogus", "--out", str(tmp_path / "v")])
@@ -282,6 +379,40 @@ class TestGridsearchCommand:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["gridsearch", "--config", str(path), "--out", str(tmp_path / "g")]) == 0
+
+
+class TestPathChecks:
+    def test_data_directory_is_data_error(self, tmp_path, capsys):
+        save_model(init_mlp([2, 4, 2], "sigmoid", seed=0), tmp_path / "m.json")
+        rc = main(["eval", "--model", str(tmp_path / "m.json"),
+                   "--data", str(tmp_path), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_idx_directory_is_data_error(self, tmp_path):
+        save_model(init_mlp([2, 4, 2], "sigmoid", seed=0), tmp_path / "m.json")
+        rc = main(["eval", "--model", str(tmp_path / "m.json"),
+                   "--images", str(tmp_path), "--labels", str(tmp_path),
+                   "--out", str(tmp_path / "e")])
+        assert rc == 2
+
+    def test_model_directory_is_data_error(self, tmp_path):
+        rc = main(["verify", "--mode", "gradcheck", "--model", str(tmp_path),
+                   "--out", str(tmp_path / "v")])
+        assert rc == 2
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        rc = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "directory" in capsys.readouterr().err
+
+
+def test_zero_epochs_is_config_error(tmp_path, capsys):
+    config, _ = _two_gaussians_config(tmp_path)
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"),
+               "--epochs", "0"])
+    assert rc == 1
+    assert "epoch" in capsys.readouterr().err
 
 
 def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):

@@ -5,9 +5,13 @@ from conftest import linear_layer, rotation, small_model
 
 from eigendecay.data import Dataset, gen_two_gaussians
 from eigendecay.margin import (
+    BOUND_EPS_REL,
+    _class_output,
     AnchorSamplingError,
     DegenerateGradientError,
+    MarginReport,
     NoCrossingError,
+    PointRecord,
     SurfacePoint,
     bound_ingredients,
     find_surface_point,
@@ -18,7 +22,7 @@ from eigendecay.margin import (
     verify_denominator_inequality,
     verify_theorem1,
 )
-from eigendecay.model import Activation, DenseLayer, MlpModel, forward
+from eigendecay.model import Activation, DenseLayer, MlpModel, forward, forward_batch
 from eigendecay.objectives import RegularizerSpec
 from eigendecay.train import TrainConfig, sgd_train
 
@@ -34,6 +38,17 @@ class TestFindSurfacePoint:
         sp = find_surface_point(model, np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 0)
         np.testing.assert_allclose(sp.point, [0.0, 0.0], atol=1e-10)
         assert sp.residual < 1e-10
+
+    def test_endpoint_length_checked(self):
+        model = _projector_model()
+        with pytest.raises(ValueError, match="expects 2"):
+            find_surface_point(model, np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0]), 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_midpoint_rejected(self):
+        model = _projector_model()
+        with pytest.raises(ValueError, match="finite"):
+            find_surface_point(model, np.array([-1.0, 1e308]), np.array([1.0, 1e308]), 0)
 
     def test_same_sign_endpoints_rejected(self):
         model = _projector_model()
@@ -231,6 +246,87 @@ class TestVerifyTheorem1:
         par, ok2 = verify_theorem1(model, ds, 0, anchors_per_example=2, threads=4)
         assert ok1 == ok2
         assert [report_to_dict(r) for r in seq] == [report_to_dict(r) for r in par]
+
+
+def _reference_reports(model, dataset, l, anchors_per_example):
+    """verify_theorem1 rebuilt from the per-point calls, each of which
+    recomputes its own forward pass and layer eigenvalues."""
+    _, _, Yhat = forward_batch(model, dataset.features)
+    yl = Yhat[:, l]
+    reports = []
+    for i in range(len(dataset)):
+        if not dataset.encoded[i, l] * yl[i] > 0.0:
+            continue
+        x_i = dataset.features[i]
+        target = float(dataset.encoded[i, l])
+        opposite = np.flatnonzero(yl * yl[i] < 0.0)
+        dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
+        records = []
+        for j in opposite[np.argsort(dists, kind="stable")[:anchors_per_example]]:
+            sp = find_surface_point(model, x_i, dataset.features[j], l)
+            d = signed_distance(model, x_i, sp, l)
+            b = per_point_bound(model, x_i, sp, l, target)
+            records.append(
+                PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
+            )
+        reports.append(MarginReport(
+            index=i,
+            cls=l,
+            target=target,
+            points=records,
+            margin=min(r.distance * target for r in records),
+            theorem_bound=min(r.bound for r in records),
+            ok=all(r.ok for r in records),
+        ))
+    return reports
+
+
+class TestSharedPerPointWork:
+    """verify_theorem1 shares one forward pass per surface point and one
+    eigenvalue per layer across its calls; its reports must equal, bit for
+    bit, those of the per-point calls left to recompute everything."""
+
+    def _assert_matches_reference(self, model, dataset, anchors):
+        reports, _ = verify_theorem1(model, dataset, 0, anchors_per_example=anchors)
+        reference = _reference_reports(model, dataset, 0, anchors)
+        assert len(reports) >= 10
+        assert [report_to_dict(r) for r in reports] == [
+            report_to_dict(r) for r in reference
+        ]
+
+    def test_two_hidden_tanh_model(self):
+        ds = gen_two_gaussians(30, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=41)
+        model = small_model(dims=(2, 5, 4, 2), activation="tanh", seed=42)
+        sgd_train(model, ds, "mse", RegularizerSpec.none(3, 2),
+                  TrainConfig(learning_rate=0.2, batch_size=8, max_epochs=30, seed=43))
+        self._assert_matches_reference(model, ds, 3)
+
+    def test_trained_sigmoid_model(self):
+        train = gen_two_gaussians(60, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=44)
+        model = small_model(dims=(2, 8, 2), seed=45)
+        sgd_train(model, train, "mse", RegularizerSpec.none(2, 1),
+                  TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=60, seed=46))
+        test = gen_two_gaussians(25, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=47)
+        self._assert_matches_reference(model, test, 5)
+
+    def test_bisection_output_is_forward_output(self, rng):
+        for width in range(1, 65, 3):
+            for kind, n_out in (("sigmoid", 10), ("tanh", 3)):
+                model = small_model(dims=(3, width, width, n_out), activation=kind,
+                                    seed=width)
+                x = rng.standard_normal(3)
+                out = forward(model, x).output
+                assert [_class_output(model, x, l) for l in range(n_out)] == list(out)
+
+    def test_width_cap_raised_before_any_bisection(self):
+        # nothing is classified correctly, so no surface point is sought
+        model = small_model(dims=(2, 80, 2), seed=49)
+        features = np.array([[0.1, 0.2], [0.3, 0.4]])
+        _, _, Yhat = forward_batch(model, features)
+        labels = np.where(Yhat[:, 0] > 0.0, 1, 0)
+        ds = Dataset.from_arrays(features, labels, n_classes=2)
+        with pytest.raises(ValueError, match="cap"):
+            verify_theorem1(model, ds, 0, anchors_per_example=1)
 
 
 class TestDenominatorInequality:

@@ -7,6 +7,7 @@ from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
+    _sigmoid,
     copy_model,
     forward,
     forward_batch,
@@ -41,6 +42,33 @@ class TestActivation:
         assert np.all(np.isfinite(v))
         assert v[0] == pytest.approx(0.0, abs=1e-300)
         assert v[1] == pytest.approx(1.0)
+
+
+def _masked_sigmoid(v):
+    """The two-branch stable sigmoid written with boolean masks."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+class TestSigmoidBits:
+    def _assert_same_bits(self, v):
+        got, want = _sigmoid(v), _masked_sigmoid(v)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_special_values(self):
+        specials = [0.0, 1e-300, 700.0, 800.0, np.inf, np.nan]
+        self._assert_same_bits(np.array(specials + [-v for v in specials]))
+
+    def test_random_arrays(self, rng):
+        for width in range(1, 131):
+            for scale in (1.0, 30.0, 800.0):
+                self._assert_same_bits(scale * rng.standard_normal(width))
+                self._assert_same_bits(scale * rng.standard_normal((3, width)))
 
 
 class TestModelConstruction:
