@@ -35,7 +35,6 @@ def main():
     parser.add_argument("--epochs", type=int, default=25)
     parser.add_argument("--cv-epochs", type=int, default=6)
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     base = Path(args.data_dir)
@@ -58,7 +57,7 @@ def main():
     result = grid_search(
         train, model_builder, "categorical_cross_entropy",
         [0.0, 1e-4, 1e-3], [0.0, 1e-4, 1e-3], 5, cv_cfg,
-        lambda ca, cb: reg_spec(ca, cb), threads=args.threads,
+        lambda ca, cb: reg_spec(ca, cb),
     )
     print(f"grid search ({time.perf_counter() - started:.0f}s): "
           f"selected {result.selected}, cv accuracy {result.selected_accuracy:.4f}")

@@ -216,20 +216,6 @@ def _loss_kind(config):
     return kind
 
 
-def _thread_count(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("EIGENDECAY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"EIGENDECAY_THREADS must be an integer, got {env!r}"
-            ) from None
-    return 1
-
-
 def _write_manifest(out_dir, command, config_echo, seed, started, outputs):
     manifest = {
         "schema_version": 1,
@@ -386,7 +372,6 @@ def cmd_gridsearch(args):
             folds,
             tcfg,
             reg_builder,
-            threads=_thread_count(args),
             select_by=select_by,
         )
     except ValueError as exc:
@@ -406,17 +391,26 @@ def cmd_verify(args):
     started = time.perf_counter()
     out = _out_dir(args)
     mode = args.mode
+    if args.count is not None and args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seed = args.seed or 0
     if mode == "eigencheck":
-        records, ok = power_method_fidelity_suite(count=args.count or 500, seed=args.seed or 0)
+        records, ok = power_method_fidelity_suite(
+            count=500 if args.count is None else args.count, seed=seed
+        )
     elif mode == "lemma1":
-        records, ok = quadratic_form_bound_suite(count=args.count or 1000, seed=args.seed or 0)
+        records, ok = quadratic_form_bound_suite(
+            count=1000 if args.count is None else args.count, seed=seed
+        )
     elif mode == "gradcheck":
         if args.model:
             model = _load_model_file(args.model)
-            records, ok = model_gradient_check(model, seed=args.seed or 0)
+            records, ok = model_gradient_check(model, seed=seed)
         else:
             records, ok = gradient_check_suite(
-                count=args.count or 50, seed=args.seed or 0
+                count=50 if args.count is None else args.count, seed=seed
             )
     elif mode == "theorem1":
         if not args.model:
@@ -449,7 +443,6 @@ def cmd_verify(args):
                 dataset,
                 args.cls,
                 anchors_per_example=args.anchors,
-                threads=_thread_count(args),
             )
         except AnchorSamplingError as exc:
             raise DataError(f"theorem1: {exc}") from None
@@ -491,16 +484,14 @@ def cmd_verify(args):
 def cmd_gendata(args):
     started = time.perf_counter()
     out = _out_dir(args)
+    spec = {"kind": args.kind, "seed": args.seed or 0}
     if args.kind == "two_gaussians":
-        dataset = gen_two_gaussians(
-            n_per_class=args.n, sigma=args.sigma, seed=args.seed or 0
-        )
+        spec.update(n_per_class=args.n, sigma=args.sigma)
     elif args.kind == "two_moons":
-        dataset = gen_two_moons(n=args.n, noise=args.noise, seed=args.seed or 0)
-    elif args.kind == "xor":
-        dataset = gen_xor(n=args.n, seed=args.seed or 0)
+        spec.update(n=args.n, noise=args.noise)
     else:
-        raise ConfigError(f"unknown dataset kind {args.kind!r}")
+        spec.update(n=args.n)
+    dataset = _build_dataset(spec)
     write_delimited(dataset, out / "data.csv")
     _write_manifest(
         out,
@@ -528,7 +519,6 @@ def build_parser():
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
@@ -546,7 +536,6 @@ def build_parser():
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--seed", type=int, default=None)
     p_grid.add_argument("--epochs", type=int, default=None)
-    p_grid.add_argument("--threads", type=int, default=None)
     p_grid.set_defaults(fn=cmd_gridsearch)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -564,7 +553,6 @@ def build_parser():
     p_verify.add_argument("--anchors", type=int, default=5)
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(fn=cmd_verify)
 

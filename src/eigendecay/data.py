@@ -14,17 +14,6 @@ class IdxFormatError(ValueError):
     """IDX file failed a structural check."""
 
 
-def encode_one_hot_pm1(cls, n_classes):
-    """Target vector with +1 at the class position and -1 elsewhere."""
-    if n_classes < 1:
-        raise ValueError(f"class count must be >= 1, got {n_classes}")
-    if not 0 <= cls < n_classes:
-        raise ValueError(f"class {cls} out of range for {n_classes} classes")
-    out = np.full(n_classes, -1.0)
-    out[cls] = 1.0
-    return out
-
-
 def encode_batch_pm1(targets, n_classes):
     targets = np.asarray(targets)
     out = np.full((targets.shape[0], n_classes), -1.0)
@@ -33,10 +22,6 @@ def encode_batch_pm1(targets, n_classes):
             raise ValueError(f"class {c} out of range for {n_classes} classes")
         out[i, c] = 1.0
     return out
-
-
-def decode_class(encoded):
-    return int(np.argmax(encoded))
 
 
 @dataclass

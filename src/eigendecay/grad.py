@@ -49,7 +49,9 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    if C == 0.0:
+    if C == 0.0 or not np.any(w):
+        # the power iteration cannot start from the zero matrix; its penalty
+        # is 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
         return np.zeros_like(w)
     m = gram(w)
     n = m.shape[0]

@@ -33,14 +33,6 @@ def as_vector(a):
     return v
 
 
-def matmul(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shapes {a.shape} x {b.shape} do not chain")
-    return a @ b
-
-
 def gram(w):
     """W W^T, with the upper triangle mirrored from the lower so the result
     is symmetric to the last bit."""

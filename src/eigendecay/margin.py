@@ -15,7 +15,6 @@ the bisection steps that find it evaluate the class output without
 building a trace.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import json
 import math
@@ -142,7 +141,6 @@ def signed_distance(model, x_i, surface_point, l, *, trace=None):
 
 @dataclass
 class BoundIngredients:
-    gammas: list  # diagonal activation-derivative matrices per hidden layer
     omega: np.ndarray  # product of W_k^T Gamma_k^T across hidden layers
     lambda_activ: list  # dominant eigenvalue of Gamma Gamma^T per layer
     lambda_dom: list  # dominant eigenvalue of W W^T per hidden layer
@@ -178,16 +176,14 @@ def bound_ingredients(model, surface_point, l, *, trace=None, lambda_dom=None):
         trace = forward(model, surface_point.point)
     if lambda_dom is None:
         lambda_dom = layer_lambda_dom(model)
-    gammas = []
     lambda_activ = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
         slopes = layer.activation.deriv(v)
-        gammas.append(np.diag(slopes))
         lambda_activ.append(float(np.max(slopes**2)))
         factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
         omega = factor if omega is None else omega @ factor
-    return BoundIngredients(gammas, omega, lambda_activ, list(lambda_dom))
+    return BoundIngredients(omega, lambda_activ, list(lambda_dom))
 
 
 def per_point_bound(model, x_i, surface_point, l, y_target, *, trace=None,
@@ -250,7 +246,7 @@ def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_examp
     )
 
 
-def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL, threads=1):
+def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL):
     """Check the per-surface-point margin inequality over a labeled dataset.
 
     For every example the model classifies correctly for class l (target
@@ -259,11 +255,12 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL,
 
         target * distance >= bound - 1e-6 * (1 + |distance|)
 
-    at each surface point. Returns (reports, all_ok); reports are ordered
-    by example index. Misclassified examples are skipped, so a dataset with
-    no correct examples passes vacuously with an empty report list. The
-    layer eigenvalues are computed on entry, so a hidden layer wider than
-    the exact solver's cap raises ValueError before any bisection.
+    at each surface point. Returns (reports, all_ok); examples are checked
+    one after another and reports are ordered by example index.
+    Misclassified examples are skipped, so a dataset with no correct
+    examples passes vacuously with an empty report list. The layer
+    eigenvalues are computed on entry, so a hidden layer wider than the
+    exact solver's cap raises ValueError before any bisection.
     """
     _require_smooth(model)
     if not 0 <= l < model.n_out:
@@ -277,18 +274,13 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL,
         i for i in range(len(dataset)) if dataset.encoded[i, l] * yl[i] > 0.0
     ]
     anchor_pool = np.arange(len(dataset))
-
-    def job(i):
-        return _report_for_example(
+    reports = [
+        _report_for_example(
             model, dataset, i, l, yl, anchor_pool, anchors_per_example, tol,
             lambda_dom,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(job, correct))
-    else:
-        reports = [job(i) for i in correct]
+        for i in correct
+    ]
     return reports, all(r.ok for r in reports)
 
 

@@ -191,16 +191,6 @@ def forward_batch(model, X, dropout_masks=None):
     return vs, ys, Yhat
 
 
-def predict_class(model, x):
-    """Index of the largest output component; ties go to the lowest index."""
-    return int(np.argmax(forward(model, x).output))
-
-
-def predict_batch(model, X):
-    _, _, Yhat = forward_batch(model, X)
-    return np.argmax(Yhat, axis=1)
-
-
 def input_gradient(model, trace, l):
     """Gradient of output component l with respect to the model input.
 
@@ -253,16 +243,6 @@ def set_model_params(model, values):
         raise ValueError("parameter list length mismatch")
     for dst, src in zip(params, values):
         np.copyto(dst, src)
-
-
-def copy_model(model):
-    hidden = [
-        DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in model.hidden
-    ]
-    out = DenseLayer(
-        model.output.weights.copy(), model.output.bias.copy(), model.output.activation
-    )
-    return MlpModel(hidden, out)
 
 
 MODEL_FORMAT = "eigendecay-model"

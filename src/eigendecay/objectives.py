@@ -60,15 +60,6 @@ def _loss_per_example(kind, Yhat, Y):
     raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
-def loss(kind, y_hat, y_target):
-    """Per-example loss value."""
-    Yhat = _as_batch(y_hat)
-    Y = _as_batch(y_target)
-    if Yhat.shape != Y.shape:
-        raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
-    return float(_loss_per_example(kind, Yhat, Y)[0])
-
-
 def loss_batch(kind, Yhat, Y):
     """Mean loss over a batch of row-per-example outputs and targets."""
     Yhat = _as_batch(Yhat)
@@ -78,11 +69,6 @@ def loss_batch(kind, Yhat, Y):
     if Yhat.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     return float(np.mean(_loss_per_example(kind, Yhat, Y)))
-
-
-def loss_gradient(kind, y_hat, y_target):
-    """Gradient of the per-example loss with respect to the raw outputs."""
-    return loss_gradient_batch(kind, _as_batch(y_hat), _as_batch(y_target))[0].copy()
 
 
 def loss_gradient_batch(kind, Yhat, Y):
@@ -146,22 +132,6 @@ def l2_penalty(w, c):
     return c * float(np.sum(w * w))
 
 
-def apply_dropout(y, rate, rng):
-    """Inverted dropout on a single activation vector.
-
-    Each component is zeroed independently with probability rate and the
-    survivors are scaled by 1/(1-rate), so the expectation matches the
-    input. Evaluation mode is simply not calling this.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    y = np.asarray(y, dtype=float)
-    if rate == 0.0:
-        return y.copy()
-    keep = rng.random(y.shape) >= rate
-    return np.where(keep, y / (1.0 - rate), 0.0)
-
-
 def sample_dropout_masks(rates, hidden_dims, batch_size, rng):
     """Pre-scaled dropout masks per hidden layer, or None when all rates
     are zero. Entries are 0 or 1/(1-rate)."""
@@ -171,6 +141,8 @@ def sample_dropout_masks(rates, hidden_dims, batch_size, rng):
         raise ValueError("one dropout rate per hidden layer expected")
     masks = []
     for rate, width in zip(rates, hidden_dims):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
         if rate == 0.0:
             masks.append(None)
         else:

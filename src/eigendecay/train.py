@@ -2,7 +2,6 @@
 validation split, evaluation, and k-fold cross-validated grid search over
 the two regularization constants."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import json
 import math
@@ -13,7 +12,12 @@ from .data import kfold, split
 from .grad import backward
 from .linalg import DegenerateIterateError, gram, power_dominant_eigen
 from .model import forward_batch, model_params, set_model_params
-from .objectives import loss_batch, sample_dropout_masks, total_objective
+from .objectives import (
+    LOSS_KINDS,
+    loss_batch,
+    sample_dropout_masks,
+    total_objective,
+)
 
 
 class DivergenceError(RuntimeError):
@@ -132,6 +136,8 @@ def sgd_train(model, dataset, loss_kind, reg, config):
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}; pick one of {LOSS_KINDS}")
     reg.check_against(model)
     if dataset.n_features != model.n_in:
         raise ValueError(
@@ -258,16 +264,15 @@ def grid_search(
     folds,
     config,
     reg_builder,
-    threads=1,
     select_by="accuracy",
 ):
     """2-D grid over regularization constants scored by k-fold cross
     validation.
 
     model_builder(seed) must return a fresh model; reg_builder(c_a, c_b)
-    maps a grid cell to its regularizers. Fold assignment and
-    per-cell model seeds derive from config.seed, so results do not depend
-    on scheduling. Ties in the score go to the lexicographically smallest
+    maps a grid cell to its regularizers. Cells run one after another in
+    grid order; fold assignment and per-cell model seeds derive from
+    config.seed. Ties in the score go to the lexicographically smallest
     (c_a, c_b).
     """
     if not grid_a or not grid_b:
@@ -277,8 +282,7 @@ def grid_search(
     fold_indices = kfold(dataset, folds, config.seed)
     all_idx = np.arange(len(dataset))
 
-    def run_cell(cell):
-        ia, c_a, ib, c_b = cell
+    def run_cell(ia, c_a, ib, c_b):
         reg = reg_builder(c_a, c_b)
         accs = []
         losses = []
@@ -297,16 +301,11 @@ def grid_search(
             "fold_accuracies": accs,
         }
 
-    cells_in = [
-        (ia, c_a, ib, c_b)
+    cells = [
+        run_cell(ia, c_a, ib, c_b)
         for ia, c_a in enumerate(grid_a)
         for ib, c_b in enumerate(grid_b)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_cell, cells_in))
-    else:
-        cells = [run_cell(c) for c in cells_in]
 
     best = None
     for cell in cells:

@@ -1,9 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigendecay.cli import main
-from eigendecay.data import load_delimited, write_delimited
+from eigendecay.data import (
+    gen_two_gaussians,
+    gen_two_moons,
+    gen_xor,
+    load_delimited,
+    write_delimited,
+)
 from eigendecay.model import init_mlp, load_model, save_model
 from eigendecay.objectives import RegularizerSpec
 from eigendecay.train import TrainConfig, sgd_train
@@ -140,7 +152,47 @@ class TestEvalCommand:
         assert report["accuracy"] == 1.0
 
 
+def _assert_one_line_error(capsys, needle=""):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert needle in err
+
+
 class TestGendataCommand:
+    # sha256 of data.csv as the generator-per-kind code wrote it before
+    # gendata went through the config data builder; two_moons is compared
+    # with the library only, since its sin/cos values may differ by CPU
+    @pytest.mark.parametrize("argv, reference, sha256", [
+        (["--kind", "two_gaussians", "--n", "4", "--sigma", "0.3", "--seed", "5"],
+         lambda: gen_two_gaussians(n_per_class=4, sigma=0.3, seed=5),
+         "5321546c8ecaad5bfea3d4e10f685086ed25703e2bf8fa3cbe4c81e7d6b79880"),
+        (["--kind", "xor", "--n", "6", "--seed", "2"],
+         lambda: gen_xor(n=6, seed=2),
+         "c177d8c89f23092f750a287702c026ecceae2df57626477439001b62024c35b0"),
+        (["--kind", "two_moons", "--n", "7", "--noise", "0.05", "--seed", "3"],
+         lambda: gen_two_moons(n=7, noise=0.05, seed=3),
+         None),
+    ], ids=["two_gaussians", "xor", "two_moons"])
+    def test_output_bytes_unchanged(self, tmp_path, argv, reference, sha256):
+        assert main(["gendata", *argv, "--out", str(tmp_path / "g")]) == 0
+        written = (tmp_path / "g" / "data.csv").read_bytes()
+        write_delimited(reference(), tmp_path / "ref.csv")
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        if sha256 is not None:
+            assert hashlib.sha256(written).hexdigest() == sha256
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "two_gaussians", "--n", "0"],
+        ["--kind", "two_moons", "--n", "1"],
+        ["--kind", "two_gaussians", "--n", "3", "--sigma", "-1"],
+        ["--kind", "xor", "--n", "3", "--seed", "-1"],
+    ], ids=["n_zero", "moons_n_one", "negative_sigma", "negative_seed"])
+    def test_generator_rejection_is_config_error(self, tmp_path, capsys, argv):
+        assert main(["gendata", *argv, "--out", str(tmp_path / "g")]) == 1
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "g" / "data.csv").exists()
+
     def test_deterministic_output(self, tmp_path):
         for out in ("g1", "g2"):
             rc = main(["gendata", "--kind", "two_moons", "--n", "50",
@@ -251,12 +303,6 @@ class TestVerifyCommand:
                      "--data", str(tmp_path / "d.csv"), "--class", str(cls),
                      "--anchors", str(anchors), "--out", str(tmp_path / "v")])
 
-    def _assert_one_line_error(self, capsys, needle):
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-        assert needle in err
-
     def test_theorem1_constant_output_is_data_error(self, tmp_path, capsys):
         # class 0 reads +1 everywhere: no example has an opposite anchor
         import numpy as np
@@ -269,19 +315,19 @@ class TestVerifyCommand:
         )
         rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
         assert rc == 2
-        self._assert_one_line_error(capsys, "anchors")
+        _assert_one_line_error(capsys, "anchors")
 
     def test_theorem1_wide_layer_is_data_error(self, tmp_path, capsys):
         model = init_mlp([2, 80, 2], "sigmoid", seed=0)
         rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
         assert rc == 2
-        self._assert_one_line_error(capsys, "64")
+        _assert_one_line_error(capsys, "64")
 
     def test_theorem1_data_model_mismatch_is_data_error(self, tmp_path, capsys):
         model = init_mlp([3, 4, 2], "sigmoid", seed=0)
         rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
         assert rc == 2
-        self._assert_one_line_error(capsys, "features")
+        _assert_one_line_error(capsys, "features")
 
     @pytest.mark.parametrize("flag, cls, anchors", [("--class", 2, 1), ("--anchors", 0, 0)])
     def test_theorem1_bad_flag_is_config_error(self, tmp_path, capsys, flag, cls, anchors):
@@ -289,7 +335,7 @@ class TestVerifyCommand:
         rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1],
                             cls=cls, anchors=anchors)
         assert rc == 1
-        self._assert_one_line_error(capsys, flag)
+        _assert_one_line_error(capsys, flag)
 
     def test_theorem1_vanishing_gradient_exits_4(self, tmp_path, capsys):
         # two saturated tanh units cancel exactly for |x1| < 0.3, so the
@@ -306,7 +352,7 @@ class TestVerifyCommand:
         )
         rc = self._theorem1(tmp_path, model, [[-1.0, 0.0], [1.0, 0.0]], [1, 0])
         assert rc == 4
-        self._assert_one_line_error(capsys, "gradient vanishes")
+        _assert_one_line_error(capsys, "gradient vanishes")
 
     def test_theorem1_unreachable_tolerance_exits_4(self, tmp_path, capsys):
         # near the root the class output moves in steps of 4096 between
@@ -322,7 +368,22 @@ class TestVerifyCommand:
         )
         rc = self._theorem1(tmp_path, model, [[-1.0, 0.0], [1.0, 0.0]], [1, 0])
         assert rc == 4
-        self._assert_one_line_error(capsys, "bisection")
+        _assert_one_line_error(capsys, "bisection")
+
+    @pytest.mark.parametrize("mode", ["eigencheck", "lemma1"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_config_error(self, tmp_path, capsys, mode, count):
+        rc = main(["verify", "--mode", mode, "--count", count,
+                   "--out", str(tmp_path / "v")])
+        assert rc == 1
+        _assert_one_line_error(capsys, "--count")
+        assert not (tmp_path / "v" / "verify.jsonl").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        rc = main(["verify", "--mode", "lemma1", "--count", "2", "--seed", "-1",
+                   "--out", str(tmp_path / "v")])
+        assert rc == 1
+        _assert_one_line_error(capsys, "--seed")
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -367,18 +428,16 @@ class TestGridsearchCommand:
         assert tail["selected_c_a"] == 0.01
         assert tail["selected_c_b"] == 0.0
 
-    def test_env_thread_cap_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EIGENDECAY_THREADS", "2")
-        config = {
-            "model": {"layers": [2, 4, 2], "seed": 0},
-            "data": {"kind": "two_gaussians", "n_per_class": 24, "sigma": 0.5, "seed": 1},
-            "loss": "mse",
-            "train": {"learning_rate": 0.4, "batch_size": 8, "max_epochs": 5, "seed": 2},
-            "grid": {"a": [0.0, 0.01], "b": [0.0], "folds": 2},
-        }
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        assert main(["gridsearch", "--config", str(path), "--out", str(tmp_path / "g")]) == 0
+
+@pytest.mark.parametrize("command", [
+    ["train", "--config", "c.json"],
+    ["gridsearch", "--config", "c.json"],
+    ["verify", "--mode", "eigencheck", "--count", "1"],
+], ids=["train", "gridsearch", "verify"])
+def test_threads_option_is_gone(tmp_path, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--threads", "2", "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
 
 
 class TestPathChecks:
@@ -427,3 +486,39 @@ def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "classes" in capsys.readouterr().err
+
+
+_SMALL_INT = st.integers(-3, 5).map(str)
+
+
+@st.composite
+def _argv(draw):
+    """gendata or a verify suite with small, possibly invalid, integer
+    arguments and optional extra flags, --threads among them."""
+    mode = draw(st.sampled_from(["gendata", "eigencheck", "lemma1"]))
+    if mode == "gendata":
+        kind = draw(st.sampled_from(["two_gaussians", "two_moons", "xor"]))
+        argv = ["gendata", "--kind", kind, "--n", draw(_SMALL_INT)]
+        optional = ["--sigma", "--noise", "--seed", "--threads"]
+    else:
+        # --count always given: the default suites take seconds
+        argv = ["verify", "--mode", mode, "--count", draw(_SMALL_INT)]
+        optional = ["--seed", "--class", "--anchors", "--threads"]
+    for flag in optional:
+        if draw(st.booleans()):
+            argv += [flag, draw(_SMALL_INT)]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=40, deadline=None)
+def test_generated_argv_ends_in_documented_exit_code(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

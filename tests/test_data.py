@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from eigendecay.data import (
     Dataset,
     IdxFormatError,
-    decode_class,
-    encode_one_hot_pm1,
+    encode_batch_pm1,
     gen_two_gaussians,
     gen_two_moons,
     gen_xor,
@@ -24,30 +23,32 @@ from eigendecay.data import (
 
 class TestEncoding:
     def test_first_of_two(self):
-        np.testing.assert_array_equal(encode_one_hot_pm1(0, 2), [1.0, -1.0])
+        np.testing.assert_array_equal(encode_batch_pm1([0], 2), [[1.0, -1.0]])
 
     def test_last_of_three(self):
-        np.testing.assert_array_equal(encode_one_hot_pm1(2, 3), [-1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(encode_batch_pm1([2], 3), [[-1.0, -1.0, 1.0]])
 
     def test_single_class(self):
-        np.testing.assert_array_equal(encode_one_hot_pm1(0, 1), [1.0])
+        np.testing.assert_array_equal(encode_batch_pm1([0, 0], 1), [[1.0], [1.0]])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_one_hot_pm1(2, 2)
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                encode_batch_pm1([0, bad], 2)
 
     @given(st.integers(1, 20), st.data())
     @settings(max_examples=50, deadline=None)
     def test_decode_round_trip(self, n_classes, data):
-        cls = data.draw(st.integers(0, n_classes - 1))
-        assert decode_class(encode_one_hot_pm1(cls, n_classes)) == cls
+        classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=1))
+        decoded = np.argmax(encode_batch_pm1(classes, n_classes), axis=1)
+        np.testing.assert_array_equal(decoded, classes)
 
     def test_exactly_one_positive(self):
         for n_classes in range(1, 8):
-            for cls in range(n_classes):
-                enc = encode_one_hot_pm1(cls, n_classes)
-                assert np.sum(enc == 1.0) == 1
-                assert np.sum(enc == -1.0) == n_classes - 1
+            enc = encode_batch_pm1(np.arange(n_classes), n_classes)
+            np.testing.assert_array_equal(np.sum(enc == 1.0, axis=1), 1)
+            np.testing.assert_array_equal(np.sum(enc == -1.0, axis=1), n_classes - 1)
+            np.testing.assert_array_equal(np.diag(enc), 1.0)
 
 
 def _synthetic_idx(tmp_path, n=7, rows=4, cols=3, seed=0):

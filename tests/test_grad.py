@@ -98,9 +98,22 @@ class TestEigenDecayGradient:
             b = eigen_decay_gradient(w, 0.7, 9, normalize_each_step=False)
             assert max_rel_err(a, b) <= 1e-6
 
-    def test_zero_matrix_raises(self):
+    def test_zero_matrix_gradient_is_zero(self):
+        # matches the penalty value, which is 0 there
+        for shape in ((2, 2), (3, 5)):
+            w = np.zeros(shape)
+            assert eigen_decay_penalty(w, 0.5, 9) == 0.0
+            for normalize in (True, False):
+                g = eigen_decay_gradient(w, 0.5, 9, normalize)
+                assert np.array_equal(g, np.zeros(shape))
+
+    def test_kernel_start_raises_in_value_and_gradient(self):
+        # W W^T = [[1, -1], [-1, 1]] sends the all-ones start to zero
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateIterateError):
-            eigen_decay_gradient(np.zeros((2, 2)), 0.5, 9)
+            eigen_decay_penalty(w, 0.5, 9)
+        with pytest.raises(DegenerateIterateError):
+            eigen_decay_gradient(w, 0.5, 9)
 
     def test_near_zero_spectrum_warns_and_returns_zero(self):
         w = np.full((2, 2), 1e-9)

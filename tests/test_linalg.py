@@ -5,39 +5,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import linear_layer
+
 from eigendecay.linalg import (
     DegenerateIterateError,
     exact_dominant_eigen,
     gram,
     jacobi_eigenvalues,
-    matmul,
     power_dominant_eigen,
 )
+from eigendecay.model import MlpModel, forward_batch
+
+
+def _product(a, b):
+    """a @ b as the forward pass computes it: rows of b^T through a linear
+    layer with weights a and an identity read-out."""
+    a = np.asarray(a, dtype=float)
+    model = MlpModel([linear_layer(a)], linear_layer(np.eye(a.shape[0])))
+    _, _, out = forward_batch(model, np.asarray(b, dtype=float).T)
+    return out.T
 
 
 class TestMatmul:
     def test_identity(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
+        np.testing.assert_array_equal(_product(np.eye(2), b), b)
 
     def test_annihilation(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         b = np.array([[0.0], [5.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[0.0], [0.0]])
+        np.testing.assert_array_equal(_product(a, b), [[0.0], [0.0]])
 
     def test_hand_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0], [6.0]])
         # 1*5+2*6 = 17, 3*5+4*6 = 39
-        np.testing.assert_array_equal(matmul(a, b), [[17.0], [39.0]])
+        np.testing.assert_array_equal(_product(a, b), [[17.0], [39.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
+            _product(np.ones((2, 3)), np.ones((2, 2)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            matmul(np.array([[np.nan]]), np.ones((1, 1)))
+            _product(np.array([[np.nan]]), np.ones((1, 1)))
 
 
 class TestGram:

@@ -3,12 +3,12 @@ import pytest
 
 from conftest import linear_layer, max_rel_err, small_model
 
+from eigendecay.data import Dataset
 from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
     _sigmoid,
-    copy_model,
     forward,
     forward_batch,
     init_mlp,
@@ -16,9 +16,9 @@ from eigendecay.model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_class,
     save_model,
 )
+from eigendecay.train import evaluate
 
 
 class TestActivation:
@@ -148,19 +148,28 @@ class TestForward:
 
 
 class TestPredictClass:
+    """Predictions are the argmax of forward_batch outputs, as evaluate
+    scores them."""
+
     def test_unique_max(self):
         model = MlpModel(
             [linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0], [0.0, 1.0]]))
         )
-        assert predict_class(model, np.array([-1.0, 1.0])) == 1
-        assert predict_class(model, np.array([0.9, -0.3])) == 0
+        _, _, Yhat = forward_batch(model, np.array([[-1.0, 1.0], [0.9, -0.3]]))
+        np.testing.assert_array_equal(np.argmax(Yhat, axis=1), [1, 0])
 
     def test_tie_breaks_low_index(self):
         model = MlpModel(
             [linear_layer(np.eye(2))],
             linear_layer(np.array([[1.0, 0.0], [1.0, 0.0]])),
         )
-        assert predict_class(model, np.array([0.5, 0.5])) == 0
+        _, _, Yhat = forward_batch(model, np.array([[0.5, 0.5]]))
+        assert Yhat[0, 0] == Yhat[0, 1]
+        assert np.argmax(Yhat, axis=1)[0] == 0
+        # evaluate scores the tie as class 0: right for target 0, wrong for 1
+        features = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert evaluate(model, Dataset.from_arrays(features, [0, 0], 2))["accuracy"] == 1.0
+        assert evaluate(model, Dataset.from_arrays(features, [1, 1], 2))["accuracy"] == 0.0
 
 
 class TestInputGradient:
@@ -248,9 +257,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict(doc)
 
-
-def test_copy_model_is_independent():
-    model = small_model(seed=2)
-    clone = copy_model(model)
-    clone.hidden[0].weights[0, 0] += 1.0
-    assert model.hidden[0].weights[0, 0] != clone.hidden[0].weights[0, 0]

@@ -10,40 +10,46 @@ from eigendecay.model import Activation, DenseLayer, MlpModel
 from eigendecay.objectives import (
     LayerPenalty,
     RegularizerSpec,
-    apply_dropout,
     eigen_decay_penalty,
     l1_penalty,
     l2_penalty,
-    loss,
-    loss_gradient,
+    loss_batch,
+    loss_gradient_batch,
+    sample_dropout_masks,
     total_objective,
 )
 
 
+def _example_loss(kind, y_hat, y_target):
+    """Loss of one example, as the mean over a batch of one row."""
+    return loss_batch(kind, np.array([y_hat], dtype=float),
+                      np.array([y_target], dtype=float))
+
+
 class TestLoss:
     def test_hinge_satisfied_margins_cost_nothing(self):
-        assert loss("multiclass_hinge", [1.5, -2.0], [1.0, -1.0]) == 0.0
+        assert _example_loss("multiclass_hinge", [1.5, -2.0], [1.0, -1.0]) == 0.0
         # zero exactly on the margin boundary y*yhat = 1
-        assert loss("multiclass_hinge", [1.0, -1.0], [1.0, -1.0]) == 0.0
+        assert _example_loss("multiclass_hinge", [1.0, -1.0], [1.0, -1.0]) == 0.0
 
     def test_hinge_hand_value(self):
         # max(0, 1-0.2) = 0.8 on the first output, second is beyond margin
-        assert loss("multiclass_hinge", [0.2, -2.0], [1.0, -1.0]) == pytest.approx(0.8)
+        assert _example_loss("multiclass_hinge", [0.2, -2.0], [1.0, -1.0]) == pytest.approx(0.8)
 
     def test_mse_perfect_fit(self):
-        assert loss("mse", [1.0, -1.0], [1.0, -1.0]) == 0.0
+        assert _example_loss("mse", [1.0, -1.0], [1.0, -1.0]) == 0.0
 
     def test_mse_rejects_unencoded_targets(self):
         with pytest.raises(ValueError):
-            loss("mse", [0.5, 0.5], [0.3, -1.0])
+            _example_loss("mse", [0.5, 0.5], [0.3, -1.0])
 
     def test_hinge_rejects_unencoded_targets(self):
         with pytest.raises(ValueError):
-            loss("multiclass_hinge", [0.5], [0.0])
+            _example_loss("multiclass_hinge", [0.5], [0.0])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            loss("huber", [0.0], [1.0])
+            _example_loss("huber", [0.0], [1.0])
 
     @pytest.mark.parametrize(
         "kind",
@@ -55,7 +61,7 @@ class TestLoss:
             yhat = rng.standard_normal(L) * 3
             target = np.full(L, -1.0)
             target[rng.integers(0, L)] = 1.0
-            assert loss(kind, yhat, target) >= 0.0
+            assert _example_loss(kind, yhat, target) >= 0.0
 
     def test_categorical_matches_probability_form(self, rng):
         for _ in range(10):
@@ -65,7 +71,7 @@ class TestLoss:
             c = int(rng.integers(0, L))
             target[c] = 1.0
             p = np.exp(z) / np.sum(np.exp(z))
-            assert loss("categorical_cross_entropy", z, target) == pytest.approx(
+            assert _example_loss("categorical_cross_entropy", z, target) == pytest.approx(
                 -np.log(p[c]), rel=1e-12
             )
 
@@ -76,7 +82,7 @@ class TestLoss:
             t = (target + 1) / 2
             s = 1 / (1 + np.exp(-z))
             ref = -np.sum(t * np.log(s) + (1 - t) * np.log(1 - s))
-            assert loss("binary_cross_entropy", z, target) == pytest.approx(ref, rel=1e-10)
+            assert _example_loss("binary_cross_entropy", z, target) == pytest.approx(ref, rel=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
         h = 1e-6
@@ -86,16 +92,16 @@ class TestLoss:
             "categorical_cross_entropy",
             "multiclass_hinge",
         ):
-            yhat = rng.standard_normal(4)
-            target = np.full(4, -1.0)
-            target[1] = 1.0
-            g = loss_gradient(kind, yhat, target)
-            for i in range(4):
-                up, dn = yhat.copy(), yhat.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (loss(kind, up, target) - loss(kind, dn, target)) / (2 * h)
-                assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+            Yhat = rng.standard_normal((3, 4))
+            Y = np.full((3, 4), -1.0)
+            Y[np.arange(3), [1, 0, 3]] = 1.0
+            G = loss_gradient_batch(kind, Yhat, Y)
+            for i, j in np.ndindex(Yhat.shape):
+                up, dn = Yhat.copy(), Yhat.copy()
+                up[i, j] += h
+                dn[i, j] -= h
+                fd = (loss_batch(kind, up, Y) - loss_batch(kind, dn, Y)) / (2 * h)
+                assert G[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestEigenDecayPenalty:
@@ -159,29 +165,29 @@ class TestElementwisePenalties:
 
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
-        y = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(apply_dropout(y, 0.0, rng), y)
+        assert sample_dropout_masks((0.0,), [3], 4, rng) is None
+        masks = sample_dropout_masks((0.0, 0.5), [3, 2], 4, rng)
+        assert masks[0] is None
+        assert masks[1].shape == (4, 2)
 
     def test_seeded_mask_reproducible(self):
-        y = np.arange(10, dtype=float)
-        a = apply_dropout(y, 0.5, np.random.default_rng(77))
-        b = apply_dropout(y, 0.5, np.random.default_rng(77))
+        a = sample_dropout_masks((0.5,), [10], 3, np.random.default_rng(77))[0]
+        b = sample_dropout_masks((0.5,), [10], 3, np.random.default_rng(77))[0]
         assert np.array_equal(a, b)
-        assert set(np.unique(a)) <= {0.0} | set((y / 0.5).tolist())
+        assert set(np.unique(a)) <= {0.0, 2.0}
 
     def test_rejects_bad_rate(self, rng):
         with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), 1.0, rng)
+            sample_dropout_masks((1.0,), [3], 2, rng)
+        with pytest.raises(ValueError):
+            RegularizerSpec((LayerPenalty(), LayerPenalty()), (1.0,))
 
     def test_survivor_scaling_is_unbiased(self):
         # monte-carlo oracle: the mean over many draws approaches the input
         rng = np.random.default_rng(5)
         y = np.array([2.0, -1.0, 0.5])
-        total = np.zeros_like(y)
-        n = 100_000
-        for _ in range(n):
-            total += apply_dropout(y, 0.5, rng)
-        mean = total / n
+        mask = sample_dropout_masks((0.5,), [3], 100_000, rng)[0]
+        mean = np.mean(mask * y, axis=0)
         assert np.all(np.abs(mean - y) <= 0.02 * np.abs(y))
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import small_model
 
 from eigendecay.data import gen_two_gaussians, gen_xor
-from eigendecay.model import init_mlp, model_params
+from eigendecay.model import forward, init_mlp, model_params
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import (
     DivergenceError,
@@ -85,6 +85,29 @@ class TestSgdTrain:
             sgd_train(model, ds, "mse", RegularizerSpec.none(2, 1),
                       TrainConfig(learning_rate=1e6, max_epochs=10, seed=0))
         assert info.value.epoch >= 0
+
+    def test_unknown_loss_kind_rejected_before_training(self):
+        ds = _blobs(3, n=40)
+        model = small_model(seed=2)
+        before = [p.copy() for p in model_params(model)]
+        with pytest.raises(ValueError, match="huber"):
+            sgd_train(model, ds, "huber", RegularizerSpec.none(2, 1),
+                      TrainConfig(learning_rate=0.1, max_epochs=2, seed=0))
+        for p, q in zip(model_params(model), before):
+            assert np.array_equal(p, q)
+
+    def test_zero_initialised_eigen_decay_layer_trains(self):
+        ds = _blobs(4, n=40)
+        model = small_model(dims=(2, 4, 2), seed=3)
+        model.hidden[0].weights[...] = 0.0
+        reg = RegularizerSpec(
+            (LayerPenalty("eigen_decay", 0.01), LayerPenalty()), (0.0,)
+        )
+        _, history = sgd_train(model, ds, "mse", reg,
+                               TrainConfig(learning_rate=0.3, max_epochs=3, seed=0))
+        assert len(history.epochs) == 3
+        assert np.any(model.hidden[0].weights)
+        assert all(np.isfinite(r.train_objective) for r in history.epochs)
 
     def test_early_stopping_returns_best_validation_params(self):
         ds = _blobs(7, n=120)
@@ -186,10 +209,9 @@ class TestEvaluate:
         model = small_model(dims=(2, 6, 2), seed=5)
         sgd_train(model, ds, "mse", RegularizerSpec.none(2, 1),
                   TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=40, seed=6))
-        from eigendecay.model import predict_class
-
         correct = sum(
-            predict_class(model, x) == t for x, t in zip(ds.features, ds.targets)
+            int(np.argmax(forward(model, x).output)) == t
+            for x, t in zip(ds.features, ds.targets)
         )
         assert evaluate(model, ds)["accuracy"] == pytest.approx(correct / len(ds))
 
@@ -236,13 +258,6 @@ class TestGridSearch:
         accs = {c["mean_accuracy"] for c in result.cells}
         assert len(accs) == 1
         assert result.selected == (0.1, 0.05)
-
-    def test_threads_match_sequential(self):
-        ds, cfg, mb, rb = _grid_pieces(3)
-        seq = grid_search(ds, mb, "mse", [0.0, 0.01], [0.0], 2, cfg, rb, threads=1)
-        par = grid_search(ds, mb, "mse", [0.0, 0.01], [0.0], 2, cfg, rb, threads=4)
-        assert seq.selected == par.selected
-        assert seq.cells == par.cells
 
     def test_folds_larger_than_dataset_rejected(self):
         ds, cfg, mb, rb = _grid_pieces(4)
