@@ -2,6 +2,7 @@
 generators, +/-1 one-hot encoding, and deterministic splits."""
 
 from dataclasses import dataclass
+import math
 import struct
 
 import numpy as np
@@ -158,10 +159,13 @@ def load_delimited(path, sep=",", header=False, n_classes=None):
             continue
         parts = line.split(sep)
         try:
-            features.append([float(v) for v in parts[:-1]])
+            row = [float(v) for v in parts[:-1]]
             targets.append(int(parts[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}:{ln}: feature values must be finite")
+        features.append(row)
     if not features:
         raise ValueError(f"no examples in {path}")
     return Dataset.from_arrays(np.array(features), np.array(targets), n_classes)
@@ -178,8 +182,8 @@ def gen_two_gaussians(n_per_class, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.5,
     """Isotropic gaussian blob per center; one class per center."""
     if n_per_class < 1:
         raise ValueError(f"need at least one example per class, got {n_per_class}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=float)
     features = []
@@ -197,6 +201,8 @@ def gen_two_moons(n, noise=0.1, seed=0):
     """Two interleaved half circles; classes split n as evenly as possible."""
     if n < 2:
         raise ValueError(f"need at least two examples, got {n}")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
@@ -219,18 +225,24 @@ def gen_xor(n, seed=0):
     return Dataset.from_arrays(pts, targets, n_classes=2)
 
 
-def split(dataset, fraction, seed):
-    """Shuffled two-way split; the first part gets round(fraction * n)."""
+def split_indices(n, fraction, seed):
+    """Row indices of a shuffled two-way split of n rows; the first part
+    gets round(fraction * n)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
-    n = len(dataset)
     n_a = int(round(fraction * n))
     if n_a == 0 or n_a == n:
         raise ValueError(
             f"split fraction {fraction} leaves an empty side for {n} examples"
         )
     perm = np.random.default_rng(seed).permutation(n)
-    return dataset.subset(perm[:n_a]), dataset.subset(perm[n_a:])
+    return perm[:n_a], perm[n_a:]
+
+
+def split(dataset, fraction, seed):
+    """Shuffled two-way split; the first part gets round(fraction * n)."""
+    first, second = split_indices(len(dataset), fraction, seed)
+    return dataset.subset(first), dataset.subset(second)
 
 
 def kfold(dataset, folds, seed):

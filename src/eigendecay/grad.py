@@ -7,13 +7,12 @@ objective actually computes. A central-difference oracle is provided for
 verification.
 """
 
-from dataclasses import dataclass
-import math
+from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
 
-from .linalg import DegenerateIterateError, as_matrix, gram
+from .linalg import NONFINITE_MATRIX, DegenerateIterateError, as_matrix, gram
 from .model import forward_batch, model_params
 from .objectives import loss_gradient_batch, total_objective
 
@@ -26,6 +25,9 @@ EIGEN_GRAD_FLOOR = 1e-12
 class Gradients:
     dW: list  # per layer, hidden first then output
     db: list
+    # stacked backward only: member -> the error that kept its eigen-decay
+    # gradient from being formed
+    failed: dict = field(default_factory=dict)
 
     def as_list(self):
         out = []
@@ -33,6 +35,16 @@ class Gradients:
             out.append(w)
             out.append(b)
         return out
+
+
+def _mv(m, v):
+    # (R, n, n) times (R, n), member by member, with the bits of 2-D m @ v
+    return (m @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    # (R, n) dot (R, n), member by member, with the bits of 1-D a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
@@ -43,81 +55,139 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
     the result is the exact gradient of the estimate at finite p. Per-step
     normalization rescales the iterate only; the quotient and its gradient
     are unchanged in exact arithmetic.
+
+    W may be a stack (R, m, n) of same-shape members, with C one scalar or
+    one coefficient per member; each slice of the result has the bits of
+    the 2-D call on that member, which is the stack of one. If any member's
+    iterate hits the zero vector, DegenerateIterateError is raised and its
+    ``members`` lists them all.
     """
-    w = as_matrix(w)
-    if C < 0:
+    w = np.asarray(w, dtype=float)
+    stacked = w.ndim == 3
+    w = as_matrix(w, stacked)
+    ws = w if stacked else w[None]
+    cs = np.broadcast_to(np.asarray(C, dtype=float), ws.shape[:1])
+    if np.any(cs < 0):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    if C == 0.0 or not np.any(w):
-        # the power iteration cannot start from the zero matrix; its penalty
-        # is 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
-        return np.zeros_like(w)
-    m = gram(w)
-    n = m.shape[0]
-
-    # forward pass, keeping each post-step iterate
-    iterates = [np.ones(n)]
-    norms = []
-    v = iterates[0]
-    for _ in range(p):
-        v = m @ v
-        if normalize_each_step:
-            nrm = float(np.linalg.norm(v))
-            if nrm == 0.0:
-                raise DegenerateIterateError(
-                    "power iterate hit the zero vector while differentiating "
-                    "the eigenvalue penalty"
-                )
-            v = v / nrm
-            norms.append(nrm)
-        iterates.append(v)
-    den = float(v @ v)
-    if den == 0.0:
-        raise DegenerateIterateError(
-            "power iterate hit the zero vector while differentiating the "
-            "eigenvalue penalty"
-        )
-    mv = m @ v
-    num = float(mv @ v)
-    lam = num / den
-
-    if lam < EIGEN_GRAD_FLOOR:
-        warnings.warn(
-            "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
-            f"estimate {lam:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    # the power iteration cannot start from the zero matrix; its penalty is
+    # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
+    live = (cs != 0.0) & ws.any(axis=(1, 2))
+    if not live.any():
         return np.zeros_like(w)
 
-    # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked backwards
-    dnum = 1.0 / den
-    dden = -num / (den * den)
-    gm = np.outer(v, v) * dnum
-    dv = 2.0 * mv * dnum + 2.0 * v * dden
-    for t in range(p, 0, -1):
-        vt = iterates[t]
-        if normalize_each_step:
-            # v_t = u_t / ||u_t||
-            du = (dv - vt * float(vt @ dv)) / norms[t - 1]
-        else:
-            du = dv
-        gm += np.outer(du, iterates[t - 1])
-        dv = m @ du
-    # M = W W^T, so dL/dW = (G + G^T) W
-    dlam_dw = (gm + gm.T) @ w
-    return (C / (2.0 * math.sqrt(lam))) * dlam_dw
+    # members that are not live run along and are zeroed at the end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = gram(ws)
+        # forward pass, keeping each post-step iterate
+        iterates = [np.ones(ws.shape[:2])]
+        norms = []
+        hit_zero = np.zeros(len(ws), dtype=bool)
+        v = iterates[0]
+        for _ in range(p):
+            v = _mv(m, v)
+            if normalize_each_step:
+                nrm = np.sqrt(_dot(v, v))
+                hit_zero |= nrm == 0.0
+                v = v / nrm[:, None]
+                norms.append(nrm)
+            iterates.append(v)
+        den = _dot(v, v)
+        hit_zero |= den == 0.0
+        degenerate = live & hit_zero
+        if degenerate.any():
+            raise DegenerateIterateError(
+                "power iterate hit the zero vector while differentiating the "
+                "eigenvalue penalty",
+                members=np.flatnonzero(degenerate),
+            )
+        mv = _mv(m, v)
+        num = _dot(mv, v)
+        lam = num / den
+
+        below = live & (lam < EIGEN_GRAD_FLOOR)
+        if below.any():
+            warnings.warn(
+                "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
+                f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+        # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked backwards
+        dnum = 1.0 / den
+        dden = -num / (den * den)
+        gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
+        dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
+        for t in range(p, 0, -1):
+            vt = iterates[t]
+            if normalize_each_step:
+                # v_t = u_t / ||u_t||
+                du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
+            else:
+                du = dv
+            gm += du[:, :, None] * iterates[t - 1][:, None, :]
+            dv = _mv(m, du)
+        # M = W W^T, so dL/dW = (G + G^T) W
+        dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
+        grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
+    keep = live & ~below
+    if not keep.all():
+        grad = np.where(keep[:, None, None], grad, 0.0)
+    return grad if stacked else grad[0]
 
 
-def _penalty_gradient(entry, w):
-    if entry.kind == "none" or entry.c == 0.0:
-        return None
-    if entry.kind == "eigen_decay":
-        return eigen_decay_gradient(w, entry.c, entry.p)
-    if entry.kind == "l1":
-        return entry.c * np.sign(w)
-    return 2.0 * entry.c * w
+def _add_penalty_gradients(dW, model, regs, stacked):
+    """Adds each member's weight-penalty gradient to dW, layer by layer.
+
+    The members of a stack that share a layer's penalty kind and step count
+    get one call. Members with C == 0 or kind none get no add at all (adding
+    0.0 would turn -0.0 into +0.0). Returns {member: error} for members
+    whose eigen-decay gradient cannot be formed; the first error in layer
+    order is kept, as a single run would raise it.
+    """
+    failed = {}
+    for k, layer in enumerate(model.layers):
+        w = layer.weights if stacked else layer.weights[None]
+        groups = {}
+        for r, reg in enumerate(regs):
+            entry = reg.layers[k]
+            if entry.kind != "none" and entry.c != 0.0:
+                groups.setdefault((entry.kind, entry.p), []).append(r)
+        d = dW[k] if stacked else dW[k][None]
+        for (kind, p), members in groups.items():
+            idx = np.array(members)
+            c = np.array([regs[r].layers[k].c for r in members])
+            wk = w if len(idx) == len(w) else w[idx]
+            if kind == "l1":
+                pg = c[:, None, None] * np.sign(wk)
+            elif kind == "l2":
+                pg = (2.0 * c)[:, None, None] * wk
+            else:
+                finite = np.isfinite(wk).all(axis=(1, 2))
+                if not finite.all():
+                    for r in idx[~finite].tolist():
+                        failed.setdefault(r, ValueError(NONFINITE_MATRIX))
+                    idx, wk, c = idx[finite], wk[finite], c[finite]
+                pg = None
+                while pg is None and len(idx):
+                    try:
+                        pg = eigen_decay_gradient(wk, c, p)
+                    except DegenerateIterateError as exc:
+                        for r in idx[exc.members].tolist():
+                            failed.setdefault(r, exc)
+                        keep = np.ones(len(idx), dtype=bool)
+                        keep[exc.members] = False
+                        idx, wk, c = idx[keep], wk[keep], c[keep]
+                if pg is None:
+                    continue
+            if len(idx) == len(d):
+                d = d + pg
+            else:
+                d[idx] += pg
+        dW[k] = d if stacked else d[0]
+    return failed
 
 
 def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
@@ -126,12 +196,25 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     dropout_masks must match the masks used to evaluate the objective (or
     be omitted along with them) so the differentiated function is
     deterministic.
+
+    A stacked model (weights (R, out, in), see model.DenseLayer) takes
+    (R, n, .) batches, masks and gradients, and reg as one RegularizerSpec
+    per member; each member's slice has the bits of the 2-D call, which is
+    the stack of one. Where the 2-D call raises because an eigen-decay
+    layer's weights are not finite or its power iterate degenerates, the
+    stacked call records the error in Gradients.failed and goes on.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("batch must be a nonempty (n, d) array")
-    reg.check_against(model)
+    stacked = model.output.weights.ndim == 3
+    if X.ndim != 2 + stacked or X.shape[-2] == 0:
+        shape = "(R, n, d)" if stacked else "(n, d)"
+        raise ValueError(f"batch must be a nonempty {shape} array")
+    regs = list(reg) if stacked else [reg]
+    if stacked and len(regs) != X.shape[0]:
+        raise ValueError(f"{len(regs)} regularizer specs for {X.shape[0]} members")
+    for spec in regs:
+        spec.check_against(model)
 
     vs, ys, Yhat = forward_batch(model, X, dropout_masks)
     G = loss_gradient_batch(loss_kind, Yhat, Y)
@@ -141,8 +224,8 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     db = [None] * (K + 1)
 
     out = model.output
-    dW[K] = G.T @ ys[-1]
-    db[K] = G.sum(axis=0)
+    dW[K] = G.swapaxes(-1, -2) @ ys[-1]
+    db[K] = G.sum(axis=-2)
     D = G @ out.weights
 
     for k in range(K - 1, -1, -1):
@@ -151,16 +234,15 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
             D = D * dropout_masks[k]
         D = D * layer.activation.deriv(vs[k])
         prev = X if k == 0 else ys[k - 1]
-        dW[k] = D.T @ prev
-        db[k] = D.sum(axis=0)
-        D = D @ layer.weights
+        dW[k] = D.swapaxes(-1, -2) @ prev
+        db[k] = D.sum(axis=-2)
+        if k > 0:
+            D = D @ layer.weights
 
-    for k, (entry, layer) in enumerate(zip(reg.layers, model.layers)):
-        pg = _penalty_gradient(entry, layer.weights)
-        if pg is not None:
-            dW[k] = dW[k] + pg
-
-    return Gradients(dW, db)
+    failed = _add_penalty_gradients(dW, model, regs, stacked)
+    if failed and not stacked:
+        raise failed[0]
+    return Gradients(dW, db, failed)
 
 
 def finite_diff_gradient(objective_fn, params, h=1e-5):

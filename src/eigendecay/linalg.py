@@ -11,23 +11,36 @@ MAX_JACOBI_SIDE = 64
 SYMMETRY_RTOL = 1e-9
 
 
+NONFINITE_MATRIX = "matrix entries must be finite"
+
+
 class DegenerateIterateError(RuntimeError):
-    """Power iterate collapsed to the zero vector."""
+    """Power iterate collapsed to the zero vector. ``members`` holds the
+    positions, in a stack of matrices, of every member it happened to."""
+
+    def __init__(self, message, members=(0,)):
+        super().__init__(message)
+        self.members = members
 
 
-def as_matrix(a):
+def as_matrix(a, stacked=False):
+    """Finite float array of shape (m, n), or (R, m, n) with stacked=True:
+    a leading axis of R same-shape members."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    ndim = 3 if stacked else 2
+    if m.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(NONFINITE_MATRIX)
     return m
 
 
-def as_vector(a):
+def as_vector(a, stacked=False):
+    """Finite float array of shape (n,), or (R, n) with stacked=True."""
     v = np.asarray(a, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d array, got shape {v.shape}")
+    ndim = 2 if stacked else 1
+    if v.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
@@ -35,11 +48,13 @@ def as_vector(a):
 
 def gram(w):
     """W W^T, with the upper triangle mirrored from the lower so the result
-    is symmetric to the last bit."""
-    w = as_matrix(w)
-    g = w @ w.T
-    lower = np.tril(g)
-    return lower + np.tril(g, -1).T
+    is symmetric to the last bit. A stack (R, m, n) gives one gram per
+    member, each with the bits of the 2-D call."""
+    w = np.asarray(w, dtype=float)
+    w = as_matrix(w, stacked=w.ndim == 3)
+    g = w @ w.swapaxes(-1, -2)
+    # adding 0.0 turns -0.0 into +0.0, as summing the two triangles did
+    return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
 
 
 def is_symmetric(m, rtol=SYMMETRY_RTOL):

@@ -76,26 +76,31 @@ class Activation:
 
 @dataclass
 class DenseLayer:
+    """One weight layer. Weights (R, out, in) with bias (R, out) make a
+    stack of R same-shape members, which forward_batch and grad.backward
+    run together."""
+
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: Activation
 
     def __post_init__(self):
-        self.weights = as_matrix(self.weights)
-        self.bias = as_vector(self.bias)
-        if self.bias.shape[0] != self.weights.shape[0]:
+        stacked = np.ndim(self.weights) == 3
+        self.weights = as_matrix(self.weights, stacked)
+        self.bias = as_vector(self.bias, stacked)
+        if self.bias.shape != self.weights.shape[:-1]:
             raise ValueError(
-                f"bias length {self.bias.shape[0]} does not match the layer "
-                f"output width {self.weights.shape[0]}"
+                f"bias shape {self.bias.shape} does not match the layer "
+                f"output shape {self.weights.shape[:-1]}"
             )
 
     @property
     def out_dim(self):
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def in_dim(self):
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
@@ -172,22 +177,27 @@ def forward_batch(model, X, dropout_masks=None):
 
     Returns (preactivations, activations, outputs), the first two as lists
     over hidden layers.
+
+    A stacked model (see DenseLayer) takes X as (R, n, d), masks as
+    (R, n, width), and gives every array a leading member axis; each
+    member's slice has the bits of the 2-D pass.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_in:
+    if X.ndim != model.output.weights.ndim or X.shape[-1] != model.n_in:
         raise ValueError(
             f"batch has shape {X.shape} but the model expects (n, {model.n_in})"
         )
     vs, ys = [], []
     Y = X
     for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.T + layer.bias
+        V = Y @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
         Y = layer.activation.value(V)
         if dropout_masks is not None and dropout_masks[k] is not None:
             Y = Y * dropout_masks[k]
         vs.append(V)
         ys.append(Y)
-    Yhat = Y @ model.output.weights.T + model.output.bias
+    out = model.output
+    Yhat = Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
     return vs, ys, Yhat
 
 

@@ -72,12 +72,16 @@ def loss_batch(kind, Yhat, Y):
 
 
 def loss_gradient_batch(kind, Yhat, Y):
-    """Gradient of the batch-mean loss with respect to each output row."""
+    """Gradient of the batch-mean loss with respect to each output row.
+
+    A stack of batches (R, n, L) gives each member's gradient, with the bits
+    of the 2-D call on that member.
+    """
     Yhat = _as_batch(Yhat)
     Y = _as_batch(Y)
     if Yhat.shape != Y.shape:
         raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
-    n, L = Yhat.shape
+    n, L = Yhat.shape[-2:]
     if n == 0:
         raise ValueError("batch must be nonempty")
     if kind == "mse":
@@ -95,18 +99,19 @@ def loss_gradient_batch(kind, Yhat, Y):
     if kind == "categorical_cross_entropy":
         _check_pm1(Y, kind)
         t = (Y + 1.0) / 2.0
-        z = Yhat - np.max(Yhat, axis=1, keepdims=True)
+        z = Yhat - np.max(Yhat, axis=-1, keepdims=True)
         ez = np.exp(z)
-        p = ez / np.sum(ez, axis=1, keepdims=True)
-        return (p * np.sum(t, axis=1, keepdims=True) - t) / n
+        p = ez / np.sum(ez, axis=-1, keepdims=True)
+        return (p * np.sum(t, axis=-1, keepdims=True) - t) / n
     raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
-def eigen_decay_penalty(w, C, p=9, normalize_each_step=True):
+def eigen_decay_penalty(w, C, p=9, normalize_each_step=True, *, lambda_dom=None):
     """C * sqrt of the power-method dominant eigenvalue of W W^T.
 
     The zero matrix has dominant eigenvalue 0 and is handled directly; the
-    power iteration itself cannot start there.
+    power iteration itself cannot start there. lambda_dom, when given, is
+    that estimate already computed for these weights and p.
     """
     if C < 0:
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
@@ -115,8 +120,9 @@ def eigen_decay_penalty(w, C, p=9, normalize_each_step=True):
     w = as_matrix(w)
     if not np.any(w):
         return 0.0
-    est = power_dominant_eigen(gram(w), p, normalize_each_step)
-    return C * math.sqrt(max(est.lambda_dom, 0.0))
+    if lambda_dom is None:
+        lambda_dom = power_dominant_eigen(gram(w), p, normalize_each_step).lambda_dom
+    return C * math.sqrt(max(lambda_dom, 0.0))
 
 
 def l1_penalty(w, c):
@@ -167,11 +173,11 @@ class LayerPenalty:
         if self.p < 1:
             raise ValueError(f"power-method step count must be >= 1, got {self.p}")
 
-    def value(self, w):
+    def value(self, w, *, lambda_dom=None):
         if self.kind == "none" or self.c == 0.0:
             return 0.0
         if self.kind == "eigen_decay":
-            return eigen_decay_penalty(w, self.c, self.p)
+            return eigen_decay_penalty(w, self.c, self.p, lambda_dom=lambda_dom)
         if self.kind == "l1":
             return l1_penalty(w, self.c)
         return l2_penalty(w, self.c)
@@ -225,26 +231,31 @@ class ObjectiveValue:
     total: float
 
 
-def penalties(model, reg):
+def penalties(model, reg, *, lambdas=None):
+    """Per-layer penalty values; lambdas, when given, holds each layer's
+    power-method estimate for the eigen-decay value to reuse."""
     reg.check_against(model)
+    if lambdas is None:
+        lambdas = (None,) * len(reg.layers)
     return tuple(
-        entry.value(layer.weights) for entry, layer in zip(reg.layers, model.layers)
+        entry.value(layer.weights, lambda_dom=lam)
+        for entry, layer, lam in zip(reg.layers, model.layers, lambdas)
     )
 
 
-def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
+def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None, *, lambdas=None):
     """Batch-mean loss plus per-layer penalties.
 
     Pass dropout_masks (from sample_dropout_masks) to evaluate the
     stochastic training objective at a fixed mask; omitting them is
-    evaluation mode.
+    evaluation mode. lambdas is passed on to penalties().
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, d) array")
     _, _, Yhat = forward_batch(model, X, dropout_masks)
     e = loss_batch(loss_kind, Yhat, Y)
-    pens = penalties(model, reg)
+    pens = penalties(model, reg, lambdas=lambdas)
     total = e
     for p in pens:
         total += p

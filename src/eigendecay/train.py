@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 
-from .data import kfold, split
+from .data import kfold, split_indices
 from .grad import backward
 from .linalg import DegenerateIterateError, gram, power_dominant_eigen
-from .model import forward_batch, model_params, set_model_params
+from .model import DenseLayer, MlpModel, forward_batch, model_params, set_model_params
 from .objectives import (
     LOSS_KINDS,
     loss_batch,
@@ -106,35 +106,61 @@ def save_history(history, path):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _lambda_estimate(w, p):
-    if not np.any(w):
-        return 0.0
-    if not np.all(np.isfinite(w)):
-        return math.nan
-    try:
-        return power_dominant_eigen(gram(w), p).lambda_dom
-    except (ValueError, OverflowError, DegenerateIterateError):
-        # gram of healthy-loss but huge weights can exceed float range;
-        # the objective check decides divergence, not this diagnostic
-        return math.nan
-
-
 def _layer_lambdas(model, reg):
+    """Power-method estimate of each layer's gram, once per epoch end: the
+    history records it and the eigen-decay penalty value is derived from
+    it. A penalized layer whose iteration fails raises, as its penalty value
+    would; any other layer records nan."""
     out = []
     for entry, layer in zip(reg.layers, model.layers):
-        p = entry.p if entry.kind == "eigen_decay" else 9
-        out.append(float(_lambda_estimate(layer.weights, p)))
+        lam = 0.0
+        if np.any(layer.weights):
+            p = entry.p if entry.kind == "eigen_decay" else 9
+            try:
+                lam = power_dominant_eigen(gram(layer.weights), p).lambda_dom
+            except (ValueError, OverflowError, DegenerateIterateError):
+                if entry.kind == "eigen_decay" and entry.c != 0.0:
+                    raise
+                # gram of healthy-loss but huge weights can exceed float
+                # range; the objective check decides divergence, not this
+                # diagnostic
+                lam = math.nan
+        out.append(float(lam))
     return tuple(out)
 
 
-def sgd_train(model, dataset, loss_kind, reg, config):
-    """Train the model in place; returns (model, TrainHistory).
+@dataclass
+class _Member:
+    """One training run in a stack: its model, penalties, the rows of the
+    shared dataset it trains on (None: all of them, in order), its
+    validation split, and its early-stopping state."""
 
-    With early stopping enabled, a validation split is carved out first and
-    the returned parameters are the ones from the epoch of minimum
-    validation loss.
-    """
-    if len(dataset) == 0:
+    model: object
+    reg: object
+    rows: object
+    val: object
+    history: list = field(default_factory=list)
+    best_val: float = math.inf
+    best_epoch: int = 0
+    best_params: list = None
+
+    def train_arrays(self, dataset):
+        if self.rows is None:
+            return dataset.features, dataset.encoded
+        return dataset.features[self.rows], dataset.encoded[self.rows]
+
+    def train_size(self, dataset):
+        return len(dataset) if self.rows is None else len(self.rows)
+
+    def stack_key(self, dataset):
+        layers = tuple((l.weights.shape, l.activation.kind) for l in self.model.layers)
+        return self.train_size(dataset), layers
+
+
+def _member(model, dataset, rows, loss_kind, reg, config):
+    """Checks one training run's inputs and carves its validation split.
+    rows picks the dataset rows it trains on; None means all of them."""
+    if (len(dataset) if rows is None else len(rows)) == 0:
         raise ValueError("dataset must be nonempty")
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}; pick one of {LOSS_KINDS}")
@@ -149,88 +175,190 @@ def sgd_train(model, dataset, loss_kind, reg, config):
             f"targets encode {dataset.encoded.shape[1]} classes but the model "
             f"emits {model.n_out}"
         )
-
+    val = None
     es = config.early_stopping
     if es.enabled:
-        train_set, val_set = split(dataset, 1.0 - es.validation_fraction, config.seed)
-    else:
-        train_set, val_set = dataset, None
+        pool = np.arange(len(dataset)) if rows is None else rows
+        first, second = split_indices(len(pool), 1.0 - es.validation_fraction, config.seed)
+        rows, val = pool[first], dataset.subset(pool[second])
+    return _Member(model, reg, rows, val)
 
-    X, Y = train_set.features, train_set.encoded
-    n = len(train_set)
-    rng = np.random.default_rng(config.seed)
-    params = model_params(model)
+
+def _stack(arrays):
+    # one member is a view, so the one-run case copies nothing per step
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stacked_model(template, params):
+    layers = [
+        DenseLayer(params[2 * k], params[2 * k + 1], layer.activation)
+        for k, layer in enumerate(template.layers)
+    ]
+    return MlpModel(layers[:-1], layers[-1])
+
+
+def _stacked_masks(members, rngs, hidden_dims, batch):
+    """Each member's dropout masks for one batch, drawn from its own
+    generator in single-run order; a member without dropout in a layer gets
+    ones there (x * 1.0 == x), and a layer without any dropout gets None."""
+    drawn = [
+        sample_dropout_masks(m.reg.dropout, hidden_dims, batch, rng)
+        if m.reg.has_dropout else None
+        for m, rng in zip(members, rngs)
+    ]
+    masks = []
+    for k, width in enumerate(hidden_dims):
+        layer = [d[k] if d is not None else None for d in drawn]
+        if all(mask is None for mask in layer):
+            masks.append(None)
+        else:
+            masks.append(_stack([
+                np.ones((batch, width)) if mask is None else mask for mask in layer
+            ]))
+    return masks
+
+
+def _epoch_record(member, dataset, loss_kind, epoch):
+    """The epoch-end record of one member, whose model holds its current
+    parameters; DivergenceError if its objective cannot be evaluated or
+    is not finite."""
+    model, reg = member.model, member.reg
+    try:
+        lambdas = _layer_lambdas(model, reg)
+    except (ValueError, OverflowError, DegenerateIterateError) as exc:
+        # an eigen-decay penalty value that cannot be computed
+        raise DivergenceError(
+            epoch, f"parameters diverged during epoch {epoch}: {exc}"
+        ) from None
+    X, Y = member.train_arrays(dataset)
+    obj = total_objective(model, X, Y, loss_kind, reg, lambdas=lambdas)
+    val_loss = None
+    if member.val is not None:
+        _, _, Yhat = forward_batch(model, member.val.features)
+        val_loss = loss_batch(loss_kind, Yhat, member.val.encoded)
+    if not math.isfinite(obj.total) or (
+        val_loss is not None and not math.isfinite(val_loss)
+    ):
+        raise DivergenceError(epoch, f"objective diverged at epoch {epoch}: {obj.total}")
+    return EpochRecord(epoch, obj.total, obj.loss, val_loss, lambdas)
+
+
+def _sgd_stack(members, dataset, loss_kind, config):
+    """Minibatch SGD for same-shape members together: one step for all of
+    them per batch.
+
+    Every parameter, activation and gradient carries a leading member axis,
+    and each member's slice has the bits it would have trained alone. Each
+    member has its own Generator(config.seed) that draws its permutation and
+    then its dropout masks, batch by batch, and gathers its batch rows from
+    the shared dataset by index. All members must have the same training
+    set size. At each epoch end every member is checked on its own; one
+    that stops early or diverges leaves the stack.
+
+    Returns one TrainHistory or DivergenceError per member, in order. Each
+    member's model ends with its final parameters, or with the best
+    validation epoch's under early stopping, or as they were when it
+    diverged.
+    """
+    es = config.early_stopping
+    template = members[0].model
+    n = members[0].train_size(dataset)
+    rngs = [np.random.default_rng(config.seed) for _ in members]
+    results = [None] * len(members)
+    active = list(range(len(members)))
+    params = [_stack(arrays) for arrays in zip(*(model_params(m.model) for m in members))]
     velocity = [np.zeros_like(p) for p in params] if config.momentum > 0 else None
-
-    history = []
-    best_epoch = 0
-    best_val = math.inf
-    best_params = None
+    any_dropout = any(m.reg.has_dropout for m in members)
 
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                masks = None
-                if reg.has_dropout:
-                    masks = sample_dropout_masks(
-                        reg.dropout, model.hidden_dims, idx.shape[0], rng
-                    )
-                grads = backward(model, X[idx], Y[idx], loss_kind, reg, masks)
-                if velocity is None:
-                    for p, g in zip(params, grads.as_list()):
-                        p -= config.learning_rate * g
-                else:
-                    for p, g, v in zip(params, grads.as_list(), velocity):
-                        v *= config.momentum
-                        v -= config.learning_rate * g
-                        p += v
-            if not all(np.all(np.isfinite(p)) for p in params):
-                raise DivergenceError(
+        stack = _stacked_model(template, params)
+        live = [members[i] for i in active]
+        live_rngs = [rngs[i] for i in active]
+        regs = [m.reg for m in live]
+        orders = [rng.permutation(n) if config.shuffle else np.arange(n) for rng in live_rngs]
+        rows = _stack([o if m.rows is None else m.rows[o] for m, o in zip(live, orders)])
+        failed = {}  # stack position -> divergence message
+        for start in range(0, n, config.batch_size):
+            idx = rows[:, start : start + config.batch_size]
+            masks = None
+            if any_dropout:
+                masks = _stacked_masks(live, live_rngs, template.hidden_dims, idx.shape[1])
+            grads = backward(
+                stack, dataset.features[idx], dataset.encoded[idx], loss_kind, regs, masks
+            )
+            for j, exc in grads.failed.items():
+                if j not in failed:
+                    failed[j] = f"parameters diverged during epoch {epoch}: {exc}"
+                    set_model_params(live[j].model, [p[j] for p in params])
+            if len(failed) == len(live):
+                break
+            if velocity is None:
+                for p, g in zip(params, grads.as_list()):
+                    p -= config.learning_rate * g
+            else:
+                for p, g, v in zip(params, grads.as_list(), velocity):
+                    v *= config.momentum
+                    v -= config.learning_rate * g
+                    p += v
+
+        finite = np.ones(len(live), dtype=bool)
+        for p in params:
+            finite &= np.isfinite(p).reshape(len(live), -1).all(axis=1)
+        for j, (i, m) in enumerate(zip(active, live)):
+            if j in failed:
+                results[i] = DivergenceError(epoch, failed[j])
+                continue
+            set_model_params(m.model, [p[j] for p in params])
+            if not finite[j]:
+                results[i] = DivergenceError(
                     epoch, f"parameters diverged during epoch {epoch}"
                 )
-            obj = total_objective(model, X, Y, loss_kind, reg)
-            val_loss = None
-            if val_set is not None:
-                _, _, Yhat = forward_batch(model, val_set.features)
-                val_loss = loss_batch(loss_kind, Yhat, val_set.encoded)
-        except (ValueError, OverflowError, DegenerateIterateError) as exc:
-            # blow-ups surface as finiteness errors deeper down; shapes were
-            # validated before the loop
-            raise DivergenceError(
-                epoch, f"parameters diverged during epoch {epoch}: {exc}"
-            ) from None
-        if not math.isfinite(obj.total) or (
-            val_loss is not None and not math.isfinite(val_loss)
-        ):
-            raise DivergenceError(
-                epoch, f"objective diverged at epoch {epoch}: {obj.total}"
-            )
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_objective=obj.total,
-                train_loss=obj.loss,
-                val_loss=val_loss,
-                lambda_dom=_layer_lambdas(model, reg),
-            )
-        )
+                continue
+            try:
+                record = _epoch_record(m, dataset, loss_kind, epoch)
+            except DivergenceError as exc:
+                results[i] = exc
+                continue
+            m.history.append(record)
+            if not es.enabled:
+                m.best_epoch = epoch
+            elif record.val_loss < m.best_val:
+                m.best_val = record.val_loss
+                m.best_epoch = epoch
+                m.best_params = [p.copy() for p in model_params(m.model)]
+            elif epoch - m.best_epoch >= es.patience:
+                results[i] = TrainHistory(m.history, m.best_epoch)
 
-        if es.enabled:
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_params = [p.copy() for p in params]
-            elif epoch - best_epoch >= es.patience:
+        keep = [j for j, i in enumerate(active) if results[i] is None]
+        if len(keep) < len(active):
+            active = [active[j] for j in keep]
+            if not active:
                 break
-        else:
-            best_epoch = epoch
+            params = [p[keep] for p in params]
+            if velocity is not None:
+                velocity = [v[keep] for v in velocity]
 
-    if es.enabled and best_params is not None:
-        set_model_params(model, best_params)
+    for i, m in enumerate(members):
+        if results[i] is None:
+            results[i] = TrainHistory(m.history, m.best_epoch)
+        if isinstance(results[i], TrainHistory) and m.best_params is not None:
+            set_model_params(m.model, m.best_params)
+    return results
 
-    return model, TrainHistory(history, best_epoch)
+
+def sgd_train(model, dataset, loss_kind, reg, config):
+    """Train the model in place; returns (model, TrainHistory).
+
+    With early stopping enabled, a validation split is carved out first and
+    the returned parameters are the ones from the epoch of minimum
+    validation loss. This is the one-member case of the stacked loop that
+    grid_search runs.
+    """
+    member = _member(model, dataset, None, loss_kind, reg, config)
+    (result,) = _sgd_stack([member], dataset, loss_kind, config)
+    if isinstance(result, DivergenceError):
+        raise result
+    return model, result
 
 
 def evaluate(model, dataset, loss_kind="mse"):
@@ -270,8 +398,10 @@ def grid_search(
     validation.
 
     model_builder(seed) must return a fresh model; reg_builder(c_a, c_b)
-    maps a grid cell to its regularizers. Cells run one after another in
-    grid order; fold assignment and per-cell model seeds derive from
+    maps a grid cell to its regularizers. Every cell x fold is one member of
+    a stacked SGD loop (one stack per training-set size), with the results
+    of training each alone; the first DivergenceError in grid order is
+    raised. Fold assignment and per-cell model seeds derive from
     config.seed. Ties in the score go to the lexicographically smallest
     (c_a, c_b).
     """
@@ -282,30 +412,45 @@ def grid_search(
     fold_indices = kfold(dataset, folds, config.seed)
     all_idx = np.arange(len(dataset))
 
-    def run_cell(ia, c_a, ib, c_b):
-        reg = reg_builder(c_a, c_b)
+    keys = [(c_a, c_b) for c_a in grid_a for c_b in grid_b]
+    members = []
+    for ia, c_a in enumerate(grid_a):
+        for ib, c_b in enumerate(grid_b):
+            reg = reg_builder(c_a, c_b)
+            for f, held in enumerate(fold_indices):
+                m = model_builder(_cell_seed(config.seed, ia, ib, f))
+                rows = np.setdiff1d(all_idx, held)
+                members.append(_member(m, dataset, rows, loss_kind, reg, config))
+
+    # every cell x fold trains in one stack per training-set size
+    groups = {}
+    for i, m in enumerate(members):
+        groups.setdefault(m.stack_key(dataset), []).append(i)
+    results = [None] * len(members)
+    for group in groups.values():
+        trained = _sgd_stack([members[i] for i in group], dataset, loss_kind, config)
+        for i, result in zip(group, trained):
+            results[i] = result
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
+
+    cells = []
+    for c, (c_a, c_b) in enumerate(keys):
         accs = []
         losses = []
         for f, held in enumerate(fold_indices):
-            train_idx = np.setdiff1d(all_idx, held)
-            m = model_builder(_cell_seed(config.seed, ia, ib, f))
-            sgd_train(m, dataset.subset(train_idx), loss_kind, reg, config)
-            scores = evaluate(m, dataset.subset(held), loss_kind)
+            m = members[c * len(fold_indices) + f]
+            scores = evaluate(m.model, dataset.subset(held), loss_kind)
             accs.append(scores["accuracy"])
             losses.append(scores["mean_loss"])
-        return {
+        cells.append({
             "c_a": c_a,
             "c_b": c_b,
             "mean_accuracy": float(np.mean(accs)),
             "mean_loss": float(np.mean(losses)),
             "fold_accuracies": accs,
-        }
-
-    cells = [
-        run_cell(ia, c_a, ib, c_b)
-        for ia, c_a in enumerate(grid_a)
-        for ib, c_b in enumerate(grid_b)
-    ]
+        })
 
     best = None
     for cell in cells:

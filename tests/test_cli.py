@@ -136,6 +136,16 @@ class TestEvalCommand:
         assert rc == 2
         assert "the model maps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys, value):
+        save_model(init_mlp([2, 4, 2], "sigmoid", seed=0), tmp_path / "m.json")
+        (tmp_path / "d.csv").write_text(f"0.5,1.0,0\n{value},0.25,1\n")
+        rc = main(["eval", "--model", str(tmp_path / "m.json"),
+                   "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        _assert_one_line_error(capsys, "d.csv:2")
+        assert not (tmp_path / "e" / "eval.jsonl").exists()
+
     def test_perfect_model_scores_exactly_one(self, tmp_path):
         from eigendecay.data import gen_two_gaussians
 
@@ -191,6 +201,17 @@ class TestGendataCommand:
     def test_generator_rejection_is_config_error(self, tmp_path, capsys, argv):
         assert main(["gendata", *argv, "--out", str(tmp_path / "g")]) == 1
         _assert_one_line_error(capsys)
+        assert not (tmp_path / "g" / "data.csv").exists()
+
+    @pytest.mark.parametrize("kind, flag", [("two_gaussians", "--sigma"),
+                                            ("two_moons", "--noise")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_spread_is_config_error(self, tmp_path, capsys, kind, flag, value):
+        # flag=value: argparse would take a separate "-inf" for an option
+        rc = main(["gendata", "--kind", kind, "--n", "2", f"{flag}={value}",
+                   "--out", str(tmp_path / "g")])
+        assert rc == 1
+        _assert_one_line_error(capsys, "finite")
         assert not (tmp_path / "g" / "data.csv").exists()
 
     def test_deterministic_output(self, tmp_path):
@@ -489,12 +510,14 @@ def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
 
 
 _SMALL_INT = st.integers(-3, 5).map(str)
+_FLOAT_FLAGS = ("--sigma", "--noise")
 
 
 @st.composite
 def _argv(draw):
     """gendata or a verify suite with small, possibly invalid, integer
-    arguments and optional extra flags, --threads among them."""
+    arguments and optional extra flags, --threads among them; the float
+    flags may also be nan or +-inf."""
     mode = draw(st.sampled_from(["gendata", "eigencheck", "lemma1"]))
     if mode == "gendata":
         kind = draw(st.sampled_from(["two_gaussians", "two_moons", "xor"]))
@@ -506,7 +529,10 @@ def _argv(draw):
         optional = ["--seed", "--class", "--anchors", "--threads"]
     for flag in optional:
         if draw(st.booleans()):
-            argv += [flag, draw(_SMALL_INT)]
+            values = _SMALL_INT
+            if flag in _FLOAT_FLAGS:
+                values = st.one_of(_SMALL_INT, st.sampled_from(["nan", "inf", "-inf"]))
+            argv += [flag, draw(values)]
     return argv
 
 

@@ -141,6 +141,13 @@ class TestDelimited:
         with pytest.raises(ValueError, match="data.csv:1"):
             load_delimited(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"0.5,1.0,0\n\n0.25,{value},1\n")
+        with pytest.raises(ValueError, match="data.csv:3: feature values must be finite"):
+            load_delimited(path)
+
 
 class TestGenerators:
     def test_two_gaussians_zero_sigma_at_centers(self):
@@ -174,6 +181,13 @@ class TestGenerators:
             gen_two_gaussians(0)
         with pytest.raises(ValueError):
             gen_two_gaussians(5, sigma=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_spread_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gen_two_gaussians(5, sigma=value)
+        with pytest.raises(ValueError, match="noise must be finite"):
+            gen_two_moons(5, noise=value)
 
 
 class TestSplits:

@@ -139,6 +139,45 @@ class TestSgdTrain:
             assert len(rec.lambda_dom) == 2
             assert all(lam >= 0 for lam in rec.lambda_dom)
 
+    def test_each_layer_lambda_computed_once_per_epoch(self, monkeypatch):
+        # the history's lambda and the eigen-decay penalty value share one
+        # power iteration per layer per epoch end
+        from eigendecay import objectives, train
+
+        calls = []
+        original = train.power_dominant_eigen
+
+        def counting(m, *args, **kwargs):
+            calls.append(m.shape)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(train, "power_dominant_eigen", counting)
+        monkeypatch.setattr(objectives, "power_dominant_eigen", counting)
+        ds = _blobs(9, n=40)
+        model = small_model(dims=(2, 5, 2), seed=4)
+        reg = RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty()), (0.0,))
+        _, history = sgd_train(model, ds, "mse", reg,
+                               TrainConfig(learning_rate=0.2, max_epochs=6, seed=1))
+        assert len(history.epochs) == 6
+        assert calls == [(5, 5), (2, 2)] * 6
+
+    def test_objective_from_shared_lambdas_is_bit_identical(self):
+        from eigendecay.objectives import total_objective
+        from eigendecay.train import _layer_lambdas
+
+        ds = _blobs(3, n=30)
+        model = small_model(dims=(2, 6, 2), seed=8)
+        reg = RegularizerSpec(
+            (LayerPenalty("eigen_decay", 0.03, 5), LayerPenalty("eigen_decay", 0.2)),
+            (0.0,),
+        )
+        lambdas = _layer_lambdas(model, reg)
+        shared = total_objective(model, ds.features, ds.encoded, "mse", reg,
+                                 lambdas=lambdas)
+        alone = total_objective(model, ds.features, ds.encoded, "mse", reg)
+        assert shared.penalties == alone.penalties
+        assert shared.total == alone.total
+
     def test_regularized_layer_ends_with_smaller_lambda(self):
         # identical seeds, with and without the eigenvalue penalty on the
         # hidden layer; the penalized run should end smaller nearly always
