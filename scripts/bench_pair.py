@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Before/after benchmark record: runs perfbench/run.py on a base revision
-and on a change in alternating pairs and writes BENCH_<label>.json.
+and on the working tree in alternating pairs and writes BENCH_<label>.json.
 
-    python3 scripts/bench_pair.py --label NAME [--base REV] [--change REV]
-        [--pairs 3 | --pairs gauss_grid=10,3] [--seconds 27] [--seed 0]
-        [--fingerprint-seeds 0,7]
+    python3 scripts/bench_pair.py --label NAME [--base REV]
+        [--pairs 3 | --pairs gauss_grid=10,3] [--fingerprint-seeds 0,7]
 
-Each side is the committed files of its revision, extracted with
-`git archive` into a temporary directory (as the benchmark gate runs them);
-without --change the change side is the working tree. Within a pair the
-side that runs first alternates. For every workload the record holds each
-end-to-end metric's median and quartiles per side, how many pairs the
-change won, and each side's sha256 of every workload's output fingerprint
-per seed, so byte identity can be read off the file.
+The base side is the committed files of REV, extracted with `git archive`
+into a temporary directory (as the benchmark gate runs them); the change
+side is the working tree, which on a clean checkout is HEAD. Every run is
+one of the four workloads at seed 0 for BENCHMARK.json's run_seconds.
+Within a pair the side that runs first alternates. For every workload the
+record holds each end-to-end metric's median and quartiles per side, how
+many pairs the change won, and each side's sha256 of every workload's
+output fingerprint per seed, so byte identity can be read off the file.
 """
 
 import argparse
@@ -27,6 +27,7 @@ import tempfile
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("digits_epoch", "gauss_grid", "theorem1", "verify_suites")
 SCHEMA_VERSION = 1
+SEED = 0
 
 # Runs one repetition of each workload from a checkout and prints the
 # sha256 of its output fingerprint; argv: root, seed.
@@ -128,9 +129,9 @@ def commit_of(rev):
                           text=True, check=True).stdout.strip()
 
 
-def run_bench(root, workload, seed, seconds):
+def run_bench(root, workload, seconds):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
@@ -147,40 +148,32 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--change", default=None, help="revision; default the working tree")
     parser.add_argument("--pairs", default="3", type=parse_pairs)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run; default BENCHMARK.json's run_seconds")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fingerprint-seeds", default="0,7")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    names = args.workloads.split(",")
+    seconds = bench["run_seconds"]
     fp_seeds = [int(s) for s in args.fingerprint_seeds.split(",")]
-    with tempfile.TemporaryDirectory() as base_dir, tempfile.TemporaryDirectory() as change_dir:
-        roots = {"base": extract(args.base, base_dir),
-                 "change": extract(args.change, change_dir) if args.change else ROOT}
+    with tempfile.TemporaryDirectory() as base_dir:
+        roots = {"base": extract(args.base, base_dir), "change": ROOT}
         record = {
             "schema_version": SCHEMA_VERSION,
             "label": args.label,
             "base": {"rev": args.base, "commit": commit_of(args.base)},
-            "change": {"rev": args.change or "working tree",
-                       "commit": commit_of(args.change) if args.change else None},
+            "change": {"rev": "working tree", "commit": commit_of("HEAD")},
             "run_seconds": seconds,
-            "seed": args.seed,
+            "seed": SEED,
             "host": None,
             "workloads": {},
         }
-        for name in names:
+        for name in WORKLOADS:
             pairs = []
             for i in range(args.pairs[name]):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 got = {}
                 for side in order:
-                    got[side], env = run_bench(roots[side], name, args.seed, seconds)
+                    got[side], env = run_bench(roots[side], name, seconds)
                     record[side]["source_sha256"] = env.get("source_sha256")
                     print(f"{name} pair {i + 1}/{args.pairs[name]} {side}: "
                           f"correct={got[side]['correct']}", file=sys.stderr, flush=True)
@@ -196,7 +189,7 @@ def main(argv=None):
             }
         prints = {side: {str(s): fingerprints(roots[side], s) for s in fp_seeds}
                   for side in roots}
-        for name in names:
+        for name in WORKLOADS:
             record["workloads"][name]["fingerprint_sha256"] = {
                 side: {seed: fp[name] for seed, fp in prints[side].items()}
                 for side in prints}

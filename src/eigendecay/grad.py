@@ -47,7 +47,12 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
+DEGENERATE_ITERATE = (
+    "power iterate hit the zero vector while differentiating the eigenvalue penalty"
+)
+
+
+def eigen_decay_gradient(w, C, p=9, normalize_each_step=True, return_degenerate=False):
     """Gradient of C * sqrt(lambda_pm(W W^T)) with respect to W.
 
     lambda_pm is the Rayleigh quotient of the p-step power iterate from the
@@ -58,9 +63,11 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
 
     W may be a stack (R, m, n) of same-shape members, with C one scalar or
     one coefficient per member; each slice of the result has the bits of
-    the 2-D call on that member, which is the stack of one. If any member's
-    iterate hits the zero vector, DegenerateIterateError is raised and its
-    ``members`` lists them all.
+    the 2-D call on that member, which is the stack of one. If a member's
+    iterate hits the zero vector, DegenerateIterateError is raised; with
+    return_degenerate the call returns (grad, degenerate) instead, where
+    the boolean array degenerate (one entry per member) marks those members
+    and their gradient is zero.
     """
     w = np.asarray(w, dtype=float)
     stacked = w.ndim == 3
@@ -71,11 +78,24 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
+    grad, degenerate = _eigen_decay_stack(ws, cs, p, normalize_each_step)
+    if not stacked:
+        grad, degenerate = grad[0], degenerate[0]
+    if return_degenerate:
+        return grad, degenerate
+    if np.any(degenerate):
+        raise DegenerateIterateError(DEGENERATE_ITERATE)
+    return grad
+
+
+def _eigen_decay_stack(ws, cs, p, normalize_each_step):
+    """eigen_decay_gradient's (grad, degenerate) for a checked stack."""
     # the power iteration cannot start from the zero matrix; its penalty is
     # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
     live = (cs != 0.0) & ws.any(axis=(1, 2))
+    hit_zero = np.zeros(len(ws), dtype=bool)
     if not live.any():
-        return np.zeros_like(w)
+        return np.zeros_like(ws), hit_zero
 
     # members that are not live run along and are zeroed at the end
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -83,7 +103,6 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
         # forward pass, keeping each post-step iterate
         iterates = [np.ones(ws.shape[:2])]
         norms = []
-        hit_zero = np.zeros(len(ws), dtype=bool)
         v = iterates[0]
         for _ in range(p):
             v = _mv(m, v)
@@ -96,12 +115,7 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
         den = _dot(v, v)
         hit_zero |= den == 0.0
         degenerate = live & hit_zero
-        if degenerate.any():
-            raise DegenerateIterateError(
-                "power iterate hit the zero vector while differentiating the "
-                "eigenvalue penalty",
-                members=np.flatnonzero(degenerate),
-            )
+        live &= ~degenerate
         mv = _mv(m, v)
         num = _dot(mv, v)
         lam = num / den
@@ -112,7 +126,7 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
                 "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
                 f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
         # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked backwards
@@ -135,7 +149,7 @@ def eigen_decay_gradient(w, C, p=9, normalize_each_step=True):
     keep = live & ~below
     if not keep.all():
         grad = np.where(keep[:, None, None], grad, 0.0)
-    return grad if stacked else grad[0]
+    return grad, degenerate
 
 
 def _add_penalty_gradients(dW, model, regs, stacked):
@@ -144,8 +158,8 @@ def _add_penalty_gradients(dW, model, regs, stacked):
     The members of a stack that share a layer's penalty kind and step count
     get one call. Members with C == 0 or kind none get no add at all (adding
     0.0 would turn -0.0 into +0.0). Returns {member: error} for members
-    whose eigen-decay gradient cannot be formed; the first error in layer
-    order is kept, as a single run would raise it.
+    whose eigen-decay gradient cannot be formed, and adds nothing for them;
+    the first error in layer order is kept, as a single run would raise it.
     """
     failed = {}
     for k, layer in enumerate(model.layers):
@@ -165,26 +179,19 @@ def _add_penalty_gradients(dW, model, regs, stacked):
             elif kind == "l2":
                 pg = (2.0 * c)[:, None, None] * wk
             else:
-                finite = np.isfinite(wk).all(axis=(1, 2))
-                if not finite.all():
-                    for r in idx[~finite].tolist():
-                        failed.setdefault(r, ValueError(NONFINITE_MATRIX))
-                    idx, wk, c = idx[finite], wk[finite], c[finite]
-                pg = None
-                while pg is None and len(idx):
-                    try:
-                        pg = eigen_decay_gradient(wk, c, p)
-                    except DegenerateIterateError as exc:
-                        for r in idx[exc.members].tolist():
-                            failed.setdefault(r, exc)
-                        keep = np.ones(len(idx), dtype=bool)
-                        keep[exc.members] = False
-                        idx, wk, c = idx[keep], wk[keep], c[keep]
-                if pg is None:
-                    continue
+                ok = np.isfinite(wk).all(axis=(1, 2))
+                for r in idx[~ok].tolist():
+                    failed.setdefault(r, ValueError(NONFINITE_MATRIX))
+                if not ok.all():
+                    idx, wk, c = idx[ok], wk[ok], c[ok]
+                pg, degenerate = eigen_decay_gradient(wk, c, p, return_degenerate=True)
+                for r in idx[degenerate].tolist():
+                    failed.setdefault(r, DegenerateIterateError(DEGENERATE_ITERATE))
+                if degenerate.any():
+                    idx, pg = idx[~degenerate], pg[~degenerate]
             if len(idx) == len(d):
                 d = d + pg
-            else:
+            elif len(idx):
                 d[idx] += pg
         dW[k] = d if stacked else d[0]
     return failed

@@ -15,12 +15,7 @@ NONFINITE_MATRIX = "matrix entries must be finite"
 
 
 class DegenerateIterateError(RuntimeError):
-    """Power iterate collapsed to the zero vector. ``members`` holds the
-    positions, in a stack of matrices, of every member it happened to."""
-
-    def __init__(self, message, members=(0,)):
-        super().__init__(message)
-        self.members = members
+    """Power iterate collapsed to the zero vector."""
 
 
 def as_matrix(a, stacked=False):

@@ -132,13 +132,15 @@ def _layer_lambdas(model, reg):
 @dataclass
 class _Member:
     """One training run in a stack: its model, penalties, the rows of the
-    shared dataset it trains on (None: all of them, in order), its
-    validation split, and its early-stopping state."""
+    shared dataset it trains on (None: all of them, in order), the rows of
+    its validation split (None: early stopping is off), and its
+    early-stopping state. Rows are gathered when used, so a member never
+    holds a copy of the data."""
 
     model: object
     reg: object
     rows: object
-    val: object
+    val_rows: object
     history: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
@@ -175,13 +177,13 @@ def _member(model, dataset, rows, loss_kind, reg, config):
             f"targets encode {dataset.encoded.shape[1]} classes but the model "
             f"emits {model.n_out}"
         )
-    val = None
+    val_rows = None
     es = config.early_stopping
     if es.enabled:
         pool = np.arange(len(dataset)) if rows is None else rows
         first, second = split_indices(len(pool), 1.0 - es.validation_fraction, config.seed)
-        rows, val = pool[first], dataset.subset(pool[second])
-    return _Member(model, reg, rows, val)
+        rows, val_rows = pool[first], pool[second]
+    return _Member(model, reg, rows, val_rows)
 
 
 def _stack(arrays):
@@ -233,9 +235,9 @@ def _epoch_record(member, dataset, loss_kind, epoch):
     X, Y = member.train_arrays(dataset)
     obj = total_objective(model, X, Y, loss_kind, reg, lambdas=lambdas)
     val_loss = None
-    if member.val is not None:
-        _, _, Yhat = forward_batch(model, member.val.features)
-        val_loss = loss_batch(loss_kind, Yhat, member.val.encoded)
+    if member.val_rows is not None:
+        _, _, Yhat = forward_batch(model, dataset.features[member.val_rows])
+        val_loss = loss_batch(loss_kind, Yhat, dataset.encoded[member.val_rows])
     if not math.isfinite(obj.total) or (
         val_loss is not None and not math.isfinite(val_loss)
     ):
@@ -383,6 +385,22 @@ def _cell_seed(base_seed, ia, ib, fold):
     return int(np.random.SeedSequence([base_seed, ia, ib, fold]).generate_state(1)[0])
 
 
+# A stack holds as many members as keep its largest per-step array (a
+# weight matrix or a gathered batch) near this many floats. Stacking tiny
+# layers (2-8-2) removes per-step interpreter overhead; for large ones
+# (784-128-10) the matmuls dominate, so stacking gains nothing and each
+# member would add its own copy of every per-step array.
+STACK_FLOATS = 1 << 16
+
+
+def _stack_cap(model, batch_size):
+    widths = [model.n_in] + [layer.weights.shape[0] for layer in model.layers]
+    largest = max(
+        max(layer.weights.size for layer in model.layers), batch_size * max(widths)
+    )
+    return max(1, STACK_FLOATS // largest)
+
+
 def grid_search(
     dataset,
     model_builder,
@@ -398,12 +416,12 @@ def grid_search(
     validation.
 
     model_builder(seed) must return a fresh model; reg_builder(c_a, c_b)
-    maps a grid cell to its regularizers. Every cell x fold is one member of
-    a stacked SGD loop (one stack per training-set size), with the results
-    of training each alone; the first DivergenceError in grid order is
-    raised. Fold assignment and per-cell model seeds derive from
-    config.seed. Ties in the score go to the lexicographically smallest
-    (c_a, c_b).
+    maps a grid cell to its regularizers. Cells x folds of one training-set
+    size and layer shape train together as members of a stacked SGD loop,
+    up to _stack_cap members per stack, with the results of training each
+    alone; the first DivergenceError in grid order is raised. Fold
+    assignment and per-cell model seeds derive from config.seed. Ties in
+    the score go to the lexicographically smallest (c_a, c_b).
     """
     if not grid_a or not grid_b:
         raise ValueError("both grid axes must be nonempty")
@@ -411,44 +429,59 @@ def grid_search(
         raise ValueError(f"select_by must be 'accuracy' or 'loss', got {select_by!r}")
     fold_indices = kfold(dataset, folds, config.seed)
     all_idx = np.arange(len(dataset))
+    train_rows = [np.setdiff1d(all_idx, held) for held in fold_indices]
+    n_folds = len(fold_indices)
 
-    keys = [(c_a, c_b) for c_a in grid_a for c_b in grid_b]
-    members = []
+    # members are built in grid order and wait in an open stack, one per
+    # training-set size and layer shape, that trains once it is full
+    scores = {}  # grid position -> evaluate() on its held-out fold
+    failures = {}  # grid position -> DivergenceError
+    pending = {}
+
+    def train(stack):
+        trained = _sgd_stack([m for _, m in stack], dataset, loss_kind, config)
+        for (pos, m), result in zip(stack, trained):
+            if isinstance(result, DivergenceError):
+                failures[pos] = result
+            else:
+                held = dataset.subset(fold_indices[pos % n_folds])
+                scores[pos] = evaluate(m.model, held, loss_kind)
+
+    def raise_settled():
+        # once no open stack holds an earlier member, the first divergence
+        # in grid order is known
+        if failures:
+            first = min(failures)
+            if all(pos > first for stack in pending.values() for pos, _ in stack):
+                raise failures[first]
+
+    pos = 0
     for ia, c_a in enumerate(grid_a):
         for ib, c_b in enumerate(grid_b):
             reg = reg_builder(c_a, c_b)
-            for f, held in enumerate(fold_indices):
-                m = model_builder(_cell_seed(config.seed, ia, ib, f))
-                rows = np.setdiff1d(all_idx, held)
-                members.append(_member(m, dataset, rows, loss_kind, reg, config))
-
-    # every cell x fold trains in one stack per training-set size
-    groups = {}
-    for i, m in enumerate(members):
-        groups.setdefault(m.stack_key(dataset), []).append(i)
-    results = [None] * len(members)
-    for group in groups.values():
-        trained = _sgd_stack([members[i] for i in group], dataset, loss_kind, config)
-        for i, result in zip(group, trained):
-            results[i] = result
-    for result in results:
-        if isinstance(result, DivergenceError):
-            raise result
+            for f in range(n_folds):
+                model = model_builder(_cell_seed(config.seed, ia, ib, f))
+                m = _member(model, dataset, train_rows[f], loss_kind, reg, config)
+                key = m.stack_key(dataset)
+                pending.setdefault(key, []).append((pos, m))
+                if len(pending[key]) == _stack_cap(model, config.batch_size):
+                    train(pending.pop(key))
+                    raise_settled()
+                pos += 1
+    while pending:
+        train(pending.pop(next(iter(pending))))
+        raise_settled()
 
     cells = []
+    keys = [(c_a, c_b) for c_a in grid_a for c_b in grid_b]
     for c, (c_a, c_b) in enumerate(keys):
-        accs = []
-        losses = []
-        for f, held in enumerate(fold_indices):
-            m = members[c * len(fold_indices) + f]
-            scores = evaluate(m.model, dataset.subset(held), loss_kind)
-            accs.append(scores["accuracy"])
-            losses.append(scores["mean_loss"])
+        cell_scores = [scores[c * n_folds + f] for f in range(n_folds)]
+        accs = [s["accuracy"] for s in cell_scores]
         cells.append({
             "c_a": c_a,
             "c_b": c_b,
             "mean_accuracy": float(np.mean(accs)),
-            "mean_loss": float(np.mean(losses)),
+            "mean_loss": float(np.mean([s["mean_loss"] for s in cell_scores])),
             "fold_accuracies": accs,
         })
 

@@ -1,7 +1,8 @@
-"""Grid search trains every cell x fold member in one stacked SGD loop. These
-tests pin that it gives exactly what one sgd_train + evaluate per member
-gives, and that sgd_train (the one-member case) still writes the bytes it
-wrote when it was a loop of its own."""
+"""Grid search trains its cell x fold members together in stacked SGD
+loops. These tests pin that it gives exactly what one sgd_train + evaluate
+per member gives, that stacks stay small for large layers, and that
+sgd_train (the one-member case) still writes the bytes it wrote when it was
+a loop of its own."""
 
 import contextlib
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 from eigendecay import train
 from eigendecay.cli import main
-from eigendecay.data import gen_two_gaussians, kfold
+from eigendecay.data import Dataset, gen_two_gaussians, kfold
 from eigendecay.model import init_mlp, save_model
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import (
@@ -209,6 +210,93 @@ class TestGridSearchMatchesPerMemberTraining:
         assert "power iterate hit the zero vector" in str(expected.value)
         assert (got.value.epoch, str(got.value)) == (expected.value.epoch,
                                                      str(expected.value))
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """Member count of every stacked SGD loop grid_search runs."""
+    counts = []
+    original = train._sgd_stack
+
+    def spy(members, *args, **kwargs):
+        counts.append(len(members))
+        return original(members, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_sgd_stack", spy)
+    return counts
+
+
+class TestStackSize:
+    def test_cap_follows_the_layer_shapes(self):
+        # a whole gauss_grid (25 members of 2-8-2) fits in one stack; a
+        # 784-128-10 member trains alone
+        assert train._stack_cap(init_mlp([2, 8, 2], "tanh"), 16) >= 25
+        assert train._stack_cap(init_mlp([784, 128, 10], "relu"), 128) == 1
+
+    def test_large_layers_train_one_member_at_a_time(self, stacks):
+        rng = np.random.default_rng(0)
+        y = np.arange(24) % 10
+        X = rng.uniform(0.0, 1.0, (24, 784))
+        ds = Dataset(X, y, np.where(np.eye(10)[y] > 0, 1.0, -1.0), 10)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=128, max_epochs=1, seed=0)
+
+        def regs(c_a, c_b):
+            return RegularizerSpec((LayerPenalty("eigen_decay", c_a), LayerPenalty()),
+                                   (0.2,))
+
+        args = (ds, lambda seed: init_mlp([784, 128, 10], "relu", seed=seed), "mse",
+                [0.0, 1e-3], [0.0], 2, cfg, regs)
+        got = grid_search(*args)
+        assert stacks == [1, 1, 1, 1]
+        _assert_same(got, _per_member_grid(*args))
+
+    def test_capped_stacks_match_per_member_training(self, monkeypatch, stacks):
+        # 2-6-2 at batch 16: the largest per-step array is the 16 x 6 batch
+        # of hidden activations, so this budget stacks three members
+        monkeypatch.setattr(train, "STACK_FLOATS", 3 * 16 * 6)
+        ds = _odd_blobs()
+        cfg = TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=4, seed=4)
+        args = (ds, _sigmoid_builder, "mse", [0.0, 1.0, 3.0], [0.0, 4e-3], 5, cfg,
+                _mixed_regs)
+        got = grid_search(*args)
+        assert max(stacks) == 3 and len(stacks) > 2
+        _assert_same(got, _per_member_grid(*args))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_settled_divergence_stops_the_search(self, monkeypatch, stacks):
+        # the first cell diverges in its own stack, so the later cells
+        # never train
+        monkeypatch.setattr(train, "STACK_FLOATS", 3 * 16 * 6)
+        ds = _blobs(40, seed=7)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=8, seed=3)
+
+        def regs(c_a, c_b):
+            hidden = LayerPenalty("eigen_decay", c_a) if c_a else LayerPenalty()
+            return RegularizerSpec((hidden, LayerPenalty()), (0.0,))
+
+        args = (ds, lambda seed: init_mlp([2, 6, 2], "relu", seed=seed), "mse",
+                [1e8, 0.0, 1e-3], [0.0], 3, cfg, regs)
+        with pytest.raises(DivergenceError) as expected:
+            _per_member_grid(*args)
+        stacks.clear()
+        with pytest.raises(DivergenceError) as got:
+            grid_search(*args)
+        assert stacks == [3]
+        assert (got.value.epoch, str(got.value)) == (expected.value.epoch,
+                                                     str(expected.value))
+
+
+def test_members_hold_row_indices_not_data():
+    ds = _blobs(30, seed=2)
+    cfg = TrainConfig(learning_rate=0.1, early_stopping=EarlyStopping(True))
+    reg = RegularizerSpec((LayerPenalty(), LayerPenalty()), (0.0,))
+    rows = np.arange(5, 55)
+    m = train._member(_sigmoid_builder(0), ds, rows, "mse", reg, cfg)
+    for value in vars(m).values():
+        assert not isinstance(value, Dataset)
+        if isinstance(value, np.ndarray):
+            assert value.dtype.kind == "i"
+    np.testing.assert_array_equal(np.sort(np.concatenate([m.rows, m.val_rows])), rows)
 
 
 def _sha(path):

@@ -136,17 +136,21 @@ def test_eigen_decay_gradient_stack_zeroes_dead_members():
     assert not np.any(stacked[[1, 2, 3]])
 
 
-def test_degenerate_members_are_named():
+def test_degenerate_members_are_marked_and_zeroed():
     rng = np.random.default_rng(13)
     W = _stack((2, 2), 4, rng)
     for r in (1, 3):
         W[r, 1] = -W[r, 0]  # W W^T maps the all-ones start to zero
-    with pytest.raises(DegenerateIterateError) as info:
+    grad, degenerate = eigen_decay_gradient(W, 0.5, return_degenerate=True)
+    assert list(np.flatnonzero(degenerate)) == [1, 3]
+    assert not np.any(grad[[1, 3]])
+    assert_bitwise(grad[[0, 2]], [eigen_decay_gradient(W[r], 0.5) for r in (0, 2)])
+    with pytest.raises(DegenerateIterateError, match="zero vector"):
         eigen_decay_gradient(W, 0.5)
-    assert list(info.value.members) == [1, 3]
-    with pytest.raises(DegenerateIterateError) as info:
+    with pytest.raises(DegenerateIterateError, match="zero vector"):
         eigen_decay_gradient(W[1], 0.5)
-    assert list(info.value.members) == [0]
+    grad, degenerate = eigen_decay_gradient(W[1], 0.5, return_degenerate=True)
+    assert degenerate and not np.any(grad)
 
 
 @pytest.mark.parametrize("R", STACKS)
