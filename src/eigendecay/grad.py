@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import NONFINITE_MATRIX, DegenerateIterateError, as_matrix, gram
+from .linalg import NONFINITE_MATRIX, DegenerateIterateError, gram
 from .model import forward_batch, model_params
 from .objectives import loss_gradient_batch, total_objective
 
@@ -52,65 +52,76 @@ DEGENERATE_ITERATE = (
 )
 
 
-def eigen_decay_gradient(w, C, p=9, normalize_each_step=True, return_degenerate=False):
+def eigen_decay_gradient(w, C, p=9, return_failed=False):
     """Gradient of C * sqrt(lambda_pm(W W^T)) with respect to W.
 
     lambda_pm is the Rayleigh quotient of the p-step power iterate from the
-    all-ones vector. The backward pass walks the iteration in reverse, so
-    the result is the exact gradient of the estimate at finite p. Per-step
-    normalization rescales the iterate only; the quotient and its gradient
-    are unchanged in exact arithmetic.
+    all-ones vector, normalized at each step as power_dominant_eigen does.
+    The backward pass walks the iteration in reverse, so the result is the
+    exact gradient of the estimate at finite p.
 
     W may be a stack (R, m, n) of same-shape members, with C one scalar or
     one coefficient per member; each slice of the result has the bits of
-    the 2-D call on that member, which is the stack of one. If a member's
-    iterate hits the zero vector, DegenerateIterateError is raised; with
-    return_degenerate the call returns (grad, degenerate) instead, where
-    the boolean array degenerate (one entry per member) marks those members
-    and their gradient is zero.
+    the 2-D call on that member, which is the stack of one. Non-finite
+    weights raise ValueError, and an iterate that hits the zero vector
+    raises DegenerateIterateError. With return_failed the call returns
+    (grad, failed) instead, where failed maps each member that would raise
+    to that error and the member's gradient is zero; a 2-D W still raises
+    ValueError on non-finite entries.
     """
     w = np.asarray(w, dtype=float)
     stacked = w.ndim == 3
-    w = as_matrix(w, stacked)
+    if w.ndim != 2 + stacked:
+        raise ValueError(f"expected a 2-d array, got shape {w.shape}")
     ws = w if stacked else w[None]
+    # the one finiteness scan of these weights per training step
+    finite = np.isfinite(ws).all(axis=(1, 2))
+    if not finite.all() and not (stacked and return_failed):
+        raise ValueError(NONFINITE_MATRIX)
     cs = np.broadcast_to(np.asarray(C, dtype=float), ws.shape[:1])
     if np.any(cs < 0):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    grad, degenerate = _eigen_decay_stack(ws, cs, p, normalize_each_step)
+    grad, degenerate = _eigen_decay_stack(ws, cs, p, finite)
     if not stacked:
-        grad, degenerate = grad[0], degenerate[0]
-    if return_degenerate:
-        return grad, degenerate
-    if np.any(degenerate):
-        raise DegenerateIterateError(DEGENERATE_ITERATE)
-    return grad
+        grad = grad[0]
+    if not return_failed:
+        if np.any(degenerate):
+            raise DegenerateIterateError(DEGENERATE_ITERATE)
+        return grad
+    failed = {}
+    for r in np.flatnonzero(~finite | degenerate).tolist():
+        if finite[r]:
+            failed[r] = DegenerateIterateError(DEGENERATE_ITERATE)
+        else:
+            failed[r] = ValueError(NONFINITE_MATRIX)
+    return grad, failed
 
 
-def _eigen_decay_stack(ws, cs, p, normalize_each_step):
-    """eigen_decay_gradient's (grad, degenerate) for a checked stack."""
+def _eigen_decay_stack(ws, cs, p, finite):
+    """eigen_decay_gradient's (grad, degenerate) for a stack whose
+    non-finite members are False in finite; they get a zero gradient."""
     # the power iteration cannot start from the zero matrix; its penalty is
     # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
-    live = (cs != 0.0) & ws.any(axis=(1, 2))
+    live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
     hit_zero = np.zeros(len(ws), dtype=bool)
     if not live.any():
         return np.zeros_like(ws), hit_zero
 
     # members that are not live run along and are zeroed at the end
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = gram(ws)
+        m = gram(ws, check=False)
         # forward pass, keeping each post-step iterate
         iterates = [np.ones(ws.shape[:2])]
         norms = []
         v = iterates[0]
         for _ in range(p):
             v = _mv(m, v)
-            if normalize_each_step:
-                nrm = np.sqrt(_dot(v, v))
-                hit_zero |= nrm == 0.0
-                v = v / nrm[:, None]
-                norms.append(nrm)
+            nrm = np.sqrt(_dot(v, v))
+            hit_zero |= nrm == 0.0
+            v = v / nrm[:, None]
+            norms.append(nrm)
             iterates.append(v)
         den = _dot(v, v)
         hit_zero |= den == 0.0
@@ -136,11 +147,8 @@ def _eigen_decay_stack(ws, cs, p, normalize_each_step):
         dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
         for t in range(p, 0, -1):
             vt = iterates[t]
-            if normalize_each_step:
-                # v_t = u_t / ||u_t||
-                du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
-            else:
-                du = dv
+            # v_t = u_t / ||u_t||
+            du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
             gm += du[:, :, None] * iterates[t - 1][:, None, :]
             dv = _mv(m, du)
         # M = W W^T, so dL/dW = (G + G^T) W
@@ -179,16 +187,12 @@ def _add_penalty_gradients(dW, model, regs, stacked):
             elif kind == "l2":
                 pg = (2.0 * c)[:, None, None] * wk
             else:
-                ok = np.isfinite(wk).all(axis=(1, 2))
-                for r in idx[~ok].tolist():
-                    failed.setdefault(r, ValueError(NONFINITE_MATRIX))
-                if not ok.all():
-                    idx, wk, c = idx[ok], wk[ok], c[ok]
-                pg, degenerate = eigen_decay_gradient(wk, c, p, return_degenerate=True)
-                for r in idx[degenerate].tolist():
-                    failed.setdefault(r, DegenerateIterateError(DEGENERATE_ITERATE))
-                if degenerate.any():
-                    idx, pg = idx[~degenerate], pg[~degenerate]
+                pg, errors = eigen_decay_gradient(wk, c, p, return_failed=True)
+                for j, exc in errors.items():
+                    failed.setdefault(int(idx[j]), exc)
+                if errors:
+                    ok = [j for j in range(len(idx)) if j not in errors]
+                    idx, pg = idx[ok], pg[ok]
             if len(idx) == len(d):
                 d = d + pg
             elif len(idx):

@@ -1,7 +1,7 @@
 """Dense matrix/vector plumbing, power-method eigenvalue estimation, and a
 cyclic-Jacobi eigensolver kept as an exact, slow reference."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -41,82 +41,124 @@ def as_vector(a, stacked=False):
     return v
 
 
-def gram(w):
+def gram(w, *, check=True):
     """W W^T, with the upper triangle mirrored from the lower so the result
     is symmetric to the last bit. A stack (R, m, n) gives one gram per
-    member, each with the bits of the 2-D call."""
-    w = np.asarray(w, dtype=float)
-    w = as_matrix(w, stacked=w.ndim == 3)
+    member, each with the bits of the 2-D call. check=False skips the
+    shape and finiteness checks, for callers that have made them."""
+    if check:
+        w = np.asarray(w, dtype=float)
+        w = as_matrix(w, stacked=w.ndim == 3)
     g = w @ w.swapaxes(-1, -2)
     # adding 0.0 turns -0.0 into +0.0, as summing the two triangles did
     return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
+
+
+def _symmetric(m, rtol):
+    # per matrix of an (..., n, n) array; a non-finite matrix is not
+    scale = abs(m).max(axis=(-2, -1), initial=0.0)
+    tol = rtol * np.maximum(scale, 1e-300)[..., None, None]
+    return (abs(m - m.swapaxes(-1, -2)) <= tol).all(axis=(-2, -1))
 
 
 def is_symmetric(m, rtol=SYMMETRY_RTOL):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    return bool(np.all(np.abs(m - m.T) <= rtol * max(scale, 1e-300)))
+    return bool(_symmetric(m, rtol))
 
 
 @dataclass
 class EigenEstimate:
-    lambda_dom: float
+    lambda_dom: float  # an (R,) array for a stack, nan where a member failed
     v_dom: np.ndarray
     iterations_used: int
+    # stack only: member -> the error the 2-D call on it raises
+    failed: dict = field(default_factory=dict)
 
 
-def power_dominant_eigen(m, p=9, normalize_each_step=True):
+DEGENERATE_START = (
+    "power iterate hit the zero vector (all-ones start lies in the kernel)"
+)
+NOT_SYMMETRIC = "power_dominant_eigen needs a symmetric matrix"
+ITERATE_OVERFLOW = "power iterate overflowed"
+
+
+def power_dominant_eigen(m, p=9):
     """Dominant-eigenvalue estimate of a symmetric matrix.
 
     Runs ``p`` multiplies starting from the all-ones vector and returns the
-    Rayleigh quotient of the final iterate. The quotient is invariant under
-    rescaling of the iterate, so ``normalize_each_step`` changes nothing in
-    exact arithmetic; it only keeps intermediates bounded (the raw iterate
-    grows like lambda^p and overflows for large spectra).
+    Rayleigh quotient of the final iterate. Each step divides the iterate by
+    its largest entry and then by its 2-norm; the quotient is invariant
+    under that rescaling, which only keeps intermediates bounded (the raw
+    iterate grows like lambda^p and overflows for large spectra).
 
     A start vector orthogonal to the dominant eigenspace makes the estimate
     converge to a lower eigenvalue; the Rayleigh quotient still never
     exceeds the true dominant eigenvalue.
+
+    A stack (R, n, n) gives one estimate per member with the bits of the
+    2-D call on it: lambda_dom is an (R,) array and v_dom (R, n). A member
+    whose 2-D call raises is not raised for; failed maps it to that error,
+    and its lambda_dom is nan.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m, dtype=float)
+    stacked = m.ndim == 3
+    if not stacked:
+        m = as_matrix(m)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    if not is_symmetric(m):
-        raise ValueError("power_dominant_eigen needs a symmetric matrix")
+    if not stacked and not is_symmetric(m):
+        raise ValueError(NOT_SYMMETRIC)
 
-    # overflow is detected on the results below and raised as a typed
-    # error; numpy's own warning would just precede it
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.ones(m.shape[0])
+    # iterates are (..., n, 1) columns: the GEMV, the max-abs and the
+    # sqrt-of-dot norm of each member then have the bits of 1-D m @ v,
+    # max(abs(v)) and np.linalg.norm(v). Failures are told apart after the
+    # loop; numpy's warnings for them would just precede the typed error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.ones(m.shape[:-1] + (1,))
+        peaks = []
         for _ in range(p):
             v = m @ v
-            if normalize_each_step:
-                # scale by the largest entry first so the squared sum in
-                # the 2-norm cannot overflow for huge spectra
-                peak = float(np.max(np.abs(v)))
-                if peak == 0.0:
-                    raise DegenerateIterateError(
-                        "power iterate hit the zero vector (all-ones start "
-                        "lies in the kernel)"
-                    )
-                v = v / peak
-                v = v / float(np.linalg.norm(v))
-        den = float(v @ v)
-        if den == 0.0:
-            raise DegenerateIterateError(
-                "power iterate hit the zero vector (all-ones start lies in "
-                "the kernel)"
-            )
-        num = float((m @ v) @ v)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise OverflowError(
-            "power iterate overflowed; rerun with normalize_each_step=True"
-        )
-    return EigenEstimate(num / den, v, p)
+            # scale by the largest entry first so the squared sum in the
+            # 2-norm cannot overflow for huge spectra
+            peak = abs(v).max(axis=-2, keepdims=True)
+            peaks.append(peak)
+            v = v / peak
+            v = v / np.sqrt(v.swapaxes(-1, -2) @ v)
+        # the largest entry of v is at least 1/sqrt(n), so den > 0 unless
+        # an earlier step failed
+        den = v.swapaxes(-1, -2) @ v
+        num = (m @ v).swapaxes(-1, -2) @ v
+        lam = (num / den)[..., 0, 0]
+    # a zero peak makes every later iterate nan, so it is told apart here
+    zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[..., 0]
+    overflow = ~(np.isfinite(num) & np.isfinite(den))[..., 0, 0]
+    if not stacked:
+        if zero:
+            raise DegenerateIterateError(DEGENERATE_START)
+        if overflow:
+            raise OverflowError(ITERATE_OVERFLOW)
+        return EigenEstimate(float(lam), v[:, 0], p)
+
+    finite = np.isfinite(m).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
+        symmetric = _symmetric(m, SYMMETRY_RTOL)
+    failed = {}
+    for r in np.flatnonzero(~finite | ~symmetric | zero | overflow).tolist():
+        if not finite[r]:
+            failed[r] = ValueError(NONFINITE_MATRIX)
+        elif not symmetric[r]:
+            failed[r] = ValueError(NOT_SYMMETRIC)
+        elif zero[r]:
+            failed[r] = DegenerateIterateError(DEGENERATE_START)
+        else:
+            failed[r] = OverflowError(ITERATE_OVERFLOW)
+    if failed:
+        lam[list(failed)] = math.nan
+    return EigenEstimate(lam, v[..., 0], p, failed)
 
 
 def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=60):

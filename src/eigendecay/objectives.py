@@ -37,38 +37,45 @@ def _check_pm1(y, kind):
 
 
 def _logsumexp(z):
-    m = np.max(z, axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1))
+    m = np.max(z, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.sum(np.exp(z - m), axis=-1))
 
 
 def _loss_per_example(kind, Yhat, Y):
     if kind == "mse":
         _check_pm1(Y, kind)
-        return np.mean((Yhat - Y) ** 2, axis=1)
+        return np.mean((Yhat - Y) ** 2, axis=-1)
     if kind == "multiclass_hinge":
         _check_pm1(Y, kind)
-        return np.sum(np.maximum(0.0, 1.0 - Y * Yhat), axis=1)
+        return np.sum(np.maximum(0.0, 1.0 - Y * Yhat), axis=-1)
     if kind == "binary_cross_entropy":
         _check_pm1(Y, kind)
         t = (Y + 1.0) / 2.0
         # -[t log s(z) + (1-t) log(1-s(z))] = softplus(z) - t z, summed
-        return np.sum(np.logaddexp(0.0, Yhat) - t * Yhat, axis=1)
+        return np.sum(np.logaddexp(0.0, Yhat) - t * Yhat, axis=-1)
     if kind == "categorical_cross_entropy":
         _check_pm1(Y, kind)
         t = (Y + 1.0) / 2.0
-        return np.sum(t, axis=1) * _logsumexp(Yhat) - np.sum(t * Yhat, axis=1)
+        return np.sum(t, axis=-1) * _logsumexp(Yhat) - np.sum(t * Yhat, axis=-1)
     raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
 def loss_batch(kind, Yhat, Y):
-    """Mean loss over a batch of row-per-example outputs and targets."""
+    """Mean loss over a batch of row-per-example outputs and targets.
+
+    A stack of batches (R, n, L) gives an (R,) array of each member's mean,
+    with the bits of the 2-D call on that member.
+    """
     Yhat = _as_batch(Yhat)
     Y = _as_batch(Y)
     if Yhat.shape != Y.shape:
         raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
-    if Yhat.shape[0] == 0:
+    if Yhat.shape[-2] == 0:
         raise ValueError("batch must be nonempty")
-    return float(np.mean(_loss_per_example(kind, Yhat, Y)))
+    per_example = _loss_per_example(kind, Yhat, Y)
+    if per_example.ndim == 1:
+        return float(np.mean(per_example))
+    return np.mean(per_example, axis=-1)
 
 
 def loss_gradient_batch(kind, Yhat, Y):
@@ -106,7 +113,7 @@ def loss_gradient_batch(kind, Yhat, Y):
     raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
-def eigen_decay_penalty(w, C, p=9, normalize_each_step=True, *, lambda_dom=None):
+def eigen_decay_penalty(w, C, p=9, *, lambda_dom=None):
     """C * sqrt of the power-method dominant eigenvalue of W W^T.
 
     The zero matrix has dominant eigenvalue 0 and is handled directly; the
@@ -121,7 +128,7 @@ def eigen_decay_penalty(w, C, p=9, normalize_each_step=True, *, lambda_dom=None)
     if not np.any(w):
         return 0.0
     if lambda_dom is None:
-        lambda_dom = power_dominant_eigen(gram(w), p, normalize_each_step).lambda_dom
+        lambda_dom = power_dominant_eigen(gram(w), p).lambda_dom
     return C * math.sqrt(max(lambda_dom, 0.0))
 
 
@@ -233,14 +240,34 @@ class ObjectiveValue:
 
 def penalties(model, reg, *, lambdas=None):
     """Per-layer penalty values; lambdas, when given, holds each layer's
-    power-method estimate for the eigen-decay value to reuse."""
-    reg.check_against(model)
+    power-method estimate for the eigen-decay value to reuse.
+
+    A stacked model (see model.DenseLayer) takes reg as one RegularizerSpec
+    per member, and lambdas as one tuple per member, and gives one tuple of
+    values per member.
+    """
+    stacked = model.output.weights.ndim == 3
+    regs = list(reg) if stacked else [reg]
     if lambdas is None:
-        lambdas = (None,) * len(reg.layers)
-    return tuple(
-        entry.value(layer.weights, lambda_dom=lam)
-        for entry, layer, lam in zip(reg.layers, model.layers, lambdas)
-    )
+        lambdas = [(None,) * len(model.layers)] * len(regs)
+    elif not stacked:
+        lambdas = [lambdas]
+    weights = [layer.weights if stacked else layer.weights[None] for layer in model.layers]
+    out = []
+    for r, spec in enumerate(regs):
+        spec.check_against(model)
+        out.append(tuple(
+            entry.value(w[r], lambda_dom=lam)
+            for entry, w, lam in zip(spec.layers, weights, lambdas[r])
+        ))
+    return out if stacked else out[0]
+
+
+def _objective_value(loss, pens):
+    total = loss
+    for p in pens:
+        total += p
+    return ObjectiveValue(loss, pens, total)
 
 
 def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None, *, lambdas=None):
@@ -249,14 +276,19 @@ def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None, *, lambdas=
     Pass dropout_masks (from sample_dropout_masks) to evaluate the
     stochastic training objective at a fixed mask; omitting them is
     evaluation mode. lambdas is passed on to penalties().
+
+    A stacked model takes (R, n, .) batches and masks and reg and lambdas
+    as penalties() does, and gives one ObjectiveValue per member, each with
+    the bits of the 2-D call on that member.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("batch must be a nonempty (n, d) array")
+    stacked = model.output.weights.ndim == 3
+    if X.ndim != 2 + stacked or X.shape[-2] == 0:
+        shape = "(R, n, d)" if stacked else "(n, d)"
+        raise ValueError(f"batch must be a nonempty {shape} array")
     _, _, Yhat = forward_batch(model, X, dropout_masks)
     e = loss_batch(loss_kind, Yhat, Y)
     pens = penalties(model, reg, lambdas=lambdas)
-    total = e
-    for p in pens:
-        total += p
-    return ObjectiveValue(e, pens, total)
+    if not stacked:
+        return _objective_value(e, pens)
+    return [_objective_value(float(er), p) for er, p in zip(e, pens)]

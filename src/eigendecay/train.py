@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import kfold, split_indices
 from .grad import backward
-from .linalg import DegenerateIterateError, gram, power_dominant_eigen
+from .linalg import gram, power_dominant_eigen
 from .model import DenseLayer, MlpModel, forward_batch, model_params, set_model_params
 from .objectives import (
     LOSS_KINDS,
@@ -106,29 +106,6 @@ def save_history(history, path):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _layer_lambdas(model, reg):
-    """Power-method estimate of each layer's gram, once per epoch end: the
-    history records it and the eigen-decay penalty value is derived from
-    it. A penalized layer whose iteration fails raises, as its penalty value
-    would; any other layer records nan."""
-    out = []
-    for entry, layer in zip(reg.layers, model.layers):
-        lam = 0.0
-        if np.any(layer.weights):
-            p = entry.p if entry.kind == "eigen_decay" else 9
-            try:
-                lam = power_dominant_eigen(gram(layer.weights), p).lambda_dom
-            except (ValueError, OverflowError, DegenerateIterateError):
-                if entry.kind == "eigen_decay" and entry.c != 0.0:
-                    raise
-                # gram of healthy-loss but huge weights can exceed float
-                # range; the objective check decides divergence, not this
-                # diagnostic
-                lam = math.nan
-        out.append(float(lam))
-    return tuple(out)
-
-
 @dataclass
 class _Member:
     """One training run in a stack: its model, penalties, the rows of the
@@ -145,11 +122,6 @@ class _Member:
     best_val: float = math.inf
     best_epoch: int = 0
     best_params: list = None
-
-    def train_arrays(self, dataset):
-        if self.rows is None:
-            return dataset.features, dataset.encoded
-        return dataset.features[self.rows], dataset.encoded[self.rows]
 
     def train_size(self, dataset):
         return len(dataset) if self.rows is None else len(self.rows)
@@ -220,29 +192,79 @@ def _stacked_masks(members, rngs, hidden_dims, batch):
     return masks
 
 
-def _epoch_record(member, dataset, loss_kind, epoch):
-    """The epoch-end record of one member, whose model holds its current
-    parameters; DivergenceError if its objective cannot be evaluated or
-    is not finite."""
-    model, reg = member.model, member.reg
-    try:
-        lambdas = _layer_lambdas(model, reg)
-    except (ValueError, OverflowError, DegenerateIterateError) as exc:
-        # an eigen-decay penalty value that cannot be computed
-        raise DivergenceError(
-            epoch, f"parameters diverged during epoch {epoch}: {exc}"
-        ) from None
-    X, Y = member.train_arrays(dataset)
-    obj = total_objective(model, X, Y, loss_kind, reg, lambdas=lambdas)
-    val_loss = None
-    if member.val_rows is not None:
-        _, _, Yhat = forward_batch(model, dataset.features[member.val_rows])
-        val_loss = loss_batch(loss_kind, Yhat, dataset.encoded[member.val_rows])
-    if not math.isfinite(obj.total) or (
-        val_loss is not None and not math.isfinite(val_loss)
-    ):
-        raise DivergenceError(epoch, f"objective diverged at epoch {epoch}: {obj.total}")
-    return EpochRecord(epoch, obj.total, obj.loss, val_loss, lambdas)
+def _epoch_end(members, params, template, dataset, loss_kind, epoch):
+    """The epoch-end record of each member of a stack whose parameters are
+    finite, or the DivergenceError that ends it.
+
+    One stacked power iteration per layer and step count gives every
+    member's lambda, which the history records and the eigen-decay penalty
+    value is derived from. A penalized layer whose iteration fails ends its
+    member, as its penalty value cannot be computed; any other layer
+    records nan. One stacked forward pass over each member's training rows,
+    and one over its validation rows, give the objective and the
+    validation loss; a member where either is not finite diverges.
+    """
+    R = len(members)
+    regs = [m.reg for m in members]
+    lambdas = np.zeros((R, len(template.layers)))
+    errors = {}
+    for k in range(len(template.layers)):
+        groups = {}
+        for j, reg in enumerate(regs):
+            entry = reg.layers[k]
+            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(j)
+        for p, idx in groups.items():
+            w = params[2 * k] if len(idx) == R else params[2 * k][idx]
+            est = power_dominant_eigen(gram(w), p)
+            # the iteration cannot start from the zero matrix, whose lambda is 0
+            nonzero = w.any(axis=(1, 2))
+            for i, exc in est.failed.items():
+                entry = regs[idx[i]].layers[k]
+                if nonzero[i] and entry.kind == "eigen_decay" and entry.c != 0.0:
+                    errors.setdefault(idx[i], DivergenceError(
+                        epoch, f"parameters diverged during epoch {epoch}: {exc}"))
+            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
+
+    keep = [j for j in range(R) if j not in errors]
+    out = [errors.get(j) for j in range(R)]
+    if not keep:
+        return out
+    live = [members[j] for j in keep]
+    if len(keep) < R:
+        params = [p[keep] for p in params]
+    stack = _stacked_model(template, params)
+
+    if live[0].rows is None:
+        # members that train on all rows, as sgd_train's does, read views
+        # of the data, not copies
+        X, Y = (np.broadcast_to(a, (len(live),) + a.shape)
+                for a in (dataset.features, dataset.encoded))
+    else:
+        rows = _stack([m.rows for m in live])
+        X, Y = dataset.features[rows], dataset.encoded[rows]
+    objectives = total_objective(stack, X, Y, loss_kind, [m.reg for m in live],
+                                 lambdas=[tuple(lambdas[j].tolist()) for j in keep])
+
+    val_loss = [None] * len(live)
+    if live[0].val_rows is not None:
+        # validation splits of one training-set size can differ by a row
+        by_size = {}
+        for i, m in enumerate(live):
+            by_size.setdefault(len(m.val_rows), []).append(i)
+        for idx in by_size.values():
+            model = stack if len(idx) == len(live) else _stacked_model(
+                template, [p[idx] for p in params])
+            rows = _stack([live[i].val_rows for i in idx])
+            _, _, Yhat = forward_batch(model, dataset.features[rows])
+            for i, loss in zip(idx, loss_batch(loss_kind, Yhat, dataset.encoded[rows])):
+                val_loss[i] = float(loss)
+
+    for j, obj, val in zip(keep, objectives, val_loss):
+        if not math.isfinite(obj.total) or (val is not None and not math.isfinite(val)):
+            out[j] = DivergenceError(epoch, f"objective diverged at epoch {epoch}: {obj.total}")
+        else:
+            out[j] = EpochRecord(epoch, obj.total, obj.loss, val, tuple(lambdas[j].tolist()))
+    return out
 
 
 def _sgd_stack(members, dataset, loss_kind, config):
@@ -306,6 +328,7 @@ def _sgd_stack(members, dataset, loss_kind, config):
         finite = np.ones(len(live), dtype=bool)
         for p in params:
             finite &= np.isfinite(p).reshape(len(live), -1).all(axis=1)
+        evaluate_at = []  # stack positions that reach the epoch-end evaluation
         for j, (i, m) in enumerate(zip(active, live)):
             if j in failed:
                 results[i] = DivergenceError(epoch, failed[j])
@@ -316,10 +339,16 @@ def _sgd_stack(members, dataset, loss_kind, config):
                     epoch, f"parameters diverged during epoch {epoch}"
                 )
                 continue
-            try:
-                record = _epoch_record(m, dataset, loss_kind, epoch)
-            except DivergenceError as exc:
-                results[i] = exc
+            evaluate_at.append(j)
+        records = []
+        if evaluate_at:
+            sel = evaluate_at if len(evaluate_at) < len(live) else slice(None)
+            records = _epoch_end([live[j] for j in evaluate_at], [p[sel] for p in params],
+                                 template, dataset, loss_kind, epoch)
+        for j, record in zip(evaluate_at, records):
+            i, m = active[j], live[j]
+            if isinstance(record, DivergenceError):
+                results[i] = record
                 continue
             m.history.append(record)
             if not es.enabled:

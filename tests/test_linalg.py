@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ class TestGram:
         assert np.min(jacobi_eigenvalues(g)) >= -1e-10 * scale
 
 
+def _unnormalized_power(m, p):
+    """The power iteration from the all-ones vector without per-step
+    rescaling: the raw iterate m^p 1 grows like lambda^p. Returns the
+    Rayleigh quotient and the iterate; OverflowError once either leaves
+    float range."""
+    v = np.ones(m.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(p):
+            v = m @ v
+        num, den = float((m @ v) @ v), float(v @ v)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise OverflowError("unnormalized iterate overflowed")
+    return num / den, v
+
+
 class TestPowerDominantEigen:
     def test_identity_any_p(self):
         est = power_dominant_eigen(np.eye(3), 9)
@@ -91,10 +107,13 @@ class TestPowerDominantEigen:
     def test_diag_4_1_0_rational_oracle(self):
         # unnormalized iterate from ones: v = (4^9, 1, 0); quotient by
         # exact rational arithmetic
-        est = power_dominant_eigen(np.diag([4.0, 1.0, 0.0]), 9, normalize_each_step=False)
-        np.testing.assert_array_equal(est.v_dom, [4.0**9, 1.0, 0.0])
-        expected = (Fraction(4) ** 19 + 1) / (Fraction(4) ** 18 + 1)
-        assert est.lambda_dom == pytest.approx(float(expected), rel=1e-15)
+        m = np.diag([4.0, 1.0, 0.0])
+        lam, v = _unnormalized_power(m, 9)
+        np.testing.assert_array_equal(v, [4.0**9, 1.0, 0.0])
+        expected = float((Fraction(4) ** 19 + 1) / (Fraction(4) ** 18 + 1))
+        assert lam == pytest.approx(expected, rel=1e-15)
+        est = power_dominant_eigen(m, 9)
+        assert est.lambda_dom == pytest.approx(expected, rel=1e-15)
         assert abs(est.lambda_dom - 4.0) / 4.0 < 1e-7
 
     def test_zero_matrix_degenerate(self):
@@ -116,12 +135,17 @@ class TestPowerDominantEigen:
             power_dominant_eigen(np.eye(2), 0)
 
     def test_unnormalized_overflow_raises(self):
-        # lambda^p exceeds float range; the normalized path handles it
+        # lambda^p exceeds float range; the normalized iteration handles it
         m = np.diag([1e40, 1.0])
         with pytest.raises(OverflowError):
-            power_dominant_eigen(m, 9, normalize_each_step=False)
-        est = power_dominant_eigen(m, 9, normalize_each_step=True)
+            _unnormalized_power(m, 9)
+        est = power_dominant_eigen(m, 9)
         assert est.lambda_dom == pytest.approx(1e40, rel=1e-9)
+
+    def test_overflow_of_one_product_raises(self):
+        # entries near the float maximum: m @ ones overflows in the first step
+        with pytest.raises(OverflowError, match="^power iterate overflowed$"):
+            power_dominant_eigen(np.full((2, 2), 1e308), 9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -140,8 +164,8 @@ class TestPowerDominantEigen:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 8))
         m = gram(rng.standard_normal((n, n)))
-        a = power_dominant_eigen(m, 9, normalize_each_step=True).lambda_dom
-        b = power_dominant_eigen(m, 9, normalize_each_step=False).lambda_dom
+        a = power_dominant_eigen(m, 9).lambda_dom
+        b, _ = _unnormalized_power(m, 9)
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
     def test_convergence_with_spectral_gap(self):

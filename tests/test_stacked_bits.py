@@ -4,13 +4,21 @@ BLAS upgrade that breaks it fails here, before any output changes."""
 
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from eigendecay.grad import backward, eigen_decay_gradient
-from eigendecay.linalg import DegenerateIterateError, gram
+from eigendecay.linalg import DegenerateIterateError, gram, power_dominant_eigen
 from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, model_params
-from eigendecay.objectives import LayerPenalty, RegularizerSpec
+from eigendecay.objectives import (
+    LOSS_KINDS,
+    LayerPenalty,
+    RegularizerSpec,
+    loss_batch,
+    total_objective,
+)
 
 # (layer sizes, batch): the gauss_grid net and the digits_epoch net
 SHAPES = [((2, 8, 2), 16), ((784, 128, 10), 128)]
@@ -116,10 +124,8 @@ def test_eigen_decay_gradient_stack_matches_each_member(sizes, B, R):
     for d, h in zip(sizes[:-1], sizes[1:]):
         W = _stack((h, d), R, rng)
         C = rng.uniform(0.001, 0.1, R)
-        for normalize in (True, False):
-            stacked = eigen_decay_gradient(W, C, 9, normalize)
-            assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r], 9, normalize)
-                                     for r in range(R)])
+        stacked = eigen_decay_gradient(W, C, 9)
+        assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r], 9) for r in range(R)])
 
 
 def test_eigen_decay_gradient_stack_zeroes_dead_members():
@@ -138,19 +144,29 @@ def test_eigen_decay_gradient_stack_zeroes_dead_members():
 
 def test_degenerate_members_are_marked_and_zeroed():
     rng = np.random.default_rng(13)
-    W = _stack((2, 2), 4, rng)
+    W = _stack((2, 2), 5, rng)
     for r in (1, 3):
         W[r, 1] = -W[r, 0]  # W W^T maps the all-ones start to zero
-    grad, degenerate = eigen_decay_gradient(W, 0.5, return_degenerate=True)
-    assert list(np.flatnonzero(degenerate)) == [1, 3]
-    assert not np.any(grad[[1, 3]])
+    W[4, 0, 1] = np.nan
+    grad, failed = eigen_decay_gradient(W, 0.5, return_failed=True)
+    assert sorted(failed) == [1, 3, 4]
+    for r in (1, 3):
+        assert isinstance(failed[r], DegenerateIterateError)
+        assert "zero vector" in str(failed[r])
+    assert type(failed[4]) is ValueError
+    assert str(failed[4]) == "matrix entries must be finite"
+    assert not np.any(grad[[1, 3, 4]])
     assert_bitwise(grad[[0, 2]], [eigen_decay_gradient(W[r], 0.5) for r in (0, 2)])
-    with pytest.raises(DegenerateIterateError, match="zero vector"):
+    with pytest.raises(ValueError, match="must be finite"):
         eigen_decay_gradient(W, 0.5)
     with pytest.raises(DegenerateIterateError, match="zero vector"):
+        eigen_decay_gradient(W[:4], 0.5)
+    with pytest.raises(DegenerateIterateError, match="zero vector"):
         eigen_decay_gradient(W[1], 0.5)
-    grad, degenerate = eigen_decay_gradient(W[1], 0.5, return_degenerate=True)
-    assert degenerate and not np.any(grad)
+    with pytest.raises(ValueError, match="must be finite"):
+        eigen_decay_gradient(W[4], 0.5, return_failed=True)
+    grad, failed = eigen_decay_gradient(W[1], 0.5, return_failed=True)
+    assert list(failed) == [0] and not np.any(grad)
 
 
 @pytest.mark.parametrize("R", STACKS)
@@ -201,3 +217,161 @@ def test_backward_stack_reports_failed_members():
     want = backward(single, X[1], Y[1], "mse", reg)
     for stacked, w in zip(got.as_list(), want.as_list()):
         np.testing.assert_array_equal(_bits(stacked[1]), _bits(w))
+
+
+def _power_1d(m, p):
+    """The normalized power iteration written with 1-D numpy: GEMV, the
+    max-abs peak and np.linalg.norm."""
+    v = np.ones(m.shape[0])
+    for _ in range(p):
+        v = m @ v
+        v = v / float(np.max(np.abs(v)))
+        v = v / float(np.linalg.norm(v))
+    return float((m @ v) @ v) / float(v @ v), v
+
+
+@pytest.mark.parametrize("R", STACKS)
+@pytest.mark.parametrize("sizes, B", SHAPES)
+def test_power_dominant_eigen_stack_matches_each_member(sizes, B, R):
+    rng = np.random.default_rng(16)
+    for d, h in zip(sizes[:-1], sizes[1:]):
+        M = gram(_stack((h, d), R, rng))
+        for p in (1, 5, 9):
+            est = power_dominant_eigen(M, p)
+            assert est.failed == {} and est.iterations_used == p
+            want = [power_dominant_eigen(M[r], p) for r in range(R)]
+            assert_bitwise(est.lambda_dom[:, None], [np.array([w.lambda_dom]) for w in want])
+            assert_bitwise(est.v_dom, [w.v_dom for w in want])
+            # and the 2-D call has the bits of the 1-D iteration
+            for r, w in enumerate(want):
+                lam, v = _power_1d(M[r], p)
+                assert_bitwise(np.array([[w.lambda_dom]]), [np.array([lam])])
+                assert_bitwise(w.v_dom[None], [v])
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("R", STACKS)
+@pytest.mark.parametrize("sizes, B", SHAPES)
+def test_loss_batch_stack_matches_each_member(sizes, B, R, kind):
+    rng = np.random.default_rng(17)
+    L = sizes[-1]
+    # a minibatch, and a full-data pass long enough for pairwise summation
+    for n in (B, 1000):
+        Yhat = _stack((n, L), R, rng)
+        Y = np.where(rng.random((R, n, L)) < 0.5, -1.0, 1.0)
+        got = loss_batch(kind, Yhat, Y)
+        want = [loss_batch(kind, Yhat[r], Y[r]) for r in range(R)]
+        assert all(type(w) is float for w in want)
+        assert_bitwise(got[:, None], [np.array([w]) for w in want])
+
+
+@pytest.mark.parametrize("R", STACKS)
+@pytest.mark.parametrize("sizes, B", SHAPES)
+def test_total_objective_stack_matches_each_member(sizes, B, R):
+    rng = np.random.default_rng(18)
+    models = [init_mlp(list(sizes), "sigmoid", seed=int(s)) for s in rng.integers(0, 99, R)]
+    params = [np.stack(p) for p in zip(*(model_params(m) for m in models))]
+    stack = MlpModel([DenseLayer(params[0], params[1], Activation("sigmoid"))],
+                     DenseLayer(params[2], params[3], Activation("linear")))
+    X = rng.uniform(0.0, 1.0, (R, B, sizes[0]))
+    Y = np.where(rng.random((R, B, sizes[-1])) < 0.5, -1.0, 1.0)
+    penalties = [LayerPenalty("eigen_decay", 0.01, 5), LayerPenalty("l1", 0.001),
+                 LayerPenalty("l2", 0.002), LayerPenalty()]
+    regs = [RegularizerSpec((penalties[r % 4], penalties[(r + 2) % 4]), (0.0,))
+            for r in range(R)]
+    for lambdas in (None, [(1.5, 2.5)] * R):
+        got = total_objective(stack, X, Y, "multiclass_hinge", regs, lambdas=lambdas)
+        want = [total_objective(models[r], X[r], Y[r], "multiclass_hinge", regs[r],
+                                lambdas=None if lambdas is None else lambdas[r])
+                for r in range(R)]
+        assert [(o.loss, o.penalties, o.total) for o in got] == \
+            [(o.loss, o.penalties, o.total) for o in want]
+        assert all(type(o.total) is float for o in got)
+
+
+def _outcome(call):
+    """What a call gives: ("ok", result) or ("raise", type, message)."""
+    try:
+        return ("ok", call())
+    except (ValueError, OverflowError, DegenerateIterateError) as exc:
+        return ("raise", type(exc), str(exc))
+
+
+# Penalty edge cases: zero weights (the iteration cannot start), rank-1
+# weights, weights whose gram is huge or overflows, and weights whose gram
+# sends the all-ones start to zero (two rows w and -w)
+EDGE_KINDS = ("gaussian", "zero", "rank1", "huge", "kernel")
+
+
+@st.composite
+def edge_stacks(draw):
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(EDGE_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ws = []
+    for kind in kinds:
+        w = rng.standard_normal((rows, cols))
+        if kind == "zero":
+            w[:] = 0.0
+        elif kind == "rank1":
+            w = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+        elif kind == "huge":
+            # gram entries from about 1e280 (finite) to 1e400 (overflow)
+            w *= 10.0 ** draw(st.integers(140, 200))
+        elif kind == "kernel":
+            w[2:] = 0.0
+            w[1] = -w[0]
+        ws.append(w)
+    return np.stack(ws)
+
+
+def _assert_same_eigen_outcomes(W, p):
+    est = power_dominant_eigen(gram(W), p)
+    for r in range(len(W)):
+        want = _outcome(lambda: power_dominant_eigen(gram(W[r]), p).lambda_dom)
+        if want[0] == "ok":
+            assert r not in est.failed
+            assert_bitwise(est.lambda_dom[r:r + 1, None], [np.array([want[1]])])
+        else:
+            exc = est.failed[r]
+            assert ("raise", type(exc), str(exc)) == want
+            assert np.isnan(est.lambda_dom[r])
+
+
+def _assert_same_gradient_outcomes(W, C, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grad, failed = eigen_decay_gradient(W, C, p, return_failed=True)
+        for r in range(len(W)):
+            want = _outcome(lambda: eigen_decay_gradient(W[r], C, p))
+            if want[0] == "ok":
+                assert r not in failed
+                # nan where the gram overflows; a nan's sign bit carries no value
+                np.testing.assert_array_equal(grad[r], want[1])
+                number = ~np.isnan(want[1])
+                np.testing.assert_array_equal(np.signbit(grad[r][number]),
+                                              np.signbit(want[1][number]))
+            else:
+                assert ("raise", type(failed[r]), str(failed[r])) == want
+                assert not np.any(grad[r])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(edge_stacks(), st.sampled_from([1, 3, 9]))
+@settings(max_examples=60, deadline=None)
+def test_stacked_eigen_edge_cases_match_each_member(W, p):
+    _assert_same_eigen_outcomes(W, p)
+    _assert_same_gradient_outcomes(W, 0.5, p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_all_ones_start_in_the_kernel():
+    W = np.stack([np.array([[1.0, 0.0], [-1.0, 0.0]]), np.eye(2), np.zeros((2, 2)),
+                  np.full((2, 2), 1e200)])
+    est = power_dominant_eigen(gram(W), 9)
+    assert sorted(est.failed) == [0, 2, 3]
+    assert isinstance(est.failed[0], DegenerateIterateError)
+    assert str(est.failed[3]) == "matrix entries must be finite"
+    assert est.lambda_dom[1] == 1.0
+    _assert_same_eigen_outcomes(W, 9)
+    _assert_same_gradient_outcomes(W, 0.5, 9)

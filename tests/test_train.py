@@ -141,7 +141,7 @@ class TestSgdTrain:
 
     def test_each_layer_lambda_computed_once_per_epoch(self, monkeypatch):
         # the history's lambda and the eigen-decay penalty value share one
-        # power iteration per layer per epoch end
+        # stacked power iteration per layer and step count per epoch end
         from eigendecay import objectives, train
 
         calls = []
@@ -156,14 +156,25 @@ class TestSgdTrain:
         ds = _blobs(9, n=40)
         model = small_model(dims=(2, 5, 2), seed=4)
         reg = RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty()), (0.0,))
-        _, history = sgd_train(model, ds, "mse", reg,
-                               TrainConfig(learning_rate=0.2, max_epochs=6, seed=1))
+        cfg = TrainConfig(learning_rate=0.2, max_epochs=6, seed=1)
+        _, history = sgd_train(model, ds, "mse", reg, cfg)
         assert len(history.epochs) == 6
-        assert calls == [(5, 5), (2, 2)] * 6
+        assert calls == [(1, 5, 5), (1, 2, 2)] * 6
+
+        # three members, one of them with a 5-step eigen-decay layer
+        calls.clear()
+        regs = [reg, RegularizerSpec.none(2, 1),
+                RegularizerSpec((LayerPenalty("eigen_decay", 0.01, 5), LayerPenalty()),
+                                (0.0,))]
+        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, "mse", r,
+                                 cfg) for s, r in enumerate(regs)]
+        results = train._sgd_stack(members, ds, "mse", cfg)
+        assert all(len(r.epochs) == 6 for r in results)
+        assert calls == [(2, 5, 5), (1, 5, 5), (3, 2, 2)] * 6
 
     def test_objective_from_shared_lambdas_is_bit_identical(self):
+        from eigendecay.linalg import gram, power_dominant_eigen
         from eigendecay.objectives import total_objective
-        from eigendecay.train import _layer_lambdas
 
         ds = _blobs(3, n=30)
         model = small_model(dims=(2, 6, 2), seed=8)
@@ -171,7 +182,8 @@ class TestSgdTrain:
             (LayerPenalty("eigen_decay", 0.03, 5), LayerPenalty("eigen_decay", 0.2)),
             (0.0,),
         )
-        lambdas = _layer_lambdas(model, reg)
+        lambdas = tuple(power_dominant_eigen(gram(layer.weights), entry.p).lambda_dom
+                        for entry, layer in zip(reg.layers, model.layers))
         shared = total_objective(model, ds.features, ds.encoded, "mse", reg,
                                  lambdas=lambdas)
         alone = total_objective(model, ds.features, ds.encoded, "mse", reg)
