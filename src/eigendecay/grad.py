@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import NONFINITE_MATRIX, DegenerateIterateError, gram
+from .linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError, gram
 from .model import forward_batch, model_params
 from .objectives import loss_gradient_batch, total_objective
 
@@ -64,10 +64,13 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
     one coefficient per member; each slice of the result has the bits of
     the 2-D call on that member, which is the stack of one. Non-finite
     weights raise ValueError, and an iterate that hits the zero vector
-    raises DegenerateIterateError. With return_failed the call returns
-    (grad, failed) instead, where failed maps each member that would raise
-    to that error and the member's gradient is zero; a 2-D W still raises
-    ValueError on non-finite entries.
+    raises DegenerateIterateError. Where the estimate leaves float range,
+    the call raises what the penalty value raises on those weights:
+    ValueError if the gram overflows, OverflowError if an iterate does.
+    With return_failed the call returns (grad, failed) instead, where
+    failed maps each member that would raise to that error and the
+    member's gradient is zero; a 2-D W still raises ValueError on
+    non-finite entries.
     """
     w = np.asarray(w, dtype=float)
     stacked = w.ndim == 3
@@ -83,34 +86,31 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    grad, degenerate = _eigen_decay_stack(ws, cs, p, finite)
+    grad, failed = _eigen_decay_stack(ws, cs, p, finite)
     if not stacked:
         grad = grad[0]
-    if not return_failed:
-        if np.any(degenerate):
-            raise DegenerateIterateError(DEGENERATE_ITERATE)
-        return grad
-    failed = {}
-    for r in np.flatnonzero(~finite | degenerate).tolist():
-        if finite[r]:
-            failed[r] = DegenerateIterateError(DEGENERATE_ITERATE)
-        else:
-            failed[r] = ValueError(NONFINITE_MATRIX)
-    return grad, failed
+    if return_failed:
+        return grad, failed
+    if failed:
+        raise next(iter(failed.values()))
+    return grad
 
 
 def _eigen_decay_stack(ws, cs, p, finite):
-    """eigen_decay_gradient's (grad, degenerate) for a stack whose
-    non-finite members are False in finite; they get a zero gradient."""
+    """eigen_decay_gradient's (grad, failed) for a stack whose non-finite
+    members are False in finite. failed maps each member whose gradient
+    cannot be formed to the error its 2-D call raises, in member order,
+    and each of them gets a zero gradient."""
+    failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
     # the power iteration cannot start from the zero matrix; its penalty is
     # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
     live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
-    hit_zero = np.zeros(len(ws), dtype=bool)
     if not live.any():
-        return np.zeros_like(ws), hit_zero
+        return np.zeros_like(ws), failed
 
     # members that are not live run along and are zeroed at the end
-    with np.errstate(divide="ignore", invalid="ignore"):
+    hit_zero = np.zeros(len(ws), dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = gram(ws, check=False)
         # forward pass, keeping each post-step iterate
         iterates = [np.ones(ws.shape[:2])]
@@ -130,6 +130,9 @@ def _eigen_decay_stack(ws, cs, p, finite):
         mv = _mv(m, v)
         num = _dot(mv, v)
         lam = num / den
+        # a gram or iterate past float range; the penalty value fails there
+        overflow = live & ~np.isfinite(lam)
+        live &= ~overflow
 
         below = live & (lam < EIGEN_GRAD_FLOOR)
         if below.any():
@@ -157,7 +160,14 @@ def _eigen_decay_stack(ws, cs, p, finite):
     keep = live & ~below
     if not keep.all():
         grad = np.where(keep[:, None, None], grad, 0.0)
-    return grad, degenerate
+    for r in np.flatnonzero(degenerate | overflow).tolist():
+        if degenerate[r]:
+            failed[r] = DegenerateIterateError(DEGENERATE_ITERATE)
+        elif np.isfinite(m[r]).all():
+            failed[r] = OverflowError(ITERATE_OVERFLOW)
+        else:
+            failed[r] = ValueError(NONFINITE_MATRIX)
+    return grad, dict(sorted(failed.items()))
 
 
 def _add_penalty_gradients(dW, model, regs, stacked):
@@ -210,10 +220,12 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
 
     A stacked model (weights (R, out, in), see model.DenseLayer) takes
     (R, n, .) batches, masks and gradients, and reg as one RegularizerSpec
-    per member; each member's slice has the bits of the 2-D call, which is
+    per member, each already checked against the model (train._member
+    does); each member's slice has the bits of the 2-D call, which is
     the stack of one. Where the 2-D call raises because an eigen-decay
-    layer's weights are not finite or its power iterate degenerates, the
-    stacked call records the error in Gradients.failed and goes on.
+    layer's weights are not finite or its power iterate degenerates or
+    overflows, the stacked call records the error in Gradients.failed and
+    goes on.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -221,11 +233,13 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     if X.ndim != 2 + stacked or X.shape[-2] == 0:
         shape = "(R, n, d)" if stacked else "(n, d)"
         raise ValueError(f"batch must be a nonempty {shape} array")
-    regs = list(reg) if stacked else [reg]
-    if stacked and len(regs) != X.shape[0]:
-        raise ValueError(f"{len(regs)} regularizer specs for {X.shape[0]} members")
-    for spec in regs:
-        spec.check_against(model)
+    if stacked:
+        regs = list(reg)
+        if len(regs) != X.shape[0]:
+            raise ValueError(f"{len(regs)} regularizer specs for {X.shape[0]} members")
+    else:
+        reg.check_against(model)
+        regs = [reg]
 
     vs, ys, Yhat = forward_batch(model, X, dropout_masks)
     G = loss_gradient_batch(loss_kind, Yhat, Y)

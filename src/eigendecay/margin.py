@@ -289,17 +289,14 @@ def verify_denominator_inequality(w_row, gamma, w):
     by the layer's dominant eigenvalue times the slope-scaled row norm:
 
         || W^T Gamma^T w^T ||^2  <=  lambda_dom(W W^T) * || Gamma^T w^T ||^2
+
+    gamma is the vector of activation slopes, the diagonal of Gamma.
     """
     w_row = as_vector(w_row)
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim == 2:
-        if np.count_nonzero(gamma - np.diag(np.diag(gamma))):
-            raise ValueError("gamma must be diagonal")
-        gamma = np.diag(gamma).copy()
     if gamma.shape != w_row.shape:
         raise ValueError(
-            f"gamma diagonal length {gamma.shape[0]} does not match row "
-            f"length {w_row.shape[0]}"
+            f"gamma shape {gamma.shape} does not match row shape {w_row.shape}"
         )
     u = gamma * w_row
     t = u @ w

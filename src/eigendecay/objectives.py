@@ -243,10 +243,12 @@ def penalties(model, reg, *, lambdas=None):
     power-method estimate for the eigen-decay value to reuse.
 
     A stacked model (see model.DenseLayer) takes reg as one RegularizerSpec
-    per member, and lambdas as one tuple per member, and gives one tuple of
-    values per member.
+    per member, each already checked against the model, and lambdas as one
+    tuple per member, and gives one tuple of values per member.
     """
     stacked = model.output.weights.ndim == 3
+    if not stacked:
+        reg.check_against(model)
     regs = list(reg) if stacked else [reg]
     if lambdas is None:
         lambdas = [(None,) * len(model.layers)] * len(regs)
@@ -255,7 +257,6 @@ def penalties(model, reg, *, lambdas=None):
     weights = [layer.weights if stacked else layer.weights[None] for layer in model.layers]
     out = []
     for r, spec in enumerate(regs):
-        spec.check_against(model)
         out.append(tuple(
             entry.value(w[r], lambda_dom=lam)
             for entry, w, lam in zip(spec.layers, weights, lambdas[r])

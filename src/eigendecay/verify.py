@@ -115,7 +115,7 @@ def quadratic_form_bound_suite(count=1000, seed=0, max_side=16):
 
 
 def denominator_inequality_suite(count=500, seed=0, max_side=16):
-    """Random (row, diagonal slope matrix, weight matrix) triples through
+    """Random (row, slope vector, weight matrix) triples through
     verify_denominator_inequality."""
     rng = np.random.default_rng(seed)
     records = []
@@ -125,7 +125,7 @@ def denominator_inequality_suite(count=500, seed=0, max_side=16):
         w_row = rng.standard_normal(r)
         gamma = rng.uniform(-1.0, 1.0, size=r)
         w = rng.standard_normal((r, c))
-        ok = verify_denominator_inequality(w_row, np.diag(gamma), w)
+        ok = verify_denominator_inequality(w_row, gamma, w)
         records.append({"index": i, "rows": r, "cols": c, "ok": bool(ok)})
     return records, all(r["ok"] for r in records)
 

@@ -157,6 +157,16 @@ def _least_squares_oracle(model, X, Y):
 
 
 class TestBackward:
+    def test_mismatched_spec_raises(self, rng):
+        # the 2-D call checks its spec; stacked calls rely on train._member
+        model = small_model()
+        X = rng.standard_normal((3, 2))
+        Y = encode_batch_pm1(np.array([0, 1, 0]), 2)
+        for reg in (RegularizerSpec.none(3, 1),
+                    RegularizerSpec((LayerPenalty(), LayerPenalty()), (0.1, 0.1))):
+            with pytest.raises(ValueError, match="penalty entries|dropout rates"):
+                backward(model, X, Y, "mse", reg)
+
     def test_linear_least_squares_closed_form(self, rng):
         h = linear_layer(rng.standard_normal((2, 2)))
         model = MlpModel([h], linear_layer(rng.standard_normal((2, 2))))

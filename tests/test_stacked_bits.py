@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from eigendecay import train
+from eigendecay.data import gen_two_gaussians
 from eigendecay.grad import backward, eigen_decay_gradient
 from eigendecay.linalg import DegenerateIterateError, gram, power_dominant_eigen
 from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, model_params
@@ -19,6 +21,7 @@ from eigendecay.objectives import (
     loss_batch,
     total_objective,
 )
+from eigendecay.train import DivergenceError, TrainConfig, sgd_train
 
 # (layer sizes, batch): the gauss_grid net and the digits_epoch net
 SHAPES = [((2, 8, 2), 16), ((784, 128, 10), 128)]
@@ -344,16 +347,20 @@ def _assert_same_gradient_outcomes(W, C, p):
         grad, failed = eigen_decay_gradient(W, C, p, return_failed=True)
         for r in range(len(W)):
             want = _outcome(lambda: eigen_decay_gradient(W[r], C, p))
+            value = _outcome(lambda: power_dominant_eigen(gram(W[r]), p).lambda_dom)
             if want[0] == "ok":
                 assert r not in failed
-                # nan where the gram overflows; a nan's sign bit carries no value
-                np.testing.assert_array_equal(grad[r], want[1])
-                number = ~np.isnan(want[1])
-                np.testing.assert_array_equal(np.signbit(grad[r][number]),
-                                              np.signbit(want[1][number]))
+                assert np.isfinite(want[1]).all()
+                assert_bitwise(grad[r:r + 1], [want[1]])
             else:
                 assert ("raise", type(failed[r]), str(failed[r])) == want
                 assert not np.any(grad[r])
+            # where the penalty value fails for a gram or iterate past float
+            # range, the gradient fails with the same error, and only there
+            overflowed = [o[0] == "raise" and o[1] in (ValueError, OverflowError)
+                          for o in (want, value)]
+            if any(overflowed):
+                assert want == value
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -375,3 +382,30 @@ def test_all_ones_start_in_the_kernel():
     assert est.lambda_dom[1] == 1.0
     _assert_same_eigen_outcomes(W, 9)
     _assert_same_gradient_outcomes(W, 0.5, 9)
+
+
+def test_overflowing_member_fails_at_once_and_leaves_the_others_alone():
+    # member 1's gram overflows (hidden weights near 1e160): its penalty
+    # gradient fails on the first step, as the penalty value on those
+    # weights does, instead of feeding a nan update into the next step
+    ds = gen_two_gaussians(20, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.6, seed=3)
+    cfg = TrainConfig(learning_rate=0.2, batch_size=8, max_epochs=4, seed=1)
+    reg = RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty("l2", 1e-3)),
+                          (0.0,))
+    models = [init_mlp([2, 4, 2], "sigmoid", seed=r) for r in range(3)]
+    models[1].hidden[0].weights *= 1e160
+    start = [a.copy() for a in model_params(models[1])]
+    members = [train._member(m, ds, None, "mse", reg, cfg) for m in models]
+    results = train._sgd_stack(members, ds, "mse", cfg)
+
+    assert isinstance(results[1], DivergenceError)
+    assert str(results[1]) == "parameters diverged during epoch 0: matrix entries must be finite"
+    # it ends on the finite weights its failed gradient was formed at
+    for got, want in zip(model_params(models[1]), start):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    for r in (0, 2):
+        alone = init_mlp([2, 4, 2], "sigmoid", seed=r)
+        _, history = sgd_train(alone, ds, "mse", reg, cfg)
+        assert results[r].records() == history.records()
+        for got, want in zip(model_params(models[r]), model_params(alone)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))

@@ -172,6 +172,31 @@ class TestSgdTrain:
         assert all(len(r.epochs) == 6 for r in results)
         assert calls == [(2, 5, 5), (1, 5, 5), (3, 2, 2)] * 6
 
+    def test_each_spec_checked_once_per_member(self, monkeypatch):
+        # train._member checks each spec; the stacked steps and epoch ends
+        # do not check it again
+        from eigendecay import train
+
+        checked = []
+        original = RegularizerSpec.check_against
+
+        def counting(spec, model):
+            checked.append(spec)
+            return original(spec, model)
+
+        monkeypatch.setattr(RegularizerSpec, "check_against", counting)
+        ds = _blobs(9, n=40)
+        cfg = TrainConfig(learning_rate=0.2, max_epochs=3, seed=1)
+        regs = [RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty("l2", 1e-3)),
+                                (0.1,)),
+                RegularizerSpec.none(2, 1)]
+        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, "mse", r,
+                                 cfg) for s, r in enumerate(regs)]
+        assert checked == regs
+        results = train._sgd_stack(members, ds, "mse", cfg)
+        assert all(len(r.epochs) == 3 for r in results)
+        assert checked == regs
+
     def test_objective_from_shared_lambdas_is_bit_identical(self):
         from eigendecay.linalg import gram, power_dominant_eigen
         from eigendecay.objectives import total_objective
