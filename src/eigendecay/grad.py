@@ -92,15 +92,15 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
     if return_failed:
         return grad, failed
     if failed:
-        raise next(iter(failed.values()))
+        raise failed[min(failed)]
     return grad
 
 
 def _eigen_decay_stack(ws, cs, p, finite):
     """eigen_decay_gradient's (grad, failed) for a stack whose non-finite
     members are False in finite. failed maps each member whose gradient
-    cannot be formed to the error its 2-D call raises, in member order,
-    and each of them gets a zero gradient."""
+    cannot be formed to the error its 2-D call raises, and each of them
+    gets a zero gradient."""
     failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
     # the power iteration cannot start from the zero matrix; its penalty is
     # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
@@ -167,7 +167,7 @@ def _eigen_decay_stack(ws, cs, p, finite):
             failed[r] = OverflowError(ITERATE_OVERFLOW)
         else:
             failed[r] = ValueError(NONFINITE_MATRIX)
-    return grad, dict(sorted(failed.items()))
+    return grad, failed
 
 
 def _add_penalty_gradients(dW, model, regs, stacked):
