@@ -7,14 +7,21 @@ objective actually computes. A central-difference oracle is provided for
 verification.
 """
 
+import copy
 from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
 
-from .linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError, gram
-from .model import forward_batch, model_params
-from .objectives import loss_gradient_batch, total_objective
+from .linalg import (
+    ITERATE_OVERFLOW,
+    NONFINITE_MATRIX,
+    DegenerateIterateError,
+    gram,
+    power_dominant_eigen,
+)
+from .model import STACK_FLOATS, MlpModel, forward_batch, model_params
+from .objectives import RegularizerSpec, loss_gradient_batch, total_objective
 
 # below this estimated eigenvalue the sqrt gradient is treated as zero
 # rather than letting 1/sqrt blow up on a near-zero-spectrum layer
@@ -270,40 +277,120 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     return Gradients(dW, db, failed)
 
 
-def finite_diff_gradient(objective_fn, params, h=1e-5):
-    """Central differences of a scalar function over a list of arrays.
-
-    Entries are perturbed in place and restored, so objective_fn may simply
-    close over whatever structure the arrays live in.
-    """
+def _check_step(h):
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    grads = []
-    for arr in params:
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = objective_fn(params)
-            flat[i] = orig - h
-            fm = objective_fn(params)
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
-        grads.append(g)
-    return grads
+
+
+def finite_diff_gradient(objective_fn, params, h=1e-5, *, member_floats=0):
+    """Central differences of a scalar function over a list of arrays.
+
+    The orig + h and orig - h copies of params for every entry are members
+    of one stack, in parameter order, entry by entry, + before -.
+    objective_fn takes the list of stacked arrays, each with a leading
+    member axis, and returns one value per member. It is called once per
+    chunk of members, each chunk holding as many as keep the parameter
+    copies plus member_floats per member (what the objective allocates for
+    each) near model.STACK_FLOATS floats. params are not changed.
+    """
+    _check_step(h)
+    bounds = np.cumsum([0] + [a.size for a in params])
+    flat = np.concatenate([a.reshape(-1) for a in params])
+    # member 2i is entry i plus h, member 2i + 1 is entry i minus h
+    shifted = np.stack([flat + h, flat - h], axis=1).reshape(-1)
+    chunk = max(1, STACK_FLOATS // (flat.size + member_floats))
+    values = np.empty(shifted.size)
+    for start in range(0, shifted.size, chunk):
+        members = np.arange(start, min(start + chunk, shifted.size))
+        entries = members // 2
+        stacks = []
+        for a, lo, hi in zip(params, bounds[:-1], bounds[1:]):
+            stack = np.repeat(a.reshape(1, -1), len(members), axis=0)
+            mine = np.flatnonzero((entries >= lo) & (entries < hi))
+            stack[mine, entries[mine] - lo] = shifted[members[mine]]
+            stacks.append(stack.reshape((len(members),) + a.shape))
+        values[members] = objective_fn(stacks)
+    with np.errstate(all="ignore"):  # as the float arithmetic it replaced
+        grad = (values[0::2] - values[1::2]) / (2.0 * h)
+    return [grad[lo:hi].reshape(a.shape) for a, lo, hi in zip(params, bounds[:-1], bounds[1:])]
+
+
+def _with_params(model, params):
+    """model with each layer's weights and bias replaced by params[2k] and
+    params[2k + 1]; unlike a new DenseLayer, the arrays are not checked for
+    finiteness, as the objective never checks the arrays it is handed."""
+    layers = []
+    for k, layer in enumerate(model.layers):
+        layer = copy.copy(layer)
+        layer.weights, layer.bias = params[2 * k], params[2 * k + 1]
+        layers.append(layer)
+    return MlpModel(layers[:-1], layers[-1])
+
+
+def _penalty_lambdas(reg, stacks):
+    """(lambdas, errors) for a stack of perturbed parameters: each member's
+    power-method estimate per eigen-decay layer, and {member: the first
+    error, in layer order, that total_objective raises on it}.
+
+    Layers with kind none or C == 0 have penalty 0 and raise nothing; a zero
+    W has penalty 0 without the iteration, which cannot start there; any
+    other penalized layer raises for weights that are not finite.
+    """
+    R = len(stacks[0])
+    lambdas = np.zeros((R, len(reg.layers)))
+    errors = {}
+    for k, entry in enumerate(reg.layers):
+        if entry.kind == "none" or entry.c == 0.0:
+            continue
+        w = stacks[2 * k]
+        if entry.kind == "eigen_decay":
+            est = power_dominant_eigen(gram(w, check=False), entry.p)
+            lambdas[:, k] = est.lambda_dom
+            nonzero = w.any(axis=(1, 2))
+            failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
+        else:
+            bad = ~np.isfinite(w).all(axis=(1, 2))
+            failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(bad).tolist()}
+        for r, exc in failed.items():
+            errors.setdefault(r, exc)
+    return lambdas, errors
 
 
 def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_masks=None):
     """Finite-difference gradient of the total objective, shaped like
-    backward()'s result."""
+    backward()'s result.
+
+    Each chunk of perturbations (see finite_diff_gradient) is one stacked
+    model: one forward pass and loss over broadcast views of the batch and
+    masks, and one power iteration per eigen-decay layer. Each member's
+    value has the bits of total_objective on that perturbation. Where
+    total_objective raises for some perturbation, this raises the error of
+    the first such perturbation.
+    """
+    _check_step(h)
+    X = np.asarray(X, dtype=float)
+    # the errors no perturbation changes, raised as total_objective raises
+    # them: the batch, masks and loss checks, then the spec's
+    total_objective(model, X, Y, loss_kind,
+                    RegularizerSpec.none(len(model.layers), len(model.hidden)),
+                    dropout_masks)
+    reg.check_against(model)
     params = model_params(model)
+    n, widths = X.shape[0], [model.n_in] + [layer.out_dim for layer in model.layers]
+    masks = None
+    if dropout_masks is not None:
+        masks = [None if m is None else np.asarray(m)[None] for m in dropout_masks]
 
-    def objective(_):
-        return total_objective(model, X, Y, loss_kind, reg, dropout_masks).total
+    def objective(stacks):
+        R = len(stacks[0])
+        lambdas, errors = _penalty_lambdas(reg, stacks)
+        if errors:
+            raise errors[min(errors)]
+        values = total_objective(
+            _with_params(model, stacks), X[None],
+            np.broadcast_to(Y, (R, n, model.n_out)), loss_kind, [reg] * R, masks,
+            lambdas=[tuple(row) for row in lambdas.tolist()])
+        return [v.total for v in values]
 
-    flat = finite_diff_gradient(objective, params, h)
-    dW = flat[0::2]
-    db = flat[1::2]
-    return Gradients(dW, db)
+    flat = finite_diff_gradient(objective, params, h, member_floats=n * max(widths))
+    return Gradients(flat[0::2], flat[1::2])

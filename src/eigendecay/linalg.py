@@ -187,18 +187,14 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=60):
     # elements below this cannot push the off-norm above tol*scale
     skip = tol * scale / (10.0 * n)
     rows = a.tolist()
-    # every pivot (k, l) in cyclic order, with the rows it rotates
-    plan = [
-        (k, l, rows[k], rows[l], [(i, rows[i]) for i in range(n) if i != k and i != l])
-        for k in range(n - 1)
-        for l in range(k + 1, n)
-    ]
+    # every pivot (k, l) in cyclic order, with its two rows
+    plan = [(k, l, rows[k], rows[l]) for k in range(n - 1) for l in range(k + 1, n)]
     for _ in range(max_sweeps):
         a = np.array(rows)
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= tol * scale:
             return np.diag(a).copy()
-        for k, l, row_k, row_l, others in plan:
+        for k, l, row_k, row_l in plan:
             akl = row_k[l]
             if abs(akl) <= skip:
                 continue
@@ -216,8 +212,9 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=60):
             s = t * c
             # rotate columns k and l, reading them as stored (a near-
             # symmetric input keeps its bits), and mirror them into rows
-            # k and l; the 2x2 pivot block has the closed-form update
-            for i, row_i in others:
+            # k and l. Rows k and l themselves write only inside the 2x2
+            # pivot block, which the closed-form update then overwrites.
+            for i, row_i in enumerate(rows):
                 x = row_i[k]
                 y = row_i[l]
                 row_i[k] = row_k[i] = c * x - s * y

@@ -111,6 +111,12 @@ class MlpModel:
     def __post_init__(self):
         if len(self.hidden) < 1:
             raise ValueError("model needs at least one hidden layer")
+        for layer in self.layers:
+            if layer.out_dim < 1 or layer.in_dim < 1:
+                raise ValueError(
+                    f"every layer needs at least one input and one output, got "
+                    f"{layer.in_dim} -> {layer.out_dim}"
+                )
         for k, layer in enumerate(self.hidden[1:], start=1):
             if layer.in_dim != self.hidden[k - 1].out_dim:
                 raise ValueError(
@@ -220,6 +226,8 @@ def init_mlp(layer_sizes, hidden_activation="sigmoid", seed=0):
     and zero biases. layer_sizes runs input -> hidden... -> output."""
     if len(layer_sizes) < 3:
         raise ValueError("layer_sizes needs input, at least one hidden, and output")
+    if min(layer_sizes) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
     kinds = hidden_activation
     if isinstance(kinds, str):
         kinds = [kinds] * (len(layer_sizes) - 2)
@@ -236,6 +244,25 @@ def init_mlp(layer_sizes, hidden_activation="sigmoid", seed=0):
     ]
     output = DenseLayer(layers[-1], np.zeros(layers[-1].shape[0]), Activation("linear"))
     return MlpModel(hidden, output)
+
+
+# A stack holds as many members as keep its largest per-step array (a
+# weight matrix or a gathered batch) near this many floats. Stacking tiny
+# layers (2-8-2) removes per-step interpreter overhead; for large ones
+# (784-128-10) the matmuls dominate, so stacking gains nothing and each
+# member would add its own copy of every per-step array. The
+# finite-difference oracle sizes its perturbation stacks from it too.
+STACK_FLOATS = 1 << 16
+
+
+def _stack_cap(model, batch_size):
+    """Members per stacked SGD loop (train.grid_search) for model at this
+    batch size."""
+    widths = [model.n_in] + [layer.weights.shape[0] for layer in model.layers]
+    largest = max(
+        max(layer.weights.size for layer in model.layers), batch_size * max(widths)
+    )
+    return max(1, STACK_FLOATS // largest)
 
 
 def model_params(model):

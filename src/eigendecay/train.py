@@ -11,7 +11,14 @@ import numpy as np
 from .data import kfold, split_indices
 from .grad import backward
 from .linalg import gram, power_dominant_eigen
-from .model import DenseLayer, MlpModel, forward_batch, model_params, set_model_params
+from .model import (
+    DenseLayer,
+    MlpModel,
+    _stack_cap,
+    forward_batch,
+    model_params,
+    set_model_params,
+)
 from .objectives import (
     LOSS_KINDS,
     loss_batch,
@@ -59,6 +66,8 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"epoch budget must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -412,22 +421,6 @@ class GridSearchResult:
 
 def _cell_seed(base_seed, ia, ib, fold):
     return int(np.random.SeedSequence([base_seed, ia, ib, fold]).generate_state(1)[0])
-
-
-# A stack holds as many members as keep its largest per-step array (a
-# weight matrix or a gathered batch) near this many floats. Stacking tiny
-# layers (2-8-2) removes per-step interpreter overhead; for large ones
-# (784-128-10) the matmuls dominate, so stacking gains nothing and each
-# member would add its own copy of every per-step array.
-STACK_FLOATS = 1 << 16
-
-
-def _stack_cap(model, batch_size):
-    widths = [model.n_in] + [layer.weights.shape[0] for layer in model.layers]
-    largest = max(
-        max(layer.weights.size for layer in model.layers), batch_size * max(widths)
-    )
-    return max(1, STACK_FLOATS // largest)
 
 
 def grid_search(

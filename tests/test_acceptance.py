@@ -76,6 +76,7 @@ def test_criterion_3_gradient_correctness():
         ok and covered and elapsed < 60.0,
         f"worst rel err {worst:.2e} across 50 configurations, {elapsed:.1f}s",
     )
+    assert records_hash(records) == "6e05ccbfb61f5116"
 
 
 def _rot2(scale, theta):

@@ -17,7 +17,7 @@ from eigendecay.data import (
     write_delimited,
 )
 from eigendecay.model import init_mlp, load_model, save_model
-from eigendecay.objectives import RegularizerSpec
+from eigendecay.objectives import LOSS_KINDS, RegularizerSpec
 from eigendecay.train import TrainConfig, sgd_train
 
 
@@ -495,6 +495,42 @@ def test_zero_epochs_is_config_error(tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+@pytest.mark.parametrize("layers, flags", [
+    ([2, 0, 2], []),
+    ([2, 0, 0, 2], []),
+    ([2, 3, 2], ["--seed", "-1"]),
+], ids=["zero_width", "zero_widths", "negative_seed"])
+def test_bad_model_or_seed_is_config_error(tmp_path, capsys, command, layers, flags):
+    config = {
+        "model": {"layers": layers},
+        "data": {"kind": "xor", "n": 12, "seed": 0},
+        "train": {"learning_rate": 0.1, "max_epochs": 1},
+        "grid": {"a": [0.0], "b": [0.0], "folds": 2},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+    assert rc == 1
+    assert "must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["verify", "--mode", "gradcheck"], ["verify", "--mode", "theorem1"],
+], ids=["eval", "gradcheck", "theorem1"])
+def test_zero_width_model_file_is_data_error(tmp_path, capsys, command):
+    doc = {"format": "eigendecay-model", "version": 1, "layers": [
+        {"activation": "sigmoid", "out": 0, "in": 2, "weights": [], "bias": []},
+        {"activation": "linear", "out": 2, "in": 0, "weights": [], "bias": [0.0, 0.0]},
+    ]}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    (tmp_path / "d.csv").write_text("0.1,0.2,0\n0.3,0.4,1\n")
+    rc = main([*command, "--model", str(tmp_path / "m.json"), "--data",
+               str(tmp_path / "d.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "at least one input and one output" in capsys.readouterr().err
+
+
 def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     config = {
         "model": {"layers": [2, 4, 3]},
@@ -513,16 +549,82 @@ _SMALL_INT = st.integers(-3, 5).map(str)
 _FLOAT_FLAGS = ("--sigma", "--noise")
 
 
+def _value(draw, valid, invalid=()):
+    # one draw in ten is invalid, so that most configs get past their checks
+    if invalid and draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(invalid))
+    return draw(st.sampled_from(valid))
+
+
+def _maybe(draw, into, key, valid, invalid=()):
+    # sets into[key], or leaves the key out for its default
+    if draw(st.booleans()):
+        into[key] = _value(draw, valid, invalid)
+
+
+@st.composite
+def _config(draw, command):
+    """A train or gridsearch config for a small net on a few generated
+    points for 1-2 epochs; any value may be invalid."""
+    n_hidden = _value(draw, [1, 2], [0])
+    layers = [2] + [_value(draw, [1, 3], [0]) for _ in range(n_hidden)] + [2]
+    model = {"layers": layers}
+    _maybe(draw, model, "hidden_activation", ["sigmoid", "tanh", "relu", "linear"], ["cubic"])
+    _maybe(draw, model, "seed", [0, 3], [-1, "x"])
+    data = _value(draw, [
+        {"kind": "two_gaussians", "n_per_class": 6, "sigma": 0.5},
+        {"kind": "xor", "n": 12},
+        {"kind": "two_moons", "n": 12},
+    ], [
+        {"kind": "two_gaussians", "n_per_class": 0},
+        {"kind": "xor", "n": -1},
+        {"kind": "two_moons", "n": 12, "noise": -1.0},
+        {"kind": "spiral", "n": 12},
+        {"n": 12},
+    ])
+    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x"])}
+    train["max_epochs"] = _value(draw, [1, 2], [0])
+    _maybe(draw, train, "batch_size", [1, 4], [0])
+    _maybe(draw, train, "momentum", [0.0, 0.5], [1.0])
+    _maybe(draw, train, "early_stopping",
+           [{"enabled": True, "patience": 1, "validation_fraction": 0.3}],
+           [{"enabled": True, "patience": 0}, {"validation_fraction": 1.5}])
+    entries = [
+        {"kind": _value(draw, ["none", "eigen_decay", "l1", "l2"], ["l3"]),
+         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0]),
+         "p": _value(draw, [1, 3], [0])}
+        for _ in range(len(layers) - 1 + _value(draw, [0], [-1, 1]))
+    ]
+    dropout = [_value(draw, [0.0, 0.3], [1.0]) for _ in range(n_hidden)]
+    config = {"model": model, "data": data, "train": train}
+    _maybe(draw, config, "loss", list(LOSS_KINDS), ["l0"])
+    _maybe(draw, config, "regularizers", [{"layers": entries, "dropout": dropout}])
+    if command == "gridsearch":
+        grid = {"folds": _value(draw, [2, 3], [1])}
+        for key in ("a", "b"):
+            grid[key] = [_value(draw, [0.0, 0.01], [-1.0])
+                         for _ in range(_value(draw, [1, 2], [0]))]
+        _maybe(draw, grid, "select_by", ["accuracy", "loss"], ["auc"])
+        config["grid"] = grid
+    return config
+
+
 @st.composite
 def _argv(draw):
-    """gendata or a verify suite with small, possibly invalid, integer
-    arguments and optional extra flags, --threads among them; the float
-    flags may also be nan or +-inf."""
-    mode = draw(st.sampled_from(["gendata", "eigencheck", "lemma1"]))
+    """(argv, config): gendata, a verify suite, or train or gridsearch on a
+    generated config, with small, possibly invalid, integer arguments and
+    optional extra flags, --threads among them; the float flags may also
+    be nan or +-inf. config is None, or the config that --config names."""
+    mode = draw(st.sampled_from(["gendata", "eigencheck", "lemma1", "train", "gridsearch"]))
+    config = None
     if mode == "gendata":
         kind = draw(st.sampled_from(["two_gaussians", "two_moons", "xor"]))
         argv = ["gendata", "--kind", kind, "--n", draw(_SMALL_INT)]
         optional = ["--sigma", "--noise", "--seed", "--threads"]
+    elif mode in ("train", "gridsearch"):
+        config = draw(_config(mode))
+        argv = [mode, "--config", "config.json"]
+        optional = ["--seed", "--epochs"]
     else:
         # --count always given: the default suites take seconds
         argv = ["verify", "--mode", mode, "--count", draw(_SMALL_INT)]
@@ -533,17 +635,23 @@ def _argv(draw):
             if flag in _FLOAT_FLAGS:
                 values = st.one_of(_SMALL_INT, st.sampled_from(["nan", "inf", "-inf"]))
             argv += [flag, draw(values)]
-    return argv
+    return argv, config
 
 
 @given(_argv())
-@settings(max_examples=40, deadline=None)
-def test_generated_argv_ends_in_documented_exit_code(argv):
+@settings(max_examples=80, deadline=None)
+def test_generated_argv_ends_in_documented_exit_code(case):
+    argv, config = case
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as work:
+        if config is not None:
+            path = f"{work}/config.json"
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = [path if a == "config.json" else a for a in argv]
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
-                code = main([*argv, "--out", out])
+                code = main([*argv, "--out", f"{work}/out"])
             except SystemExit as exc:
                 code = exc.code
     assert code in range(5)

@@ -1,8 +1,13 @@
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from conftest import linear_layer, max_rel_err, small_model
 
+from eigendecay import grad
 from eigendecay.data import encode_batch_pm1
 from eigendecay.grad import (
     Gradients,
@@ -12,8 +17,9 @@ from eigendecay.grad import (
     finite_diff_model_gradient,
 )
 from eigendecay.linalg import DegenerateIterateError
-from eigendecay.model import MlpModel
+from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, model_params
 from eigendecay.objectives import (
+    LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
     eigen_decay_penalty,
@@ -42,30 +48,52 @@ def _unnormalized_gradient(w, C, p):
 
 
 class TestFiniteDiffOracle:
+    # the objective takes stacked parameters and gives one value per member
     def test_quadratic(self, rng):
         w = rng.standard_normal((3, 2))
-        g = finite_diff_gradient(lambda ps: float(np.sum(ps[0] ** 2)), [w], h=1e-5)[0]
+        g = finite_diff_gradient(lambda ps: np.sum(ps[0] ** 2, axis=(1, 2)), [w], h=1e-5)[0]
         assert np.max(np.abs(g - 2 * w)) < 1e-8
 
     def test_constant(self):
         w = np.ones((2, 2))
-        g = finite_diff_gradient(lambda ps: 3.5, [w], h=1e-5)[0]
+        g = finite_diff_gradient(lambda ps: np.full(len(ps[0]), 3.5), [w], h=1e-5)[0]
         assert np.array_equal(g, np.zeros((2, 2)))
 
     def test_single_entry_linear(self):
         w = np.zeros((2, 2))
-        g = finite_diff_gradient(lambda ps: float(ps[0][0, 0]), [w], h=1e-5)[0]
+        g = finite_diff_gradient(lambda ps: ps[0][:, 0, 0], [w], h=1e-5)[0]
         np.testing.assert_allclose(g, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            finite_diff_gradient(lambda ps: 0.0, [np.zeros(2)], h=0.0)
+            finite_diff_gradient(lambda ps: np.zeros(len(ps[0])), [np.zeros(2)], h=0.0)
 
     def test_restores_parameters(self, rng):
         w = rng.standard_normal((2, 2))
         before = w.copy()
-        finite_diff_gradient(lambda ps: float(np.sum(ps[0])), [w], h=1e-4)
+        finite_diff_gradient(lambda ps: np.sum(ps[0], axis=(1, 2)), [w], h=1e-4)
         assert np.array_equal(w, before)
+
+    def test_members_in_parameter_entry_sign_order(self):
+        # one member per call: each call sees the next perturbation in order
+        a, b = np.array([1.0, 2.0]), np.array([[3.0]])
+        seen = []
+
+        def objective(ps):
+            seen.extend(zip(ps[0].tolist(), ps[1][:, 0, 0].tolist()))
+            return np.zeros(len(ps[0]))
+
+        finite_diff_gradient(objective, [a, b], h=0.5, member_floats=grad.STACK_FLOATS)
+        assert seen == [
+            ([1.5, 2.0], 3.0), ([0.5, 2.0], 3.0),
+            ([1.0, 2.5], 3.0), ([1.0, 1.5], 3.0),
+            ([1.0, 2.0], 3.5), ([1.0, 2.0], 2.5),
+        ]
+
+
+def _penalty_values(C, p):
+    # eigen_decay_penalty on each member of a stack
+    return lambda ps: [eigen_decay_penalty(w, C, p) for w in ps[0]]
 
 
 class TestEigenDecayGradient:
@@ -78,9 +106,7 @@ class TestEigenDecayGradient:
         # approximately C at (0,0) and negligible elsewhere
         C = 0.8
         g = eigen_decay_gradient(np.diag([2.0, 1.0]), C, 9)
-        fd = finite_diff_gradient(
-            lambda ps: eigen_decay_penalty(ps[0], C, 9), [np.diag([2.0, 1.0])], h=1e-6
-        )[0]
+        fd = finite_diff_gradient(_penalty_values(C, 9), [np.diag([2.0, 1.0])], h=1e-6)[0]
         # absolute term covers the structurally-zero entries, where central
         # differences only deliver roundoff noise
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-9)
@@ -94,9 +120,7 @@ class TestEigenDecayGradient:
         n, C = 3, 0.5
         g = eigen_decay_gradient(1.7 * np.eye(n), C, 9)
         np.testing.assert_allclose(g, np.full((n, n), C / n), rtol=1e-12)
-        fd = finite_diff_gradient(
-            lambda ps: eigen_decay_penalty(ps[0], C, 9), [1.7 * np.eye(n)], h=1e-6
-        )[0]
+        fd = finite_diff_gradient(_penalty_values(C, 9), [1.7 * np.eye(n)], h=1e-6)[0]
         assert max_rel_err(g, fd) <= 1e-4
 
     def test_matches_finite_differences_random(self, rng):
@@ -105,9 +129,7 @@ class TestEigenDecayGradient:
             C = float(rng.uniform(0.05, 1.0))
             p = int(rng.choice([1, 3, 9]))
             g = eigen_decay_gradient(w, C, p)
-            fd = finite_diff_gradient(
-                lambda ps: eigen_decay_penalty(ps[0], C, p), [w], h=1e-6
-            )[0]
+            fd = finite_diff_gradient(_penalty_values(C, p), [w], h=1e-6)[0]
             assert max_rel_err(g, fd) <= 1e-4
 
     def test_normalize_toggle_agrees(self, rng):
@@ -236,3 +258,190 @@ class TestBackward:
             layer.bias -= 0.1 * db
         after = total_objective(model, X, Y, "mse", reg).total
         assert after < before
+
+
+def _reference_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_masks=None):
+    """The per-perturbation oracle the stacked one replaced, frozen: one
+    2-D total_objective call per +h and per -h perturbation, entries
+    perturbed in place and restored."""
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    params = model_params(model)
+    grads = []
+    for arr in params:
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gf = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = total_objective(model, X, Y, loss_kind, reg, dropout_masks).total
+            flat[i] = orig - h
+            fm = total_objective(model, X, Y, loss_kind, reg, dropout_masks).total
+            flat[i] = orig
+            gf[i] = (fp - fm) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
+def _outcome(fn, *args):
+    # the gradient's bits, or the type and text of what the call raised
+    try:
+        return [np.ascontiguousarray(g).view(np.int64) for g in fn(*args)]
+    except Exception as exc:  # whatever the reference raises, the oracle must too
+        return (type(exc), str(exc))
+
+
+def _assert_same_as_reference(model, X, Y, loss_kind, reg, h=1e-5, masks=None):
+    before = [p.copy() for p in model_params(model)]
+    got = _outcome(lambda *a: finite_diff_model_gradient(*a).as_list(),
+                   model, X, Y, loss_kind, reg, h, masks)
+    # the stacked oracle leaves the model as it was, even when it raises;
+    # the reference left its failing perturbation in place, so it gets a copy
+    for p, q in zip(model_params(model), before):
+        np.testing.assert_array_equal(p.view(np.int64), q.view(np.int64))
+    want = _outcome(_reference_model_gradient, copy.deepcopy(model), X, Y, loss_kind,
+                    reg, h, masks)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    return want
+
+
+_PENALTIES = st.sampled_from([
+    LayerPenalty(),
+    LayerPenalty("l1", 0.07),
+    LayerPenalty("l2", 0.3),
+    LayerPenalty("eigen_decay", 0.2, 3),
+    LayerPenalty("eigen_decay", 0.05, 9),
+    LayerPenalty("eigen_decay", 0.0, 9),
+    LayerPenalty("l1", 0.0),
+])
+
+
+@st.composite
+def _oracle_cases(draw):
+    n_hidden = draw(st.integers(1, 2))
+    dims = [draw(st.integers(1, 4)) for _ in range(n_hidden + 2)]
+    activation = draw(st.sampled_from(["sigmoid", "tanh", "relu", "linear"]))
+    model = init_mlp(dims, activation, seed=draw(st.integers(0, 1000)))
+    zero = draw(st.sampled_from([None] + list(range(n_hidden + 1))))
+    if zero is not None:
+        model.layers[zero].weights[...] = 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    for layer in model.layers:
+        layer.bias[...] = rng.standard_normal(layer.bias.shape)
+    batch = draw(st.integers(1, 4))
+    X = rng.standard_normal((batch, dims[0]))
+    Y = encode_batch_pm1(rng.integers(0, dims[-1], size=batch), dims[-1])
+    dropout = draw(st.booleans())
+    reg = RegularizerSpec(
+        tuple(draw(_PENALTIES) for _ in range(n_hidden + 1)),
+        (0.25,) * n_hidden if dropout else (0.0,) * n_hidden,
+    )
+    masks = sample_dropout_masks(reg.dropout, model.hidden_dims, batch, rng)
+    return model, X, Y, draw(st.sampled_from(LOSS_KINDS)), reg, masks
+
+
+class TestStackedOracleBits:
+    """finite_diff_model_gradient against the frozen per-perturbation loop:
+    the same bits, or the same first error."""
+
+    @given(_oracle_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_small_models(self, case):
+        _assert_same_as_reference(*case[:5], masks=case[5])
+
+    def test_perturbations_span_several_chunks(self, rng, monkeypatch):
+        # 1,570 members of 1,025 floats each: about 64 per chunk
+        model = small_model(dims=(20, 30, 5), activation="tanh", seed=3)
+        X = rng.standard_normal((8, 20))
+        Y = encode_batch_pm1(rng.integers(0, 5, size=8), 5)
+        reg = RegularizerSpec(
+            (LayerPenalty("eigen_decay", 0.1, 9), LayerPenalty("l2", 0.01)), (0.2,))
+        masks = sample_dropout_masks(reg.dropout, model.hidden_dims, 8, rng)
+        chunks = []
+        stacked_calls = grad.total_objective
+
+        def spy(model, X, *args, **kwargs):
+            if X.ndim == 3:
+                chunks.append(model.output.weights.shape[0])
+            return stacked_calls(model, X, *args, **kwargs)
+
+        monkeypatch.setattr(grad, "total_objective", spy)
+        _assert_same_as_reference(model, X, Y, "categorical_cross_entropy", reg, masks=masks)
+        assert len(chunks) > 20 and sum(chunks) == 2 * 785
+
+    # W W^T = [[1, -1], [-1, 1]] sends the all-ones start to zero; any
+    # weight perturbation moves it out of the kernel, any other does not
+    KERNEL = [[1.0, 0.0], [-1.0, 0.0]]
+    # entries whose gram overflows, for every perturbation
+    HUGE = [[1e160, 2e160], [3e160, -1e160]]
+
+    @pytest.mark.parametrize("hidden, output, error", [
+        # the first bias perturbation is the first to raise
+        (KERNEL, None, DegenerateIterateError),
+        # the first perturbation raises in the output layer only, the last
+        # one in both: the first perturbation's error is raised
+        (KERNEL, HUGE, ValueError),
+        # every perturbation raises in both layers: the first layer's error
+        (HUGE, KERNEL, ValueError),
+    ], ids=["kernel_start", "first_perturbation", "first_layer"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raises_the_first_error(self, rng, hidden, output, error):
+        out = rng.standard_normal((2, 2)) if output is None else np.array(output)
+        model = MlpModel([DenseLayer(np.array(hidden), np.zeros(2), Activation("tanh"))],
+                         linear_layer(out))
+        X = rng.standard_normal((3, 2))
+        Y = encode_batch_pm1(np.array([0, 1, 1]), 2)
+        reg = RegularizerSpec(
+            (LayerPenalty("eigen_decay", 0.5),
+             LayerPenalty("l1" if output is None else "eigen_decay", 0.1)), (0.0,))
+        want = _assert_same_as_reference(model, X, Y, "mse", reg)
+        assert want[0] is error
+
+    def test_zero_penalties_ignore_failed_iterates(self, rng):
+        # C == 0 on the kernel start, and C > 0 on the zero matrix, whose
+        # iterations both fail, give 0 and raise nothing
+        model = MlpModel([DenseLayer(np.array(self.KERNEL), np.zeros(2), Activation("tanh"))],
+                         linear_layer(np.zeros((2, 2))))
+        X = rng.standard_normal((3, 2))
+        Y = encode_batch_pm1(np.array([0, 1, 1]), 2)
+        reg = RegularizerSpec(
+            (LayerPenalty("eigen_decay", 0.0), LayerPenalty("eigen_decay", 0.3)), (0.0,))
+        want = _assert_same_as_reference(model, X, Y, "mse", reg)
+        assert not isinstance(want, tuple)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_parameters(self, rng, value):
+        # no check rejects them; a penalized layer raises, others give nan
+        model = small_model(dims=(2, 3, 2), seed=5)
+        X = rng.standard_normal((3, 2))
+        Y = encode_batch_pm1(np.array([0, 1, 1]), 2)
+        model.output.bias[1] = value
+        for kinds in (("eigen_decay", "none"), ("l2", "l1")):
+            reg = RegularizerSpec(tuple(LayerPenalty(k, 0.1) for k in kinds), (0.0,))
+            _assert_same_as_reference(model, X, Y, "mse", reg)
+        model.hidden[0].weights[0, 0] = value
+        for kinds in (("none", "l1"), ("eigen_decay", "l1"), ("l2", "eigen_decay")):
+            reg = RegularizerSpec(tuple(LayerPenalty(k, 0.1) for k in kinds), (0.0,))
+            _assert_same_as_reference(model, X, Y, "mse", reg)
+
+    def test_input_errors_keep_their_text(self, rng):
+        model = small_model(dims=(2, 3, 2), seed=5)
+        Y = encode_batch_pm1(np.array([0, 1]), 2)
+        reg = RegularizerSpec((LayerPenalty("l1", 0.1), LayerPenalty()), (0.0,))
+        bad_masks = [np.ones((3, 3))]
+        for X, loss, r, masks, h in (
+            (rng.standard_normal((2, 5)), "mse", reg, None, 1e-5),
+            (rng.standard_normal((2, 2)), "mse", reg, bad_masks, 1e-5),
+            (rng.standard_normal((2, 2)), "nope", reg, None, 1e-5),
+            (rng.standard_normal((2, 2)), "mse", RegularizerSpec.none(3, 1), None, 1e-5),
+            (rng.standard_normal((0, 2)), "mse", reg, None, 1e-5),
+            (rng.standard_normal((2, 5)), "mse", reg, None, 0.0),
+        ):
+            want = _assert_same_as_reference(model, X, Y, loss, r, h, masks)
+            assert isinstance(want, tuple)

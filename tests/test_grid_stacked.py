@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigendecay import train
+from eigendecay import model as model_module, train
 from eigendecay.cli import main
 from eigendecay.data import Dataset, gen_two_gaussians, kfold
 from eigendecay.model import init_mlp, save_model
@@ -253,7 +253,7 @@ class TestStackSize:
     def test_capped_stacks_match_per_member_training(self, monkeypatch, stacks):
         # 2-6-2 at batch 16: the largest per-step array is the 16 x 6 batch
         # of hidden activations, so this budget stacks three members
-        monkeypatch.setattr(train, "STACK_FLOATS", 3 * 16 * 6)
+        monkeypatch.setattr(model_module, "STACK_FLOATS", 3 * 16 * 6)
         ds = _odd_blobs()
         cfg = TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=4, seed=4)
         args = (ds, _sigmoid_builder, "mse", [0.0, 1.0, 3.0], [0.0, 4e-3], 5, cfg,
@@ -266,7 +266,7 @@ class TestStackSize:
     def test_a_settled_divergence_stops_the_search(self, monkeypatch, stacks):
         # the first cell diverges in its own stack, so the later cells
         # never train
-        monkeypatch.setattr(train, "STACK_FLOATS", 3 * 16 * 6)
+        monkeypatch.setattr(model_module, "STACK_FLOATS", 3 * 16 * 6)
         ds = _blobs(40, seed=7)
         cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=8, seed=3)
 
