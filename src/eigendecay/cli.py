@@ -77,13 +77,19 @@ class CheckError(RuntimeError):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"config path is a directory: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    for key in ("model", "data", "train", "regularizers", "grid"):
+        if not isinstance(config.get(key, {}), (dict, type(None))):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+    return config
 
 
 def _build_dataset(spec):
@@ -186,6 +192,8 @@ def _build_regularizers(spec, n_layers, n_hidden):
 def _build_train_config(spec, seed_override=None, epochs_override=None):
     spec = dict(spec or {})
     es_spec = spec.get("early_stopping") or {}
+    if not isinstance(es_spec, dict):
+        raise ConfigError("config section 'early_stopping' must be a JSON object")
     try:
         es = EarlyStopping(
             enabled=es_spec.get("enabled", False),
@@ -332,6 +340,9 @@ def cmd_gridsearch(args):
     grid = config.get("grid") or {}
     grid_a = grid.get("a", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
     grid_b = grid.get("b", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
+    for key, axis in (("a", grid_a), ("b", grid_b)):
+        if not isinstance(axis, list):
+            raise ConfigError(f"grid axis {key!r} must be a list of coefficients")
     folds = grid.get("folds", 5)
     select_by = grid.get("select_by", "accuracy")
     tcfg = _build_train_config(config.get("train"), args.seed, args.epochs)

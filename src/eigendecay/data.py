@@ -3,6 +3,7 @@ generators, +/-1 one-hot encoding, and deterministic splits."""
 
 from dataclasses import dataclass
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -248,6 +249,8 @@ def split(dataset, fraction, seed):
 def kfold(dataset, folds, seed):
     """Deterministic fold assignment: a seeded permutation chopped into
     `folds` nearly equal parts (sizes differ by at most one)."""
+    if not isinstance(folds, numbers.Integral):
+        raise ValueError(f"the fold count must be an integer, got {folds!r}")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     n = len(dataset)

@@ -13,13 +13,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import (
-    ITERATE_OVERFLOW,
-    NONFINITE_MATRIX,
-    DegenerateIterateError,
-    gram,
-    power_dominant_eigen,
-)
+from .linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError, gram
 from .model import STACK_FLOATS, MlpModel, forward_batch, model_params
 from .objectives import RegularizerSpec, loss_gradient_batch, total_objective
 
@@ -327,45 +321,17 @@ def _with_params(model, params):
     return MlpModel(layers[:-1], layers[-1])
 
 
-def _penalty_lambdas(reg, stacks):
-    """(lambdas, errors) for a stack of perturbed parameters: each member's
-    power-method estimate per eigen-decay layer, and {member: the first
-    error, in layer order, that total_objective raises on it}.
-
-    Layers with kind none or C == 0 have penalty 0 and raise nothing; a zero
-    W has penalty 0 without the iteration, which cannot start there; any
-    other penalized layer raises for weights that are not finite.
-    """
-    R = len(stacks[0])
-    lambdas = np.zeros((R, len(reg.layers)))
-    errors = {}
-    for k, entry in enumerate(reg.layers):
-        if entry.kind == "none" or entry.c == 0.0:
-            continue
-        w = stacks[2 * k]
-        if entry.kind == "eigen_decay":
-            est = power_dominant_eigen(gram(w, check=False), entry.p)
-            lambdas[:, k] = est.lambda_dom
-            nonzero = w.any(axis=(1, 2))
-            failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
-        else:
-            bad = ~np.isfinite(w).all(axis=(1, 2))
-            failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(bad).tolist()}
-        for r, exc in failed.items():
-            errors.setdefault(r, exc)
-    return lambdas, errors
-
-
 def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_masks=None):
     """Finite-difference gradient of the total objective, shaped like
     backward()'s result.
 
     Each chunk of perturbations (see finite_diff_gradient) is one stacked
-    model: one forward pass and loss over broadcast views of the batch and
-    masks, and one power iteration per eigen-decay layer. Each member's
-    value has the bits of total_objective on that perturbation. Where
-    total_objective raises for some perturbation, this raises the error of
-    the first such perturbation.
+    total_objective call: one forward pass and loss over broadcast views of
+    the batch and masks, and one power iteration per layer and step count
+    (objectives.penalty_lambdas). Each member's value has the bits of
+    total_objective on that perturbation. Where total_objective raises for
+    some perturbation, this raises the error of the first such
+    perturbation.
     """
     _check_step(h)
     X = np.asarray(X, dtype=float)
@@ -383,13 +349,9 @@ def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_mask
 
     def objective(stacks):
         R = len(stacks[0])
-        lambdas, errors = _penalty_lambdas(reg, stacks)
-        if errors:
-            raise errors[min(errors)]
-        values = total_objective(
-            _with_params(model, stacks), X[None],
-            np.broadcast_to(Y, (R, n, model.n_out)), loss_kind, [reg] * R, masks,
-            lambdas=[tuple(row) for row in lambdas.tolist()])
+        values = total_objective(_with_params(model, stacks), X[None],
+                                 np.broadcast_to(Y, (R, n, model.n_out)), loss_kind,
+                                 [reg] * R, masks)
         return [v.total for v in values]
 
     flat = finite_diff_gradient(objective, params, h, member_floats=n * max(widths))

@@ -8,10 +8,11 @@ so the whole term stays differentiable in the weights.
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
-from .linalg import as_matrix, gram, power_dominant_eigen
+from .linalg import gram, power_dominant_eigen
 from .model import forward_batch
 
 LOSS_KINDS = (
@@ -118,31 +119,19 @@ def eigen_decay_penalty(w, C, p=9, *, lambda_dom=None):
 
     The zero matrix has dominant eigenvalue 0 and is handled directly; the
     power iteration itself cannot start there. lambda_dom, when given, is
-    that estimate already computed for these weights and p.
+    that estimate already computed (penalty_lambdas); a 2-D call without it
+    raises where the iteration fails. A stack (R, m, n), with C and
+    lambda_dom per member, gives an (R,) array with the 2-D call's bits.
     """
-    if C < 0:
+    cs = np.asarray(C, dtype=float)
+    if np.any(cs < 0):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
-    if C == 0.0:
-        return 0.0
-    w = as_matrix(w)
-    if not np.any(w):
-        return 0.0
+    w = np.asarray(w, dtype=float)
+    live = (cs != 0.0) & w.any(axis=(-2, -1))
     if lambda_dom is None:
-        lambda_dom = power_dominant_eigen(gram(w), p).lambda_dom
-    return C * math.sqrt(max(lambda_dom, 0.0))
-
-
-def l1_penalty(w, c):
-    if c < 0:
-        raise ValueError(f"penalty coefficient must be >= 0, got {c}")
-    return c * float(np.sum(np.abs(as_matrix(w))))
-
-
-def l2_penalty(w, c):
-    if c < 0:
-        raise ValueError(f"penalty coefficient must be >= 0, got {c}")
-    w = as_matrix(w)
-    return c * float(np.sum(w * w))
+        lambda_dom = power_dominant_eigen(gram(w), p).lambda_dom if live.any() else 0.0
+    value = np.where(live, cs * np.sqrt(np.maximum(lambda_dom, 0.0)), 0.0)
+    return value if w.ndim == 3 else float(value)
 
 
 def sample_dropout_masks(rates, hidden_dims, batch_size, rng):
@@ -175,19 +164,12 @@ class LayerPenalty:
             raise ValueError(
                 f"unknown penalty kind {self.kind!r}; pick one of {PENALTY_KINDS}"
             )
-        if self.c < 0:
-            raise ValueError(f"penalty coefficient must be >= 0, got {self.c}")
+        if not isinstance(self.c, numbers.Real) or not 0.0 <= self.c < math.inf:
+            raise ValueError(f"penalty coefficient must be finite and >= 0, got {self.c!r}")
+        if not isinstance(self.p, numbers.Integral):
+            raise ValueError(f"power-method step count must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"power-method step count must be >= 1, got {self.p}")
-
-    def value(self, w, *, lambda_dom=None):
-        if self.kind == "none" or self.c == 0.0:
-            return 0.0
-        if self.kind == "eigen_decay":
-            return eigen_decay_penalty(w, self.c, self.p, lambda_dom=lambda_dom)
-        if self.kind == "l1":
-            return l1_penalty(w, self.c)
-        return l2_penalty(w, self.c)
 
 
 @dataclass(frozen=True)
@@ -238,29 +220,78 @@ class ObjectiveValue:
     total: float
 
 
+def penalty_lambdas(weights, regs):
+    """(lambdas, failed) for one (R, out, in) weight stack per layer and
+    one RegularizerSpec per member.
+
+    lambdas (R, layers) comes from one stacked power iteration per layer
+    and step count: the entry's p for eigen decay, 9 otherwise. A zero W
+    gets 0, as the iteration cannot start there; a failed iteration, nan.
+    failed maps each member to the first error in layer order that its
+    penalty values raise: kind none and C == 0 raise nothing, eigen decay
+    raises where the iteration on a nonzero W fails, l1 and l2 where W is
+    not finite.
+    """
+    R = len(regs)
+    lambdas = np.zeros((R, len(weights)))
+    failed = {}
+    for k, w in enumerate(weights):
+        entries = [reg.layers[k] for reg in regs]
+        groups = {}
+        for r, entry in enumerate(entries):
+            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
+        for p, idx in groups.items():
+            wk = w if len(idx) == R else w[idx]
+            est = power_dominant_eigen(gram(wk, check=False), p)
+            nonzero = wk.any(axis=(1, 2))
+            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
+            for i, exc in est.failed.items():
+                entry = entries[idx[i]]
+                if entry.kind == "none" or entry.c == 0.0 or not nonzero[i]:
+                    continue
+                # a W that is not finite fails with NONFINITE_MATRIX
+                if entry.kind == "eigen_decay" or not np.isfinite(wk[i]).all():
+                    failed.setdefault(idx[i], exc)
+    return lambdas, failed
+
+
 def penalties(model, reg, *, lambdas=None):
-    """Per-layer penalty values; lambdas, when given, holds each layer's
-    power-method estimate for the eigen-decay value to reuse.
+    """Per-layer penalty values. lambdas, when given, is penalty_lambdas'
+    estimate for members it reports no failure for; without it, it is
+    computed here and the first failing member's error is raised.
 
     A stacked model (see model.DenseLayer) takes reg as one RegularizerSpec
-    per member, each already checked against the model, and lambdas as one
-    tuple per member, and gives one tuple of values per member.
+    per member, each already checked against the model, and lambdas as an
+    (R, layers) array, and gives one tuple of values per member. The 2-D
+    call is the stack of one.
     """
     stacked = model.output.weights.ndim == 3
     if not stacked:
         reg.check_against(model)
     regs = list(reg) if stacked else [reg]
-    if lambdas is None:
-        lambdas = [(None,) * len(model.layers)] * len(regs)
-    elif not stacked:
-        lambdas = [lambdas]
     weights = [layer.weights if stacked else layer.weights[None] for layer in model.layers]
-    out = []
-    for r, spec in enumerate(regs):
-        out.append(tuple(
-            entry.value(w[r], lambda_dom=lam)
-            for entry, w, lam in zip(spec.layers, weights, lambdas[r])
-        ))
+    if lambdas is None:
+        lambdas, failed = penalty_lambdas(weights, regs)
+        if failed:
+            raise failed[min(failed)]
+    lambdas = np.reshape(lambdas, (len(regs), len(weights)))
+    values = np.zeros(lambdas.shape)
+    for k, w in enumerate(weights):
+        kinds = {}
+        for r, spec in enumerate(regs):
+            entry = spec.layers[k]
+            if entry.kind != "none" and entry.c != 0.0:
+                kinds.setdefault(entry.kind, []).append(r)
+        for kind, idx in kinds.items():
+            c = np.array([regs[r].layers[k].c for r in idx], dtype=float)
+            wk = w if len(idx) == len(w) else w[idx]
+            if kind == "eigen_decay":
+                values[idx, k] = eigen_decay_penalty(wk, c, lambda_dom=lambdas[idx, k])
+            elif kind == "l1":
+                values[idx, k] = c * abs(wk).sum(axis=(1, 2))
+            else:
+                values[idx, k] = c * (wk * wk).sum(axis=(1, 2))
+    out = [tuple(row) for row in values.tolist()]
     return out if stacked else out[0]
 
 

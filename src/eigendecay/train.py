@@ -5,12 +5,12 @@ the two regularization constants."""
 from dataclasses import dataclass, field
 import json
 import math
+import numbers
 
 import numpy as np
 
 from .data import kfold, split_indices
 from .grad import backward
-from .linalg import gram, power_dominant_eigen
 from .model import (
     DenseLayer,
     MlpModel,
@@ -22,6 +22,7 @@ from .model import (
 from .objectives import (
     LOSS_KINDS,
     loss_batch,
+    penalty_lambdas,
     sample_dropout_masks,
     total_objective,
 )
@@ -33,6 +34,14 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
+def _check_count(name, value, low):
+    # a JSON config can hold 1.5 where a count belongs
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class EarlyStopping:
     enabled: bool = False
@@ -40,8 +49,10 @@ class EarlyStopping:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.enabled and self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
+        if self.enabled or not isinstance(self.patience, numbers.Integral):
+            _check_count("patience", self.patience, 1)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation fraction must lie in (0, 1), got "
@@ -60,16 +71,15 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"epoch budget must be >= 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.learning_rate, numbers.Real) or not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate!r}")
+        _check_count("batch size", self.batch_size, 1)
+        _check_count("epoch budget", self.max_epochs, 1)
+        _check_count("seed", self.seed, 0)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 @dataclass
@@ -205,37 +215,19 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     """The epoch-end record of each member of a stack whose parameters are
     finite, or the DivergenceError that ends it.
 
-    One stacked power iteration per layer and step count gives every
-    member's lambda, which the history records and the eigen-decay penalty
-    value is derived from. A penalized layer whose iteration fails ends its
-    member, as its penalty value cannot be computed; any other layer
-    records nan. One stacked forward pass over each member's training rows,
-    and one over its validation rows, give the objective and the
-    validation loss; a member where either is not finite diverges.
+    objectives.penalty_lambdas gives every member's lambda, which the
+    history records and the eigen-decay penalty value is derived from. A
+    member whose penalty value cannot be computed ends; any other layer
+    whose iteration fails records nan. One stacked forward pass over each
+    member's training rows, and one over its validation rows, give the
+    objective and the validation loss; a member where either is not finite
+    diverges.
     """
     R = len(members)
-    regs = [m.reg for m in members]
-    lambdas = np.zeros((R, len(template.layers)))
-    errors = {}
-    for k in range(len(template.layers)):
-        groups = {}
-        for j, reg in enumerate(regs):
-            entry = reg.layers[k]
-            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(j)
-        for p, idx in groups.items():
-            w = params[2 * k] if len(idx) == R else params[2 * k][idx]
-            est = power_dominant_eigen(gram(w), p)
-            # the iteration cannot start from the zero matrix, whose lambda is 0
-            nonzero = w.any(axis=(1, 2))
-            for i, exc in est.failed.items():
-                entry = regs[idx[i]].layers[k]
-                if nonzero[i] and entry.kind == "eigen_decay" and entry.c != 0.0:
-                    errors.setdefault(idx[i], DivergenceError(
-                        epoch, f"parameters diverged during epoch {epoch}: {exc}"))
-            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
-
-    keep = [j for j in range(R) if j not in errors]
-    out = [errors.get(j) for j in range(R)]
+    lambdas, failed = penalty_lambdas(params[0::2], [m.reg for m in members])
+    out = [DivergenceError(epoch, f"parameters diverged during epoch {epoch}: {failed[j]}")
+           if j in failed else None for j in range(R)]
+    keep = [j for j in range(R) if j not in failed]
     if not keep:
         return out
     live = [members[j] for j in keep]
@@ -252,7 +244,7 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
         rows = _stack([m.rows for m in live])
         X, Y = dataset.features[rows], dataset.encoded[rows]
     objectives = total_objective(stack, X, Y, loss_kind, [m.reg for m in live],
-                                 lambdas=[tuple(lambdas[j].tolist()) for j in keep])
+                                 lambdas=lambdas[keep])
 
     val_loss = [None] * len(live)
     if live[0].val_rows is not None:

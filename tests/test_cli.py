@@ -545,6 +545,57 @@ def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+def _set(config, keys, value):
+    # config with the entry at the key path set to value; the empty path
+    # replaces the whole config
+    if not keys:
+        return value
+    entry = config
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    return config
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, keys, value", [
+    ("train", ("train", "batch_size"), 2.5),
+    ("train", ("train", "max_epochs"), 1.5),
+    ("train", ("train", "seed"), 1.5),
+    ("train", ("regularizers", "layers", 0, "p"), 2.5),
+    ("gridsearch", ("grid", "a"), ["x"]),
+    ("gridsearch", ("grid", "a"), 0.5),
+    ("train", ("train",), [0.4]),
+    ("train", ("data",), "two_gaussians"),
+    ("gridsearch", ("grid",), [0.01]),
+    ("train", (), [{"loss": "mse"}]),
+    ("train", ("regularizers", "layers", 0, "c"), NAN),
+    ("train", ("regularizers", "layers", 0, "c"), INF),
+    ("train", ("train", "learning_rate"), NAN),
+    ("train", ("train", "learning_rate"), INF),
+    ("gridsearch", ("grid", "a"), [NAN]),
+    ("gridsearch", ("grid", "folds"), 2.5),
+    ("train", ("train", "early_stopping"), {"enabled": True, "patience": 1.5}),
+    ("train", ("train", "shuffle"), "no"),
+], ids=[
+    "batch_size_fraction", "max_epochs_fraction", "seed_fraction", "p_fraction",
+    "grid_string", "grid_scalar_axis", "train_not_object", "data_not_object",
+    "grid_not_object", "config_not_object", "c_nan", "c_inf", "learning_rate_nan",
+    "learning_rate_inf", "grid_nan", "folds_fraction", "patience_fraction",
+    "shuffle_string",
+])
+def test_config_value_of_wrong_type_or_not_finite_is_config_error(
+        tmp_path, capsys, command, keys, value):
+    path, config = _two_gaussians_config(tmp_path, max_epochs=2)
+    config["grid"] = {"a": [0.0, 0.01], "b": [0.0], "folds": 2}
+    path.write_text(json.dumps(_set(config, keys, value)))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "config error")
+
+
 _SMALL_INT = st.integers(-3, 5).map(str)
 _FLOAT_FLAGS = ("--sigma", "--noise")
 
@@ -567,10 +618,10 @@ def _config(draw, command):
     """A train or gridsearch config for a small net on a few generated
     points for 1-2 epochs; any value may be invalid."""
     n_hidden = _value(draw, [1, 2], [0])
-    layers = [2] + [_value(draw, [1, 3], [0]) for _ in range(n_hidden)] + [2]
+    layers = [2] + [_value(draw, [1, 3], [0, 2.5]) for _ in range(n_hidden)] + [2]
     model = {"layers": layers}
     _maybe(draw, model, "hidden_activation", ["sigmoid", "tanh", "relu", "linear"], ["cubic"])
-    _maybe(draw, model, "seed", [0, 3], [-1, "x"])
+    _maybe(draw, model, "seed", [0, 3], [-1, "x", 2.5])
     data = _value(draw, [
         {"kind": "two_gaussians", "n_per_class": 6, "sigma": 0.5},
         {"kind": "xor", "n": 12},
@@ -582,17 +633,18 @@ def _config(draw, command):
         {"kind": "spiral", "n": 12},
         {"n": 12},
     ])
-    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x"])}
-    train["max_epochs"] = _value(draw, [1, 2], [0])
-    _maybe(draw, train, "batch_size", [1, 4], [0])
+    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x", NAN, INF])}
+    train["max_epochs"] = _value(draw, [1, 2], [0, 2.5])
+    _maybe(draw, train, "batch_size", [1, 4], [0, 2.5])
     _maybe(draw, train, "momentum", [0.0, 0.5], [1.0])
     _maybe(draw, train, "early_stopping",
            [{"enabled": True, "patience": 1, "validation_fraction": 0.3}],
-           [{"enabled": True, "patience": 0}, {"validation_fraction": 1.5}])
+           [{"enabled": True, "patience": 0}, {"enabled": True, "patience": 2.5},
+            {"validation_fraction": 1.5}])
     entries = [
         {"kind": _value(draw, ["none", "eigen_decay", "l1", "l2"], ["l3"]),
-         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0]),
-         "p": _value(draw, [1, 3], [0])}
+         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0, NAN, INF]),
+         "p": _value(draw, [1, 3], [0, 2.5])}
         for _ in range(len(layers) - 1 + _value(draw, [0], [-1, 1]))
     ]
     dropout = [_value(draw, [0.0, 0.3], [1.0]) for _ in range(n_hidden)]
@@ -600,12 +652,17 @@ def _config(draw, command):
     _maybe(draw, config, "loss", list(LOSS_KINDS), ["l0"])
     _maybe(draw, config, "regularizers", [{"layers": entries, "dropout": dropout}])
     if command == "gridsearch":
-        grid = {"folds": _value(draw, [2, 3], [1])}
+        grid = {"folds": _value(draw, [2, 3], [1, 2.5])}
         for key in ("a", "b"):
-            grid[key] = [_value(draw, [0.0, 0.01], [-1.0])
-                         for _ in range(_value(draw, [1, 2], [0]))]
+            axis = [_value(draw, [0.0, 0.01], [-1.0, NAN, INF, "x"])
+                    for _ in range(_value(draw, [1, 2], [0]))]
+            grid[key] = _value(draw, [axis], [0.01])
         _maybe(draw, grid, "select_by", ["accuracy", "loss"], ["auc"])
         config["grid"] = grid
+    # a section that is not a JSON object
+    section = _value(draw, [None], ["model", "data", "train", "regularizers", "grid"])
+    if section is not None:
+        config[section] = [1]
     return config
 
 

@@ -11,13 +11,20 @@ from eigendecay.objectives import (
     LayerPenalty,
     RegularizerSpec,
     eigen_decay_penalty,
-    l1_penalty,
-    l2_penalty,
     loss_batch,
     loss_gradient_batch,
+    penalties,
     sample_dropout_masks,
     total_objective,
 )
+
+
+def _penalty(kind, w, c):
+    """The penalty value of weights w, as the first layer of a model."""
+    w = np.asarray(w, dtype=float)
+    model = MlpModel([DenseLayer(w, np.zeros(len(w)), Activation("sigmoid"))],
+                     linear_layer(np.zeros((1, len(w)))))
+    return penalties(model, RegularizerSpec((LayerPenalty(kind, c), LayerPenalty()), (0.0,)))[0]
 
 
 def _example_loss(kind, y_hat, y_target):
@@ -144,23 +151,23 @@ class TestEigenDecayPenalty:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
         c = 0.3
-        assert l2_penalty(w, c) >= c * exact_dominant_eigen(gram(w)) - 1e-12
+        assert _penalty("l2", w, c) >= c * exact_dominant_eigen(gram(w)) - 1e-12
 
 
 class TestElementwisePenalties:
     def test_hand_values(self):
         w = np.array([[1.0, -2.0]])
-        assert l1_penalty(w, 1.0) == pytest.approx(3.0)
-        assert l2_penalty(w, 1.0) == pytest.approx(5.0)
+        assert _penalty("l1", w, 1.0) == pytest.approx(3.0)
+        assert _penalty("l2", w, 1.0) == pytest.approx(5.0)
 
     def test_zero_coefficient(self):
         w = np.array([[1.0, -2.0]])
-        assert l1_penalty(w, 0.0) == 0.0
-        assert l2_penalty(w, 0.0) == 0.0
+        assert _penalty("l1", w, 0.0) == 0.0
+        assert _penalty("l2", w, 0.0) == 0.0
 
     def test_zero_matrix(self):
-        assert l1_penalty(np.zeros((2, 2)), 1.0) == 0.0
-        assert l2_penalty(np.zeros((2, 2)), 1.0) == 0.0
+        assert _penalty("l1", np.zeros((2, 2)), 1.0) == 0.0
+        assert _penalty("l2", np.zeros((2, 2)), 1.0) == 0.0
 
 
 class TestDropout:

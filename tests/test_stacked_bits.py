@@ -2,6 +2,7 @@
 2-D call. The stacked SGD loop (train._sgd_stack) rests on this: a numpy or
 BLAS upgrade that breaks it fails here, before any output changes."""
 
+import math
 import warnings
 
 from hypothesis import given, settings
@@ -12,13 +13,27 @@ import pytest
 from eigendecay import train
 from eigendecay.data import gen_two_gaussians
 from eigendecay.grad import backward, eigen_decay_gradient
-from eigendecay.linalg import DegenerateIterateError, gram, power_dominant_eigen
-from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, model_params
+from eigendecay.linalg import (
+    NONFINITE_MATRIX,
+    DegenerateIterateError,
+    as_matrix,
+    gram,
+    power_dominant_eigen,
+)
+from eigendecay.model import (
+    Activation,
+    DenseLayer,
+    MlpModel,
+    forward_batch,
+    init_mlp,
+    model_params,
+)
 from eigendecay.objectives import (
     LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
     loss_batch,
+    penalty_lambdas,
     total_objective,
 )
 from eigendecay.train import DivergenceError, TrainConfig, sgd_train
@@ -268,28 +283,195 @@ def test_loss_batch_stack_matches_each_member(sizes, B, R, kind):
         assert_bitwise(got[:, None], [np.array([w]) for w in want])
 
 
+# A frozen copy of the per-member penalty path that objectives.penalties and
+# objectives.penalty_lambdas replaced. Once the stacked and 2-D calls ran
+# the same code, comparing them with each other proved nothing; these
+# references keep what each member's values, lambdas and errors were.
+
+def _reference_value(entry, w, lambda_dom=None):
+    """LayerPenalty.value on one member's weights, with eigen_decay_penalty,
+    l1_penalty and l2_penalty as they were."""
+    if entry.kind == "none" or entry.c == 0.0:
+        return 0.0
+    w = as_matrix(w)
+    if entry.kind == "l1":
+        return entry.c * float(np.sum(np.abs(w)))
+    if entry.kind == "l2":
+        return entry.c * float(np.sum(w * w))
+    if not np.any(w):
+        return 0.0
+    if lambda_dom is None:
+        lambda_dom = power_dominant_eigen(gram(w), entry.p).lambda_dom
+    return entry.c * math.sqrt(max(lambda_dom, 0.0))
+
+
+def _reference_objective(model, X, Y, loss_kind, reg, lambdas=None):
+    """The 2-D total_objective as (loss, *penalties, total), with the
+    penalties summed one by one onto the loss."""
+    _, _, Yhat = forward_batch(model, X)
+    total = loss = loss_batch(loss_kind, Yhat, Y)
+    pens = [_reference_value(entry, layer.weights, None if lambdas is None else lambdas[k])
+            for k, (entry, layer) in enumerate(zip(reg.layers, model.layers))]
+    for pen in pens:
+        total += pen
+    return [loss, *pens, total]
+
+
+def _reference_oracle_lambdas(reg, weights):
+    """The finite-difference oracle's (lambdas, errors) for a stack of one
+    spec: lambdas on penalized eigen-decay layers only, and each member's
+    first error in layer order."""
+    R = len(weights[0])
+    lambdas = np.zeros((R, len(reg.layers)))
+    errors = {}
+    for k, entry in enumerate(reg.layers):
+        if entry.kind == "none" or entry.c == 0.0:
+            continue
+        w = weights[k]
+        if entry.kind == "eigen_decay":
+            est = power_dominant_eigen(gram(w, check=False), entry.p)
+            lambdas[:, k] = est.lambda_dom
+            nonzero = w.any(axis=(1, 2))
+            failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
+        else:
+            bad = ~np.isfinite(w).all(axis=(1, 2))
+            failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(bad).tolist()}
+        for r, exc in failed.items():
+            errors.setdefault(r, exc)
+    return lambdas, errors
+
+
+def _reference_epoch_lambdas(weights, regs):
+    """The epoch end's lambdas and errors for finite weights: every layer's
+    lambda from one stacked iteration per step count, and the first
+    penalized eigen-decay layer whose iteration fails on a nonzero W."""
+    R = len(regs)
+    lambdas = np.zeros((R, len(weights)))
+    errors = {}
+    for k, w_all in enumerate(weights):
+        groups = {}
+        for j, reg in enumerate(regs):
+            entry = reg.layers[k]
+            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(j)
+        for p, idx in groups.items():
+            w = w_all if len(idx) == R else w_all[idx]
+            est = power_dominant_eigen(gram(w), p)
+            nonzero = w.any(axis=(1, 2))
+            for i, exc in est.failed.items():
+                entry = regs[idx[i]].layers[k]
+                if nonzero[i] and entry.kind == "eigen_decay" and entry.c != 0.0:
+                    errors.setdefault(idx[i], exc)
+            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
+    return lambdas, errors
+
+
+# every penalty kind, eigen decay at two step counts, and C == 0
+ENTRIES = [LayerPenalty(), LayerPenalty("l1", 0.001), LayerPenalty("l2", 0.002),
+           LayerPenalty("eigen_decay", 0.01, 3), LayerPenalty("eigen_decay", 0.01, 9),
+           LayerPenalty("eigen_decay", 0.0, 5), LayerPenalty("l2", 0.0)]
+
+
+def _two_layer(params, activation="sigmoid"):
+    return MlpModel([DenseLayer(params[0], params[1], Activation(activation))],
+                    DenseLayer(params[2], params[3], Activation("linear")))
+
+
+def _assert_stack_matches_reference(params, regs, X, Y):
+    weights = params[0::2]
+    lambdas, failed = penalty_lambdas(weights, regs)
+    want, errors = _reference_epoch_lambdas(weights, regs)
+    assert failed == errors == {}
+    assert_bitwise(lambdas, list(want))
+    stack = _two_layer(params)
+    for given in (None, lambdas):
+        got = total_objective(stack, X, Y, "multiclass_hinge", regs, lambdas=given)
+        assert all(type(o.total) is float for o in got)
+        members = [_reference_objective(_two_layer([p[r] for p in params]), X[r], Y[r],
+                                        "multiclass_hinge", regs[r],
+                                        None if given is None else given[r])
+                   for r in range(len(regs))]
+        assert_bitwise(np.array([[o.loss, *o.penalties, o.total] for o in got]),
+                       [np.array(m) for m in members])
+
+
 @pytest.mark.parametrize("R", STACKS)
 @pytest.mark.parametrize("sizes, B", SHAPES)
 def test_total_objective_stack_matches_each_member(sizes, B, R):
     rng = np.random.default_rng(18)
     models = [init_mlp(list(sizes), "sigmoid", seed=int(s)) for s in rng.integers(0, 99, R)]
-    params = [np.stack(p) for p in zip(*(model_params(m) for m in models))]
-    stack = MlpModel([DenseLayer(params[0], params[1], Activation("sigmoid"))],
-                     DenseLayer(params[2], params[3], Activation("linear")))
     X = rng.uniform(0.0, 1.0, (R, B, sizes[0]))
     Y = np.where(rng.random((R, B, sizes[-1])) < 0.5, -1.0, 1.0)
-    penalties = [LayerPenalty("eigen_decay", 0.01, 5), LayerPenalty("l1", 0.001),
-                 LayerPenalty("l2", 0.002), LayerPenalty()]
-    regs = [RegularizerSpec((penalties[r % 4], penalties[(r + 2) % 4]), (0.0,))
-            for r in range(R)]
-    for lambdas in (None, [(1.5, 2.5)] * R):
-        got = total_objective(stack, X, Y, "multiclass_hinge", regs, lambdas=lambdas)
-        want = [total_objective(models[r], X[r], Y[r], "multiclass_hinge", regs[r],
-                                lambdas=None if lambdas is None else lambdas[r])
+    gathered = [R - 1, 0] if R > 1 else [0]
+    for shift in range(len(ENTRIES)):
+        params = [np.stack(p) for p in zip(*(model_params(m) for m in models))]
+        if shift % 2:
+            params[0][shift % R] = 0.0  # a zero W, whose lambda is 0
+        regs = [RegularizerSpec((ENTRIES[(shift + r) % len(ENTRIES)],
+                                 ENTRIES[(shift + 2 * r + 3) % len(ENTRIES)]), (0.0,))
                 for r in range(R)]
-        assert [(o.loss, o.penalties, o.total) for o in got] == \
-            [(o.loss, o.penalties, o.total) for o in want]
-        assert all(type(o.total) is float for o in got)
+        _assert_stack_matches_reference(params, regs, X, Y)
+        _assert_stack_matches_reference([p[gathered] for p in params],
+                                        [regs[r] for r in gathered], X[gathered],
+                                        Y[gathered])
+
+
+# weights a penalty value fails on, each a member's hidden layer: not
+# finite, finite with a gram that overflows, and rows w and -w, which put
+# the all-ones start in the kernel of W W^T
+FAILING = [np.array([[0.3, -1.2], [0.7, 0.4]]), np.array([[np.nan, 1.0], [0.5, 2.0]]),
+           np.array([[np.inf, 0.0], [0.0, 0.0]]), np.full((2, 2), 1e200),
+           np.array([[1.0, 0.0], [-1.0, 0.0]])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=str)
+@pytest.mark.parametrize("output", ["healthy", "kernel"])
+def test_penalty_errors_match_the_reference(entry, output):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(0.0, 1.0, (4, 2))
+    Y = np.where(rng.random((4, 2)) < 0.5, -1.0, 1.0)
+    w_out = rng.standard_normal((2, 2))
+    out_entry = LayerPenalty("l1", 0.001)
+    if output == "kernel":
+        # a later layer that fails too: the first error in layer order wins
+        w_out, out_entry = FAILING[-1], LayerPenalty("eigen_decay", 0.5)
+    reg = RegularizerSpec((entry, out_entry), (0.0,))
+    models = []
+    for w in FAILING:
+        model = _two_layer([np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)])
+        # assigned after construction, which rejects weights that are not finite
+        model.hidden[0].weights, model.output.weights = w, w_out
+        models.append(model)
+        got = _outcome(lambda: total_objective(model, X, Y, "mse", reg))
+        want = _outcome(lambda: _reference_objective(model, X, Y, "mse", reg))
+        if want[0] == "ok":
+            o = got[1]
+            assert_bitwise(np.array([[o.loss, *o.penalties, o.total]]), [np.array(want[1])])
+        else:
+            assert got == want
+
+    # the members of one stack: each one's error, and the first one's raised
+    weights = [np.stack([m.hidden[0].weights for m in models]),
+               np.stack([m.output.weights for m in models])]
+    lambdas, failed = penalty_lambdas(weights, [reg] * len(models))
+    want_lambdas, errors = _reference_oracle_lambdas(reg, weights)
+    assert {r: (type(e), str(e)) for r, e in failed.items()} == \
+        {r: (type(e), str(e)) for r, e in errors.items()}
+    for r, model in enumerate(models):
+        assert (r in failed) == (_outcome(
+            lambda: total_objective(model, X, Y, "mse", reg))[0] == "raise")
+        for k, layer_entry in enumerate(reg.layers):
+            if layer_entry.kind == "eigen_decay" and layer_entry.c and r not in failed:
+                assert_bitwise(lambdas[r:r + 1, k:k + 1], [want_lambdas[r, k:k + 1]])
+    stack = _two_layer([np.zeros((5, 2, 2)), np.zeros((5, 2))] * 2)
+    stack.hidden[0].weights, stack.output.weights = weights
+    got = _outcome(lambda: total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5),
+                                           "mse", [reg] * 5))
+    if failed:
+        first = failed[min(failed)]
+        assert got == ("raise", type(first), str(first))
+    else:
+        assert got[0] == "ok"
 
 
 def _outcome(call):

@@ -145,13 +145,12 @@ class TestSgdTrain:
         from eigendecay import objectives, train
 
         calls = []
-        original = train.power_dominant_eigen
+        original = objectives.power_dominant_eigen
 
         def counting(m, *args, **kwargs):
             calls.append(m.shape)
             return original(m, *args, **kwargs)
 
-        monkeypatch.setattr(train, "power_dominant_eigen", counting)
         monkeypatch.setattr(objectives, "power_dominant_eigen", counting)
         ds = _blobs(9, n=40)
         model = small_model(dims=(2, 5, 2), seed=4)
