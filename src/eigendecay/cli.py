@@ -33,6 +33,7 @@ from .margin import (
     BisectionToleranceError,
     DegenerateGradientError,
     NoCrossingError,
+    NonFiniteMidpointError,
     save_margin_reports,
     verify_theorem1,
 )
@@ -280,6 +281,9 @@ def cmd_train(args):
 
 
 def _load_eval_data(args):
+    if args.limit is not None and args.limit < 1:
+        # _load_idx_pair maps only IdxFormatError, so the flag is checked here
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     if args.data:
         return _load_csv(args.data)
     if args.images and args.labels:
@@ -341,7 +345,7 @@ def cmd_gridsearch(args):
     grid_a = grid.get("a", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
     grid_b = grid.get("b", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
     for key, axis in (("a", grid_a), ("b", grid_b)):
-        if not isinstance(axis, list):
+        if not isinstance(axis, list) or any(isinstance(c, bool) for c in axis):
             raise ConfigError(f"grid axis {key!r} must be a list of coefficients")
     folds = grid.get("folds", 5)
     select_by = grid.get("select_by", "accuracy")
@@ -455,7 +459,7 @@ def cmd_verify(args):
                 args.cls,
                 anchors_per_example=args.anchors,
             )
-        except AnchorSamplingError as exc:
+        except (AnchorSamplingError, NonFiniteMidpointError) as exc:
             raise DataError(f"theorem1: {exc}") from None
         except (NoCrossingError, BisectionToleranceError, DegenerateGradientError) as exc:
             raise CheckError(f"theorem1: {exc}") from None

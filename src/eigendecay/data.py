@@ -16,6 +16,17 @@ class IdxFormatError(ValueError):
     """IDX file failed a structural check."""
 
 
+# A JSON config can hold 1.5 or true where a number belongs, and bool is
+# an int, so both checks turn it away.
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def encode_batch_pm1(targets, n_classes):
     targets = np.asarray(targets)
     out = np.full((targets.shape[0], n_classes), -1.0)
@@ -79,10 +90,13 @@ def _read_exact(path, description):
 def load_idx(images_path, labels_path, n_classes=None, limit=None):
     """Dataset from an IDX image/label file pair.
 
-    Pixels are scaled to [0, 1]; images are flattened row-major. Structural
-    problems (bad magic, truncation, count mismatch) fail before any data
-    is returned.
+    Pixels are scaled to [0, 1]; images are flattened row-major. limit,
+    when given, keeps the first limit examples and must be an integer >= 1.
+    Structural problems (bad magic, truncation, count mismatch) fail before
+    any data is returned.
     """
+    if limit is not None and (not _is_int(limit) or limit < 1):
+        raise ValueError(f"limit must be an integer >= 1, got {limit!r}")
     img = _read_exact(images_path, "images")
     if len(img) < 16:
         raise IdxFormatError(f"images file too short for its header: {images_path}")
@@ -128,23 +142,6 @@ def load_idx(images_path, labels_path, n_classes=None, limit=None):
         features = features[:limit]
         targets = targets[:limit]
     return Dataset.from_arrays(features, targets, n_classes)
-
-
-def write_idx(dataset, images_path, labels_path, rows, cols):
-    """Inverse of load_idx for [0, 1]-scaled pixel features."""
-    n = len(dataset)
-    if rows * cols != dataset.n_features:
-        raise ValueError(
-            f"rows*cols = {rows * cols} does not match feature width "
-            f"{dataset.n_features}"
-        )
-    pixels = np.round(dataset.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(dataset.targets.astype(np.uint8).tobytes())
 
 
 def load_delimited(path, sep=",", header=False, n_classes=None):
@@ -240,16 +237,10 @@ def split_indices(n, fraction, seed):
     return perm[:n_a], perm[n_a:]
 
 
-def split(dataset, fraction, seed):
-    """Shuffled two-way split; the first part gets round(fraction * n)."""
-    first, second = split_indices(len(dataset), fraction, seed)
-    return dataset.subset(first), dataset.subset(second)
-
-
 def kfold(dataset, folds, seed):
     """Deterministic fold assignment: a seeded permutation chopped into
     `folds` nearly equal parts (sizes differ by at most one)."""
-    if not isinstance(folds, numbers.Integral):
+    if not _is_int(folds):
         raise ValueError(f"the fold count must be an integer, got {folds!r}")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")

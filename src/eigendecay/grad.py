@@ -53,7 +53,7 @@ DEGENERATE_ITERATE = (
 )
 
 
-def eigen_decay_gradient(w, C, p=9, return_failed=False):
+def eigen_decay_gradient(w, C, p=9):
     """Gradient of C * sqrt(lambda_pm(W W^T)) with respect to W.
 
     lambda_pm is the Rayleigh quotient of the p-step power iterate from the
@@ -62,16 +62,15 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
     exact gradient of the estimate at finite p.
 
     W may be a stack (R, m, n) of same-shape members, with C one scalar or
-    one coefficient per member; each slice of the result has the bits of
-    the 2-D call on that member, which is the stack of one. Non-finite
-    weights raise ValueError, and an iterate that hits the zero vector
-    raises DegenerateIterateError. Where the estimate leaves float range,
-    the call raises what the penalty value raises on those weights:
-    ValueError if the gram overflows, OverflowError if an iterate does.
-    With return_failed the call returns (grad, failed) instead, where
-    failed maps each member that would raise to that error and the
-    member's gradient is zero; a 2-D W still raises ValueError on
-    non-finite entries.
+    one coefficient per member. The stack returns (grad, failed): each
+    slice of grad has the bits of the 2-D call on that member, and failed
+    maps each member whose gradient cannot be formed to its error, with a
+    zero gradient. A 2-D W is the stack of one and returns the gradient or
+    raises its error: ValueError for non-finite weights,
+    DegenerateIterateError where an iterate hits the zero vector, and,
+    where the estimate leaves float range, what the penalty value raises on
+    those weights (ValueError if the gram overflows, OverflowError if an
+    iterate does).
     """
     w = np.asarray(w, dtype=float)
     stacked = w.ndim == 3
@@ -80,7 +79,7 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
     ws = w if stacked else w[None]
     # the one finiteness scan of these weights per training step
     finite = np.isfinite(ws).all(axis=(1, 2))
-    if not finite.all() and not (stacked and return_failed):
+    if not stacked and not finite[0]:
         raise ValueError(NONFINITE_MATRIX)
     cs = np.broadcast_to(np.asarray(C, dtype=float), ws.shape[:1])
     if np.any(cs < 0):
@@ -88,13 +87,11 @@ def eigen_decay_gradient(w, C, p=9, return_failed=False):
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
     grad, failed = _eigen_decay_stack(ws, cs, p, finite)
-    if not stacked:
-        grad = grad[0]
-    if return_failed:
+    if stacked:
         return grad, failed
     if failed:
-        raise failed[min(failed)]
-    return grad
+        raise failed[0]
+    return grad[0]
 
 
 def _eigen_decay_stack(ws, cs, p, finite):
@@ -198,7 +195,7 @@ def _add_penalty_gradients(dW, model, regs, stacked):
             elif kind == "l2":
                 pg = (2.0 * c)[:, None, None] * wk
             else:
-                pg, errors = eigen_decay_gradient(wk, c, p, return_failed=True)
+                pg, errors = eigen_decay_gradient(wk, c, p)
                 for j, exc in errors.items():
                     failed.setdefault(int(idx[j]), exc)
                 if errors:

@@ -9,6 +9,9 @@ import numpy as np
 
 MAX_JACOBI_SIDE = 64
 SYMMETRY_RTOL = 1e-9
+# Jacobi sweeps stop once the off-diagonal norm is below this share of the
+# input's Frobenius norm
+JACOBI_TOL = 1e-12
 
 
 NONFINITE_MATRIX = "matrix entries must be finite"
@@ -54,26 +57,24 @@ def gram(w, *, check=True):
     return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
 
 
-def _symmetric(m, rtol):
+def _symmetric(m):
     # per matrix of an (..., n, n) array; a non-finite matrix is not
     scale = abs(m).max(axis=(-2, -1), initial=0.0)
-    tol = rtol * np.maximum(scale, 1e-300)[..., None, None]
+    tol = SYMMETRY_RTOL * np.maximum(scale, 1e-300)[..., None, None]
     return (abs(m - m.swapaxes(-1, -2)) <= tol).all(axis=(-2, -1))
 
 
-def is_symmetric(m, rtol=SYMMETRY_RTOL):
+def is_symmetric(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(_symmetric(m, rtol))
+    return bool(_symmetric(m))
 
 
 @dataclass
 class EigenEstimate:
     lambda_dom: float  # an (R,) array for a stack, nan where a member failed
-    v_dom: np.ndarray
-    iterations_used: int
-    # stack only: member -> the error the 2-D call on it raises
+    # stack only: member -> its error, which a 2-D call raises instead
     failed: dict = field(default_factory=dict)
 
 
@@ -97,23 +98,23 @@ def power_dominant_eigen(m, p=9):
     converge to a lower eigenvalue; the Rayleigh quotient still never
     exceeds the true dominant eigenvalue.
 
-    A stack (R, n, n) gives one estimate per member with the bits of the
-    2-D call on it: lambda_dom is an (R,) array and v_dom (R, n). A member
-    whose 2-D call raises is not raised for; failed maps it to that error,
-    and its lambda_dom is nan.
+    A stack (R, n, n) gives one estimate per member: lambda_dom is an (R,)
+    array, and a member that fails is not raised for; failed maps it to its
+    error, and its lambda_dom is nan. A 2-D matrix is the stack of one and
+    raises its error.
     """
     m = np.asarray(m, dtype=float)
     stacked = m.ndim == 3
-    if not stacked:
-        m = as_matrix(m)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    if not stacked and not is_symmetric(m):
-        raise ValueError(NOT_SYMMETRIC)
+    if not stacked:
+        m = m[None]
 
-    # iterates are (..., n, 1) columns: the GEMV, the max-abs and the
+    # iterates are (R, n, 1) columns: the GEMV, the max-abs and the
     # sqrt-of-dot norm of each member then have the bits of 1-D m @ v,
     # max(abs(v)) and np.linalg.norm(v). Failures are told apart after the
     # loop; numpy's warnings for them would just precede the typed error.
@@ -132,20 +133,13 @@ def power_dominant_eigen(m, p=9):
         # an earlier step failed
         den = v.swapaxes(-1, -2) @ v
         num = (m @ v).swapaxes(-1, -2) @ v
-        lam = (num / den)[..., 0, 0]
+        lam = (num / den)[:, 0, 0]
     # a zero peak makes every later iterate nan, so it is told apart here
-    zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[..., 0]
-    overflow = ~(np.isfinite(num) & np.isfinite(den))[..., 0, 0]
-    if not stacked:
-        if zero:
-            raise DegenerateIterateError(DEGENERATE_START)
-        if overflow:
-            raise OverflowError(ITERATE_OVERFLOW)
-        return EigenEstimate(float(lam), v[:, 0], p)
-
+    zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[:, 0]
+    overflow = ~(np.isfinite(num) & np.isfinite(den))[:, 0, 0]
     finite = np.isfinite(m).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
-        symmetric = _symmetric(m, SYMMETRY_RTOL)
+        symmetric = _symmetric(m)
     failed = {}
     for r in np.flatnonzero(~finite | ~symmetric | zero | overflow).tolist():
         if not finite[r]:
@@ -156,16 +150,20 @@ def power_dominant_eigen(m, p=9):
             failed[r] = DegenerateIterateError(DEGENERATE_START)
         else:
             failed[r] = OverflowError(ITERATE_OVERFLOW)
+    if not stacked:
+        if failed:
+            raise failed[0]
+        return EigenEstimate(float(lam[0]))
     if failed:
         lam[list(failed)] = math.nan
-    return EigenEstimate(lam, v[..., 0], p, failed)
+    return EigenEstimate(lam, failed)
 
 
-def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=60):
+def jacobi_eigenvalues(m, max_sweeps=60):
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol`` times
-    the Frobenius norm of the input. O(n^3) per sweep with quadratic
+    Sweeps until the off-diagonal Frobenius norm drops below JACOBI_TOL
+    times the Frobenius norm of the input. O(n^3) per sweep with quadratic
     convergence; meant for small reference computations, not bulk work.
 
     The rotations run on Python floats in row lists. Each product and sum
@@ -184,15 +182,15 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=60):
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(n)
-    # elements below this cannot push the off-norm above tol*scale
-    skip = tol * scale / (10.0 * n)
+    # elements below this cannot push the off-norm above JACOBI_TOL*scale
+    skip = JACOBI_TOL * scale / (10.0 * n)
     rows = a.tolist()
     # every pivot (k, l) in cyclic order, with its two rows
     plan = [(k, l, rows[k], rows[l]) for k in range(n - 1) for l in range(k + 1, n)]
     for _ in range(max_sweeps):
         a = np.array(rows)
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             return np.diag(a).copy()
         for k, l, row_k, row_l in plan:
             akl = row_k[l]
@@ -231,16 +229,12 @@ def exact_dominant_eigen(m):
 
     Reference path for verification; input side capped at MAX_JACOBI_SIDE.
     Intended for positive-semidefinite inputs, where the largest eigenvalue
-    is the dominant one.
+    is the dominant one. jacobi_eigenvalues checks the input.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_JACOBI_SIDE:
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2 and m.shape[0] > MAX_JACOBI_SIDE:
         raise ValueError(
             f"side {m.shape[0]} exceeds the reference-solver cap of "
             f"{MAX_JACOBI_SIDE}"
         )
-    if not is_symmetric(m):
-        raise ValueError("exact_dominant_eigen needs a symmetric matrix")
     return float(np.max(jacobi_eigenvalues(m)))

@@ -33,6 +33,11 @@ class NoCrossingError(ValueError):
     """Segment endpoints put the class output on the same side."""
 
 
+class NonFiniteMidpointError(ValueError):
+    """A bisection midpoint left float range: endpoint features near the
+    float maximum overflow when summed."""
+
+
 class BisectionToleranceError(RuntimeError):
     """Bisection exhausted its step budget above the residual tolerance."""
 
@@ -86,9 +91,9 @@ def _class_output(model, x, l):
     return float((model.output.weights @ y + model.output.bias)[l])
 
 
-def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
+def find_surface_point(model, x_a, x_b, l):
     """Bisect the segment [x_a, x_b] until the class-l output magnitude
-    drops below tol."""
+    drops below BISECTION_TOL."""
     x_a = as_vector(x_a)
     x_b = as_vector(x_b)
     for x in (x_a, x_b):
@@ -107,29 +112,27 @@ def find_surface_point(model, x_a, x_b, l, tol=BISECTION_TOL):
     for _ in range(BISECTION_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if not np.isfinite(mid).all():
-            raise ValueError("vector entries must be finite")
+            raise NonFiniteMidpointError("bisection midpoint entries must be finite")
         fm = _class_output(model, mid, l)
-        if abs(fm) < tol:
+        if abs(fm) < BISECTION_TOL:
             return SurfacePoint(mid, l, abs(fm))
         if (fm > 0) == (fa > 0):
             lo = mid
         else:
             hi = mid
     raise BisectionToleranceError(
-        f"bisection did not reach |output| < {tol:g} in "
+        f"bisection did not reach |output| < {BISECTION_TOL:g} in "
         f"{BISECTION_MAX_STEPS} steps"
     )
 
 
-def signed_distance(model, x_i, surface_point, l, *, trace=None):
+def signed_distance(model, x_i, surface_point, l, *, trace):
     """First-order signed distance from x_i to the surface point, using the
     output gradient evaluated at the surface point. Negative values mean
     x_i sits on the negative side of the class-l output.
 
-    trace, when given, is forward(model, surface_point.point)."""
+    trace is forward(model, surface_point.point)."""
     x_i = as_vector(x_i)
-    if trace is None:
-        trace = forward(model, surface_point.point)
     g = input_gradient(model, trace, l)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
@@ -162,20 +165,16 @@ def layer_lambda_dom(model):
     return [exact_dominant_eigen(gram(layer.weights)) for layer in model.hidden]
 
 
-def bound_ingredients(model, surface_point, l, *, trace=None, lambda_dom=None):
+def bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
     """Per-layer factors of the margin bound, evaluated at a surface point.
 
     Gamma_k is the diagonal of activation derivatives at the layer's
     pre-activation; omega transposed equals the output-row input gradient;
-    the eigenvalues come from the exact solver. trace, when given, is
-    forward(model, surface_point.point); lambda_dom, when given, is
+    the eigenvalues come from the exact solver. trace is
+    forward(model, surface_point.point) and lambda_dom is
     layer_lambda_dom(model).
     """
     _require_smooth(model)
-    if trace is None:
-        trace = forward(model, surface_point.point)
-    if lambda_dom is None:
-        lambda_dom = layer_lambda_dom(model)
     lambda_activ = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
@@ -186,8 +185,8 @@ def bound_ingredients(model, surface_point, l, *, trace=None, lambda_dom=None):
     return BoundIngredients(omega, lambda_activ, list(lambda_dom))
 
 
-def per_point_bound(model, x_i, surface_point, l, y_target, *, trace=None,
-                    lambda_dom=None):
+def per_point_bound(model, x_i, surface_point, l, y_target, *, trace,
+                    lambda_dom):
     """One term of the margin lower bound: the gradient numerator rescaled
     by the layer spectral norms and activation slopes instead of the true
     gradient norm. trace and lambda_dom are passed to bound_ingredients."""
@@ -212,7 +211,7 @@ def per_point_bound(model, x_i, surface_point, l, y_target, *, trace=None,
 
 
 def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_example,
-                        tol, lambda_dom):
+                        lambda_dom):
     x_i = dataset.features[i]
     target = float(dataset.encoded[i, l])
     # nearest opposite-prediction anchors, by euclidean distance
@@ -226,7 +225,7 @@ def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_examp
     order = np.argsort(dists, kind="stable")[:anchors_per_example]
     records = []
     for j in opposite[order]:
-        sp = find_surface_point(model, x_i, dataset.features[j], l, tol)
+        sp = find_surface_point(model, x_i, dataset.features[j], l)
         trace = forward(model, sp.point)
         d = signed_distance(model, x_i, sp, l, trace=trace)
         bound = per_point_bound(model, x_i, sp, l, target, trace=trace,
@@ -246,7 +245,7 @@ def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_examp
     )
 
 
-def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL):
+def verify_theorem1(model, dataset, l, anchors_per_example=5):
     """Check the per-surface-point margin inequality over a labeled dataset.
 
     For every example the model classifies correctly for class l (target
@@ -276,8 +275,7 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5, tol=BISECTION_TOL)
     anchor_pool = np.arange(len(dataset))
     reports = [
         _report_for_example(
-            model, dataset, i, l, yl, anchor_pool, anchors_per_example, tol,
-            lambda_dom,
+            model, dataset, i, l, yl, anchor_pool, anchors_per_example, lambda_dom,
         )
         for i in correct
     ]

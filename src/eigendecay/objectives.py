@@ -8,10 +8,10 @@ so the whole term stays differentiable in the weights.
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
+from .data import _is_int, _is_real
 from .linalg import gram, power_dominant_eigen
 from .model import forward_batch
 
@@ -114,22 +114,19 @@ def loss_gradient_batch(kind, Yhat, Y):
     raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
-def eigen_decay_penalty(w, C, p=9, *, lambda_dom=None):
-    """C * sqrt of the power-method dominant eigenvalue of W W^T.
+def eigen_decay_penalty(w, C, lambda_dom):
+    """C * sqrt(lambda_dom), where lambda_dom is the power-method dominant
+    eigenvalue of W W^T (penalty_lambdas computes it).
 
     The zero matrix has dominant eigenvalue 0 and is handled directly; the
-    power iteration itself cannot start there. lambda_dom, when given, is
-    that estimate already computed (penalty_lambdas); a 2-D call without it
-    raises where the iteration fails. A stack (R, m, n), with C and
-    lambda_dom per member, gives an (R,) array with the 2-D call's bits.
+    power iteration itself cannot start there. A stack (R, m, n), with C
+    and lambda_dom per member, gives an (R,) array with the 2-D call's bits.
     """
     cs = np.asarray(C, dtype=float)
     if np.any(cs < 0):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     w = np.asarray(w, dtype=float)
     live = (cs != 0.0) & w.any(axis=(-2, -1))
-    if lambda_dom is None:
-        lambda_dom = power_dominant_eigen(gram(w), p).lambda_dom if live.any() else 0.0
     value = np.where(live, cs * np.sqrt(np.maximum(lambda_dom, 0.0)), 0.0)
     return value if w.ndim == 3 else float(value)
 
@@ -164,9 +161,9 @@ class LayerPenalty:
             raise ValueError(
                 f"unknown penalty kind {self.kind!r}; pick one of {PENALTY_KINDS}"
             )
-        if not isinstance(self.c, numbers.Real) or not 0.0 <= self.c < math.inf:
+        if not _is_real(self.c) or not 0.0 <= self.c < math.inf:
             raise ValueError(f"penalty coefficient must be finite and >= 0, got {self.c!r}")
-        if not isinstance(self.p, numbers.Integral):
+        if not _is_int(self.p):
             raise ValueError(f"power-method step count must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"power-method step count must be >= 1, got {self.p}")
@@ -286,7 +283,7 @@ def penalties(model, reg, *, lambdas=None):
             c = np.array([regs[r].layers[k].c for r in idx], dtype=float)
             wk = w if len(idx) == len(w) else w[idx]
             if kind == "eigen_decay":
-                values[idx, k] = eigen_decay_penalty(wk, c, lambda_dom=lambdas[idx, k])
+                values[idx, k] = eigen_decay_penalty(wk, c, lambdas[idx, k])
             elif kind == "l1":
                 values[idx, k] = c * abs(wk).sum(axis=(1, 2))
             else:

@@ -5,11 +5,10 @@ the two regularization constants."""
 from dataclasses import dataclass, field
 import json
 import math
-import numbers
 
 import numpy as np
 
-from .data import kfold, split_indices
+from .data import _is_int, _is_real, kfold, split_indices
 from .grad import backward
 from .model import (
     DenseLayer,
@@ -35,8 +34,7 @@ class DivergenceError(RuntimeError):
 
 
 def _check_count(name, value, low):
-    # a JSON config can hold 1.5 where a count belongs
-    if not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -51,9 +49,9 @@ class EarlyStopping:
     def __post_init__(self):
         if not isinstance(self.enabled, bool):
             raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
-        if self.enabled or not isinstance(self.patience, numbers.Integral):
+        if self.enabled or not _is_int(self.patience):
             _check_count("patience", self.patience, 1)
-        if not 0.0 < self.validation_fraction < 1.0:
+        if not _is_real(self.validation_fraction) or not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation fraction must lie in (0, 1), got "
                 f"{self.validation_fraction}"
@@ -71,12 +69,12 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.learning_rate, numbers.Real) or not 0 <= self.learning_rate < math.inf:
+        if not _is_real(self.learning_rate) or not 0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate!r}")
         _check_count("batch size", self.batch_size, 1)
         _check_count("epoch budget", self.max_epochs, 1)
         _check_count("seed", self.seed, 0)
-        if not 0.0 <= self.momentum < 1.0:
+        if not _is_real(self.momentum) or not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
@@ -469,19 +467,21 @@ def grid_search(
             if all(pos > first for stack in pending.values() for pos, _ in stack):
                 raise failures[first]
 
+    # every cell's spec is built first, so a bad grid value fails before
+    # any cell trains
+    specs = [reg_builder(c_a, c_b) for c_a in grid_a for c_b in grid_b]
     pos = 0
-    for ia, c_a in enumerate(grid_a):
-        for ib, c_b in enumerate(grid_b):
-            reg = reg_builder(c_a, c_b)
-            for f in range(n_folds):
-                model = model_builder(_cell_seed(config.seed, ia, ib, f))
-                m = _member(model, dataset, train_rows[f], loss_kind, reg, config)
-                key = m.stack_key(dataset)
-                pending.setdefault(key, []).append((pos, m))
-                if len(pending[key]) == _stack_cap(model, config.batch_size):
-                    train(pending.pop(key))
-                    raise_settled()
-                pos += 1
+    for cell, reg in enumerate(specs):
+        ia, ib = divmod(cell, len(grid_b))
+        for f in range(n_folds):
+            model = model_builder(_cell_seed(config.seed, ia, ib, f))
+            m = _member(model, dataset, train_rows[f], loss_kind, reg, config)
+            key = m.stack_key(dataset)
+            pending.setdefault(key, []).append((pos, m))
+            if len(pending[key]) == _stack_cap(model, config.batch_size):
+                train(pending.pop(key))
+                raise_settled()
+            pos += 1
     while pending:
         train(pending.pop(next(iter(pending))))
         raise_settled()

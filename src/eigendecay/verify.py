@@ -32,6 +32,10 @@ FD_NOISE_FLOOR = 1e-10
 # an all-ones start nearly orthogonal to the dominant eigenvector stalls
 # the iteration; the fidelity suite keeps a modest guaranteed overlap
 OVERLAP_FLOOR = 0.1
+# the fidelity suite's largest second/first eigenvalue ratio
+GAP_RATIO = 0.5
+# rows of the seeded batch model_gradient_check differentiates on
+MODEL_CHECK_BATCH = 4
 
 
 def _fd_max_rel_err(analytic, numeric, objective_scale):
@@ -45,19 +49,19 @@ def _fd_max_rel_err(analytic, numeric, objective_scale):
     return worst
 
 
-def random_gapped_psd(rng, n, gap_ratio=0.5, overlap_floor=OVERLAP_FLOOR):
+def random_gapped_psd(rng, n):
     """Random PSD matrix with second/first eigenvalue ratio at most
-    gap_ratio and dominant eigenvector overlapping the all-ones direction
-    by at least overlap_floor (cosine)."""
+    GAP_RATIO and dominant eigenvector overlapping the all-ones direction
+    by at least OVERLAP_FLOOR (cosine)."""
     ones = np.ones(n) / np.sqrt(n)
     while True:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         if q[:, 0] @ ones < 0:
             q[:, 0] = -q[:, 0]
-        if q[:, 0] @ ones >= overlap_floor:
+        if q[:, 0] @ ones >= OVERLAP_FLOOR:
             break
     lam1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    rest = rng.uniform(0.0, gap_ratio * lam1, size=n - 1)
+    rest = rng.uniform(0.0, GAP_RATIO * lam1, size=n - 1)
     vals = np.concatenate([[lam1], rest])
     a = (q * vals) @ q.T
     return np.tril(a) + np.tril(a, -1).T
@@ -153,13 +157,12 @@ def _hinge_clearance(model, X, Y):
     return float(np.min(np.abs(1.0 - Y * Yhat)))
 
 
-def gradient_check_suite(
-    count=50, seed=0, h=1e-5, tol=GRAD_CHECK_TOL, with_dropout_cases=True
-):
+def gradient_check_suite(count=50, seed=0, h=1e-5, tol=GRAD_CHECK_TOL):
     """Analytic gradients vs central differences on random small models.
 
     Cycles through 1-3 hidden layers, sigmoid/tanh activations, every loss
-    kind, and none/eigenvalue/l1/l2 penalties. Per-component relative error
+    kind, and none/eigenvalue/l1/l2 penalties; every tenth case trains with
+    dropout at a fixed mask. Per-component relative error
     uses max(|a|, |b|, 1e-8) in the denominator. Hinge configurations are
     resampled until every output sits at least 1e-3 away from the hinge
     kink, where the loss is not differentiable.
@@ -189,7 +192,7 @@ def gradient_check_suite(
                 X = rng.standard_normal((batch, dims[0]))
 
         masks = None
-        if with_dropout_cases and i % 10 == 9:
+        if i % 10 == 9:
             reg = RegularizerSpec(reg.layers, dropout=(0.3,) * n_hidden)
             masks = sample_dropout_masks(
                 reg.dropout, model.hidden_dims, batch, rng
@@ -214,12 +217,12 @@ def gradient_check_suite(
     return records, all(r["ok"] for r in records)
 
 
-def model_gradient_check(model, seed=0, h=1e-5, tol=GRAD_CHECK_TOL, batch=4):
+def model_gradient_check(model, seed=0):
     """Gradient check for one concrete model: compares backward() with the
     finite-difference oracle under each penalty kind on a seeded batch."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((batch, model.n_in))
-    targets = rng.integers(0, model.n_out, size=batch)
+    X = rng.standard_normal((MODEL_CHECK_BATCH, model.n_in))
+    targets = rng.integers(0, model.n_out, size=MODEL_CHECK_BATCH)
     Y = encode_batch_pm1(targets, model.n_out)
     n_layers = len(model.layers)
     records = []
@@ -230,10 +233,10 @@ def model_gradient_check(model, seed=0, h=1e-5, tol=GRAD_CHECK_TOL, batch=4):
             entries = tuple(LayerPenalty(kind, 0.05) for _ in range(n_layers))
         reg = RegularizerSpec(entries, dropout=(0.0,) * len(model.hidden))
         analytic = backward(model, X, Y, "mse", reg)
-        numeric = finite_diff_model_gradient(model, X, Y, "mse", reg, h)
+        numeric = finite_diff_model_gradient(model, X, Y, "mse", reg)
         scale = total_objective(model, X, Y, "mse", reg).total
         max_rel = _fd_max_rel_err(analytic.as_list(), numeric.as_list(), scale)
         records.append(
-            {"penalty": kind, "max_rel_err": max_rel, "ok": bool(max_rel <= tol)}
+            {"penalty": kind, "max_rel_err": max_rel, "ok": bool(max_rel <= GRAD_CHECK_TOL)}
         )
     return records, all(r["ok"] for r in records)

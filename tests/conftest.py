@@ -1,8 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from eigendecay.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from eigendecay.model import Activation, DenseLayer, init_mlp
 
 
@@ -27,6 +29,20 @@ def small_model(dims=(2, 3, 2), activation="sigmoid", seed=0):
 def rotation(n, scale, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return scale * q
+
+
+def write_idx(dataset, images_path, labels_path, rows, cols):
+    """An IDX image/label file pair that load_idx reads back as dataset,
+    for [0, 1]-scaled pixel features on the 8-bit grid."""
+    n = len(dataset)
+    assert rows * cols == dataset.n_features
+    pixels = np.round(dataset.features * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
+        fh.write(pixels.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
+        fh.write(dataset.targets.astype(np.uint8).tobytes())
 
 
 def mnist_paths():

@@ -4,12 +4,17 @@ import io
 import json
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx
+
+from eigendecay import train
 from eigendecay.cli import main
 from eigendecay.data import (
+    Dataset,
     gen_two_gaussians,
     gen_two_moons,
     gen_xor,
@@ -391,6 +396,22 @@ class TestVerifyCommand:
         assert rc == 4
         _assert_one_line_error(capsys, "bisection")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_theorem1_overflowing_midpoint_is_data_error(self, tmp_path, capsys):
+        # the class-0 output reads x2 only, so the two rows lie on either
+        # side of the surface, and the first midpoint's x1 overflows
+        from eigendecay.model import Activation, DenseLayer, MlpModel
+
+        model = MlpModel(
+            [DenseLayer(np.array([[0.0, 1.0], [0.0, -1.0]]), np.zeros(2),
+                        Activation("sigmoid"))],
+            DenseLayer(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2),
+                       Activation("linear")),
+        )
+        rc = self._theorem1(tmp_path, model, [[1e308, 1.0], [1e308, -1.0]], [0, 1])
+        assert rc == 2
+        _assert_one_line_error(capsys, "data error: theorem1: bisection midpoint")
+
     @pytest.mark.parametrize("mode", ["eigencheck", "lemma1"])
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_config_error(self, tmp_path, capsys, mode, count):
@@ -429,6 +450,43 @@ class TestVerifyCommand:
         assert any(json.loads(l).get("index") == 1 for l in lines[1:-1])
 
 
+def _idx_model_pair(work):
+    """A 2-3-2 model file and a ten-row IDX pair it fits, whose first row is
+    class 1, so that every limit >= 1 keeps both classes."""
+    ds = Dataset.from_arrays(np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1)),
+                             np.tile([1, 0], 5), n_classes=2)
+    write_idx(ds, f"{work}/images.idx", f"{work}/labels.idx", 1, 2)
+    save_model(init_mlp([2, 3, 2], "sigmoid", seed=0), f"{work}/model.json")
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize("command", [["eval"], ["verify", "--mode", "theorem1"]],
+                         ids=["eval", "verify"])
+def test_limit_below_one_is_config_error(tmp_path, capsys, command, limit):
+    # --limit -1 used to score all rows but the last, and 0 to report
+    # "0 classes" as a data error
+    _idx_model_pair(tmp_path)
+    rc = main([*command, "--model", str(tmp_path / "model.json"),
+               "--images", str(tmp_path / "images.idx"),
+               "--labels", str(tmp_path / "labels.idx"), "--limit", limit,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "--limit")
+
+
+@pytest.mark.parametrize("limit", [0, -1, True])
+def test_idx_config_limit_below_one_is_config_error(tmp_path, capsys, limit):
+    _idx_model_pair(tmp_path)
+    path, config = _two_gaussians_config(tmp_path, max_epochs=1)
+    config["model"]["layers"] = [2, 3, 2]
+    config["data"] = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                      "labels": str(tmp_path / "labels.idx"), "limit": limit}
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "limit must be an integer >= 1")
+
+
 class TestGridsearchCommand:
     def test_single_cell_echoes_selection(self, tmp_path, capsys):
         config = {
@@ -448,6 +506,21 @@ class TestGridsearchCommand:
         tail = json.loads(lines[-1])
         assert tail["selected_c_a"] == 0.01
         assert tail["selected_c_b"] == 0.0
+
+    def test_bad_late_grid_value_fails_before_any_training(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # one member per stack, so a cell trains as soon as it is built
+        def trained(*args):
+            raise AssertionError("a grid cell trained")
+
+        monkeypatch.setattr(train, "_stack_cap", lambda model, batch_size: 1)
+        monkeypatch.setattr(train, "_sgd_stack", trained)
+        path, config = _two_gaussians_config(tmp_path, max_epochs=2)
+        config["grid"] = {"a": [0.0, 0.01, "x"], "b": [0.0], "folds": 2}
+        path.write_text(json.dumps(config))
+        rc = main(["gridsearch", "--config", str(path), "--out", str(tmp_path / "g")])
+        assert rc == 1
+        _assert_one_line_error(capsys, "config error")
 
 
 @pytest.mark.parametrize("command", [
@@ -579,12 +652,25 @@ NAN, INF = float("nan"), float("inf")
     ("gridsearch", ("grid", "folds"), 2.5),
     ("train", ("train", "early_stopping"), {"enabled": True, "patience": 1.5}),
     ("train", ("train", "shuffle"), "no"),
+    ("train", ("train", "batch_size"), True),
+    ("train", ("train", "max_epochs"), True),
+    ("train", ("train", "seed"), False),
+    ("train", ("train", "learning_rate"), True),
+    ("train", ("train", "momentum"), False),
+    ("train", ("train", "early_stopping"), {"enabled": True, "patience": True}),
+    ("train", ("regularizers", "layers", 0, "c"), True),
+    ("train", ("regularizers", "layers", 0, "p"), True),
+    ("gridsearch", ("grid", "folds"), True),
+    ("gridsearch", ("grid", "a"), [0.0, True]),
+    ("gridsearch", ("grid", "b"), [False]),
 ], ids=[
     "batch_size_fraction", "max_epochs_fraction", "seed_fraction", "p_fraction",
     "grid_string", "grid_scalar_axis", "train_not_object", "data_not_object",
     "grid_not_object", "config_not_object", "c_nan", "c_inf", "learning_rate_nan",
     "learning_rate_inf", "grid_nan", "folds_fraction", "patience_fraction",
-    "shuffle_string",
+    "shuffle_string", "batch_size_true", "max_epochs_true", "seed_false",
+    "learning_rate_true", "momentum_false", "patience_true", "c_true", "p_true",
+    "folds_true", "grid_true", "grid_false",
 ])
 def test_config_value_of_wrong_type_or_not_finite_is_config_error(
         tmp_path, capsys, command, keys, value):
@@ -633,18 +719,18 @@ def _config(draw, command):
         {"kind": "spiral", "n": 12},
         {"n": 12},
     ])
-    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x", NAN, INF])}
-    train["max_epochs"] = _value(draw, [1, 2], [0, 2.5])
-    _maybe(draw, train, "batch_size", [1, 4], [0, 2.5])
-    _maybe(draw, train, "momentum", [0.0, 0.5], [1.0])
+    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x", NAN, INF, True])}
+    train["max_epochs"] = _value(draw, [1, 2], [0, 2.5, True])
+    _maybe(draw, train, "batch_size", [1, 4], [0, 2.5, True])
+    _maybe(draw, train, "momentum", [0.0, 0.5], [1.0, False])
     _maybe(draw, train, "early_stopping",
            [{"enabled": True, "patience": 1, "validation_fraction": 0.3}],
            [{"enabled": True, "patience": 0}, {"enabled": True, "patience": 2.5},
-            {"validation_fraction": 1.5}])
+            {"enabled": True, "patience": True}, {"validation_fraction": 1.5}])
     entries = [
         {"kind": _value(draw, ["none", "eigen_decay", "l1", "l2"], ["l3"]),
-         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0, NAN, INF]),
-         "p": _value(draw, [1, 3], [0, 2.5])}
+         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0, NAN, INF, True]),
+         "p": _value(draw, [1, 3], [0, 2.5, True])}
         for _ in range(len(layers) - 1 + _value(draw, [0], [-1, 1]))
     ]
     dropout = [_value(draw, [0.0, 0.3], [1.0]) for _ in range(n_hidden)]
@@ -652,9 +738,9 @@ def _config(draw, command):
     _maybe(draw, config, "loss", list(LOSS_KINDS), ["l0"])
     _maybe(draw, config, "regularizers", [{"layers": entries, "dropout": dropout}])
     if command == "gridsearch":
-        grid = {"folds": _value(draw, [2, 3], [1, 2.5])}
+        grid = {"folds": _value(draw, [2, 3], [1, 2.5, True])}
         for key in ("a", "b"):
-            axis = [_value(draw, [0.0, 0.01], [-1.0, NAN, INF, "x"])
+            axis = [_value(draw, [0.0, 0.01], [-1.0, NAN, INF, "x", True])
                     for _ in range(_value(draw, [1, 2], [0]))]
             grid[key] = _value(draw, [axis], [0.01])
         _maybe(draw, grid, "select_by", ["accuracy", "loss"], ["auc"])
@@ -668,13 +754,19 @@ def _config(draw, command):
 
 @st.composite
 def _argv(draw):
-    """(argv, config): gendata, a verify suite, or train or gridsearch on a
+    """(argv, config): gendata, a verify suite, eval of a saved model on an
+    IDX pair (_idx_model_pair) with --limit, or train or gridsearch on a
     generated config, with small, possibly invalid, integer arguments and
     optional extra flags, --threads among them; the float flags may also
     be nan or +-inf. config is None, or the config that --config names."""
-    mode = draw(st.sampled_from(["gendata", "eigencheck", "lemma1", "train", "gridsearch"]))
+    mode = draw(st.sampled_from(
+        ["gendata", "eigencheck", "lemma1", "train", "gridsearch", "eval"]))
     config = None
-    if mode == "gendata":
+    if mode == "eval":
+        argv = ["eval", "--model", "model.json", "--images", "images.idx",
+                "--labels", "labels.idx", "--limit", draw(_SMALL_INT)]
+        optional = []
+    elif mode == "gendata":
         kind = draw(st.sampled_from(["two_gaussians", "two_moons", "xor"]))
         argv = ["gendata", "--kind", kind, "--n", draw(_SMALL_INT)]
         optional = ["--sigma", "--noise", "--seed", "--threads"]
@@ -706,6 +798,9 @@ def test_generated_argv_ends_in_documented_exit_code(case):
             with open(path, "w") as fh:
                 json.dump(config, fh)
             argv = [path if a == "config.json" else a for a in argv]
+        if argv[0] == "eval":
+            _idx_model_pair(work)
+            argv = [f"{work}/{a}" if a.endswith((".json", ".idx")) else a for a in argv]
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = main([*argv, "--out", f"{work}/out"])
@@ -713,3 +808,6 @@ def test_generated_argv_ends_in_documented_exit_code(case):
                 code = exc.code
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "eval":
+        # every other argument is valid: the model fits the data
+        assert code == (1 if int(argv[argv.index("--limit") + 1]) < 1 else 0)

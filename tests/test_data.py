@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx
+
 from eigendecay.data import (
     Dataset,
     IdxFormatError,
@@ -15,9 +17,8 @@ from eigendecay.data import (
     kfold,
     load_delimited,
     load_idx,
-    split,
+    split_indices,
     write_delimited,
-    write_idx,
 )
 
 
@@ -118,6 +119,13 @@ class TestIdx:
         ds = load_idx(images_path, labels_path, n_classes=3, limit=4)
         assert len(ds) == 4
 
+    @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
+    def test_limit_below_one_or_not_an_integer_rejected(self, tmp_path, limit):
+        # a negative limit used to drop rows from the end, and 0 to empty the set
+        images_path, labels_path, _, _ = _synthetic_idx(tmp_path)
+        with pytest.raises(ValueError, match="limit must be an integer >= 1"):
+            load_idx(images_path, labels_path, n_classes=3, limit=limit)
+
 
 class TestDelimited:
     def test_round_trip(self, tmp_path):
@@ -192,14 +200,12 @@ class TestGenerators:
 
 class TestSplits:
     def test_split_sizes(self):
-        ds = gen_xor(10, seed=0)
-        a, b = split(ds, 0.8, seed=1)
+        a, b = split_indices(10, 0.8, seed=1)
         assert len(a) == 8 and len(b) == 2
 
     def test_split_rejects_empty_side(self):
-        ds = gen_xor(3, seed=0)
         with pytest.raises(ValueError):
-            split(ds, 0.01, seed=1)
+            split_indices(3, 0.01, seed=1)
 
     def test_kfold_even_sizes(self):
         ds = gen_xor(10, seed=0)
@@ -220,7 +226,7 @@ class TestSplits:
     @settings(max_examples=30, deadline=None)
     def test_split_preserves_examples(self, fraction, seed):
         ds = gen_xor(20, seed=3)
-        a, b = split(ds, fraction, seed=seed)
+        a, b = (ds.subset(rows) for rows in split_indices(len(ds), fraction, seed=seed))
         combined = np.vstack([a.features, b.features])
         assert sorted(map(tuple, combined)) == sorted(map(tuple, ds.features))
 

@@ -23,6 +23,7 @@ from eigendecay.objectives import (
     LayerPenalty,
     RegularizerSpec,
     eigen_decay_penalty,
+    penalty_lambdas,
     sample_dropout_masks,
     total_objective,
 )
@@ -92,8 +93,21 @@ class TestFiniteDiffOracle:
 
 
 def _penalty_values(C, p):
-    # eigen_decay_penalty on each member of a stack
-    return lambda ps: [eigen_decay_penalty(w, C, p) for w in ps[0]]
+    """The eigen-decay penalty value of each member of a stack of W, with
+    its lambda from penalty_lambdas; raises the first member's error, as
+    objectives.penalties does."""
+    reg = RegularizerSpec((LayerPenalty("eigen_decay", C, p),))
+
+    def values(ps):
+        lambdas, failed = penalty_lambdas([ps[0]], [reg] * len(ps[0]))
+        if failed:
+            raise failed[min(failed)]
+        return eigen_decay_penalty(ps[0], [C] * len(ps[0]), lambdas[:, 0])
+    return values
+
+
+def _penalty_value(w, C, p):
+    return _penalty_values(C, p)([np.asarray(w, dtype=float)[None]])[0]
 
 
 class TestEigenDecayGradient:
@@ -143,7 +157,7 @@ class TestEigenDecayGradient:
         # matches the penalty value, which is 0 there
         for shape in ((2, 2), (3, 5)):
             w = np.zeros(shape)
-            assert eigen_decay_penalty(w, 0.5, 9) == 0.0
+            assert _penalty_value(w, 0.5, 9) == 0.0
             g = eigen_decay_gradient(w, 0.5, 9)
             assert np.array_equal(g, np.zeros(shape))
 
@@ -151,7 +165,7 @@ class TestEigenDecayGradient:
         # W W^T = [[1, -1], [-1, 1]] sends the all-ones start to zero
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateIterateError):
-            eigen_decay_penalty(w, 0.5, 9)
+            _penalty_value(w, 0.5, 9)
         with pytest.raises(DegenerateIterateError):
             eigen_decay_gradient(w, 0.5, 9)
 

@@ -98,7 +98,7 @@ class TestPowerDominantEigen:
     def test_identity_any_p(self):
         est = power_dominant_eigen(np.eye(3), 9)
         assert est.lambda_dom == pytest.approx(1.0, abs=0)
-        assert est.iterations_used == 9
+        assert est.failed == {}
 
     def test_exact_eigenvector_start(self):
         # (1, 1) is the dominant eigenvector of [[2,1],[1,2]], eigenvalue 3
@@ -200,6 +200,17 @@ class TestExactDominantEigen:
     def test_rejects_large_side(self):
         with pytest.raises(ValueError):
             exact_dominant_eigen(np.eye(65))
+
+    @pytest.mark.parametrize("m, message", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix entries must be finite"),
+        (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), "jacobi_eigenvalues needs a symmetric matrix"),
+        (np.eye(65), "side 65 exceeds the reference-solver cap of 64"),
+    ], ids=["non_finite", "non_square", "asymmetric", "wide"])
+    def test_errors_checked_once_with_their_texts(self, m, message):
+        with pytest.raises(ValueError) as info:
+            exact_dominant_eigen(m)
+        assert str(info.value) == message
 
     def test_matches_numpy_on_random_symmetric(self, rng):
         for _ in range(20):

@@ -11,10 +11,12 @@ from eigendecay.margin import (
     DegenerateGradientError,
     MarginReport,
     NoCrossingError,
+    NonFiniteMidpointError,
     PointRecord,
     SurfacePoint,
     bound_ingredients,
     find_surface_point,
+    layer_lambda_dom,
     per_point_bound,
     report_to_dict,
     save_margin_reports,
@@ -32,6 +34,23 @@ def _projector_model():
     return MlpModel([linear_layer(np.eye(2))], linear_layer(np.eye(2)))
 
 
+# The per-point calls with the forward pass at the surface point and the
+# layer eigenvalues that verify_theorem1 hands them, computed for each call
+
+def _distance(model, x_i, sp, l):
+    return signed_distance(model, x_i, sp, l, trace=forward(model, sp.point))
+
+
+def _ingredients(model, sp, l):
+    return bound_ingredients(model, sp, l, trace=forward(model, sp.point),
+                             lambda_dom=layer_lambda_dom(model))
+
+
+def _bound(model, x_i, sp, l, y_target):
+    return per_point_bound(model, x_i, sp, l, y_target, trace=forward(model, sp.point),
+                           lambda_dom=layer_lambda_dom(model))
+
+
 class TestFindSurfacePoint:
     def test_linear_root(self):
         model = _projector_model()
@@ -47,8 +66,9 @@ class TestFindSurfacePoint:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_midpoint_rejected(self):
         model = _projector_model()
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFiniteMidpointError, match="finite"):
             find_surface_point(model, np.array([-1.0, 1e308]), np.array([1.0, 1e308]), 0)
+        assert issubclass(NonFiniteMidpointError, ValueError)
 
     def test_same_sign_endpoints_rejected(self):
         model = _projector_model()
@@ -70,17 +90,17 @@ class TestSignedDistance:
     def test_distance_to_hyperplane(self):
         model = _projector_model()
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert signed_distance(model, np.array([0.5, 0.0]), sp, 0) == pytest.approx(0.5)
+        assert _distance(model, np.array([0.5, 0.0]), sp, 0) == pytest.approx(0.5)
 
     def test_point_on_surface(self):
         model = _projector_model()
         sp = SurfacePoint(np.array([0.0, 0.3]), 0, 0.0)
-        assert signed_distance(model, np.array([0.0, 0.3]), sp, 0) == 0.0
+        assert _distance(model, np.array([0.0, 0.3]), sp, 0) == 0.0
 
     def test_negative_side(self):
         model = _projector_model()
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert signed_distance(model, np.array([-2.0, 1.0]), sp, 0) == pytest.approx(-2.0)
+        assert _distance(model, np.array([-2.0, 1.0]), sp, 0) == pytest.approx(-2.0)
 
     def test_two_hidden_linear_hand_case(self):
         # overall map yhat = 2*x1 + 1: surface at x1 = -0.5, gradient (2, 0)
@@ -89,7 +109,7 @@ class TestSignedDistance:
         model = MlpModel([h1, h2], linear_layer(np.array([[1.0, 0.0]]), np.array([1.0])))
         sp = find_surface_point(model, np.array([0.0, 0.0]), np.array([-1.0, 0.0]), 0)
         assert sp.point[0] == pytest.approx(-0.5, abs=1e-10)
-        assert signed_distance(model, np.array([0.0, 0.0]), sp, 0) == pytest.approx(0.5)
+        assert _distance(model, np.array([0.0, 0.0]), sp, 0) == pytest.approx(0.5)
 
     def test_invariant_under_output_row_rescaling(self):
         ds = gen_two_gaussians(40, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.4, seed=3)
@@ -99,9 +119,9 @@ class TestSignedDistance:
         x = ds.features[ds.targets == 0][0]
         anchor = ds.features[ds.targets == 1][0]
         sp = find_surface_point(model, x, anchor, 0)
-        d1 = signed_distance(model, x, sp, 0)
+        d1 = _distance(model, x, sp, 0)
         model.output.weights[0] *= 7.5
-        d2 = signed_distance(model, x, sp, 0)
+        d2 = _distance(model, x, sp, 0)
         assert abs(d1 - d2) <= 1e-9 * max(1.0, abs(d1))
 
     def test_zero_gradient_raises(self):
@@ -109,14 +129,14 @@ class TestSignedDistance:
         model = MlpModel([h], linear_layer(np.ones((1, 2))))
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
         with pytest.raises(DegenerateGradientError):
-            signed_distance(model, np.array([1.0, 0.0]), sp, 0)
+            _distance(model, np.array([1.0, 0.0]), sp, 0)
 
 
 class TestBoundIngredients:
     def test_all_linear(self):
         model = _projector_model()
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        ing = bound_ingredients(model, sp, 0)
+        ing = _ingredients(model, sp, 0)
         # W = I, so omega = W^T Gamma^T = I holds exactly when every slope is 1
         np.testing.assert_array_equal(ing.omega, np.eye(2))
         assert ing.lambda_activ == [1.0]
@@ -126,7 +146,7 @@ class TestBoundIngredients:
         h = DenseLayer(np.eye(2), np.zeros(2), Activation("sigmoid"))
         model = MlpModel([h], linear_layer(np.ones((1, 2))))
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        ing = bound_ingredients(model, sp, 0)
+        ing = _ingredients(model, sp, 0)
         # W = I, so omega carries the sigmoid slopes 0.25 on its diagonal
         np.testing.assert_allclose(ing.omega, 0.25 * np.eye(2))
         assert ing.lambda_activ[0] == pytest.approx(0.0625)
@@ -135,7 +155,7 @@ class TestBoundIngredients:
         model = small_model(dims=(3, 4, 4, 2), activation="tanh", seed=31)
         point = rng.standard_normal(3)
         sp = SurfacePoint(point, 1, 0.0)
-        ing = bound_ingredients(model, sp, 1)
+        ing = _ingredients(model, sp, 1)
         from eigendecay.model import input_gradient
 
         g = input_gradient(model, forward(model, point), 1)
@@ -145,31 +165,31 @@ class TestBoundIngredients:
         model = small_model(activation="relu")
         sp = SurfacePoint(np.zeros(2), 0, 0.0)
         with pytest.raises(ValueError):
-            bound_ingredients(model, sp, 0)
+            _ingredients(model, sp, 0)
 
 
 class TestPerPointBound:
     def test_identity_hidden_bound_equals_distance(self):
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]])))
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        b = per_point_bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
+        b = _bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
         assert b == pytest.approx(0.5)
 
     def test_misclassified_bound_negative(self):
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]])))
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert per_point_bound(model, np.array([0.5, 0.0]), sp, 0, -1.0) < 0
+        assert _bound(model, np.array([0.5, 0.0]), sp, 0, -1.0) < 0
 
     def test_invariant_under_hidden_weight_scaling(self):
         # doubling W1 doubles the numerator and quadruples lambda_dom, so
         # the bound term is unchanged
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
         x = np.array([0.5, 0.0])
-        b1 = per_point_bound(
+        b1 = _bound(
             MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]]))),
             x, sp, 0, 1.0,
         )
-        b2 = per_point_bound(
+        b2 = _bound(
             MlpModel([linear_layer(2 * np.eye(2))], linear_layer(np.array([[1.0, 0.0]]))),
             x, sp, 0, 1.0,
         )
@@ -179,7 +199,7 @@ class TestPerPointBound:
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.zeros((1, 2))))
         sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
         with pytest.raises(DegenerateGradientError):
-            per_point_bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
+            _bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
 
 
 class TestVerifyTheorem1:
@@ -255,8 +275,8 @@ def _reference_reports(model, dataset, l, anchors_per_example):
         records = []
         for j in opposite[np.argsort(dists, kind="stable")[:anchors_per_example]]:
             sp = find_surface_point(model, x_i, dataset.features[j], l)
-            d = signed_distance(model, x_i, sp, l)
-            b = per_point_bound(model, x_i, sp, l, target)
+            d = _distance(model, x_i, sp, l)
+            b = _bound(model, x_i, sp, l, target)
             records.append(
                 PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
             )

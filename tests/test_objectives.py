@@ -115,21 +115,24 @@ class TestEigenDecayPenalty:
     def test_hand_value(self):
         # gram([[3,0],[0,0]]) = diag(9, 0); the ones start has overlap with
         # e1, and the iterate converges to it exactly at any p
-        assert eigen_decay_penalty([[3.0, 0.0], [0.0, 0.0]], 0.1, 9) == pytest.approx(0.3)
+        assert _penalty("eigen_decay", [[3.0, 0.0], [0.0, 0.0]], 0.1) == pytest.approx(0.3)
 
     def test_zero_coefficient(self, rng):
         w = rng.standard_normal((3, 2))
-        assert eigen_decay_penalty(w, 0.0, 9) == 0.0
+        assert _penalty("eigen_decay", w, 0.0) == 0.0
+        assert eigen_decay_penalty(w, 0.0, 4.0) == 0.0
 
     def test_identity_gram(self):
-        assert eigen_decay_penalty(np.eye(4), 0.7, 9) == pytest.approx(0.7)
+        assert _penalty("eigen_decay", np.eye(4), 0.7) == pytest.approx(0.7)
 
     def test_zero_matrix_has_zero_penalty(self):
-        assert eigen_decay_penalty(np.zeros((3, 2)), 0.5, 9) == 0.0
+        assert _penalty("eigen_decay", np.zeros((3, 2)), 0.5) == 0.0
+        # the iteration cannot start there, and its lambda is not read
+        assert eigen_decay_penalty(np.zeros((3, 2)), 0.5, np.nan) == 0.0
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            eigen_decay_penalty(np.eye(2), -0.1, 9)
+            eigen_decay_penalty(np.eye(2), -0.1, 1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 
+from conftest import write_idx
+
 from eigendecay.cli import main
-from eigendecay.data import load_idx, write_idx, Dataset
+from eigendecay.data import load_idx, Dataset
 from eigendecay.model import init_mlp
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import TrainConfig, evaluate, grid_search, sgd_train

@@ -142,7 +142,8 @@ def test_eigen_decay_gradient_stack_matches_each_member(sizes, B, R):
     for d, h in zip(sizes[:-1], sizes[1:]):
         W = _stack((h, d), R, rng)
         C = rng.uniform(0.001, 0.1, R)
-        stacked = eigen_decay_gradient(W, C, 9)
+        stacked, failed = eigen_decay_gradient(W, C, 9)
+        assert failed == {}
         assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r], 9) for r in range(R)])
 
 
@@ -153,7 +154,8 @@ def test_eigen_decay_gradient_stack_zeroes_dead_members():
     W[3] *= 1e-9  # lambda ~ 1e-18, below the gradient floor
     C = np.array([0.5, 0.5, 0.0, 0.5])
     with pytest.warns(RuntimeWarning, match="below"):
-        stacked = eigen_decay_gradient(W, C)
+        stacked, failed = eigen_decay_gradient(W, C)
+    assert failed == {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r]) for r in range(4)])
@@ -166,7 +168,7 @@ def test_degenerate_members_are_marked_and_zeroed():
     for r in (1, 3):
         W[r, 1] = -W[r, 0]  # W W^T maps the all-ones start to zero
     W[4, 0, 1] = np.nan
-    grad, failed = eigen_decay_gradient(W, 0.5, return_failed=True)
+    grad, failed = eigen_decay_gradient(W, 0.5)
     assert sorted(failed) == [1, 3, 4]
     for r in (1, 3):
         assert isinstance(failed[r], DegenerateIterateError)
@@ -175,15 +177,14 @@ def test_degenerate_members_are_marked_and_zeroed():
     assert str(failed[4]) == "matrix entries must be finite"
     assert not np.any(grad[[1, 3, 4]])
     assert_bitwise(grad[[0, 2]], [eigen_decay_gradient(W[r], 0.5) for r in (0, 2)])
-    with pytest.raises(ValueError, match="must be finite"):
-        eigen_decay_gradient(W, 0.5)
-    with pytest.raises(DegenerateIterateError, match="zero vector"):
-        eigen_decay_gradient(W[:4], 0.5)
+    # a stack records each member's error; a 2-D call raises it
+    grad, failed = eigen_decay_gradient(W[:4], 0.5)
+    assert sorted(failed) == [1, 3] and not np.any(grad[[1, 3]])
     with pytest.raises(DegenerateIterateError, match="zero vector"):
         eigen_decay_gradient(W[1], 0.5)
     with pytest.raises(ValueError, match="must be finite"):
-        eigen_decay_gradient(W[4], 0.5, return_failed=True)
-    grad, failed = eigen_decay_gradient(W[1], 0.5, return_failed=True)
+        eigen_decay_gradient(W[4], 0.5)
+    grad, failed = eigen_decay_gradient(W[1:2], 0.5)
     assert list(failed) == [0] and not np.any(grad)
 
 
@@ -245,7 +246,7 @@ def _power_1d(m, p):
         v = m @ v
         v = v / float(np.max(np.abs(v)))
         v = v / float(np.linalg.norm(v))
-    return float((m @ v) @ v) / float(v @ v), v
+    return float((m @ v) @ v) / float(v @ v)
 
 
 @pytest.mark.parametrize("R", STACKS)
@@ -256,15 +257,13 @@ def test_power_dominant_eigen_stack_matches_each_member(sizes, B, R):
         M = gram(_stack((h, d), R, rng))
         for p in (1, 5, 9):
             est = power_dominant_eigen(M, p)
-            assert est.failed == {} and est.iterations_used == p
+            assert est.failed == {}
             want = [power_dominant_eigen(M[r], p) for r in range(R)]
             assert_bitwise(est.lambda_dom[:, None], [np.array([w.lambda_dom]) for w in want])
-            assert_bitwise(est.v_dom, [w.v_dom for w in want])
             # and the 2-D call has the bits of the 1-D iteration
             for r, w in enumerate(want):
-                lam, v = _power_1d(M[r], p)
+                lam = _power_1d(M[r], p)
                 assert_bitwise(np.array([[w.lambda_dom]]), [np.array([lam])])
-                assert_bitwise(w.v_dom[None], [v])
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -526,7 +525,7 @@ def _assert_same_eigen_outcomes(W, p):
 def _assert_same_gradient_outcomes(W, C, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grad, failed = eigen_decay_gradient(W, C, p, return_failed=True)
+        grad, failed = eigen_decay_gradient(W, C, p)
         for r in range(len(W)):
             want = _outcome(lambda: eigen_decay_gradient(W[r], C, p))
             value = _outcome(lambda: power_dominant_eigen(gram(W[r]), p).lambda_dom)

@@ -121,11 +121,12 @@ class TestSgdTrain:
         best = history.epochs[history.best_epoch].val_loss
         assert best == min(recorded)
         # the restored parameters reproduce the best recorded validation loss
-        from eigendecay.data import split
+        from eigendecay.data import split_indices
         from eigendecay.model import forward_batch
         from eigendecay.objectives import loss_batch
 
-        _, val = split(ds, 1.0 - cfg.early_stopping.validation_fraction, cfg.seed)
+        _, rows = split_indices(len(ds), 1.0 - cfg.early_stopping.validation_fraction, cfg.seed)
+        val = ds.subset(rows)
         _, _, Yhat = forward_batch(model, val.features)
         assert loss_batch("mse", Yhat, val.encoded) == pytest.approx(best, rel=1e-12)
 
