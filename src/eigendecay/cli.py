@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     IdxFormatError,
@@ -270,7 +272,10 @@ def cmd_train(args):
             f"model emits {model.n_out} outputs but the data has "
             f"{dataset.n_classes} classes"
         )
-    model, history = sgd_train(model, dataset, loss_kind, reg, tcfg)
+    try:
+        model, history = sgd_train(model, dataset, loss_kind, reg, tcfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     save_model(model, out / "model.json")
     save_history(history, out / "history.jsonl")
     _write_manifest(
@@ -285,7 +290,9 @@ def _load_eval_data(args):
         # _load_idx_pair maps only IdxFormatError, so the flag is checked here
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     if args.data:
-        return _load_csv(args.data)
+        # the first --limit rows, as load_idx keeps them
+        dataset = _load_csv(args.data)
+        return dataset.subset(np.arange(len(dataset))[: args.limit])
     if args.images and args.labels:
         return _load_idx_pair(args.images, args.labels, limit=args.limit)
     raise ConfigError("provide --data CSV or --images/--labels IDX paths")
@@ -589,7 +596,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a diverging run ends in one error line, not numpy's float warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

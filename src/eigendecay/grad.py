@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError, gram
 from .model import STACK_FLOATS, MlpModel, forward_batch, model_params
-from .objectives import RegularizerSpec, loss_gradient_batch, total_objective
+from .objectives import RegularizerSpec, _penalized, loss_gradient_batch, total_objective
 
 # below this estimated eigenvalue the sqrt gradient is treated as zero
 # rather than letting 1/sqrt blow up on a near-zero-spectrum layer
@@ -51,6 +51,11 @@ def _dot(a, b):
 DEGENERATE_ITERATE = (
     "power iterate hit the zero vector while differentiating the eigenvalue penalty"
 )
+# the iterate's squared norm passes float range for gram entries above about
+# 1e154, where the penalty value is still finite, so the next iterate is zero
+NORM_OVERFLOW = (
+    "power iterate norm overflowed while differentiating the eigenvalue penalty"
+)
 
 
 def eigen_decay_gradient(w, C, p=9):
@@ -67,7 +72,8 @@ def eigen_decay_gradient(w, C, p=9):
     maps each member whose gradient cannot be formed to its error, with a
     zero gradient. A 2-D W is the stack of one and returns the gradient or
     raises its error: ValueError for non-finite weights,
-    DegenerateIterateError where an iterate hits the zero vector, and,
+    DegenerateIterateError where an iterate hits the zero vector (or its
+    norm overflows, which zeroes the next one), and,
     where the estimate leaves float range, what the penalty value raises on
     those weights (ValueError if the gram overflows, OverflowError if an
     iterate does).
@@ -108,6 +114,7 @@ def _eigen_decay_stack(ws, cs, p, finite):
 
     # members that are not live run along and are zeroed at the end
     hit_zero = np.zeros(len(ws), dtype=bool)
+    norm_overflow = np.zeros(len(ws), dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = gram(ws, check=False)
         # forward pass, keeping each post-step iterate
@@ -118,6 +125,7 @@ def _eigen_decay_stack(ws, cs, p, finite):
             v = _mv(m, v)
             nrm = np.sqrt(_dot(v, v))
             hit_zero |= nrm == 0.0
+            norm_overflow |= nrm == np.inf
             v = v / nrm[:, None]
             norms.append(nrm)
             iterates.append(v)
@@ -160,7 +168,8 @@ def _eigen_decay_stack(ws, cs, p, finite):
         grad = np.where(keep[:, None, None], grad, 0.0)
     for r in np.flatnonzero(degenerate | overflow).tolist():
         if degenerate[r]:
-            failed[r] = DegenerateIterateError(DEGENERATE_ITERATE)
+            failed[r] = DegenerateIterateError(
+                NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
         elif np.isfinite(m[r]).all():
             failed[r] = OverflowError(ITERATE_OVERFLOW)
         else:
@@ -180,13 +189,8 @@ def _add_penalty_gradients(dW, model, regs, stacked):
     failed = {}
     for k, layer in enumerate(model.layers):
         w = layer.weights if stacked else layer.weights[None]
-        groups = {}
-        for r, reg in enumerate(regs):
-            entry = reg.layers[k]
-            if entry.kind != "none" and entry.c != 0.0:
-                groups.setdefault((entry.kind, entry.p), []).append(r)
         d = dW[k] if stacked else dW[k][None]
-        for (kind, p), members in groups.items():
+        for (kind, p), members in _penalized(regs, k).items():
             idx = np.array(members)
             c = np.array([regs[r].layers[k].c for r in members])
             wk = w if len(idx) == len(w) else w[idx]
@@ -324,10 +328,10 @@ def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_mask
 
     Each chunk of perturbations (see finite_diff_gradient) is one stacked
     total_objective call: one forward pass and loss over broadcast views of
-    the batch and masks, and one power iteration per layer and step count
-    (objectives.penalty_lambdas). Each member's value has the bits of
-    total_objective on that perturbation. Where total_objective raises for
-    some perturbation, this raises the error of the first such
+    the batch and masks, and one power iteration per penalized eigen-decay
+    layer and step count (objectives.penalties). Each member's value has
+    the bits of total_objective on that perturbation. Where total_objective
+    raises for some perturbation, this raises the error of the first such
     perturbation.
     """
     _check_step(h)
@@ -346,9 +350,11 @@ def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_mask
 
     def objective(stacks):
         R = len(stacks[0])
-        values = total_objective(_with_params(model, stacks), X[None],
-                                 np.broadcast_to(Y, (R, n, model.n_out)), loss_kind,
-                                 [reg] * R, masks)
+        values, failed = total_objective(_with_params(model, stacks), X[None],
+                                         np.broadcast_to(Y, (R, n, model.n_out)), loss_kind,
+                                         [reg] * R, masks)
+        if failed:
+            raise failed[min(failed)]
         return [v.total for v in values]
 
     flat = finite_diff_gradient(objective, params, h, member_floats=n * max(widths))

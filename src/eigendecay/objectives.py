@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .data import _is_int, _is_real
-from .linalg import gram, power_dominant_eigen
+from .linalg import NONFINITE_MATRIX, gram, power_dominant_eigen
 from .model import forward_batch
 
 LOSS_KINDS = (
@@ -116,7 +116,7 @@ def loss_gradient_batch(kind, Yhat, Y):
 
 def eigen_decay_penalty(w, C, lambda_dom):
     """C * sqrt(lambda_dom), where lambda_dom is the power-method dominant
-    eigenvalue of W W^T (penalty_lambdas computes it).
+    eigenvalue of W W^T (penalties computes it).
 
     The zero matrix has dominant eigenvalue 0 and is handled directly; the
     power iteration itself cannot start there. A stack (R, m, n), with C
@@ -215,100 +215,99 @@ class ObjectiveValue:
     loss: float
     penalties: tuple
     total: float
+    # stacked call only: per layer, the lambda the eigen-decay penalty
+    # read, nan on other layers
+    lambda_dom: tuple = None
 
 
-def penalty_lambdas(weights, regs):
-    """(lambdas, failed) for one (R, out, in) weight stack per layer and
-    one RegularizerSpec per member.
-
-    lambdas (R, layers) comes from one stacked power iteration per layer
-    and step count: the entry's p for eigen decay, 9 otherwise. A zero W
-    gets 0, as the iteration cannot start there; a failed iteration, nan.
-    failed maps each member to the first error in layer order that its
-    penalty values raise: kind none and C == 0 raise nothing, eigen decay
-    raises where the iteration on a nonzero W fails, l1 and l2 where W is
-    not finite.
-    """
-    R = len(regs)
-    lambdas = np.zeros((R, len(weights)))
-    failed = {}
-    for k, w in enumerate(weights):
-        entries = [reg.layers[k] for reg in regs]
-        groups = {}
-        for r, entry in enumerate(entries):
-            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
-        for p, idx in groups.items():
-            wk = w if len(idx) == R else w[idx]
-            est = power_dominant_eigen(gram(wk, check=False), p)
-            nonzero = wk.any(axis=(1, 2))
-            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
-            for i, exc in est.failed.items():
-                entry = entries[idx[i]]
-                if entry.kind == "none" or entry.c == 0.0 or not nonzero[i]:
-                    continue
-                # a W that is not finite fails with NONFINITE_MATRIX
-                if entry.kind == "eigen_decay" or not np.isfinite(wk[i]).all():
-                    failed.setdefault(idx[i], exc)
-    return lambdas, failed
+def _penalized(regs, k):
+    """{(kind, p): members} for the members of a stack whose layer-k entry
+    is penalized; kind none and C == 0 are not."""
+    groups = {}
+    for r, reg in enumerate(regs):
+        entry = reg.layers[k]
+        if entry.kind != "none" and entry.c != 0.0:
+            groups.setdefault((entry.kind, entry.p), []).append(r)
+    return groups
 
 
-def penalties(model, reg, *, lambdas=None):
-    """Per-layer penalty values. lambdas, when given, is penalty_lambdas'
-    estimate for members it reports no failure for; without it, it is
-    computed here and the first failing member's error is raised.
+def _lambdas(w, p):
+    """(lambda, failed) for a weight stack (R, out, in): one stacked p-step
+    power iteration on the grams. A zero W gets 0, as the iteration cannot
+    start there; failed maps each nonzero member whose iteration fails to
+    its error, and its lambda is nan."""
+    est = power_dominant_eigen(gram(w, check=False), p)
+    nonzero = w.any(axis=(1, 2))
+    failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
+    return np.where(nonzero, est.lambda_dom, 0.0), failed
+
+
+def penalties(model, reg):
+    """Per-layer penalty values.
+
+    Only penalized eigen-decay layers run the power iteration, once per
+    layer and step count for all the members that share them. Eigen decay
+    fails where the iteration on a nonzero W fails, l1 and l2 where W is not
+    finite; kind none and C == 0 never fail.
 
     A stacked model (see model.DenseLayer) takes reg as one RegularizerSpec
-    per member, each already checked against the model, and lambdas as an
-    (R, layers) array, and gives one tuple of values per member. The 2-D
-    call is the stack of one.
+    per member, each already checked against the model, and returns
+    (values, lambdas, failed): one tuple of values per member, the (R,
+    layers) array of the lambda each eigen-decay value read (nan on other
+    layers), and {member: its first error in layer order}, whose values are
+    not meaningful. The 2-D call is the stack of one; it returns the tuple
+    of values or raises its error.
     """
     stacked = model.output.weights.ndim == 3
     if not stacked:
         reg.check_against(model)
     regs = list(reg) if stacked else [reg]
-    weights = [layer.weights if stacked else layer.weights[None] for layer in model.layers]
-    if lambdas is None:
-        lambdas, failed = penalty_lambdas(weights, regs)
-        if failed:
-            raise failed[min(failed)]
-    lambdas = np.reshape(lambdas, (len(regs), len(weights)))
-    values = np.zeros(lambdas.shape)
-    for k, w in enumerate(weights):
-        kinds = {}
-        for r, spec in enumerate(regs):
-            entry = spec.layers[k]
-            if entry.kind != "none" and entry.c != 0.0:
-                kinds.setdefault(entry.kind, []).append(r)
-        for kind, idx in kinds.items():
+    R, K = len(regs), len(model.layers)
+    values = np.zeros((R, K))
+    lambdas = np.full((R, K), math.nan)
+    failed = {}
+    for k, layer in enumerate(model.layers):
+        w = layer.weights if stacked else layer.weights[None]
+        for (kind, p), idx in _penalized(regs, k).items():
             c = np.array([regs[r].layers[k].c for r in idx], dtype=float)
-            wk = w if len(idx) == len(w) else w[idx]
+            wk = w if len(idx) == R else w[idx]
             if kind == "eigen_decay":
-                values[idx, k] = eigen_decay_penalty(wk, c, lambdas[idx, k])
-            elif kind == "l1":
-                values[idx, k] = c * abs(wk).sum(axis=(1, 2))
+                lam, errors = _lambdas(wk, p)
+                lambdas[idx, k] = lam
+                values[idx, k] = eigen_decay_penalty(wk, c, lam)
             else:
-                values[idx, k] = c * (wk * wk).sum(axis=(1, 2))
+                bad = ~np.isfinite(wk).all(axis=(1, 2))
+                errors = {j: ValueError(NONFINITE_MATRIX) for j in np.flatnonzero(bad).tolist()}
+                values[idx, k] = c * (abs(wk) if kind == "l1" else wk * wk).sum(axis=(1, 2))
+            for j, exc in errors.items():
+                failed.setdefault(idx[j], exc)
     out = [tuple(row) for row in values.tolist()]
-    return out if stacked else out[0]
+    if stacked:
+        return out, lambdas, failed
+    if failed:
+        raise failed[0]
+    return out[0]
 
 
-def _objective_value(loss, pens):
+def _objective_value(loss, pens, lambdas=None):
     total = loss
     for p in pens:
         total += p
-    return ObjectiveValue(loss, pens, total)
+    return ObjectiveValue(loss, pens, total, lambdas)
 
 
-def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None, *, lambdas=None):
+def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
     """Batch-mean loss plus per-layer penalties.
 
     Pass dropout_masks (from sample_dropout_masks) to evaluate the
     stochastic training objective at a fixed mask; omitting them is
-    evaluation mode. lambdas is passed on to penalties().
+    evaluation mode. The 2-D call returns an ObjectiveValue or raises the
+    error penalties() raises.
 
-    A stacked model takes (R, n, .) batches and masks and reg and lambdas
-    as penalties() does, and gives one ObjectiveValue per member, each with
-    the bits of the 2-D call on that member.
+    A stacked model takes (R, n, .) batches and masks, and reg as
+    penalties() does, and returns (objectives, failed): one ObjectiveValue
+    per member, each with the bits of the 2-D call on that member, and
+    penalties()' {member: error} for the members whose 2-D call raises.
     """
     X = np.asarray(X, dtype=float)
     stacked = model.output.weights.ndim == 3
@@ -317,7 +316,8 @@ def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None, *, lambdas=
         raise ValueError(f"batch must be a nonempty {shape} array")
     _, _, Yhat = forward_batch(model, X, dropout_masks)
     e = loss_batch(loss_kind, Yhat, Y)
-    pens = penalties(model, reg, lambdas=lambdas)
     if not stacked:
-        return _objective_value(e, pens)
-    return [_objective_value(float(er), p) for er, p in zip(e, pens)]
+        return _objective_value(e, penalties(model, reg))
+    pens, lambdas, failed = penalties(model, reg)
+    return [_objective_value(float(er), p, tuple(lam))
+            for er, p, lam in zip(e, pens, lambdas.tolist())], failed

@@ -20,8 +20,8 @@ from .model import (
 )
 from .objectives import (
     LOSS_KINDS,
+    _lambdas,
     loss_batch,
-    penalty_lambdas,
     sample_dropout_masks,
     total_objective,
 )
@@ -213,56 +213,62 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     """The epoch-end record of each member of a stack whose parameters are
     finite, or the DivergenceError that ends it.
 
-    objectives.penalty_lambdas gives every member's lambda, which the
-    history records and the eigen-decay penalty value is derived from. A
-    member whose penalty value cannot be computed ends; any other layer
-    whose iteration fails records nan. One stacked forward pass over each
-    member's training rows, and one over its validation rows, give the
-    objective and the validation loss; a member where either is not finite
+    One stacked total_objective over each member's training rows gives the
+    objective and the lambda of each penalized eigen-decay layer; a member
+    whose penalty value cannot be computed ends. The history's other lambdas
+    take one stacked power iteration per layer and step count (the entry's
+    p for eigen decay, 9 otherwise), and one that fails records nan. One
+    stacked forward pass over each member's validation rows gives the
+    validation loss; a member where it or the objective is not finite
     diverges.
     """
-    R = len(members)
-    lambdas, failed = penalty_lambdas(params[0::2], [m.reg for m in members])
-    out = [DivergenceError(epoch, f"parameters diverged during epoch {epoch}: {failed[j]}")
-           if j in failed else None for j in range(R)]
-    keep = [j for j in range(R) if j not in failed]
-    if not keep:
-        return out
-    live = [members[j] for j in keep]
-    if len(keep) < R:
-        params = [p[keep] for p in params]
+    regs = [m.reg for m in members]
     stack = _stacked_model(template, params)
-
-    if live[0].rows is None:
+    if members[0].rows is None:
         # members that train on all rows, as sgd_train's does, read views
         # of the data, not copies
-        X, Y = (np.broadcast_to(a, (len(live),) + a.shape)
+        X, Y = (np.broadcast_to(a, (len(members),) + a.shape)
                 for a in (dataset.features, dataset.encoded))
     else:
-        rows = _stack([m.rows for m in live])
+        rows = _stack([m.rows for m in members])
         X, Y = dataset.features[rows], dataset.encoded[rows]
-    objectives = total_objective(stack, X, Y, loss_kind, [m.reg for m in live],
-                                 lambdas=lambdas[keep])
+    objectives, failed = total_objective(stack, X, Y, loss_kind, regs)
 
-    val_loss = [None] * len(live)
-    if live[0].val_rows is not None:
+    # a member that does not end has nan just where no penalty read lambda
+    lambdas = np.array([obj.lambda_dom for obj in objectives])
+    for k, w in enumerate(params[0::2]):
+        groups = {}
+        for r, reg in enumerate(regs):
+            if r not in failed and math.isnan(lambdas[r, k]):
+                entry = reg.layers[k]
+                groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
+        for p, idx in groups.items():
+            lambdas[idx, k] = _lambdas(w if len(idx) == len(regs) else w[idx], p)[0]
+
+    val_loss = [None] * len(members)
+    if members[0].val_rows is not None:
         # validation splits of one training-set size can differ by a row
         by_size = {}
-        for i, m in enumerate(live):
+        for i, m in enumerate(members):
             by_size.setdefault(len(m.val_rows), []).append(i)
         for idx in by_size.values():
-            model = stack if len(idx) == len(live) else _stacked_model(
+            model = stack if len(idx) == len(members) else _stacked_model(
                 template, [p[idx] for p in params])
-            rows = _stack([live[i].val_rows for i in idx])
+            rows = _stack([members[i].val_rows for i in idx])
             _, _, Yhat = forward_batch(model, dataset.features[rows])
             for i, loss in zip(idx, loss_batch(loss_kind, Yhat, dataset.encoded[rows])):
                 val_loss[i] = float(loss)
 
-    for j, obj, val in zip(keep, objectives, val_loss):
-        if not math.isfinite(obj.total) or (val is not None and not math.isfinite(val)):
-            out[j] = DivergenceError(epoch, f"objective diverged at epoch {epoch}: {obj.total}")
+    out = []
+    for j, (obj, val) in enumerate(zip(objectives, val_loss)):
+        if j in failed:
+            out.append(DivergenceError(
+                epoch, f"parameters diverged during epoch {epoch}: {failed[j]}"))
+        elif not math.isfinite(obj.total) or (val is not None and not math.isfinite(val)):
+            out.append(DivergenceError(
+                epoch, f"objective diverged at epoch {epoch}: {obj.total}"))
         else:
-            out[j] = EpochRecord(epoch, obj.total, obj.loss, val, tuple(lambdas[j].tolist()))
+            out.append(EpochRecord(epoch, obj.total, obj.loss, val, tuple(lambdas[j].tolist())))
     return out
 
 

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -21,7 +25,7 @@ from eigendecay.data import (
     load_delimited,
     write_delimited,
 )
-from eigendecay.model import init_mlp, load_model, save_model
+from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, load_model, save_model
 from eigendecay.objectives import LOSS_KINDS, RegularizerSpec
 from eigendecay.train import TrainConfig, sgd_train
 
@@ -616,6 +620,64 @@ def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, value, needle", [
+    (("model", "layers"), [3, 8, 2], "data has 2 features but the model expects 3"),
+    (("data", "n_per_class"), 1, "split fraction 0.9 leaves an empty side for 2 examples"),
+], ids=["feature_count", "empty_validation_split"])
+def test_training_input_error_is_config_error(tmp_path, capsys, keys, value, needle):
+    # sgd_train finds both; gridsearch maps the same errors from grid_search
+    path, config = _two_gaussians_config(tmp_path, max_epochs=2,
+                                         early_stopping={"enabled": True})
+    path.write_text(json.dumps(_set(config, keys, value)))
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"config error: {needle}")
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_divergence_prints_one_error_line(tmp_path, command):
+    # numpy's overflow warnings used to precede the error line; a separate
+    # process shows stderr as a user of the command sees it
+    path, config = _two_gaussians_config(tmp_path, learning_rate=1e300, max_epochs=3)
+    config["grid"] = {"a": [0.0, 0.01], "b": [0.0], "folds": 2}
+    path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigendecay", command, "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("training diverged: ")
+
+
+@pytest.mark.parametrize("command, report", [
+    (["eval"], "eval.jsonl"),
+    (["verify", "--mode", "theorem1", "--anchors", "2"], "margin.jsonl"),
+], ids=["eval", "verify"])
+def test_limit_keeps_the_first_csv_rows(tmp_path, command, report):
+    # the report on the first rows of a file equals the one on a file of
+    # those rows alone; a linear 2-2-2 net, where the bound is tight
+    theta = 0.4
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    lin = Activation("linear")
+    model = MlpModel([DenseLayer(1.5 * rot, np.zeros(2), lin)],
+                     DenseLayer(2.0 * rot.T, np.zeros(2), lin))
+    save_model(model, tmp_path / "m.json")
+    ds = gen_two_gaussians(30, centers=((2.0, 0.0), (-2.0, 0.0)), sigma=0.7, seed=3)
+    # the classes alternate, so that the first rows hold both
+    ds = ds.subset(np.arange(60).reshape(2, 30).T.reshape(-1))
+    write_delimited(ds, tmp_path / "all.csv")
+    write_delimited(ds.subset(range(6)), tmp_path / "first.csv")
+    for name, limit in (("all", ["--limit", "6"]), ("first", [])):
+        rc = main([*command, "--model", str(tmp_path / "m.json"),
+                   "--data", str(tmp_path / f"{name}.csv"), *limit,
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+    assert (tmp_path / "all" / report).read_bytes() == (tmp_path / "first" / report).read_bytes()
+    assert len((tmp_path / "first" / report).read_text().splitlines()) > 1
 
 
 def _set(config, keys, value):

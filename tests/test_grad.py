@@ -22,8 +22,7 @@ from eigendecay.objectives import (
     LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
-    eigen_decay_penalty,
-    penalty_lambdas,
+    penalties,
     sample_dropout_masks,
     total_objective,
 )
@@ -93,16 +92,20 @@ class TestFiniteDiffOracle:
 
 
 def _penalty_values(C, p):
-    """The eigen-decay penalty value of each member of a stack of W, with
-    its lambda from penalty_lambdas; raises the first member's error, as
-    objectives.penalties does."""
-    reg = RegularizerSpec((LayerPenalty("eigen_decay", C, p),))
+    """The eigen-decay penalty value of each member of a stack of W, from a
+    stacked objectives.penalties call on a net whose hidden layer is W;
+    raises the first member's error, as finite_diff_model_gradient does."""
+    reg = RegularizerSpec((LayerPenalty("eigen_decay", C, p), LayerPenalty()), (0.0,))
 
     def values(ps):
-        lambdas, failed = penalty_lambdas([ps[0]], [reg] * len(ps[0]))
+        R, m = ps[0].shape[:2]
+        model = MlpModel([DenseLayer(ps[0], np.zeros((R, m)), Activation("sigmoid"))],
+                         DenseLayer(np.zeros((R, 1, m)), np.zeros((R, 1)),
+                                    Activation("linear")))
+        pens, _, failed = penalties(model, [reg] * R)
         if failed:
             raise failed[min(failed)]
-        return eigen_decay_penalty(ps[0], [C] * len(ps[0]), lambdas[:, 0])
+        return [pen[0] for pen in pens]
     return values
 
 
@@ -168,6 +171,20 @@ class TestEigenDecayGradient:
             _penalty_value(w, 0.5, 9)
         with pytest.raises(DegenerateIterateError):
             eigen_decay_gradient(w, 0.5, 9)
+
+    def test_norm_overflow_is_named_apart_from_the_kernel_start(self):
+        # gram entries near 1e300: the penalty value is finite, but the
+        # gradient's first iterate has a squared norm past float range, so
+        # the next iterate is zero
+        w = init_mlp([2, 4, 2], "sigmoid", seed=0).hidden[0].weights * 1e150
+        assert 0.0 < _penalty_value(w, 0.5, 9) < np.inf
+        with pytest.raises(DegenerateIterateError, match="^power iterate norm overflowed"):
+            eigen_decay_gradient(w, 0.5, 9)
+        # rows w and -w put the all-ones start in the kernel; a stack keeps
+        # each member's text
+        kernel = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        _, failed = eigen_decay_gradient(np.stack([w, kernel]), 0.5, 9)
+        assert [str(failed[r]) for r in (0, 1)] == [grad.NORM_OVERFLOW, grad.DEGENERATE_ITERATE]
 
     def test_near_zero_spectrum_warns_and_returns_zero(self):
         w = np.full((2, 2), 1e-9)
@@ -459,3 +476,33 @@ class TestStackedOracleBits:
         ):
             want = _assert_same_as_reference(model, X, Y, loss, r, h, masks)
             assert isinstance(want, tuple)
+
+    @pytest.mark.parametrize("kinds, iterated", [
+        (("none", "l2"), set()),
+        (("l1", "none"), set()),
+        (("eigen_decay", "l1"), {(3, 3)}),
+        (("l2", "eigen_decay"), {(4, 4)}),
+        (("eigen_decay", "eigen_decay"), {(3, 3), (4, 4)}),
+    ])
+    def test_iterates_only_penalized_eigen_decay_layers(self, rng, monkeypatch, kinds,
+                                                        iterated):
+        # the hidden gram is 3x3 and the output gram 4x4; no other layer's
+        # lambda is read, so none is computed, not even by the preflight call
+        from eigendecay import objectives
+
+        grams = []
+        original = objectives.power_dominant_eigen
+
+        def counting(m, *args, **kwargs):
+            grams.append(m.shape[1:])
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "power_dominant_eigen", counting)
+        model = small_model(dims=(2, 3, 4), seed=5)
+        X = rng.standard_normal((5, 2))
+        Y = encode_batch_pm1(rng.integers(0, 4, size=5), 4)
+        for c in (0.0, 0.1):
+            grams.clear()
+            reg = RegularizerSpec(tuple(LayerPenalty(k, c) for k in kinds), (0.0,))
+            finite_diff_model_gradient(model, X, Y, "mse", reg)
+            assert set(grams) == (iterated if c else set())

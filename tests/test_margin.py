@@ -24,9 +24,16 @@ from eigendecay.margin import (
     verify_denominator_inequality,
     verify_theorem1,
 )
-from eigendecay.model import Activation, DenseLayer, MlpModel, forward, forward_batch
-from eigendecay.objectives import RegularizerSpec
-from eigendecay.train import TrainConfig, sgd_train
+from eigendecay.model import (
+    Activation,
+    DenseLayer,
+    MlpModel,
+    forward,
+    forward_batch,
+    init_mlp,
+)
+from eigendecay.objectives import LayerPenalty, RegularizerSpec
+from eigendecay.train import TrainConfig, evaluate, sgd_train
 
 
 def _projector_model():
@@ -239,6 +246,25 @@ class TestVerifyTheorem1:
         assert ok
         assert all(r.ok for r in reports)
         assert len(reports) >= 40
+
+    @pytest.mark.parametrize("c", [0.0, 0.01], ids=["plain", "eigen_decay"])
+    def test_deep_multiclass_net_no_violations(self, c):
+        # the paper's extension of the bound: two hidden layers and three
+        # classes, trained without a penalty and with eigen decay on both
+        # hidden layers; every class is checked
+        centers = ((-2.0, 0.0), (2.0, 0.0), (0.0, 2.5))
+        train = gen_two_gaussians(40, centers=centers, sigma=0.6, seed=1)
+        test = gen_two_gaussians(20, centers=centers, sigma=0.6, seed=2)
+        model = init_mlp([2, 10, 8, 3], "sigmoid", seed=3)
+        reg = RegularizerSpec((LayerPenalty("eigen_decay", c), LayerPenalty("eigen_decay", c),
+                               LayerPenalty()), (0.0, 0.0))
+        sgd_train(model, train, "mse", reg,
+                  TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=60, seed=4))
+        assert evaluate(model, test)["accuracy"] == 1.0
+        for l in range(3):
+            reports, ok = verify_theorem1(model, test, l, anchors_per_example=3)
+            assert ok
+            assert len(reports) == 60
 
     def test_vacuous_pass_when_nothing_correct(self):
         # model output for class 0 is always +1, targets all -1

@@ -33,7 +33,6 @@ from eigendecay.objectives import (
     LayerPenalty,
     RegularizerSpec,
     loss_batch,
-    penalty_lambdas,
     total_objective,
 )
 from eigendecay.train import DivergenceError, TrainConfig, sgd_train
@@ -282,8 +281,8 @@ def test_loss_batch_stack_matches_each_member(sizes, B, R, kind):
         assert_bitwise(got[:, None], [np.array([w]) for w in want])
 
 
-# A frozen copy of the per-member penalty path that objectives.penalties and
-# objectives.penalty_lambdas replaced. Once the stacked and 2-D calls ran
+# A frozen copy of the per-member penalty path that the stacked
+# objectives.penalties replaced. Once the stacked and 2-D calls ran
 # the same code, comparing them with each other proved nothing; these
 # references keep what each member's values, lambdas and errors were.
 
@@ -304,13 +303,13 @@ def _reference_value(entry, w, lambda_dom=None):
     return entry.c * math.sqrt(max(lambda_dom, 0.0))
 
 
-def _reference_objective(model, X, Y, loss_kind, reg, lambdas=None):
+def _reference_objective(model, X, Y, loss_kind, reg):
     """The 2-D total_objective as (loss, *penalties, total), with the
     penalties summed one by one onto the loss."""
     _, _, Yhat = forward_batch(model, X)
     total = loss = loss_batch(loss_kind, Yhat, Y)
-    pens = [_reference_value(entry, layer.weights, None if lambdas is None else lambdas[k])
-            for k, (entry, layer) in enumerate(zip(reg.layers, model.layers))]
+    pens = [_reference_value(entry, layer.weights)
+            for entry, layer in zip(reg.layers, model.layers)]
     for pen in pens:
         total += pen
     return [loss, *pens, total]
@@ -375,22 +374,29 @@ def _two_layer(params, activation="sigmoid"):
                     DenseLayer(params[2], params[3], Activation("linear")))
 
 
+def _read(regs):
+    # (R, layers) mask of the layers whose penalty reads a lambda: the
+    # penalized eigen-decay ones
+    return np.array([[entry.kind == "eigen_decay" and entry.c != 0.0 for entry in reg.layers]
+                     for reg in regs])
+
+
 def _assert_stack_matches_reference(params, regs, X, Y):
-    weights = params[0::2]
-    lambdas, failed = penalty_lambdas(weights, regs)
-    want, errors = _reference_epoch_lambdas(weights, regs)
-    assert failed == errors == {}
-    assert_bitwise(lambdas, list(want))
-    stack = _two_layer(params)
-    for given in (None, lambdas):
-        got = total_objective(stack, X, Y, "multiclass_hinge", regs, lambdas=given)
-        assert all(type(o.total) is float for o in got)
-        members = [_reference_objective(_two_layer([p[r] for p in params]), X[r], Y[r],
-                                        "multiclass_hinge", regs[r],
-                                        None if given is None else given[r])
-                   for r in range(len(regs))]
-        assert_bitwise(np.array([[o.loss, *o.penalties, o.total] for o in got]),
-                       [np.array(m) for m in members])
+    want, errors = _reference_epoch_lambdas(params[0::2], regs)
+    assert errors == {}
+    got, failed = total_objective(_two_layer(params), X, Y, "multiclass_hinge", regs)
+    assert failed == {}
+    assert all(type(o.total) is float for o in got)
+    members = [_reference_objective(_two_layer([p[r] for p in params]), X[r], Y[r],
+                                    "multiclass_hinge", regs[r])
+               for r in range(len(regs))]
+    assert_bitwise(np.array([[o.loss, *o.penalties, o.total] for o in got]),
+                   [np.array(m) for m in members])
+    # the lambda each penalty read, and nan where none was read
+    read = _read(regs)
+    lambdas = np.array([o.lambda_dom for o in got])
+    assert np.isnan(lambdas[~read]).all()
+    assert_bitwise(np.where(read, lambdas, 0.0), list(np.where(read, want, 0.0)))
 
 
 @pytest.mark.parametrize("R", STACKS)
@@ -449,28 +455,26 @@ def test_penalty_errors_match_the_reference(entry, output):
         else:
             assert got == want
 
-    # the members of one stack: each one's error, and the first one's raised
+    # the members of one stack: each one's values, lambdas and error
     weights = [np.stack([m.hidden[0].weights for m in models]),
                np.stack([m.output.weights for m in models])]
-    lambdas, failed = penalty_lambdas(weights, [reg] * len(models))
     want_lambdas, errors = _reference_oracle_lambdas(reg, weights)
-    assert {r: (type(e), str(e)) for r, e in failed.items()} == \
-        {r: (type(e), str(e)) for r, e in errors.items()}
-    for r, model in enumerate(models):
-        assert (r in failed) == (_outcome(
-            lambda: total_objective(model, X, Y, "mse", reg))[0] == "raise")
-        for k, layer_entry in enumerate(reg.layers):
-            if layer_entry.kind == "eigen_decay" and layer_entry.c and r not in failed:
-                assert_bitwise(lambdas[r:r + 1, k:k + 1], [want_lambdas[r, k:k + 1]])
     stack = _two_layer([np.zeros((5, 2, 2)), np.zeros((5, 2))] * 2)
     stack.hidden[0].weights, stack.output.weights = weights
-    got = _outcome(lambda: total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5),
-                                           "mse", [reg] * 5))
-    if failed:
-        first = failed[min(failed)]
-        assert got == ("raise", type(first), str(first))
-    else:
-        assert got[0] == "ok"
+    got, failed = total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5), "mse",
+                                  [reg] * 5)
+    assert {r: (type(e), str(e)) for r, e in failed.items()} == \
+        {r: (type(e), str(e)) for r, e in errors.items()}
+    read = _read([reg])[0]
+    for r, model in enumerate(models):
+        alone = _outcome(lambda: total_objective(model, X, Y, "mse", reg))
+        assert (r in failed) == (alone[0] == "raise")
+        assert np.isnan(np.array(got[r].lambda_dom)[~read]).all()
+        if r not in failed:
+            o, want = got[r], alone[1]
+            assert_bitwise(np.array([[o.loss, *o.penalties, o.total]]),
+                           [np.array([want.loss, *want.penalties, want.total])])
+            assert_bitwise(np.array([got[r].lambda_dom])[:, read], [want_lambdas[r, read]])
 
 
 def _outcome(call):

@@ -141,16 +141,23 @@ class TestSgdTrain:
             assert all(lam >= 0 for lam in rec.lambda_dom)
 
     def test_each_layer_lambda_computed_once_per_epoch(self, monkeypatch):
-        # the history's lambda and the eigen-decay penalty value share one
-        # stacked power iteration per layer and step count per epoch end
+        # each epoch end computes each (member, layer) lambda once: an
+        # eigen-decay penalty value reads it, and the history records it
         from eigendecay import objectives, train
+        from eigendecay.linalg import gram
 
-        calls = []
+        calls, grams, weights = [], [], []
         original = objectives.power_dominant_eigen
+        epoch_end = train._epoch_end
 
         def counting(m, *args, **kwargs):
             calls.append(m.shape)
+            grams.extend((len(weights), g.tobytes()) for g in m)
             return original(m, *args, **kwargs)
+
+        def recording(members, params, *args):
+            weights.append([w.copy() for w in params[0::2]])
+            return epoch_end(members, params, *args)
 
         monkeypatch.setattr(objectives, "power_dominant_eigen", counting)
         ds = _blobs(9, n=40)
@@ -161,8 +168,10 @@ class TestSgdTrain:
         assert len(history.epochs) == 6
         assert calls == [(1, 5, 5), (1, 2, 2)] * 6
 
-        # three members, one of them with a 5-step eigen-decay layer
-        calls.clear()
+        # three members, one of them with a 5-step eigen-decay layer: each
+        # epoch end iterates on each member's gram of each layer once
+        grams.clear()
+        monkeypatch.setattr(train, "_epoch_end", recording)
         regs = [reg, RegularizerSpec.none(2, 1),
                 RegularizerSpec((LayerPenalty("eigen_decay", 0.01, 5), LayerPenalty()),
                                 (0.0,))]
@@ -170,7 +179,10 @@ class TestSgdTrain:
                                  cfg) for s, r in enumerate(regs)]
         results = train._sgd_stack(members, ds, "mse", cfg)
         assert all(len(r.epochs) == 6 for r in results)
-        assert calls == [(2, 5, 5), (1, 5, 5), (3, 2, 2)] * 6
+        assert len(weights) == 6
+        want = [(e + 1, gram(w[j]).tobytes())
+                for e, ws in enumerate(weights) for w in ws for j in range(3)]
+        assert sorted(grams) == sorted(want)
 
     def test_each_spec_checked_once_per_member(self, monkeypatch):
         # train._member checks each spec; the stacked steps and epoch ends
@@ -196,24 +208,6 @@ class TestSgdTrain:
         results = train._sgd_stack(members, ds, "mse", cfg)
         assert all(len(r.epochs) == 3 for r in results)
         assert checked == regs
-
-    def test_objective_from_shared_lambdas_is_bit_identical(self):
-        from eigendecay.linalg import gram, power_dominant_eigen
-        from eigendecay.objectives import total_objective
-
-        ds = _blobs(3, n=30)
-        model = small_model(dims=(2, 6, 2), seed=8)
-        reg = RegularizerSpec(
-            (LayerPenalty("eigen_decay", 0.03, 5), LayerPenalty("eigen_decay", 0.2)),
-            (0.0,),
-        )
-        lambdas = tuple(power_dominant_eigen(gram(layer.weights), entry.p).lambda_dom
-                        for entry, layer in zip(reg.layers, model.layers))
-        shared = total_objective(model, ds.features, ds.encoded, "mse", reg,
-                                 lambdas=lambdas)
-        alone = total_objective(model, ds.features, ds.encoded, "mse", reg)
-        assert shared.penalties == alone.penalties
-        assert shared.total == alone.total
 
     def test_regularized_layer_ends_with_smaller_lambda(self):
         # identical seeds, with and without the eigenvalue penalty on the
