@@ -290,9 +290,11 @@ def _load_eval_data(args):
         # _load_idx_pair maps only IdxFormatError, so the flag is checked here
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     if args.data:
-        # the first --limit rows, as load_idx keeps them
         dataset = _load_csv(args.data)
-        return dataset.subset(np.arange(len(dataset))[: args.limit])
+        if args.limit is not None:
+            # the first --limit rows, as load_idx keeps them
+            dataset = dataset.subset(np.arange(min(args.limit, len(dataset))))
+        return dataset
     if args.images and args.labels:
         return _load_idx_pair(args.images, args.labels, limit=args.limit)
     raise ConfigError("provide --data CSV or --images/--labels IDX paths")

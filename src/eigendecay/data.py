@@ -91,7 +91,9 @@ def load_idx(images_path, labels_path, n_classes=None, limit=None):
     """Dataset from an IDX image/label file pair.
 
     Pixels are scaled to [0, 1]; images are flattened row-major. limit,
-    when given, keeps the first limit examples and must be an integer >= 1.
+    when given, keeps the first limit examples and must be an integer >= 1;
+    the class count, unless given, is the whole file's, as for a delimited
+    file.
     Structural problems (bad magic, truncation, count mismatch) fail before
     any data is returned.
     """
@@ -138,10 +140,10 @@ def load_idx(images_path, labels_path, n_classes=None, limit=None):
     pixels = np.frombuffer(img, dtype=np.uint8, offset=16)
     features = pixels.reshape(n_images, rows * cols).astype(float) / 255.0
     targets = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
+    dataset = Dataset.from_arrays(features, targets, n_classes)
     if limit is not None:
-        features = features[:limit]
-        targets = targets[:limit]
-    return Dataset.from_arrays(features, targets, n_classes)
+        dataset = dataset.subset(np.arange(min(limit, n_images)))
+    return dataset
 
 
 def load_delimited(path, sep=",", header=False, n_classes=None):

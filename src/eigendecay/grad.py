@@ -350,9 +350,9 @@ def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_mask
 
     def objective(stacks):
         R = len(stacks[0])
-        values, failed = total_objective(_with_params(model, stacks), X[None],
-                                         np.broadcast_to(Y, (R, n, model.n_out)), loss_kind,
-                                         [reg] * R, masks)
+        values, _, failed = total_objective(_with_params(model, stacks), X[None],
+                                            np.broadcast_to(Y, (R, n, model.n_out)),
+                                            loss_kind, [reg] * R, masks)
         if failed:
             raise failed[min(failed)]
         return [v.total for v in values]

@@ -215,9 +215,6 @@ class ObjectiveValue:
     loss: float
     penalties: tuple
     total: float
-    # stacked call only: per layer, the lambda the eigen-decay penalty
-    # read, nan on other layers
-    lambda_dom: tuple = None
 
 
 def _penalized(regs, k):
@@ -289,11 +286,11 @@ def penalties(model, reg):
     return out[0]
 
 
-def _objective_value(loss, pens, lambdas=None):
+def _objective_value(loss, pens):
     total = loss
     for p in pens:
         total += p
-    return ObjectiveValue(loss, pens, total, lambdas)
+    return ObjectiveValue(loss, pens, total)
 
 
 def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
@@ -305,9 +302,10 @@ def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
     error penalties() raises.
 
     A stacked model takes (R, n, .) batches and masks, and reg as
-    penalties() does, and returns (objectives, failed): one ObjectiveValue
-    per member, each with the bits of the 2-D call on that member, and
-    penalties()' {member: error} for the members whose 2-D call raises.
+    penalties() does, and returns (objectives, lambdas, failed): one
+    ObjectiveValue per member, each with the bits of the 2-D call on that
+    member, and penalties()' lambdas and {member: error}, whose members'
+    2-D calls raise.
     """
     X = np.asarray(X, dtype=float)
     stacked = model.output.weights.ndim == 3
@@ -319,5 +317,4 @@ def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
     if not stacked:
         return _objective_value(e, penalties(model, reg))
     pens, lambdas, failed = penalties(model, reg)
-    return [_objective_value(float(er), p, tuple(lam))
-            for er, p, lam in zip(e, pens, lambdas.tolist())], failed
+    return [_objective_value(float(er), p) for er, p in zip(e, pens)], lambdas, failed

@@ -21,6 +21,7 @@ from .model import (
 from .objectives import (
     LOSS_KINDS,
     _lambdas,
+    _penalized,
     loss_batch,
     sample_dropout_masks,
     total_objective,
@@ -232,14 +233,15 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     else:
         rows = _stack([m.rows for m in members])
         X, Y = dataset.features[rows], dataset.encoded[rows]
-    objectives, failed = total_objective(stack, X, Y, loss_kind, regs)
+    objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, regs)
 
-    # a member that does not end has nan just where no penalty read lambda
-    lambdas = np.array([obj.lambda_dom for obj in objectives])
+    # the lambdas no penalty read, for the members that do not end
     for k, w in enumerate(params[0::2]):
+        read = {r for (kind, _), idx in _penalized(regs, k).items()
+                if kind == "eigen_decay" for r in idx}
         groups = {}
         for r, reg in enumerate(regs):
-            if r not in failed and math.isnan(lambdas[r, k]):
+            if r not in read and r not in failed:
                 entry = reg.layers[k]
                 groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
         for p, idx in groups.items():

@@ -455,8 +455,7 @@ class TestVerifyCommand:
 
 
 def _idx_model_pair(work):
-    """A 2-3-2 model file and a ten-row IDX pair it fits, whose first row is
-    class 1, so that every limit >= 1 keeps both classes."""
+    """A 2-3-2 model file and a ten-row IDX pair of two classes it fits."""
     ds = Dataset.from_arrays(np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1)),
                              np.tile([1, 0], 5), n_classes=2)
     write_idx(ds, f"{work}/images.idx", f"{work}/labels.idx", 1, 2)
@@ -678,6 +677,25 @@ def test_limit_keeps_the_first_csv_rows(tmp_path, command, report):
         assert rc == 0
     assert (tmp_path / "all" / report).read_bytes() == (tmp_path / "first" / report).read_bytes()
     assert len((tmp_path / "first" / report).read_text().splitlines()) > 1
+
+
+def test_limit_on_idx_and_csv_files_of_the_same_rows_agrees(tmp_path):
+    # the first row is class 0: both formats keep the whole file's two
+    # classes, where the IDX pair used to count one and exit 2
+    ds = Dataset.from_arrays(np.tile([[0.0, 1.0], [1.0, 0.0]], (5, 1)),
+                             np.tile([0, 1], 5), n_classes=2)
+    write_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx", 1, 2)
+    write_delimited(ds, tmp_path / "d.csv")
+    save_model(init_mlp([2, 3, 2], "sigmoid", seed=0), tmp_path / "m.json")
+    for name, data in (("idx", ["--images", str(tmp_path / "images.idx"),
+                                "--labels", str(tmp_path / "labels.idx")]),
+                       ("csv", ["--data", str(tmp_path / "d.csv")])):
+        rc = main(["eval", "--model", str(tmp_path / "m.json"), *data, "--limit", "1",
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+    report = (tmp_path / "csv" / "eval.jsonl").read_bytes()
+    assert (tmp_path / "idx" / "eval.jsonl").read_bytes() == report
+    assert b'"n_examples": 1' in report
 
 
 def _set(config, keys, value):

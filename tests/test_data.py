@@ -119,6 +119,14 @@ class TestIdx:
         ds = load_idx(images_path, labels_path, n_classes=3, limit=4)
         assert len(ds) == 4
 
+    def test_limit_keeps_the_whole_files_class_count(self, tmp_path):
+        # as a delimited file does: the first row alone is class 0 of 3
+        images_path, labels_path, _, labels = _synthetic_idx(tmp_path, seed=1)
+        assert labels[0] == 0 and labels.max() == 2
+        ds = load_idx(images_path, labels_path, limit=1)
+        assert (len(ds), ds.n_classes) == (1, 3)
+        np.testing.assert_array_equal(ds.encoded, [[1.0, -1.0, -1.0]])
+
     @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
     def test_limit_below_one_or_not_an_integer_rejected(self, tmp_path, limit):
         # a negative limit used to drop rows from the end, and 0 to empty the set

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from eigendecay import train
-from eigendecay.data import gen_two_gaussians
+from eigendecay.data import Dataset, gen_two_gaussians
 from eigendecay.grad import backward, eigen_decay_gradient
 from eigendecay.linalg import (
     NONFINITE_MATRIX,
@@ -381,10 +381,22 @@ def _read(regs):
                      for reg in regs])
 
 
+def _epoch_records(params, regs, X, Y):
+    """train._epoch_end on a stack whose member r trains on the rows X[r],
+    Y[r] of one shared dataset."""
+    R, B = X.shape[:2]
+    ds = Dataset(X.reshape(R * B, -1), np.zeros(R * B, dtype=np.int64),
+                 Y.reshape(R * B, -1), Y.shape[-1])
+    members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None)
+               for r, reg in enumerate(regs)]
+    template = _two_layer([p[0] for p in params])
+    return train._epoch_end(members, params, template, ds, "multiclass_hinge", 0)
+
+
 def _assert_stack_matches_reference(params, regs, X, Y):
     want, errors = _reference_epoch_lambdas(params[0::2], regs)
     assert errors == {}
-    got, failed = total_objective(_two_layer(params), X, Y, "multiclass_hinge", regs)
+    got, lambdas, failed = total_objective(_two_layer(params), X, Y, "multiclass_hinge", regs)
     assert failed == {}
     assert all(type(o.total) is float for o in got)
     members = [_reference_objective(_two_layer([p[r] for p in params]), X[r], Y[r],
@@ -394,9 +406,13 @@ def _assert_stack_matches_reference(params, regs, X, Y):
                    [np.array(m) for m in members])
     # the lambda each penalty read, and nan where none was read
     read = _read(regs)
-    lambdas = np.array([o.lambda_dom for o in got])
     assert np.isnan(lambdas[~read]).all()
     assert_bitwise(np.where(read, lambdas, 0.0), list(np.where(read, want, 0.0)))
+    # the epoch end's history records every layer's lambda
+    records = _epoch_records(params, regs, X, Y)
+    assert_bitwise(np.array([[r.train_loss, r.train_objective] for r in records]),
+                   [np.array([m[0], m[-1]]) for m in members])
+    assert_bitwise(np.array([r.lambda_dom for r in records]), list(want))
 
 
 @pytest.mark.parametrize("R", STACKS)
@@ -461,20 +477,20 @@ def test_penalty_errors_match_the_reference(entry, output):
     want_lambdas, errors = _reference_oracle_lambdas(reg, weights)
     stack = _two_layer([np.zeros((5, 2, 2)), np.zeros((5, 2))] * 2)
     stack.hidden[0].weights, stack.output.weights = weights
-    got, failed = total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5), "mse",
-                                  [reg] * 5)
+    got, lambdas, failed = total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5),
+                                           "mse", [reg] * 5)
     assert {r: (type(e), str(e)) for r, e in failed.items()} == \
         {r: (type(e), str(e)) for r, e in errors.items()}
     read = _read([reg])[0]
     for r, model in enumerate(models):
         alone = _outcome(lambda: total_objective(model, X, Y, "mse", reg))
         assert (r in failed) == (alone[0] == "raise")
-        assert np.isnan(np.array(got[r].lambda_dom)[~read]).all()
+        assert np.isnan(lambdas[r, ~read]).all()
         if r not in failed:
             o, want = got[r], alone[1]
             assert_bitwise(np.array([[o.loss, *o.penalties, o.total]]),
                            [np.array([want.loss, *want.penalties, want.total])])
-            assert_bitwise(np.array([got[r].lambda_dom])[:, read], [want_lambdas[r, read]])
+            assert_bitwise(lambdas[r:r + 1, read], [want_lambdas[r, read]])
 
 
 def _outcome(call):
