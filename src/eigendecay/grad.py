@@ -159,7 +159,8 @@ def _eigen_decay_stack(ws, cs, p, finite):
             # v_t = u_t / ||u_t||
             du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
             gm += du[:, :, None] * iterates[t - 1][:, None, :]
-            dv = _mv(m, du)
+            if t > 1:  # v_0 is the fixed start, so nothing reads its dv
+                dv = _mv(m, du)
         # M = W W^T, so dL/dW = (G + G^T) W
         dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
         grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw

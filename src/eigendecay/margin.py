@@ -9,10 +9,11 @@ opposite-prediction anchors; the bound factors use the exact eigensolver so
 a violation cannot be blamed on eigenvalue underestimation.
 
 The layer eigenvalues depend on the weights alone, so verify_theorem1
-computes them once per call (layer_lambda_dom). Each surface point then
-costs one forward pass, shared by its signed distance and its bound term;
-the bisection steps that find it evaluate the class output without
-building a trace.
+computes them once per call (layer_lambda_dom). The segments from one
+example to its anchors are bisected together: each step evaluates the
+class output of every unfinished segment in one column pass, which gives
+each segment the bits of its bisection alone. Each surface point then
+costs one forward pass, shared by its signed distance and its bound term.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,13 @@ import math
 import numpy as np
 
 from .linalg import as_vector, exact_dominant_eigen, gram
-from .model import SMOOTH_ACTIVATIONS, forward, forward_batch, input_gradient
+from .model import (
+    SMOOTH_ACTIVATIONS,
+    _column_pass,
+    forward,
+    forward_batch,
+    input_gradient,
+)
 
 BISECTION_TOL = 1e-10
 BISECTION_MAX_STEPS = 200
@@ -83,47 +90,85 @@ class MarginReport:
     ok: bool
 
 
-def _class_output(model, x, l):
-    # the per-layer arithmetic of forward(), without its input checks or trace
-    y = x
-    for layer in model.hidden:
-        y = layer.activation.value(layer.weights @ y + layer.bias)
-    return float((model.output.weights @ y + model.output.bias)[l])
-
-
 def find_surface_point(model, x_a, x_b, l):
-    """Bisect the segment [x_a, x_b] until the class-l output magnitude
-    drops below BISECTION_TOL."""
-    x_a = as_vector(x_a)
-    x_b = as_vector(x_b)
+    """Bisect each segment [x_a[s], x_b[s]] until the class-l output
+    magnitude at its midpoint drops below BISECTION_TOL.
+
+    x_a and x_b are (S, d) stacks of endpoints, bisected together: each
+    step evaluates the class output of every unfinished segment in one
+    column pass, and a segment that has finished or failed never moves
+    again. Returns (points, failed): points[s] is segment s's SurfacePoint,
+    or None where failed maps s to its NoCrossingError,
+    NonFiniteMidpointError or BisectionToleranceError. Every segment takes
+    the steps, and has the bits, of its bisection alone.
+
+    1-D endpoints are the stack of one: the call returns the SurfacePoint
+    or raises the segment's error. Endpoints of the wrong shape or length,
+    or with non-finite entries, raise ValueError for the whole call.
+    """
+    single = np.ndim(x_a) == 1
+    x_a = as_vector(x_a, stacked=not single)
+    x_b = as_vector(x_b, stacked=not single)
     for x in (x_a, x_b):
-        if x.shape[0] != model.n_in:
+        if x.shape[-1] != model.n_in:
             raise ValueError(
-                f"input has length {x.shape[0]} but the model expects {model.n_in}"
+                f"input has length {x.shape[-1]} but the model expects {model.n_in}"
             )
-    fa = _class_output(model, x_a, l)
-    fb = _class_output(model, x_b, l)
-    if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-        raise NoCrossingError(
-            f"class-{l} output does not change sign along the segment "
-            f"({fa:.3e} vs {fb:.3e})"
+    if single:
+        x_a, x_b = x_a[None], x_b[None]
+    elif x_a.shape != x_b.shape:
+        raise ValueError(
+            f"endpoint stacks have shapes {x_a.shape} and {x_b.shape}"
         )
-    lo, hi = x_a, x_b
+
+    def class_output(X):
+        return _column_pass(model, X)[2][:, l]
+
+    fa = class_output(x_a)
+    fb = class_output(x_b)
+    points, failed = [None] * len(x_a), {}
+    crossing = (fa != 0.0) & (fb != 0.0) & ((fa > 0) != (fb > 0))
+    for s in np.flatnonzero(~crossing).tolist():
+        failed[s] = NoCrossingError(
+            f"class-{l} output does not change sign along the segment "
+            f"({fa[s]:.3e} vs {fb[s]:.3e})"
+        )
+    # the unfinished segments, compacted whenever some finish
+    ids = np.flatnonzero(crossing)
+    lo, hi, positive_a = x_a[ids], x_b[ids], fa[ids] > 0
     for _ in range(BISECTION_MAX_STEPS):
+        if ids.size == 0:
+            break
         mid = 0.5 * (lo + hi)
-        if not np.isfinite(mid).all():
-            raise NonFiniteMidpointError("bisection midpoint entries must be finite")
-        fm = _class_output(model, mid, l)
-        if abs(fm) < BISECTION_TOL:
-            return SurfacePoint(mid, l, abs(fm))
-        if (fm > 0) == (fa > 0):
-            lo = mid
-        else:
-            hi = mid
-    raise BisectionToleranceError(
-        f"bisection did not reach |output| < {BISECTION_TOL:g} in "
-        f"{BISECTION_MAX_STEPS} steps"
-    )
+        finite = np.isfinite(mid)
+        if not finite.all():
+            finite = finite.all(axis=1)
+            for s in ids[~finite].tolist():
+                failed[s] = NonFiniteMidpointError(
+                    "bisection midpoint entries must be finite")
+            ids, lo, hi, positive_a, mid = (
+                a[finite] for a in (ids, lo, hi, positive_a, mid))
+        fm = class_output(mid)
+        residual = np.abs(fm)
+        done = residual < BISECTION_TOL
+        if done.any():
+            for s, point, r in zip(ids[done].tolist(), mid[done], residual[done]):
+                points[s] = SurfacePoint(point, l, float(r))
+            ids, lo, hi, positive_a, mid, fm = (
+                a[~done] for a in (ids, lo, hi, positive_a, mid, fm))
+        to_lo = ((fm > 0) == positive_a)[:, None]
+        lo = np.where(to_lo, mid, lo)
+        hi = np.where(to_lo, hi, mid)
+    for s in ids.tolist():
+        failed[s] = BisectionToleranceError(
+            f"bisection did not reach |output| < {BISECTION_TOL:g} in "
+            f"{BISECTION_MAX_STEPS} steps"
+        )
+    if not single:
+        return points, failed
+    if failed:
+        raise failed[0]
+    return points[0]
 
 
 def signed_distance(model, x_i, surface_point, l, *, trace):
@@ -223,9 +268,14 @@ def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_examp
         )
     dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
     order = np.argsort(dists, kind="stable")[:anchors_per_example]
+    anchors = dataset.features[opposite[order]]
+    points, failed = find_surface_point(
+        model, np.broadcast_to(x_i, anchors.shape), anchors, l)
     records = []
-    for j in opposite[order]:
-        sp = find_surface_point(model, x_i, dataset.features[j], l)
+    # anchor by anchor, as bisecting each segment alone would raise
+    for s, sp in enumerate(points):
+        if s in failed:
+            raise failed[s]
         trace = forward(model, sp.point)
         d = signed_distance(model, x_i, sp, l, trace=trace)
         bound = per_point_bound(model, x_i, sp, l, target, trace=trace,
@@ -255,7 +305,11 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
         target * distance >= bound - 1e-6 * (1 + |distance|)
 
     at each surface point. Returns (reports, all_ok); examples are checked
-    one after another and reports are ordered by example index.
+    one after another and reports are ordered by example index. The
+    segments of one example are bisected as one stack, and then walked
+    anchor by anchor: the first anchor whose bisection failed raises its
+    error, so errors come in the order bisecting one segment at a time
+    raised them.
     Misclassified examples are skipped, so a dataset with no correct
     examples passes vacuously with an empty report list. The layer
     eigenvalues are computed on entry, so a hidden layer wider than the

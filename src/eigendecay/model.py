@@ -163,15 +163,27 @@ def forward(model, x):
         raise ValueError(
             f"input has length {x.shape[0]} but the model expects {model.n_in}"
         )
+    return ForwardTrace(x, *_column_pass(model, x))
+
+
+def _column_pass(model, X):
+    """Forward pass of one input X (n_in,) or a stack of inputs (S, n_in),
+    one example per row, without input checks. Returns (preactivations,
+    activations, outputs), the first two as lists over hidden layers.
+
+    Each row has the bits of that example passed alone: every layer
+    broadcasts its shared W over the stacked columns, one GEMV per row.
+    The row GEMM of forward_batch rounds differently.
+    """
     vs, ys = [], []
-    y = x
+    Y = X
     for layer in model.hidden:
-        v = layer.weights @ y + layer.bias
-        y = layer.activation.value(v)
-        vs.append(v)
-        ys.append(y)
-    yhat = model.output.weights @ y + model.output.bias
-    return ForwardTrace(x, vs, ys, yhat)
+        V = (layer.weights @ Y[..., None])[..., 0] + layer.bias
+        Y = layer.activation.value(V)
+        vs.append(V)
+        ys.append(Y)
+    out = model.output
+    return vs, ys, (out.weights @ Y[..., None])[..., 0] + out.bias
 
 
 def forward_batch(model, X, dropout_masks=None):

@@ -311,6 +311,29 @@ class TestVerifyCommand:
             for d, b in zip(rec["distances"], rec["bounds"]):
                 assert abs(rec["target"] * d - b) <= 1e-9 * (1 + abs(d))
 
+    # sha256 of margin.jsonl as the one-segment-at-a-time bisection wrote
+    # it, on this host's numpy; two trained nets and 5 anchors per example
+    @pytest.mark.parametrize("layers, activation, sha256", [
+        ([2, 8, 2], "sigmoid", "451473ccdecc273b6e2ba9027d21223f924fdf498aaf8a8984cdfc18431621b2"),
+        ([2, 5, 4, 2], "tanh", "8a989821b4fa485590bdbeb6b1ff14d3cfa6b69244b2f31c10dada6e64c992fc"),
+    ], ids=["sigmoid_2_8_2", "tanh_2_5_4_2"])
+    def test_theorem1_output_bytes_unchanged(self, tmp_path, layers, activation, sha256):
+        centers = ((-1.5, 0.0), (1.5, 0.0))
+        train_set = gen_two_gaussians(60, centers=centers, sigma=0.5, seed=21)
+        model = init_mlp(layers, activation, seed=22)
+        reg = RegularizerSpec.none(len(layers) - 1, len(layers) - 2)
+        sgd_train(model, train_set, "mse", reg,
+                  TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=60, seed=23))
+        save_model(model, tmp_path / "m.json")
+        write_delimited(gen_two_gaussians(25, centers=centers, sigma=0.5, seed=24),
+                        tmp_path / "d.csv")
+        rc = main(["verify", "--mode", "theorem1", "--model", str(tmp_path / "m.json"),
+                   "--data", str(tmp_path / "d.csv"), "--anchors", "5",
+                   "--out", str(tmp_path / "v")])
+        assert rc == 0
+        written = (tmp_path / "v" / "margin.jsonl").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == sha256
+
     def test_theorem1_relu_model_is_config_error(self, tmp_path):
         model = init_mlp([2, 4, 2], "relu", seed=0)
         save_model(model, tmp_path / "m.json")

@@ -1,13 +1,18 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from conftest import linear_layer, rotation, small_model
 
 from eigendecay.data import Dataset, gen_two_gaussians
+from eigendecay.linalg import as_vector
 from eigendecay.margin import (
+    BISECTION_MAX_STEPS,
+    BISECTION_TOL,
     BOUND_EPS_REL,
-    _class_output,
     AnchorSamplingError,
+    BisectionToleranceError,
     DegenerateGradientError,
     MarginReport,
     NoCrossingError,
@@ -28,6 +33,7 @@ from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
+    _column_pass,
     forward,
     forward_batch,
     init_mlp,
@@ -70,6 +76,51 @@ class TestFindSurfacePoint:
         with pytest.raises(ValueError, match="expects 2"):
             find_surface_point(model, np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0]), 0)
 
+    @pytest.mark.parametrize("x_a, x_b, match", [
+        ([[-1.0, 0.0]], [[1.0, 0.0, 0.0]], "expects 2"),
+        ([[-1.0, 0.0]] * 2, [[1.0, 0.0]] * 3, "shapes"),
+        ([-1.0, 0.0], [[1.0, 0.0]], "1-d"),
+        ([[-1.0, np.inf]], [[1.0, 0.0]], "finite"),
+    ], ids=["length", "stack_sizes", "mixed_ranks", "non_finite"])
+    def test_stacked_endpoints_checked_for_the_whole_call(self, x_a, x_b, match):
+        model = _projector_model()
+        with pytest.raises(ValueError, match=match):
+            find_surface_point(model, np.array(x_a), np.array(x_b), 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_each_segment_keeps_its_own_error(self):
+        # the class-0 output is 1e20-steep in x1 and offset by 0.5, so near
+        # the root it moves in steps of 4096 and never drops below the
+        # tolerance; x2 has no weight, and at x2 = 1e308 the first midpoint
+        # overflows
+        lin = Activation("linear")
+        model = MlpModel(
+            [DenseLayer(np.array([[1e20, 0.0]]), np.array([-3e19]), lin)],
+            DenseLayer(np.array([[1.0], [-1.0]]), np.array([0.5, -0.5]), lin),
+        )
+        x_a = np.array([[-1.0, 0.0], [-1.0, 1e308]])
+        x_b = np.array([[1.0, 0.0], [1.0, 1e308]])
+        points, failed = find_surface_point(model, x_a, x_b, 0)
+        assert points == [None, None]
+        errors = (BisectionToleranceError, NonFiniteMidpointError)
+        assert [type(failed[s]) for s in (0, 1)] == list(errors)
+        assert str(failed[0]) == "bisection did not reach |output| < 1e-10 in 200 steps"
+        assert str(failed[1]) == "bisection midpoint entries must be finite"
+        for a, b, error in zip(x_a, x_b, errors):
+            with pytest.raises(error):
+                find_surface_point(model, a, b, 0)
+        # an example whose nearer anchor's segment misses the tolerance after
+        # 200 steps and whose farther anchor's overflows at step 1: the
+        # nearer one's error is raised, as bisecting one segment at a time did
+        ds = Dataset.from_arrays(
+            np.array([[1.0, 6e307], [-1.0, 6e307], [-1.0, 1.5e308]]),
+            np.array([0, 1, 1]), n_classes=2)
+        with pytest.raises(BisectionToleranceError) as got:
+            verify_theorem1(model, ds, 0, anchors_per_example=2)
+        with pytest.raises(BisectionToleranceError) as want:
+            _reference_reports(model, ds, 0, 2)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_midpoint_rejected(self):
         model = _projector_model()
@@ -91,6 +142,46 @@ class TestFindSurfacePoint:
         b = ds.features[ds.targets == 1][0]
         sp = find_surface_point(model, a, b, 0)
         assert abs(forward(model, sp.point).output[0]) < 1e-10
+
+
+def _outcome(point, error):
+    if error is not None:
+        return type(error), str(error)
+    return point.point.tobytes(), point.cls, point.residual
+
+
+def _alone(model, x_a, x_b, l, bisect):
+    try:
+        return _outcome(bisect(model, x_a, x_b, l), None)
+    except (NoCrossingError, NonFiniteMidpointError, BisectionToleranceError) as exc:
+        return _outcome(None, exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=2),
+       n_in=st.integers(2, 5), S=st.integers(1, 6), huge=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_bisection_equals_each_segment_alone(kind, widths, n_in, S, huge, seed):
+    # endpoints near x and -x, so that many segments cross; with huge, the
+    # last coordinate is the same large value at both ends, which overflows
+    # the midpoint for about two segments in three, and has no weight
+    rng = np.random.default_rng(seed)
+    model = init_mlp([n_in, *widths, 2], kind, seed=seed)
+    for layer in model.layers:
+        layer.bias[:] = rng.normal(scale=0.2, size=layer.bias.shape)
+    x_a = 2.0 * rng.standard_normal((S, n_in))
+    x_b = -x_a + 0.2 * rng.standard_normal((S, n_in))
+    if huge:
+        x_a[:, -1] = x_b[:, -1] = rng.uniform(0.3, 1.0, S) * 1.7e308
+        model.hidden[0].weights[:, -1] = 0.0
+    l = int(rng.integers(2))
+    points, failed = find_surface_point(model, x_a, x_b, l)
+    for s in range(S):
+        want = _alone(model, x_a[s], x_b[s], l, _reference_surface_point)
+        assert _outcome(points[s], failed.get(s)) == want
+        assert _alone(model, x_a[s], x_b[s], l, find_surface_point) == want
 
 
 class TestSignedDistance:
@@ -285,9 +376,53 @@ class TestVerifyTheorem1:
             verify_theorem1(model, ds, 0, anchors_per_example=1)
 
 
+def _reference_class_output(model, x, l):
+    # the per-layer arithmetic of forward(), without its input checks or trace
+    y = x
+    for layer in model.hidden:
+        y = layer.activation.value(layer.weights @ y + layer.bias)
+    return float((model.output.weights @ y + model.output.bias)[l])
+
+
+def _reference_surface_point(model, x_a, x_b, l):
+    """find_surface_point as it bisected one segment at a time, frozen as
+    the reference for the stacked bisection."""
+    x_a = as_vector(x_a)
+    x_b = as_vector(x_b)
+    for x in (x_a, x_b):
+        if x.shape[0] != model.n_in:
+            raise ValueError(
+                f"input has length {x.shape[0]} but the model expects {model.n_in}"
+            )
+    fa = _reference_class_output(model, x_a, l)
+    fb = _reference_class_output(model, x_b, l)
+    if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
+        raise NoCrossingError(
+            f"class-{l} output does not change sign along the segment "
+            f"({fa:.3e} vs {fb:.3e})"
+        )
+    lo, hi = x_a, x_b
+    for _ in range(BISECTION_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not np.isfinite(mid).all():
+            raise NonFiniteMidpointError("bisection midpoint entries must be finite")
+        fm = _reference_class_output(model, mid, l)
+        if abs(fm) < BISECTION_TOL:
+            return SurfacePoint(mid, l, abs(fm))
+        if (fm > 0) == (fa > 0):
+            lo = mid
+        else:
+            hi = mid
+    raise BisectionToleranceError(
+        f"bisection did not reach |output| < {BISECTION_TOL:g} in "
+        f"{BISECTION_MAX_STEPS} steps"
+    )
+
+
 def _reference_reports(model, dataset, l, anchors_per_example):
     """verify_theorem1 rebuilt from the per-point calls, each of which
-    recomputes its own forward pass and layer eigenvalues."""
+    recomputes its own forward pass and layer eigenvalues, and from the
+    one-segment-at-a-time bisection."""
     _, _, Yhat = forward_batch(model, dataset.features)
     yl = Yhat[:, l]
     reports = []
@@ -300,7 +435,7 @@ def _reference_reports(model, dataset, l, anchors_per_example):
         dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
         records = []
         for j in opposite[np.argsort(dists, kind="stable")[:anchors_per_example]]:
-            sp = find_surface_point(model, x_i, dataset.features[j], l)
+            sp = _reference_surface_point(model, x_i, dataset.features[j], l)
             d = _distance(model, x_i, sp, l)
             b = _bound(model, x_i, sp, l, target)
             records.append(
@@ -347,13 +482,18 @@ class TestSharedPerPointWork:
         self._assert_matches_reference(model, test, 5)
 
     def test_bisection_output_is_forward_output(self, rng):
+        # the stacked column pass the bisection steps make gives each row
+        # the bits of forward on that row and of the frozen per-layer loop
         for width in range(1, 65, 3):
             for kind, n_out in (("sigmoid", 10), ("tanh", 3)):
                 model = small_model(dims=(3, width, width, n_out), activation=kind,
                                     seed=width)
-                x = rng.standard_normal(3)
-                out = forward(model, x).output
-                assert [_class_output(model, x, l) for l in range(n_out)] == list(out)
+                X = rng.standard_normal((5, 3))
+                outputs = _column_pass(model, X)[2]
+                for x, out in zip(X, outputs):
+                    assert out.tobytes() == forward(model, x).output.tobytes()
+                    assert [_reference_class_output(model, x, l)
+                            for l in range(n_out)] == list(out)
 
     def test_width_cap_raised_before_any_bisection(self):
         # nothing is classified correctly, so no surface point is sought

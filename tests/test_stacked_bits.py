@@ -90,6 +90,21 @@ class TestPrimitives:
             M, v = _stack((h, h), R, rng), _stack((h,), R, rng)
             assert_bitwise((M @ v[..., None])[..., 0], [M[r] @ v[r] for r in range(R)])
 
+    def test_shared_w_gemv_over_stacked_columns(self, sizes, B, R):
+        # one W broadcast over S stacked columns, as margin's bisection and
+        # forward pass it, at the layer shapes, their transposes and every
+        # square width up to 64
+        rng = np.random.default_rng(12 + R)
+        shapes = [(h, d) for d, h in zip(sizes[:-1], sizes[1:])]
+        shapes += [(d, h) for h, d in shapes] + [(w, w) for w in range(1, 65)]
+        for out, d in shapes:
+            W = _stack((out, d), 1, rng)[0]
+            for S in (1, 3, 5, 750):
+                Y = _stack((d,), S, rng)
+                stacked = (W @ Y[:, :, None])[:, :, 0]
+                alone = np.stack([W @ Y[s] for s in range(S)])
+                np.testing.assert_array_equal(_bits(stacked), _bits(alone))
+
     def test_dot(self, sizes, B, R):
         rng = np.random.default_rng(6)
         for n in sizes:
