@@ -13,7 +13,13 @@ import warnings
 
 import numpy as np
 
-from .linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError, gram
+from .linalg import (
+    ITERATE_OVERFLOW,
+    NONFINITE_MATRIX,
+    DegenerateIterateError,
+    _dot,
+    gram,
+)
 from .model import STACK_FLOATS, MlpModel, forward_batch, model_params
 from .objectives import RegularizerSpec, _penalized, loss_gradient_batch, total_objective
 
@@ -41,11 +47,6 @@ class Gradients:
 def _mv(m, v):
     # (R, n, n) times (R, n), member by member, with the bits of 2-D m @ v
     return (m @ v[..., None])[..., 0]
-
-
-def _dot(a, b):
-    # (R, n) dot (R, n), member by member, with the bits of 1-D a @ b
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 DEGENERATE_ITERATE = (

@@ -44,6 +44,11 @@ def as_vector(a, stacked=False):
     return v
 
 
+def _dot(a, b):
+    # (R, n) dot (R, n), row by row, with the bits of 1-D a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def gram(w, *, check=True):
     """W W^T, with the upper triangle mirrored from the lower so the result
     is symmetric to the last bit. A stack (R, m, n) gives one gram per

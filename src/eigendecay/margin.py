@@ -12,8 +12,11 @@ The layer eigenvalues depend on the weights alone, so verify_theorem1
 computes them once per call (layer_lambda_dom). The segments from one
 example to its anchors are bisected together: each step evaluates the
 class output of every unfinished segment in one column pass, which gives
-each segment the bits of its bisection alone. Each surface point then
-costs one forward pass, shared by its signed distance and its bound term.
+each segment the bits of its bisection alone. The surface points of the
+whole call then go through one stacked per-point pass per chunk: one
+forward pass, shared by the signed distances and the bound terms, and
+row-wise products that give each point the bits of its single-point
+calls.
 """
 
 from dataclasses import dataclass
@@ -22,9 +25,10 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector, exact_dominant_eigen, gram
+from .linalg import _dot, as_vector, exact_dominant_eigen, gram
 from .model import (
     SMOOTH_ACTIVATIONS,
+    STACK_FLOATS,
     _column_pass,
     forward,
     forward_batch,
@@ -171,20 +175,43 @@ def find_surface_point(model, x_a, x_b, l):
     return points[0]
 
 
+def _unstack(single, values, failed):
+    # a stack returns its values and failed rows; the stack of one
+    # returns its float or raises its row's error
+    if not single:
+        return values, failed
+    if failed:
+        raise failed[0]
+    return float(values[0])
+
+
 def signed_distance(model, x_i, surface_point, l, *, trace):
     """First-order signed distance from x_i to the surface point, using the
     output gradient evaluated at the surface point. Negative values mean
     x_i sits on the negative side of the class-l output.
 
-    trace is forward(model, surface_point.point)."""
-    x_i = as_vector(x_i)
+    trace is forward(model, surface_point.point). x_i may be an (N, d)
+    stack, with surface_point.point (N, d) and a stacked trace: the call
+    returns (distances, failed), failed mapping a row whose gradient
+    vanishes to its DegenerateGradientError (its distance is nan). Each
+    row has the bits of its single-point call, which returns the float or
+    raises the error."""
+    single = np.ndim(x_i) == 1
+    x_i = as_vector(x_i, stacked=not single)
     g = input_gradient(model, trace, l)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        raise DegenerateGradientError(
-            f"class-{l} output gradient vanishes at the surface point"
-        )
-    return float(g @ (x_i - surface_point.point)) / norm
+    diff = x_i - surface_point.point
+    if single:
+        g, diff = g[None], diff[None]
+    norm = np.sqrt(_dot(g, g))
+    degenerate = norm == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distance = np.where(degenerate, np.nan, _dot(g, diff) / norm)
+    failed = {
+        s: DegenerateGradientError(
+            f"class-{l} output gradient vanishes at the surface point")
+        for s in np.flatnonzero(degenerate).tolist()
+    }
+    return _unstack(single, distance, failed)
 
 
 @dataclass
@@ -217,15 +244,19 @@ def bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
     pre-activation; omega transposed equals the output-row input gradient;
     the eigenvalues come from the exact solver. trace is
     forward(model, surface_point.point) and lambda_dom is
-    layer_lambda_dom(model).
+    layer_lambda_dom(model). A stacked trace gives omega as (N, n_in, h)
+    and each lambda_activ entry as an (N,) array, each point with the bits
+    of its single-point call.
     """
     _require_smooth(model)
     lambda_activ = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
         slopes = layer.activation.deriv(v)
-        lambda_activ.append(float(np.max(slopes**2)))
-        factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
+        peak = np.max(slopes**2, axis=-1)
+        lambda_activ.append(peak if np.ndim(peak) else float(peak))
+        # W_k^T Gamma_k^T, Gamma diagonal
+        factor = layer.weights.T * slopes[..., None, :]
         omega = factor if omega is None else omega @ factor
     return BoundIngredients(omega, lambda_activ, list(lambda_dom))
 
@@ -234,65 +265,90 @@ def per_point_bound(model, x_i, surface_point, l, y_target, *, trace,
                     lambda_dom):
     """One term of the margin lower bound: the gradient numerator rescaled
     by the layer spectral norms and activation slopes instead of the true
-    gradient norm. trace and lambda_dom are passed to bound_ingredients."""
-    x_i = as_vector(x_i)
-    if y_target not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"target must be +/-1, got {y_target}")
+    gradient norm. trace and lambda_dom are passed to bound_ingredients.
+
+    x_i may be an (N, d) stack, with y_target an (N,) array and a stacked
+    surface point and trace: the call returns (bounds, failed), failed
+    mapping a row whose denominator is zero to the ZeroDivisionError its
+    single-point call raises (its bound is nan). A target other than +/-1
+    or a zero output row raises for the whole call."""
+    single = np.ndim(x_i) == 1
+    x_i = as_vector(x_i, stacked=not single)
+    wrong = [t for t in np.ravel(y_target).tolist() if t not in (-1.0, 1.0)]
+    if wrong:
+        raise ValueError(f"target must be +/-1, got {wrong[0]}")
     ing = bound_ingredients(model, surface_point, l, trace=trace,
                             lambda_dom=lambda_dom)
     w_row = model.output.weights[l]
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
         raise DegenerateGradientError(f"output row {l} is zero")
-    numerator = float(y_target * (w_row @ ing.omega.T @ (x_i - surface_point.point)))
+    u = w_row @ ing.omega.swapaxes(-1, -2)
+    diff = x_i - surface_point.point
+    if single:
+        u, diff = u[None], diff[None]
+    numerator = np.asarray(y_target, dtype=float) * _dot(u, diff)
     dom_product = 1.0
     for lam in ing.lambda_dom:
         dom_product *= max(lam, 0.0)
     activ_product = 1.0
     for lam in ing.lambda_activ:
         activ_product *= lam
-    denom = w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
-    return numerator / denom
+    denom = w_norm * np.sqrt(activ_product) * math.sqrt(dom_product)
+    zero = denom == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(zero, np.nan, numerator / denom)
+    failed = {s: ZeroDivisionError("float division by zero")
+              for s in np.flatnonzero(zero).tolist()}
+    return _unstack(single, bound, failed)
 
 
-def _report_for_example(model, dataset, i, l, yl, anchor_pool, anchors_per_example,
-                        lambda_dom):
-    x_i = dataset.features[i]
-    target = float(dataset.encoded[i, l])
-    # nearest opposite-prediction anchors, by euclidean distance
-    opposite = anchor_pool[yl[anchor_pool] * yl[i] < 0.0]
-    if opposite.size < anchors_per_example:
-        raise AnchorSamplingError(
-            f"example {i}: only {opposite.size} opposite-prediction anchors "
-            f"available, {anchors_per_example} requested"
-        )
-    dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
-    order = np.argsort(dists, kind="stable")[:anchors_per_example]
-    anchors = dataset.features[opposite[order]]
-    points, failed = find_surface_point(
-        model, np.broadcast_to(x_i, anchors.shape), anchors, l)
-    records = []
-    # anchor by anchor, as bisecting each segment alone would raise
-    for s, sp in enumerate(points):
-        if s in failed:
-            raise failed[s]
-        trace = forward(model, sp.point)
-        d = signed_distance(model, x_i, sp, l, trace=trace)
-        bound = per_point_bound(model, x_i, sp, l, target, trace=trace,
-                                lambda_dom=lambda_dom)
-        ok = target * d >= bound - BOUND_EPS_REL * (1.0 + abs(d))
-        records.append(PointRecord(float(d), float(bound), bool(ok)))
-    margin = min(r.distance * target for r in records)
-    theorem_bound = min(r.bound for r in records)
-    return MarginReport(
-        index=int(i),
-        cls=int(l),
-        target=target,
-        points=records,
-        margin=float(margin),
-        theorem_bound=float(theorem_bound),
-        ok=all(r.ok for r in records),
-    )
+def _nearest_anchors(dataset, yl, examples, k):
+    """Yield (i, anchors) for each example i in order: the features of its
+    k nearest opposite-prediction points by euclidean distance, ties to the
+    lower index. Raises AnchorSamplingError at the first example with fewer
+    than k of them.
+
+    Each sign group's features are gathered once per call, and the
+    distances of a chunk of examples come from one norm over the chunk,
+    each row with the bits of np.linalg.norm(features[opposite] - x_i,
+    axis=1).
+    """
+    features = dataset.features
+    groups = {}
+    for positive in (True, False):
+        # the points a positive example's opposite set is drawn from
+        group = np.flatnonzero(yl < 0.0 if positive else yl > 0.0)
+        groups[positive] = (group, features[group])
+    chunk = max(1, STACK_FLOATS // max(features.size, 1))
+    for start in range(0, len(examples), chunk):
+        ids = examples[start:start + chunk]
+        sides = yl[ids] > 0.0
+        dists, rows = {}, {True: 0, False: 0}
+        for side, (group, group_features) in groups.items():
+            x = features[ids[sides == side]]
+            dists[side] = np.linalg.norm(group_features - x[:, None, :], axis=-1)
+        for i, side in zip(ids.tolist(), sides.tolist()):
+            group, _ = groups[side]
+            d = dists[side][rows[side]]
+            rows[side] += 1
+            # a product that underflows to zero is not opposite
+            opposite = yl[group] * yl[i] < 0.0
+            if not opposite.all():
+                group, d = group[opposite], d[opposite]
+            if group.size < k:
+                raise AnchorSamplingError(
+                    f"example {i}: only {group.size} opposite-prediction anchors "
+                    f"available, {k} requested"
+                )
+            yield i, features[group[np.argsort(d, kind="stable")[:k]]]
+
+
+def _point_floats(model):
+    # the largest per-point array of the per-point pass: a layer factor of
+    # the omega chain, or omega itself
+    return max(max(model.n_in, layer.in_dim) * layer.out_dim
+               for layer in model.hidden)
 
 
 def verify_theorem1(model, dataset, l, anchors_per_example=5):
@@ -304,12 +360,17 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
 
         target * distance >= bound - 1e-6 * (1 + |distance|)
 
-    at each surface point. Returns (reports, all_ok); examples are checked
-    one after another and reports are ordered by example index. The
-    segments of one example are bisected as one stack, and then walked
-    anchor by anchor: the first anchor whose bisection failed raises its
-    error, so errors come in the order bisecting one segment at a time
-    raised them.
+    at each surface point. Returns (reports, all_ok), ordered by example
+    index.
+
+    The check runs in two stages. The first walks the examples in order:
+    the anchor search, then one find_surface_point stack per example. The
+    second makes the per-point calls over every surface point found, in
+    stacks of about model.STACK_FLOATS floats. Errors come as the
+    one-example-at-a-time loop raised them: the first failing example
+    raises, whatever the stage, and within an example the anchor search
+    comes first, then the segments in anchor order, then point by point
+    the signed distance before the bound.
     Misclassified examples are skipped, so a dataset with no correct
     examples passes vacuously with an empty report list. The layer
     eigenvalues are computed on entry, so a hidden layer wider than the
@@ -323,16 +384,64 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
     lambda_dom = layer_lambda_dom(model)
     _, _, Yhat = forward_batch(model, dataset.features)
     yl = Yhat[:, l]
-    correct = [
-        i for i in range(len(dataset)) if dataset.encoded[i, l] * yl[i] > 0.0
-    ]
-    anchor_pool = np.arange(len(dataset))
-    reports = [
-        _report_for_example(
-            model, dataset, i, l, yl, anchor_pool, anchors_per_example, lambda_dom,
-        )
-        for i in correct
-    ]
+    targets = dataset.encoded[:, l]
+    correct = np.flatnonzero(targets * yl > 0.0)
+
+    # stage 1: the surface points, example by example; an error waits
+    # until the examples before it have had their per-point calls
+    found, points, residuals, pending = [], [], [], None
+    try:
+        for i, anchors in _nearest_anchors(dataset, yl, correct, anchors_per_example):
+            x_i = dataset.features[i]
+            stack, failed = find_surface_point(
+                model, np.broadcast_to(x_i, anchors.shape), anchors, l)
+            if failed:
+                raise failed[min(failed)]
+            found.append(i)
+            points += [sp.point for sp in stack]
+            residuals += [sp.residual for sp in stack]
+    except (AnchorSamplingError, BisectionToleranceError, ValueError) as exc:
+        pending = exc
+
+    # stage 2: one stacked per-point pass over a chunk of points at a time
+    owners = np.repeat(np.asarray(found, dtype=int), anchors_per_example)
+    points = np.asarray(points, dtype=float).reshape(len(owners), model.n_in)
+    residuals = np.asarray(residuals, dtype=float)
+    distances = np.empty(len(owners))
+    bounds = np.empty(len(owners))
+    chunk = max(1, STACK_FLOATS // _point_floats(model))
+    for start in range(0, len(owners), chunk):
+        rows = slice(start, start + chunk)
+        x_i = dataset.features[owners[rows]]
+        sp = SurfacePoint(points[rows], l, residuals[rows])
+        trace = forward(model, sp.point)
+        d, d_failed = signed_distance(model, x_i, sp, l, trace=trace)
+        b, b_failed = per_point_bound(model, x_i, sp, l, targets[owners[rows]],
+                                      trace=trace, lambda_dom=lambda_dom)
+        if d_failed or b_failed:
+            s = min(d_failed.keys() | b_failed.keys())
+            raise d_failed[s] if s in d_failed else b_failed[s]
+        distances[rows], bounds[rows] = d, b
+    if pending is not None:
+        raise pending
+
+    ok = targets[owners] * distances >= bounds - BOUND_EPS_REL * (1.0 + abs(distances))
+    reports = []
+    for start in range(0, len(owners), anchors_per_example):
+        rows = range(start, start + anchors_per_example)
+        records = [PointRecord(float(distances[s]), float(bounds[s]), bool(ok[s]))
+                   for s in rows]
+        i = owners[start]
+        target = float(targets[i])
+        reports.append(MarginReport(
+            index=int(i),
+            cls=int(l),
+            target=target,
+            points=records,
+            margin=float(min(r.distance * target for r in records)),
+            theorem_bound=float(min(r.bound for r in records)),
+            ok=all(r.ok for r in records),
+        ))
     return reports, all(r.ok for r in reports)
 
 

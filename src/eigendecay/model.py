@@ -150,6 +150,9 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
+    """Every intermediate of forward; a stacked trace gives each array a
+    leading axis of N inputs."""
+
     input: np.ndarray
     preactivations: list  # v_k per hidden layer
     activations: list  # y_k per hidden layer
@@ -157,11 +160,14 @@ class ForwardTrace:
 
 
 def forward(model, x):
-    """Single-example forward pass keeping every intermediate."""
-    x = as_vector(x)
-    if x.shape[0] != model.n_in:
+    """Forward pass keeping every intermediate. x is one input (n_in,), or
+    a stack of inputs (N, n_in) whose trace holds one row per input, each
+    with the bits of that input passed alone (see _column_pass)."""
+    single = np.ndim(x) == 1
+    x = as_vector(x, stacked=not single)
+    if x.shape[-1] != model.n_in:
         raise ValueError(
-            f"input has length {x.shape[0]} but the model expects {model.n_in}"
+            f"input has length {x.shape[-1]} but the model expects {model.n_in}"
         )
     return ForwardTrace(x, *_column_pass(model, x))
 
@@ -224,12 +230,15 @@ def input_gradient(model, trace, l):
 
     The row is the product of the output row with each hidden layer's
     weight matrix scaled by the activation derivatives cached in the trace.
+    A stacked trace gives one row per input, (N, n_in): each row times the
+    shared W is its own vector-matrix product, with the bits of the
+    single-input call.
     """
     if not 0 <= l < model.n_out:
         raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
-    g = model.output.weights[l].copy()
+    g = model.output.weights[l]
     for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        g = (g * layer.activation.deriv(v)) @ layer.weights
+        g = ((g * layer.activation.deriv(v))[..., None, :] @ layer.weights)[..., 0, :]
     return g
 
 

@@ -439,6 +439,35 @@ class TestVerifyCommand:
         assert rc == 2
         _assert_one_line_error(capsys, "data error: theorem1: bisection midpoint")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("features, labels, anchors, needle", [
+        ([[1.0, 0.0], [-1.0, 0.0], [-1.5, 0.0]], [0, 1, 1], 2, "anchors"),
+        ([[1.0, 0.0], [1.0, 1e308], [-1.0, 0.0], [-1.0, 1e308]], [0, 0, 1, 1], 1,
+         "bisection midpoint"),
+    ], ids=["missing_anchor", "overflowing_midpoint"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["gradient_first", "gradient_last"])
+    def test_theorem1_first_failing_example_sets_the_exit_code(
+            self, tmp_path, capsys, features, labels, anchors, needle, reverse):
+        # the first example's gradient vanishes at its surface point (exit 4,
+        # found after every bisection); a later one has a data error found
+        # before any per-point call (exit 2). Reversed, the data error comes
+        # first. The model is that of test_theorem1_vanishing_gradient_exits_4.
+        model = MlpModel(
+            [DenseLayer(np.array([[100.0, 0.0], [100.0, 0.0]]), np.array([50.0, -50.0]),
+                        Activation("tanh"))],
+            DenseLayer(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.zeros(2),
+                       Activation("linear")),
+        )
+        if reverse:
+            features, labels = features[::-1], labels[::-1]
+        rc = self._theorem1(tmp_path, model, features, labels, anchors=anchors)
+        if reverse:
+            assert rc == 2
+            _assert_one_line_error(capsys, needle)
+        else:
+            assert rc == 4
+            _assert_one_line_error(capsys, "gradient vanishes")
+
     @pytest.mark.parametrize("mode", ["eigencheck", "lemma1"])
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_config_error(self, tmp_path, capsys, mode, count):

@@ -1,3 +1,6 @@
+import json
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from conftest import linear_layer, rotation, small_model
 
+from eigendecay import margin
 from eigendecay.data import Dataset, gen_two_gaussians
 from eigendecay.linalg import as_vector
 from eigendecay.margin import (
@@ -13,6 +17,7 @@ from eigendecay.margin import (
     BOUND_EPS_REL,
     AnchorSamplingError,
     BisectionToleranceError,
+    BoundIngredients,
     DegenerateGradientError,
     MarginReport,
     NoCrossingError,
@@ -32,11 +37,13 @@ from eigendecay.margin import (
 from eigendecay.model import (
     Activation,
     DenseLayer,
+    ForwardTrace,
     MlpModel,
     _column_pass,
     forward,
     forward_batch,
     init_mlp,
+    input_gradient,
 )
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import TrainConfig, evaluate, sgd_train
@@ -254,8 +261,6 @@ class TestBoundIngredients:
         point = rng.standard_normal(3)
         sp = SurfacePoint(point, 1, 0.0)
         ing = _ingredients(model, sp, 1)
-        from eigendecay.model import input_gradient
-
         g = input_gradient(model, forward(model, point), 1)
         np.testing.assert_allclose(model.output.weights[1] @ ing.omega.T, g, rtol=1e-12)
 
@@ -419,10 +424,91 @@ def _reference_surface_point(model, x_a, x_b, l):
     )
 
 
+def _reference_forward(model, x):
+    """forward as it passed one input at a time, frozen as the reference
+    for the stacked per-point pass."""
+    x = as_vector(x)
+    if x.shape[0] != model.n_in:
+        raise ValueError(
+            f"input has length {x.shape[0]} but the model expects {model.n_in}"
+        )
+    return ForwardTrace(x, *_column_pass(model, x))
+
+
+def _reference_input_gradient(model, trace, l):
+    if not 0 <= l < model.n_out:
+        raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
+    g = model.output.weights[l].copy()
+    for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
+        g = (g * layer.activation.deriv(v)) @ layer.weights
+    return g
+
+
+def _reference_signed_distance(model, x_i, surface_point, l, *, trace):
+    x_i = as_vector(x_i)
+    g = _reference_input_gradient(model, trace, l)
+    norm = float(np.linalg.norm(g))
+    if norm == 0.0:
+        raise DegenerateGradientError(
+            f"class-{l} output gradient vanishes at the surface point"
+        )
+    return float(g @ (x_i - surface_point.point)) / norm
+
+
+def _reference_bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
+    lambda_activ = []
+    omega = None
+    for layer, v in zip(model.hidden, trace.preactivations):
+        slopes = layer.activation.deriv(v)
+        lambda_activ.append(float(np.max(slopes**2)))
+        factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
+        omega = factor if omega is None else omega @ factor
+    return BoundIngredients(omega, lambda_activ, list(lambda_dom))
+
+
+def _reference_per_point_bound(model, x_i, surface_point, l, y_target, *, trace,
+                               lambda_dom):
+    x_i = as_vector(x_i)
+    if y_target not in (-1.0, 1.0, -1, 1):
+        raise ValueError(f"target must be +/-1, got {y_target}")
+    ing = _reference_bound_ingredients(model, surface_point, l, trace=trace,
+                                       lambda_dom=lambda_dom)
+    w_row = model.output.weights[l]
+    w_norm = float(np.linalg.norm(w_row))
+    if w_norm == 0.0:
+        raise DegenerateGradientError(f"output row {l} is zero")
+    numerator = float(y_target * (w_row @ ing.omega.T @ (x_i - surface_point.point)))
+    dom_product = 1.0
+    for lam in ing.lambda_dom:
+        dom_product *= max(lam, 0.0)
+    activ_product = 1.0
+    for lam in ing.lambda_activ:
+        activ_product *= lam
+    denom = w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
+    return numerator / denom
+
+
+def _reference_anchors(dataset, yl, i, anchors_per_example):
+    """The per-example nearest-anchor search, frozen as the reference for
+    the search that gathers each sign group once per call."""
+    x_i = dataset.features[i]
+    anchor_pool = np.arange(len(dataset))
+    opposite = anchor_pool[yl[anchor_pool] * yl[i] < 0.0]
+    if opposite.size < anchors_per_example:
+        raise AnchorSamplingError(
+            f"example {i}: only {opposite.size} opposite-prediction anchors "
+            f"available, {anchors_per_example} requested"
+        )
+    dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
+    order = np.argsort(dists, kind="stable")[:anchors_per_example]
+    return dataset.features[opposite[order]]
+
+
 def _reference_reports(model, dataset, l, anchors_per_example):
-    """verify_theorem1 rebuilt from the per-point calls, each of which
-    recomputes its own forward pass and layer eigenvalues, and from the
-    one-segment-at-a-time bisection."""
+    """verify_theorem1 rebuilt from the frozen single-point calls, each of
+    which recomputes its own forward pass and layer eigenvalues, from the
+    one-segment-at-a-time bisection and from the per-example anchor search,
+    raising each error as it comes."""
     _, _, Yhat = forward_batch(model, dataset.features)
     yl = Yhat[:, l]
     reports = []
@@ -431,13 +517,14 @@ def _reference_reports(model, dataset, l, anchors_per_example):
             continue
         x_i = dataset.features[i]
         target = float(dataset.encoded[i, l])
-        opposite = np.flatnonzero(yl * yl[i] < 0.0)
-        dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
         records = []
-        for j in opposite[np.argsort(dists, kind="stable")[:anchors_per_example]]:
-            sp = _reference_surface_point(model, x_i, dataset.features[j], l)
-            d = _distance(model, x_i, sp, l)
-            b = _bound(model, x_i, sp, l, target)
+        for anchor in _reference_anchors(dataset, yl, i, anchors_per_example):
+            sp = _reference_surface_point(model, x_i, anchor, l)
+            trace = _reference_forward(model, sp.point)
+            lambda_dom = layer_lambda_dom(model)
+            d = _reference_signed_distance(model, x_i, sp, l, trace=trace)
+            b = _reference_per_point_bound(model, x_i, sp, l, target, trace=trace,
+                                           lambda_dom=lambda_dom)
             records.append(
                 PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
             )
@@ -453,6 +540,18 @@ def _reference_reports(model, dataset, l, anchors_per_example):
     return reports
 
 
+def _report_bytes(reports):
+    return json.dumps([report_to_dict(r) for r in reports]).encode()
+
+
+def _run(call):
+    """The call's value, or its error's type and text."""
+    try:
+        return call()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
 class TestSharedPerPointWork:
     """verify_theorem1 shares one forward pass per surface point and one
     eigenvalue per layer across its calls; its reports must equal, bit for
@@ -462,9 +561,8 @@ class TestSharedPerPointWork:
         reports, _ = verify_theorem1(model, dataset, 0, anchors_per_example=anchors)
         reference = _reference_reports(model, dataset, 0, anchors)
         assert len(reports) >= 10
-        assert [report_to_dict(r) for r in reports] == [
-            report_to_dict(r) for r in reference
-        ]
+        # bytes, so that a -0.0 for a 0.0 fails and a nan equals itself
+        assert _report_bytes(reports) == _report_bytes(reference)
 
     def test_two_hidden_tanh_model(self):
         ds = gen_two_gaussians(30, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=41)
@@ -506,6 +604,217 @@ class TestSharedPerPointWork:
             verify_theorem1(model, ds, 0, anchors_per_example=1)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _row_outcome(values, failed, s):
+    if s in failed:
+        return type(failed[s]), str(failed[s])
+    return _bits(values[s]).tolist()
+
+
+def _alone_outcome(call):
+    outcome = _run(call)
+    return outcome if isinstance(outcome, tuple) else _bits(outcome).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       n_in=st.integers(1, 5), n_out=st.integers(1, 3), N=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_out, N,
+                                                        seed):
+    # about one point in four is scaled by 1e3, which saturates every
+    # sigmoid and tanh unit: its gradient vanishes and its bound divides
+    # by zero
+    rng = np.random.default_rng(seed)
+    model = init_mlp([n_in, *widths, n_out], kind, seed=seed)
+    for layer in model.layers:
+        layer.bias[:] = rng.normal(scale=0.2, size=layer.bias.shape)
+    l = int(rng.integers(n_out))
+    scale = np.where(rng.random(N) < 0.25, 1e3, 2.0)[:, None]
+    P = scale * rng.standard_normal((N, n_in))
+    X = 2.0 * rng.standard_normal((N, n_in))
+    targets = rng.choice([-1.0, 1.0], N)
+    lambda_dom = layer_lambda_dom(model)
+    sp = SurfacePoint(P, l, np.zeros(N))
+    trace = forward(model, P)
+    g = input_gradient(model, trace, l)
+    d, d_failed = signed_distance(model, X, sp, l, trace=trace)
+    ing = bound_ingredients(model, sp, l, trace=trace, lambda_dom=lambda_dom)
+    b, b_failed = per_point_bound(model, X, sp, l, targets, trace=trace,
+                                  lambda_dom=lambda_dom)
+    assert ing.lambda_dom == lambda_dom
+    for s in range(N):
+        one = SurfacePoint(P[s], l, 0.0)
+        ref = _reference_forward(model, P[s])
+        for got, want in [(trace.input, ref.input), (trace.output, ref.output),
+                          *zip(trace.preactivations, ref.preactivations),
+                          *zip(trace.activations, ref.activations)]:
+            np.testing.assert_array_equal(_bits(got[s]), _bits(want))
+        np.testing.assert_array_equal(
+            _bits(g[s]), _bits(_reference_input_gradient(model, ref, l)))
+        ref_ing = _reference_bound_ingredients(model, one, l, trace=ref,
+                                               lambda_dom=lambda_dom)
+        np.testing.assert_array_equal(_bits(ing.omega[s]), _bits(ref_ing.omega))
+        assert [_bits(lam[s]) for lam in ing.lambda_activ] == [
+            _bits(lam) for lam in ref_ing.lambda_activ]
+        want_d = _alone_outcome(lambda: _reference_signed_distance(
+            model, X[s], one, l, trace=ref))
+        want_b = _alone_outcome(lambda: _reference_per_point_bound(
+            model, X[s], one, l, targets[s], trace=ref, lambda_dom=lambda_dom))
+        assert _row_outcome(d, d_failed, s) == want_d
+        assert _row_outcome(b, b_failed, s) == want_b
+        # the stack of one returns the float or raises
+        alone = forward(model, P[s])
+        assert _alone_outcome(lambda: signed_distance(
+            model, X[s], one, l, trace=alone)) == want_d
+        assert _alone_outcome(lambda: per_point_bound(
+            model, X[s], one, l, targets[s], trace=alone,
+            lambda_dom=lambda_dom)) == want_b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
+       widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       chunk=st.integers(1, 7), anchors=st.integers(1, 3), flip=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_chunked_verify_theorem1_equals_the_reference(kind, widths, chunk, anchors, flip,
+                                                      seed):
+    # labels follow the model's own class-0 sign, so most examples are
+    # checked; with flip, some are misclassified and skipped
+    rng = np.random.default_rng(seed)
+    model = init_mlp([2, *widths, 2], kind, seed=seed)
+    for layer in model.layers:
+        layer.bias[:] = rng.normal(scale=0.2, size=layer.bias.shape)
+    features = 2.0 * rng.standard_normal((12, 2))
+    labels = np.where(forward_batch(model, features)[2][:, 0] > 0.0, 0, 1)
+    if flip:
+        labels[rng.random(12) < 0.3] ^= 1
+    ds = Dataset.from_arrays(features, labels, n_classes=2)
+    calls = []
+
+    def spy(model, x):
+        calls.append(len(x))
+        return forward(model, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(margin, "STACK_FLOATS", chunk * margin._point_floats(model))
+        mp.setattr(margin, "forward", spy)
+        got = _run(lambda: _report_bytes(verify_theorem1(model, ds, 0, anchors)[0]))
+    want = _run(lambda: _report_bytes(_reference_reports(model, ds, 0, anchors)))
+    assert got == want
+    if not isinstance(got, tuple):
+        points = sum(len(r["distances"]) for r in json.loads(got))
+        assert calls == [min(chunk, points - start) for start in range(0, points, chunk)]
+
+
+class TestNearestAnchors:
+    """The anchor search gathers each sign group once per call and takes the
+    distances of a chunk of examples at a time; every example must get the
+    anchors, or the error, of the frozen per-example search."""
+
+    def _assert_matches_reference(self, features, yl, k):
+        ds = Dataset.from_arrays(features, (yl < 0.0).astype(int), n_classes=2)
+        examples = np.flatnonzero(yl != 0.0)
+        want = []
+        for i in examples.tolist():
+            outcome = _run(lambda: _reference_anchors(ds, yl, i, k))
+            if isinstance(outcome, tuple):
+                want.append(outcome)
+                break
+            want.append((i, outcome.tobytes()))
+        got = []
+        try:
+            for i, anchors in margin._nearest_anchors(ds, yl, examples, k):
+                got.append((i, anchors.tobytes()))
+        except AnchorSamplingError as exc:
+            got.append((type(exc), str(exc)))
+        assert got == want
+        return got
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # every opposite point of the origin lies at distance 5, and the
+        # two at (3, 4) are duplicates
+        features = np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0], [3.0, 4.0],
+                             [0.0, -5.0], [-4.0, 3.0], [0.5, 0.5], [-3.0, -4.0]])
+        yl = np.array([1.0, -1.0, -2.0, -1.0, -0.5, -3.0, 2.0, -1.0])
+        for k in (1, 3, 6):
+            got = self._assert_matches_reference(features, yl, k)
+        assert isinstance(got[-1][0], type)  # 6 anchors: the positives have only 2
+
+    def test_784_d_points(self, rng):
+        features = rng.standard_normal((60, 784))
+        features[7] = features[3]  # a duplicate, so one tie in each search
+        yl = rng.standard_normal(60)
+        self._assert_matches_reference(features, yl, 5)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_boundaries(self, rng, monkeypatch, chunk):
+        features = rng.standard_normal((20, 6))
+        yl = rng.standard_normal(20)
+        monkeypatch.setattr(margin, "STACK_FLOATS", chunk * features.size)
+        self._assert_matches_reference(features, yl, 4)
+
+    def test_an_underflowing_product_is_not_opposite(self):
+        # 1e-200 * -1e-200 rounds to -0.0, which is not below zero
+        features = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        yl = np.array([1e-200, -1e-200, -1.0, 4.0])
+        self._assert_matches_reference(features, yl, 1)
+        got = self._assert_matches_reference(features, yl, 2)
+        assert got[-1] == (AnchorSamplingError, "example 0: only 1 opposite-prediction "
+                                                "anchors available, 2 requested")
+
+
+def _flat_root_model():
+    """Class 0 reads tanh(100 x1 + 50) + tanh(100 x1 - 50): two saturated
+    units that cancel exactly for |x1| < 0.3, where every slope is 0. x2
+    has no weight. A segment from x1 = 1 to x1 = -1 or -1.5 finds its root
+    at the first midpoint, where the gradient vanishes."""
+    return MlpModel(
+        [DenseLayer(np.array([[100.0, 0.0], [100.0, 0.0]]), np.array([50.0, -50.0]),
+                    Activation("tanh"))],
+        DenseLayer(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.zeros(2),
+                   Activation("linear")),
+    )
+
+
+# (features, labels, anchors) whose first example by index has a vanishing
+# gradient and whose later one fails before any per-point call: a missing
+# anchor, or a midpoint whose x2 = 1e308 + 1e308 overflows; and the same
+# rows reversed, so that the later failure comes first
+VANISHING = "class-0 output gradient vanishes at the surface point"
+ERROR_ORDER_CASES = {
+    "missing_anchor": ([[1.0, 0.0], [-1.0, 0.0], [-1.5, 0.0]], [0, 1, 1], 2,
+                       AnchorSamplingError,
+                       "only 1 opposite-prediction anchors available, 2 requested"),
+    "overflowing_midpoint": ([[1.0, 0.0], [1.0, 1e308], [-1.0, 0.0], [-1.0, 1e308]],
+                             [0, 0, 1, 1], 1, NonFiniteMidpointError,
+                             "bisection midpoint entries must be finite"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(ERROR_ORDER_CASES))
+@pytest.mark.parametrize("reverse", [False, True], ids=["gradient_first", "gradient_last"])
+def test_first_failing_example_raises_whatever_the_stage(case, reverse):
+    features, labels, anchors, error, text = ERROR_ORDER_CASES[case]
+    if reverse:
+        features, labels = features[::-1], labels[::-1]
+    ds = Dataset.from_arrays(np.array(features), np.array(labels), n_classes=2)
+    model = _flat_root_model()
+    got = _run(lambda: verify_theorem1(model, ds, 0, anchors_per_example=anchors))
+    assert got == _run(lambda: _reference_reports(model, ds, 0, anchors))
+    if reverse:
+        assert got[0] is error and text in got[1]
+    else:
+        assert got == (DegenerateGradientError, VANISHING)
+
+
 class TestDenominatorInequality:
     def test_orthogonal_weights_equality(self):
         w = rotation(3, 1.0, 5)
@@ -543,7 +852,6 @@ def test_margin_report_serialization(tmp_path):
     path = tmp_path / "margin.jsonl"
     save_margin_reports(reports, path)
     lines = path.read_text().splitlines()
-    import json
 
     header = json.loads(lines[0])
     assert header["schema_version"] == 1
