@@ -29,7 +29,7 @@ from .data import (
     load_idx,
     write_delimited,
 )
-from .linalg import MAX_JACOBI_SIDE
+from .linalg import MAX_JACOBI_SIDE, DegenerateIterateError, gram
 from .margin import (
     AnchorSamplingError,
     BisectionToleranceError,
@@ -411,6 +411,13 @@ def cmd_gridsearch(args):
     return EXIT_OK
 
 
+def _require_finite_grams(mode, layers):
+    # the eigenvalue solvers need every W W^T inside float range
+    for k, layer in enumerate(layers):
+        if not np.isfinite(gram(layer.weights)).all():
+            raise DataError(f"{mode}: W W^T of layer {k} overflows float range")
+
+
 def cmd_verify(args):
     started = time.perf_counter()
     out = _out_dir(args)
@@ -431,7 +438,11 @@ def cmd_verify(args):
     elif mode == "gradcheck":
         if args.model:
             model = _load_model_file(args.model)
-            records, ok = model_gradient_check(model, seed=seed)
+            _require_finite_grams(mode, model.layers)
+            try:
+                records, ok = model_gradient_check(model, seed=seed)
+            except (DegenerateIterateError, OverflowError) as exc:
+                raise DataError(f"{mode}: {exc}") from None
         else:
             records, ok = gradient_check_suite(
                 count=50 if args.count is None else args.count, seed=seed
@@ -459,6 +470,7 @@ def cmd_verify(args):
                     f"{MAX_JACOBI_SIDE} wide (the exact eigensolver's cap); "
                     f"the model has one {layer.out_dim} wide"
                 )
+        _require_finite_grams(mode, model.hidden)
         dataset = _load_eval_data(args)
         _require_fit(model, dataset)
         try:

@@ -201,8 +201,8 @@ def gen_two_moons(n, noise=0.1, seed=0):
     """Two interleaved half circles; classes split n as evenly as possible."""
     if n < 2:
         raise ValueError(f"need at least two examples, got {n}")
-    if not math.isfinite(noise):
-        raise ValueError(f"noise must be finite, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0

@@ -13,10 +13,10 @@ computes them once per call (layer_lambda_dom). The segments from one
 example to its anchors are bisected together: each step evaluates the
 class output of every unfinished segment in one column pass, which gives
 each segment the bits of its bisection alone. The surface points of the
-whole call then go through one stacked per-point pass per chunk: one
+whole call then go through one per_point_bound call per chunk: one
 forward pass, shared by the signed distances and the bound terms, and
 row-wise products that give each point the bits of its single-point
-calls.
+arithmetic.
 """
 
 from dataclasses import dataclass
@@ -62,13 +62,6 @@ class AnchorSamplingError(RuntimeError):
 
 
 @dataclass
-class SurfacePoint:
-    point: np.ndarray
-    cls: int
-    residual: float
-
-
-@dataclass
 class PointRecord:
     distance: float
     bound: float
@@ -101,26 +94,21 @@ def find_surface_point(model, x_a, x_b, l):
     x_a and x_b are (S, d) stacks of endpoints, bisected together: each
     step evaluates the class output of every unfinished segment in one
     column pass, and a segment that has finished or failed never moves
-    again. Returns (points, failed): points[s] is segment s's SurfacePoint,
-    or None where failed maps s to its NoCrossingError,
+    again. Returns (points, failed): points is (S, d), row s segment s's
+    surface point, or nan where failed maps s to its NoCrossingError,
     NonFiniteMidpointError or BisectionToleranceError. Every segment takes
-    the steps, and has the bits, of its bisection alone.
-
-    1-D endpoints are the stack of one: the call returns the SurfacePoint
-    or raises the segment's error. Endpoints of the wrong shape or length,
-    or with non-finite entries, raise ValueError for the whole call.
+    the steps, and has the bits, of its bisection alone. Endpoints of the
+    wrong shape or length, or with non-finite entries, raise ValueError
+    for the whole call.
     """
-    single = np.ndim(x_a) == 1
-    x_a = as_vector(x_a, stacked=not single)
-    x_b = as_vector(x_b, stacked=not single)
+    x_a = as_vector(x_a, stacked=True)
+    x_b = as_vector(x_b, stacked=True)
     for x in (x_a, x_b):
         if x.shape[-1] != model.n_in:
             raise ValueError(
                 f"input has length {x.shape[-1]} but the model expects {model.n_in}"
             )
-    if single:
-        x_a, x_b = x_a[None], x_b[None]
-    elif x_a.shape != x_b.shape:
+    if x_a.shape != x_b.shape:
         raise ValueError(
             f"endpoint stacks have shapes {x_a.shape} and {x_b.shape}"
         )
@@ -130,7 +118,7 @@ def find_surface_point(model, x_a, x_b, l):
 
     fa = class_output(x_a)
     fb = class_output(x_b)
-    points, failed = [None] * len(x_a), {}
+    points, failed = np.full(x_a.shape, np.nan), {}
     crossing = (fa != 0.0) & (fb != 0.0) & ((fa > 0) != (fb > 0))
     for s in np.flatnonzero(~crossing).tolist():
         failed[s] = NoCrossingError(
@@ -153,11 +141,9 @@ def find_surface_point(model, x_a, x_b, l):
             ids, lo, hi, positive_a, mid = (
                 a[finite] for a in (ids, lo, hi, positive_a, mid))
         fm = class_output(mid)
-        residual = np.abs(fm)
-        done = residual < BISECTION_TOL
+        done = np.abs(fm) < BISECTION_TOL
         if done.any():
-            for s, point, r in zip(ids[done].tolist(), mid[done], residual[done]):
-                points[s] = SurfacePoint(point, l, float(r))
+            points[ids[done]] = mid[done]
             ids, lo, hi, positive_a, mid, fm = (
                 a[~done] for a in (ids, lo, hi, positive_a, mid, fm))
         to_lo = ((fm > 0) == positive_a)[:, None]
@@ -168,57 +154,7 @@ def find_surface_point(model, x_a, x_b, l):
             f"bisection did not reach |output| < {BISECTION_TOL:g} in "
             f"{BISECTION_MAX_STEPS} steps"
         )
-    if not single:
-        return points, failed
-    if failed:
-        raise failed[0]
-    return points[0]
-
-
-def _unstack(single, values, failed):
-    # a stack returns its values and failed rows; the stack of one
-    # returns its float or raises its row's error
-    if not single:
-        return values, failed
-    if failed:
-        raise failed[0]
-    return float(values[0])
-
-
-def signed_distance(model, x_i, surface_point, l, *, trace):
-    """First-order signed distance from x_i to the surface point, using the
-    output gradient evaluated at the surface point. Negative values mean
-    x_i sits on the negative side of the class-l output.
-
-    trace is forward(model, surface_point.point). x_i may be an (N, d)
-    stack, with surface_point.point (N, d) and a stacked trace: the call
-    returns (distances, failed), failed mapping a row whose gradient
-    vanishes to its DegenerateGradientError (its distance is nan). Each
-    row has the bits of its single-point call, which returns the float or
-    raises the error."""
-    single = np.ndim(x_i) == 1
-    x_i = as_vector(x_i, stacked=not single)
-    g = input_gradient(model, trace, l)
-    diff = x_i - surface_point.point
-    if single:
-        g, diff = g[None], diff[None]
-    norm = np.sqrt(_dot(g, g))
-    degenerate = norm == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        distance = np.where(degenerate, np.nan, _dot(g, diff) / norm)
-    failed = {
-        s: DegenerateGradientError(
-            f"class-{l} output gradient vanishes at the surface point")
-        for s in np.flatnonzero(degenerate).tolist()
-    }
-    return _unstack(single, distance, failed)
-
-
-@dataclass
-class BoundIngredients:
-    omega: np.ndarray  # product of W_k^T Gamma_k^T across hidden layers
-    lambda_activ: list  # dominant eigenvalue of Gamma Gamma^T per layer
-    lambda_dom: list  # dominant eigenvalue of W W^T per hidden layer
+    return points, failed
 
 
 def _require_smooth(model):
@@ -237,70 +173,65 @@ def layer_lambda_dom(model):
     return [exact_dominant_eigen(gram(layer.weights)) for layer in model.hidden]
 
 
-def bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
-    """Per-layer factors of the margin bound, evaluated at a surface point.
+def per_point_bound(model, X, P, l, targets, lambda_dom):
+    """First-order signed distance, and margin-bound term, of each example
+    X[s] from its class-l surface point P[s].
 
-    Gamma_k is the diagonal of activation derivatives at the layer's
-    pre-activation; omega transposed equals the output-row input gradient;
-    the eigenvalues come from the exact solver. trace is
-    forward(model, surface_point.point) and lambda_dom is
-    layer_lambda_dom(model). A stacked trace gives omega as (N, n_in, h)
-    and each lambda_activ entry as an (N,) array, each point with the bits
-    of its single-point call.
+    The distance divides the dot of the input gradient at P[s] with
+    X[s] - P[s] by the gradient norm; negative values mean X[s] sits on
+    the negative side. The bound term takes targets[s] times the same
+    numerator, formed through omega (the product of W_k^T Gamma_k^T across
+    hidden layers, Gamma_k the activation slopes at P[s]), and divides it
+    by |w_l| times the square roots of the layers' largest squared slopes
+    and of lambda_dom, layer_lambda_dom(model), instead of the gradient
+    norm.
+
+    X and P are (N, d) stacks and targets (N,) +/-1 values; the call makes
+    one forward pass of P. Returns (distances, bounds, failed): failed maps
+    a row whose gradient vanishes, or else whose bound denominator is
+    zero, to its DegenerateGradientError; the value that could not be
+    formed is nan. Each row has the bits of its single-point arithmetic. A
+    target other than +/-1 or a zero output row raises for the whole call.
     """
     _require_smooth(model)
-    lambda_activ = []
-    omega = None
-    for layer, v in zip(model.hidden, trace.preactivations):
-        slopes = layer.activation.deriv(v)
-        peak = np.max(slopes**2, axis=-1)
-        lambda_activ.append(peak if np.ndim(peak) else float(peak))
-        # W_k^T Gamma_k^T, Gamma diagonal
-        factor = layer.weights.T * slopes[..., None, :]
-        omega = factor if omega is None else omega @ factor
-    return BoundIngredients(omega, lambda_activ, list(lambda_dom))
-
-
-def per_point_bound(model, x_i, surface_point, l, y_target, *, trace,
-                    lambda_dom):
-    """One term of the margin lower bound: the gradient numerator rescaled
-    by the layer spectral norms and activation slopes instead of the true
-    gradient norm. trace and lambda_dom are passed to bound_ingredients.
-
-    x_i may be an (N, d) stack, with y_target an (N,) array and a stacked
-    surface point and trace: the call returns (bounds, failed), failed
-    mapping a row whose denominator is zero to the ZeroDivisionError its
-    single-point call raises (its bound is nan). A target other than +/-1
-    or a zero output row raises for the whole call."""
-    single = np.ndim(x_i) == 1
-    x_i = as_vector(x_i, stacked=not single)
-    wrong = [t for t in np.ravel(y_target).tolist() if t not in (-1.0, 1.0)]
+    X = as_vector(X, stacked=True)
+    trace = forward(model, as_vector(P, stacked=True))
+    if X.shape != trace.input.shape:
+        raise ValueError(
+            f"example and point stacks have shapes {X.shape} and {trace.input.shape}"
+        )
+    diff = X - trace.input
+    g = input_gradient(model, trace, l)
+    wrong = [t for t in np.ravel(targets).tolist() if t not in (-1.0, 1.0)]
     if wrong:
         raise ValueError(f"target must be +/-1, got {wrong[0]}")
-    ing = bound_ingredients(model, surface_point, l, trace=trace,
-                            lambda_dom=lambda_dom)
     w_row = model.output.weights[l]
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
         raise DegenerateGradientError(f"output row {l} is zero")
-    u = w_row @ ing.omega.swapaxes(-1, -2)
-    diff = x_i - surface_point.point
-    if single:
-        u, diff = u[None], diff[None]
-    numerator = np.asarray(y_target, dtype=float) * _dot(u, diff)
-    dom_product = 1.0
-    for lam in ing.lambda_dom:
-        dom_product *= max(lam, 0.0)
-    activ_product = 1.0
-    for lam in ing.lambda_activ:
-        activ_product *= lam
-    denom = w_norm * np.sqrt(activ_product) * math.sqrt(dom_product)
-    zero = denom == 0.0
+    lambda_activ, omega = [], None
+    for layer, v in zip(model.hidden, trace.preactivations):
+        slopes = layer.activation.deriv(v)
+        lambda_activ.append(np.max(slopes**2, axis=-1))
+        factor = layer.weights.T * slopes[:, None, :]  # W_k^T Gamma_k^T
+        omega = factor if omega is None else omega @ factor
+    numerator = np.asarray(targets, dtype=float) * _dot(
+        w_row @ omega.swapaxes(-1, -2), diff)
+    # left folds, as the layer loop multiplied them
+    dom_product = math.prod(max(lam, 0.0) for lam in lambda_dom)
+    denom = w_norm * np.sqrt(math.prod(lambda_activ)) * math.sqrt(dom_product)
+    norm = np.sqrt(_dot(g, g))
+    vanishing, zero = norm == 0.0, denom == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(zero, np.nan, numerator / denom)
-    failed = {s: ZeroDivisionError("float division by zero")
-              for s in np.flatnonzero(zero).tolist()}
-    return _unstack(single, bound, failed)
+        distances = np.where(vanishing, np.nan, _dot(g, diff) / norm)
+        bounds = np.where(zero, np.nan, numerator / denom)
+    failed = {
+        s: DegenerateGradientError(
+            f"class-{l} output gradient vanishes at the surface point" if vanishing[s]
+            else f"class-{l} bound denominator underflows to zero at the surface point")
+        for s in np.flatnonzero(vanishing | zero).tolist()
+    }
+    return distances, bounds, failed
 
 
 def _nearest_anchors(dataset, yl, examples, k):
@@ -365,12 +296,12 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
 
     The check runs in two stages. The first walks the examples in order:
     the anchor search, then one find_surface_point stack per example. The
-    second makes the per-point calls over every surface point found, in
-    stacks of about model.STACK_FLOATS floats. Errors come as the
+    second makes one per_point_bound call per chunk of the surface points
+    found, about model.STACK_FLOATS floats each. Errors come as the
     one-example-at-a-time loop raised them: the first failing example
     raises, whatever the stage, and within an example the anchor search
-    comes first, then the segments in anchor order, then point by point
-    the signed distance before the bound.
+    comes first, then the segments in anchor order, then the points in
+    anchor order.
     Misclassified examples are skipped, so a dataset with no correct
     examples passes vacuously with an empty report list. The layer
     eigenvalues are computed on entry, so a hidden layer wider than the
@@ -389,38 +320,30 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
 
     # stage 1: the surface points, example by example; an error waits
     # until the examples before it have had their per-point calls
-    found, points, residuals, pending = [], [], [], None
+    found, points, pending = [], [], None
     try:
         for i, anchors in _nearest_anchors(dataset, yl, correct, anchors_per_example):
-            x_i = dataset.features[i]
             stack, failed = find_surface_point(
-                model, np.broadcast_to(x_i, anchors.shape), anchors, l)
+                model, np.broadcast_to(dataset.features[i], anchors.shape), anchors, l)
             if failed:
                 raise failed[min(failed)]
             found.append(i)
-            points += [sp.point for sp in stack]
-            residuals += [sp.residual for sp in stack]
+            points.append(stack)
     except (AnchorSamplingError, BisectionToleranceError, ValueError) as exc:
         pending = exc
 
     # stage 2: one stacked per-point pass over a chunk of points at a time
     owners = np.repeat(np.asarray(found, dtype=int), anchors_per_example)
     points = np.asarray(points, dtype=float).reshape(len(owners), model.n_in)
-    residuals = np.asarray(residuals, dtype=float)
     distances = np.empty(len(owners))
     bounds = np.empty(len(owners))
     chunk = max(1, STACK_FLOATS // _point_floats(model))
     for start in range(0, len(owners), chunk):
         rows = slice(start, start + chunk)
-        x_i = dataset.features[owners[rows]]
-        sp = SurfacePoint(points[rows], l, residuals[rows])
-        trace = forward(model, sp.point)
-        d, d_failed = signed_distance(model, x_i, sp, l, trace=trace)
-        b, b_failed = per_point_bound(model, x_i, sp, l, targets[owners[rows]],
-                                      trace=trace, lambda_dom=lambda_dom)
-        if d_failed or b_failed:
-            s = min(d_failed.keys() | b_failed.keys())
-            raise d_failed[s] if s in d_failed else b_failed[s]
+        d, b, failed = per_point_bound(model, dataset.features[owners[rows]], points[rows],
+                                       l, targets[owners[rows]], lambda_dom)
+        if failed:
+            raise failed[min(failed)]
         distances[rows], bounds[rows] = d, b
     if pending is not None:
         raise pending

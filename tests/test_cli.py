@@ -171,6 +171,17 @@ class TestEvalCommand:
         assert report["accuracy"] == 1.0
 
 
+def _underflowing_slopes_model():
+    """Class 0 reads 1e150 * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)). Its
+    hidden W W^T has the all-ones start in its kernel."""
+    return MlpModel(
+        [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-400.0, -400.0]),
+                    Activation("sigmoid"))],
+        DenseLayer(np.array([[1e150, -1e150], [-1e150, 1e150]]), np.zeros(2),
+                   Activation("linear")),
+    )
+
+
 def _assert_one_line_error(capsys, needle=""):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -206,7 +217,8 @@ class TestGendataCommand:
         ["--kind", "two_moons", "--n", "1"],
         ["--kind", "two_gaussians", "--n", "3", "--sigma", "-1"],
         ["--kind", "xor", "--n", "3", "--seed", "-1"],
-    ], ids=["n_zero", "moons_n_one", "negative_sigma", "negative_seed"])
+        ["--kind", "two_moons", "--n", "3", "--noise", "-1"],
+    ], ids=["n_zero", "moons_n_one", "negative_sigma", "negative_seed", "negative_noise"])
     def test_generator_rejection_is_config_error(self, tmp_path, capsys, argv):
         assert main(["gendata", *argv, "--out", str(tmp_path / "g")]) == 1
         _assert_one_line_error(capsys)
@@ -343,7 +355,8 @@ class TestVerifyCommand:
                    "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "v")])
         assert rc == 1
 
-    def _theorem1(self, tmp_path, model, features, labels, cls=0, anchors=1):
+    def _theorem1(self, tmp_path, model, features, labels, cls=0, anchors=1,
+                  mode="theorem1"):
         import numpy as np
 
         from eigendecay.data import Dataset
@@ -352,7 +365,7 @@ class TestVerifyCommand:
         ds = Dataset.from_arrays(np.asarray(features, dtype=float), np.asarray(labels),
                                  n_classes=2)
         write_delimited(ds, tmp_path / "d.csv")
-        return main(["verify", "--mode", "theorem1", "--model", str(tmp_path / "m.json"),
+        return main(["verify", "--mode", mode, "--model", str(tmp_path / "m.json"),
                      "--data", str(tmp_path / "d.csv"), "--class", str(cls),
                      "--anchors", str(anchors), "--out", str(tmp_path / "v")])
 
@@ -467,6 +480,38 @@ class TestVerifyCommand:
         else:
             assert rc == 4
             _assert_one_line_error(capsys, "gradient vanishes")
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_theorem1_zero_bound_denominator_exits_4(self, tmp_path, capsys, cls):
+        # at the surface point x1 = 0 both sigmoid slopes are about
+        # 1.9e-174: the gradient is finite, but the squared slopes, and with
+        # them the bound denominator, underflow to zero
+        model = _underflowing_slopes_model()
+        rc = self._theorem1(tmp_path, model, [[1.0, 0.0], [-1.0, 0.0]], [0, 1], cls=cls)
+        assert rc == 4
+        _assert_one_line_error(
+            capsys, f"verification failed: theorem1: class-{cls} bound denominator")
+
+    @pytest.mark.parametrize("mode", ["theorem1", "gradcheck"])
+    def test_overflowing_gram_is_data_error(self, tmp_path, capsys, mode):
+        model = init_mlp([2, 4, 2], "sigmoid", seed=0)
+        model.hidden[0].weights[0, 0] = 1e200
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1], mode=mode)
+        assert rc == 2
+        _assert_one_line_error(capsys, f"data error: {mode}: W W^T of layer 0 overflows")
+
+    @pytest.mark.parametrize("model, needle", [
+        (_underflowing_slopes_model(), "power iterate hit the zero vector"),
+        # a gram of 1e308 entries: the first iterate overflows
+        (MlpModel([DenseLayer(np.array([[1e154, 0.0]] * 3), np.zeros(3), Activation("tanh"))],
+                  DenseLayer(np.ones((2, 3)), np.zeros(2), Activation("linear"))),
+         "power iterate overflowed"),
+    ], ids=["iterate_in_kernel", "iterate_overflow"])
+    def test_gradcheck_eigenvalue_failure_is_data_error(self, tmp_path, capsys, model, needle):
+        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1],
+                            mode="gradcheck")
+        assert rc == 2
+        _assert_one_line_error(capsys, f"data error: gradcheck: {needle}")
 
     @pytest.mark.parametrize("mode", ["eigencheck", "lemma1"])
     @pytest.mark.parametrize("count", ["0", "-3"])

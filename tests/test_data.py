@@ -198,7 +198,7 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_two_gaussians(5, sigma=-0.1)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
     def test_non_finite_spread_rejected(self, value):
         with pytest.raises(ValueError, match="sigma must be finite"):
             gen_two_gaussians(5, sigma=value)

@@ -17,20 +17,16 @@ from eigendecay.margin import (
     BOUND_EPS_REL,
     AnchorSamplingError,
     BisectionToleranceError,
-    BoundIngredients,
     DegenerateGradientError,
     MarginReport,
     NoCrossingError,
     NonFiniteMidpointError,
     PointRecord,
-    SurfacePoint,
-    bound_ingredients,
     find_surface_point,
     layer_lambda_dom,
     per_point_bound,
     report_to_dict,
     save_margin_reports,
-    signed_distance,
     verify_denominator_inequality,
     verify_theorem1,
 )
@@ -54,39 +50,54 @@ def _projector_model():
     return MlpModel([linear_layer(np.eye(2))], linear_layer(np.eye(2)))
 
 
-# The per-point calls with the forward pass at the surface point and the
-# layer eigenvalues that verify_theorem1 hands them, computed for each call
+# The stack of one, with the layer eigenvalues that verify_theorem1 hands
+# per_point_bound computed for each call
 
-def _distance(model, x_i, sp, l):
-    return signed_distance(model, x_i, sp, l, trace=forward(model, sp.point))
+def _surface_point(model, x_a, x_b, l):
+    """find_surface_point on one segment: its point, or its error raised."""
+    points, failed = find_surface_point(model, np.array([x_a], dtype=float),
+                                        np.array([x_b], dtype=float), l)
+    if failed:
+        raise failed[0]
+    return points[0]
 
 
-def _ingredients(model, sp, l):
-    return bound_ingredients(model, sp, l, trace=forward(model, sp.point),
-                             lambda_dom=layer_lambda_dom(model))
+def _per_point(model, x_i, point, l, y_target=1.0):
+    """per_point_bound on one point: (distance, bound), or its error raised."""
+    d, b, failed = per_point_bound(model, np.array([x_i], dtype=float),
+                                   np.array([point], dtype=float), l, [y_target],
+                                   layer_lambda_dom(model))
+    if failed:
+        raise failed[0]
+    return d[0], b[0]
 
 
-def _bound(model, x_i, sp, l, y_target):
-    return per_point_bound(model, x_i, sp, l, y_target, trace=forward(model, sp.point),
-                           lambda_dom=layer_lambda_dom(model))
+def _distance(model, x_i, point, l):
+    return _per_point(model, x_i, point, l)[0]
+
+
+def _bound(model, x_i, point, l, y_target):
+    return _per_point(model, x_i, point, l, y_target)[1]
 
 
 class TestFindSurfacePoint:
     def test_linear_root(self):
         model = _projector_model()
-        sp = find_surface_point(model, np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 0)
-        np.testing.assert_allclose(sp.point, [0.0, 0.0], atol=1e-10)
-        assert sp.residual < 1e-10
+        points, failed = find_surface_point(model, np.array([[-1.0, 0.0]]),
+                                            np.array([[1.0, 0.0]]), 0)
+        assert failed == {}
+        np.testing.assert_allclose(points[0], [0.0, 0.0], atol=1e-10)
+        assert abs(forward(model, points[0]).output[0]) < 1e-10
 
     def test_endpoint_length_checked(self):
         model = _projector_model()
         with pytest.raises(ValueError, match="expects 2"):
-            find_surface_point(model, np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0]), 0)
+            find_surface_point(model, np.array([[-1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]), 0)
 
     @pytest.mark.parametrize("x_a, x_b, match", [
         ([[-1.0, 0.0]], [[1.0, 0.0, 0.0]], "expects 2"),
         ([[-1.0, 0.0]] * 2, [[1.0, 0.0]] * 3, "shapes"),
-        ([-1.0, 0.0], [[1.0, 0.0]], "1-d"),
+        ([-1.0, 0.0], [[1.0, 0.0]], "2-d"),
         ([[-1.0, np.inf]], [[1.0, 0.0]], "finite"),
     ], ids=["length", "stack_sizes", "mixed_ranks", "non_finite"])
     def test_stacked_endpoints_checked_for_the_whole_call(self, x_a, x_b, match):
@@ -108,14 +119,14 @@ class TestFindSurfacePoint:
         x_a = np.array([[-1.0, 0.0], [-1.0, 1e308]])
         x_b = np.array([[1.0, 0.0], [1.0, 1e308]])
         points, failed = find_surface_point(model, x_a, x_b, 0)
-        assert points == [None, None]
+        assert np.isnan(points).all()
         errors = (BisectionToleranceError, NonFiniteMidpointError)
         assert [type(failed[s]) for s in (0, 1)] == list(errors)
         assert str(failed[0]) == "bisection did not reach |output| < 1e-10 in 200 steps"
         assert str(failed[1]) == "bisection midpoint entries must be finite"
-        for a, b, error in zip(x_a, x_b, errors):
-            with pytest.raises(error):
-                find_surface_point(model, a, b, 0)
+        for s, error in enumerate(errors):
+            _, one = find_surface_point(model, x_a[s:s + 1], x_b[s:s + 1], 0)
+            assert type(one[0]) is error and str(one[0]) == str(failed[s])
         # an example whose nearer anchor's segment misses the tolerance after
         # 200 steps and whose farther anchor's overflows at step 1: the
         # nearer one's error is raised, as bisecting one segment at a time did
@@ -131,14 +142,16 @@ class TestFindSurfacePoint:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_midpoint_rejected(self):
         model = _projector_model()
-        with pytest.raises(NonFiniteMidpointError, match="finite"):
-            find_surface_point(model, np.array([-1.0, 1e308]), np.array([1.0, 1e308]), 0)
+        points, failed = find_surface_point(model, np.array([[-1.0, 1e308]]),
+                                            np.array([[1.0, 1e308]]), 0)
+        assert type(failed[0]) is NonFiniteMidpointError and "finite" in str(failed[0])
+        assert np.isnan(points[0]).all()
         assert issubclass(NonFiniteMidpointError, ValueError)
 
     def test_same_sign_endpoints_rejected(self):
         model = _projector_model()
-        with pytest.raises(NoCrossingError):
-            find_surface_point(model, np.array([1.0, 0.0]), np.array([2.0, 0.0]), 0)
+        _, failed = find_surface_point(model, np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]), 0)
+        assert type(failed[0]) is NoCrossingError
 
     def test_trained_model_residual_below_tolerance(self):
         ds = gen_two_gaussians(60, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=2)
@@ -147,14 +160,13 @@ class TestFindSurfacePoint:
                   TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=80, seed=4))
         a = ds.features[ds.targets == 0][0]
         b = ds.features[ds.targets == 1][0]
-        sp = find_surface_point(model, a, b, 0)
-        assert abs(forward(model, sp.point).output[0]) < 1e-10
+        assert abs(forward(model, _surface_point(model, a, b, 0)).output[0]) < 1e-10
 
 
 def _outcome(point, error):
     if error is not None:
         return type(error), str(error)
-    return point.point.tobytes(), point.cls, point.residual
+    return point.tobytes()
 
 
 def _alone(model, x_a, x_b, l, bisect):
@@ -188,33 +200,31 @@ def test_stacked_bisection_equals_each_segment_alone(kind, widths, n_in, S, huge
     for s in range(S):
         want = _alone(model, x_a[s], x_b[s], l, _reference_surface_point)
         assert _outcome(points[s], failed.get(s)) == want
-        assert _alone(model, x_a[s], x_b[s], l, find_surface_point) == want
+        assert np.isnan(points[s]).all() == (s in failed)
+        assert _alone(model, x_a[s], x_b[s], l, _surface_point) == want
 
 
 class TestSignedDistance:
     def test_distance_to_hyperplane(self):
         model = _projector_model()
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert _distance(model, np.array([0.5, 0.0]), sp, 0) == pytest.approx(0.5)
+        assert _distance(model, [0.5, 0.0], [0.0, 0.0], 0) == pytest.approx(0.5)
 
     def test_point_on_surface(self):
         model = _projector_model()
-        sp = SurfacePoint(np.array([0.0, 0.3]), 0, 0.0)
-        assert _distance(model, np.array([0.0, 0.3]), sp, 0) == 0.0
+        assert _distance(model, [0.0, 0.3], [0.0, 0.3], 0) == 0.0
 
     def test_negative_side(self):
         model = _projector_model()
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert _distance(model, np.array([-2.0, 1.0]), sp, 0) == pytest.approx(-2.0)
+        assert _distance(model, [-2.0, 1.0], [0.0, 0.0], 0) == pytest.approx(-2.0)
 
     def test_two_hidden_linear_hand_case(self):
         # overall map yhat = 2*x1 + 1: surface at x1 = -0.5, gradient (2, 0)
         h1 = linear_layer(np.array([[2.0, 0.0], [0.0, 1.0]]))
         h2 = linear_layer(np.eye(2))
         model = MlpModel([h1, h2], linear_layer(np.array([[1.0, 0.0]]), np.array([1.0])))
-        sp = find_surface_point(model, np.array([0.0, 0.0]), np.array([-1.0, 0.0]), 0)
-        assert sp.point[0] == pytest.approx(-0.5, abs=1e-10)
-        assert _distance(model, np.array([0.0, 0.0]), sp, 0) == pytest.approx(0.5)
+        point = _surface_point(model, [0.0, 0.0], [-1.0, 0.0], 0)
+        assert point[0] == pytest.approx(-0.5, abs=1e-10)
+        assert _distance(model, [0.0, 0.0], point, 0) == pytest.approx(0.5)
 
     def test_invariant_under_output_row_rescaling(self):
         ds = gen_two_gaussians(40, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.4, seed=3)
@@ -223,86 +233,107 @@ class TestSignedDistance:
                   TrainConfig(learning_rate=0.5, batch_size=8, max_epochs=60, seed=9))
         x = ds.features[ds.targets == 0][0]
         anchor = ds.features[ds.targets == 1][0]
-        sp = find_surface_point(model, x, anchor, 0)
-        d1 = _distance(model, x, sp, 0)
+        point = _surface_point(model, x, anchor, 0)
+        d1 = _distance(model, x, point, 0)
         model.output.weights[0] *= 7.5
-        d2 = _distance(model, x, sp, 0)
+        d2 = _distance(model, x, point, 0)
         assert abs(d1 - d2) <= 1e-9 * max(1.0, abs(d1))
 
     def test_zero_gradient_raises(self):
         h = DenseLayer(np.zeros((2, 2)), np.zeros(2), Activation("sigmoid"))
         model = MlpModel([h], linear_layer(np.ones((1, 2))))
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        with pytest.raises(DegenerateGradientError):
-            _distance(model, np.array([1.0, 0.0]), sp, 0)
+        with pytest.raises(DegenerateGradientError, match="gradient vanishes"):
+            _distance(model, [1.0, 0.0], [0.0, 0.0], 0)
 
 
 class TestBoundIngredients:
     def test_all_linear(self):
+        # W = I, so omega = W^T Gamma^T = I holds exactly when every slope is
+        # 1, and the bound term is x1 with no rounding
         model = _projector_model()
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        ing = _ingredients(model, sp, 0)
-        # W = I, so omega = W^T Gamma^T = I holds exactly when every slope is 1
-        np.testing.assert_array_equal(ing.omega, np.eye(2))
-        assert ing.lambda_activ == [1.0]
-        assert ing.lambda_dom[0] == pytest.approx(1.0)
+        assert layer_lambda_dom(model) == [1.0]
+        assert _bound(model, [0.5, 0.0], [0.0, 0.0], 0, 1.0) == 0.5
 
     def test_sigmoid_at_zero(self):
+        # W = I, so omega carries the sigmoid slopes 0.25 on its diagonal:
+        # the numerator is 0.25 x1 + 0.25 x2 and the denominator
+        # |(1, 1)| * sqrt(0.0625) * sqrt(1)
         h = DenseLayer(np.eye(2), np.zeros(2), Activation("sigmoid"))
         model = MlpModel([h], linear_layer(np.ones((1, 2))))
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        ing = _ingredients(model, sp, 0)
-        # W = I, so omega carries the sigmoid slopes 0.25 on its diagonal
-        np.testing.assert_allclose(ing.omega, 0.25 * np.eye(2))
-        assert ing.lambda_activ[0] == pytest.approx(0.0625)
+        b = _bound(model, [1.0, 0.0], [0.0, 0.0], 0, 1.0)
+        assert b == pytest.approx(0.25 / (math.sqrt(2.0) * 0.25), rel=1e-15)
 
     def test_omega_transpose_is_input_gradient(self, rng):
         model = small_model(dims=(3, 4, 4, 2), activation="tanh", seed=31)
         point = rng.standard_normal(3)
-        sp = SurfacePoint(point, 1, 0.0)
-        ing = _ingredients(model, sp, 1)
-        g = input_gradient(model, forward(model, point), 1)
-        np.testing.assert_allclose(model.output.weights[1] @ ing.omega.T, g, rtol=1e-12)
+        trace = forward(model, point)
+        omega, _, _ = _reference_bound_ingredients(model, point, 1, trace=trace,
+                                                   lambda_dom=layer_lambda_dom(model))
+        g = input_gradient(model, trace, 1)
+        np.testing.assert_allclose(model.output.weights[1] @ omega.T, g, rtol=1e-12)
 
     def test_relu_rejected(self):
         model = small_model(activation="relu")
-        sp = SurfacePoint(np.zeros(2), 0, 0.0)
-        with pytest.raises(ValueError):
-            _ingredients(model, sp, 0)
+        with pytest.raises(ValueError, match="differentiable"):
+            _per_point(model, np.zeros(2), np.zeros(2), 0)
 
 
 class TestPerPointBound:
     def test_identity_hidden_bound_equals_distance(self):
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]])))
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        b = _bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
+        b = _bound(model, [0.5, 0.0], [0.0, 0.0], 0, 1.0)
         assert b == pytest.approx(0.5)
 
     def test_misclassified_bound_negative(self):
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]])))
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        assert _bound(model, np.array([0.5, 0.0]), sp, 0, -1.0) < 0
+        assert _bound(model, [0.5, 0.0], [0.0, 0.0], 0, -1.0) < 0
 
     def test_invariant_under_hidden_weight_scaling(self):
         # doubling W1 doubles the numerator and quadruples lambda_dom, so
         # the bound term is unchanged
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        x = np.array([0.5, 0.0])
+        x, point = [0.5, 0.0], [0.0, 0.0]
         b1 = _bound(
             MlpModel([linear_layer(np.eye(2))], linear_layer(np.array([[1.0, 0.0]]))),
-            x, sp, 0, 1.0,
+            x, point, 0, 1.0,
         )
         b2 = _bound(
             MlpModel([linear_layer(2 * np.eye(2))], linear_layer(np.array([[1.0, 0.0]]))),
-            x, sp, 0, 1.0,
+            x, point, 0, 1.0,
         )
         assert b1 == pytest.approx(b2, rel=1e-12)
 
     def test_zero_output_row_raises(self):
         model = MlpModel([linear_layer(np.eye(2))], linear_layer(np.zeros((1, 2))))
-        sp = SurfacePoint(np.array([0.0, 0.0]), 0, 0.0)
-        with pytest.raises(DegenerateGradientError):
-            _bound(model, np.array([0.5, 0.0]), sp, 0, 1.0)
+        with pytest.raises(DegenerateGradientError, match="output row 0 is zero"):
+            _bound(model, [0.5, 0.0], [0.0, 0.0], 0, 1.0)
+
+    def test_zero_denominator_fails_its_row(self):
+        # at the surface point x1 = 0 every sigmoid slope is about 1.9e-174,
+        # whose square underflows: the distance is finite, the bound
+        # denominator is zero
+        model = _underflowing_slopes_model()
+        X = np.array([[1.0, 0.0], [1.0, 0.0]])
+        P = np.array([[0.0, 0.0], [0.0, 5.0]])
+        d, b, failed = per_point_bound(model, X, P, 0, [1.0, 1.0], layer_lambda_dom(model))
+        assert list(failed) == [0, 1]
+        assert all(type(e) is DegenerateGradientError for e in failed.values())
+        assert str(failed[0]) == ZERO_DENOMINATOR
+        assert np.isfinite(d).all() and np.isnan(b).all()
+        with pytest.raises(ZeroDivisionError):
+            _reference_per_point_bound(model, X[0], P[0], 0, 1.0,
+                                       trace=_reference_forward(model, P[0]),
+                                       lambda_dom=layer_lambda_dom(model))
+
+    @pytest.mark.parametrize("X, P, targets, match", [
+        ([[0.5, 0.0]], [[0.0, 0.0]], [0.5], "target must be"),
+        ([[0.5, 0.0]] * 2, [[0.0, 0.0]], [1.0], "shapes"),
+        ([0.5, 0.0], [0.0, 0.0], [1.0], "2-d"),
+    ], ids=["target", "stack_sizes", "one_d"])
+    def test_whole_call_errors(self, X, P, targets, match):
+        model = _projector_model()
+        with pytest.raises(ValueError, match=match):
+            per_point_bound(model, np.array(X), np.array(P), 0, targets,
+                            layer_lambda_dom(model))
 
 
 class TestVerifyTheorem1:
@@ -373,6 +404,15 @@ class TestVerifyTheorem1:
         assert ok
         assert reports == []
 
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_zero_bound_denominator_raises(self, l):
+        ds = Dataset.from_arrays(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]),
+                                 n_classes=2)
+        model = _underflowing_slopes_model()
+        got = _run(lambda: verify_theorem1(model, ds, l, anchors_per_example=1))
+        assert got == _run(lambda: _reference_reports(model, ds, l, 1))
+        assert got == (DegenerateGradientError, ZERO_DENOMINATOR.replace("0", str(l), 1))
+
     def test_insufficient_anchors_raises(self):
         model = _projector_model()
         features = np.array([[1.0, 0.0], [2.0, 0.0]])  # all on the same side
@@ -413,7 +453,7 @@ def _reference_surface_point(model, x_a, x_b, l):
             raise NonFiniteMidpointError("bisection midpoint entries must be finite")
         fm = _reference_class_output(model, mid, l)
         if abs(fm) < BISECTION_TOL:
-            return SurfacePoint(mid, l, abs(fm))
+            return mid
         if (fm > 0) == (fa > 0):
             lo = mid
         else:
@@ -444,7 +484,7 @@ def _reference_input_gradient(model, trace, l):
     return g
 
 
-def _reference_signed_distance(model, x_i, surface_point, l, *, trace):
+def _reference_signed_distance(model, x_i, point, l, *, trace):
     x_i = as_vector(x_i)
     g = _reference_input_gradient(model, trace, l)
     norm = float(np.linalg.norm(g))
@@ -452,10 +492,13 @@ def _reference_signed_distance(model, x_i, surface_point, l, *, trace):
         raise DegenerateGradientError(
             f"class-{l} output gradient vanishes at the surface point"
         )
-    return float(g @ (x_i - surface_point.point)) / norm
+    return float(g @ (x_i - point)) / norm
 
 
-def _reference_bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
+def _reference_bound_ingredients(model, point, l, *, trace, lambda_dom):
+    """(omega, lambda_activ, lambda_dom): omega the product of W_k^T
+    Gamma_k^T across hidden layers, lambda_activ the largest squared slope
+    per layer."""
     lambda_activ = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
@@ -463,29 +506,40 @@ def _reference_bound_ingredients(model, surface_point, l, *, trace, lambda_dom):
         lambda_activ.append(float(np.max(slopes**2)))
         factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
         omega = factor if omega is None else omega @ factor
-    return BoundIngredients(omega, lambda_activ, list(lambda_dom))
+    return omega, lambda_activ, list(lambda_dom)
 
 
-def _reference_per_point_bound(model, x_i, surface_point, l, y_target, *, trace,
-                               lambda_dom):
+def _reference_per_point_bound(model, x_i, point, l, y_target, *, trace, lambda_dom):
     x_i = as_vector(x_i)
     if y_target not in (-1.0, 1.0, -1, 1):
         raise ValueError(f"target must be +/-1, got {y_target}")
-    ing = _reference_bound_ingredients(model, surface_point, l, trace=trace,
-                                       lambda_dom=lambda_dom)
+    omega, lambda_activ, lambda_dom = _reference_bound_ingredients(
+        model, point, l, trace=trace, lambda_dom=lambda_dom)
     w_row = model.output.weights[l]
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
         raise DegenerateGradientError(f"output row {l} is zero")
-    numerator = float(y_target * (w_row @ ing.omega.T @ (x_i - surface_point.point)))
+    numerator = float(y_target * (w_row @ omega.T @ (x_i - point)))
     dom_product = 1.0
-    for lam in ing.lambda_dom:
+    for lam in lambda_dom:
         dom_product *= max(lam, 0.0)
     activ_product = 1.0
-    for lam in ing.lambda_activ:
+    for lam in lambda_activ:
         activ_product *= lam
     denom = w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
     return numerator / denom
+
+
+def _reference_bound(model, x_i, point, l, y_target, *, trace, lambda_dom):
+    # the frozen bound, its zero denominator failed as per_point_bound
+    # fails the row
+    try:
+        return _reference_per_point_bound(model, x_i, point, l, y_target, trace=trace,
+                                          lambda_dom=lambda_dom)
+    except ZeroDivisionError:
+        raise DegenerateGradientError(
+            f"class-{l} bound denominator underflows to zero at the surface point"
+        ) from None
 
 
 def _reference_anchors(dataset, yl, i, anchors_per_example):
@@ -519,12 +573,12 @@ def _reference_reports(model, dataset, l, anchors_per_example):
         target = float(dataset.encoded[i, l])
         records = []
         for anchor in _reference_anchors(dataset, yl, i, anchors_per_example):
-            sp = _reference_surface_point(model, x_i, anchor, l)
-            trace = _reference_forward(model, sp.point)
+            point = _reference_surface_point(model, x_i, anchor, l)
+            trace = _reference_forward(model, point)
             lambda_dom = layer_lambda_dom(model)
-            d = _reference_signed_distance(model, x_i, sp, l, trace=trace)
-            b = _reference_per_point_bound(model, x_i, sp, l, target, trace=trace,
-                                           lambda_dom=lambda_dom)
+            d = _reference_signed_distance(model, x_i, point, l, trace=trace)
+            b = _reference_bound(model, x_i, point, l, target, trace=trace,
+                                 lambda_dom=lambda_dom)
             records.append(
                 PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
             )
@@ -608,15 +662,16 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def _row_outcome(values, failed, s):
-    if s in failed:
-        return type(failed[s]), str(failed[s])
-    return _bits(values[s]).tolist()
-
-
 def _alone_outcome(call):
     outcome = _run(call)
     return outcome if isinstance(outcome, tuple) else _bits(outcome).tolist()
+
+
+def _row_outcomes(values, failed, s):
+    # the row's (distance, bound), or its error for both
+    if s in failed:
+        return [(type(failed[s]), str(failed[s]))] * 2
+    return [_bits(v[s]).tolist() for v in values]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -640,16 +695,10 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
     X = 2.0 * rng.standard_normal((N, n_in))
     targets = rng.choice([-1.0, 1.0], N)
     lambda_dom = layer_lambda_dom(model)
-    sp = SurfacePoint(P, l, np.zeros(N))
     trace = forward(model, P)
     g = input_gradient(model, trace, l)
-    d, d_failed = signed_distance(model, X, sp, l, trace=trace)
-    ing = bound_ingredients(model, sp, l, trace=trace, lambda_dom=lambda_dom)
-    b, b_failed = per_point_bound(model, X, sp, l, targets, trace=trace,
-                                  lambda_dom=lambda_dom)
-    assert ing.lambda_dom == lambda_dom
+    d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
     for s in range(N):
-        one = SurfacePoint(P[s], l, 0.0)
         ref = _reference_forward(model, P[s])
         for got, want in [(trace.input, ref.input), (trace.output, ref.output),
                           *zip(trace.preactivations, ref.preactivations),
@@ -657,24 +706,20 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
             np.testing.assert_array_equal(_bits(got[s]), _bits(want))
         np.testing.assert_array_equal(
             _bits(g[s]), _bits(_reference_input_gradient(model, ref, l)))
-        ref_ing = _reference_bound_ingredients(model, one, l, trace=ref,
-                                               lambda_dom=lambda_dom)
-        np.testing.assert_array_equal(_bits(ing.omega[s]), _bits(ref_ing.omega))
-        assert [_bits(lam[s]) for lam in ing.lambda_activ] == [
-            _bits(lam) for lam in ref_ing.lambda_activ]
-        want_d = _alone_outcome(lambda: _reference_signed_distance(
-            model, X[s], one, l, trace=ref))
-        want_b = _alone_outcome(lambda: _reference_per_point_bound(
-            model, X[s], one, l, targets[s], trace=ref, lambda_dom=lambda_dom))
-        assert _row_outcome(d, d_failed, s) == want_d
-        assert _row_outcome(b, b_failed, s) == want_b
-        # the stack of one returns the float or raises
-        alone = forward(model, P[s])
-        assert _alone_outcome(lambda: signed_distance(
-            model, X[s], one, l, trace=alone)) == want_d
-        assert _alone_outcome(lambda: per_point_bound(
-            model, X[s], one, l, targets[s], trace=alone,
-            lambda_dom=lambda_dom)) == want_b
+        want = [_alone_outcome(lambda: _reference_signed_distance(
+                    model, X[s], P[s], l, trace=ref)),
+                _alone_outcome(lambda: _reference_bound(
+                    model, X[s], P[s], l, targets[s], trace=ref, lambda_dom=lambda_dom))]
+        # the row keeps its first error: a vanishing gradient before a zero
+        # denominator
+        errors = [w for w in want if isinstance(w, tuple)]
+        if errors:
+            want = [errors[0]] * 2
+        assert _row_outcomes((d, b), failed, s) == want
+        # the stack of one
+        *one, one_failed = per_point_bound(model, X[s:s + 1], P[s:s + 1], l,
+                                           targets[s:s + 1], lambda_dom)
+        assert _row_outcomes(one, one_failed, 0) == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -770,6 +815,20 @@ class TestNearestAnchors:
                                                 "anchors available, 2 requested")
 
 
+def _underflowing_slopes_model():
+    """Class 0 reads 1e150 * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)), zero
+    on the surface x1 = 0. There both slopes are about 1.9e-174: the
+    gradient, about (3.8e-24, 0), is finite, but the squared slopes
+    underflow to zero and with them the bound denominator. x2 has no
+    weight."""
+    return MlpModel(
+        [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-400.0, -400.0]),
+                    Activation("sigmoid"))],
+        DenseLayer(np.array([[1e150, -1e150], [-1e150, 1e150]]), np.zeros(2),
+                   Activation("linear")),
+    )
+
+
 def _flat_root_model():
     """Class 0 reads tanh(100 x1 + 50) + tanh(100 x1 - 50): two saturated
     units that cancel exactly for |x1| < 0.3, where every slope is 0. x2
@@ -788,6 +847,7 @@ def _flat_root_model():
 # anchor, or a midpoint whose x2 = 1e308 + 1e308 overflows; and the same
 # rows reversed, so that the later failure comes first
 VANISHING = "class-0 output gradient vanishes at the surface point"
+ZERO_DENOMINATOR = "class-0 bound denominator underflows to zero at the surface point"
 ERROR_ORDER_CASES = {
     "missing_anchor": ([[1.0, 0.0], [-1.0, 0.0], [-1.5, 0.0]], [0, 1, 1], 2,
                        AnchorSamplingError,

@@ -140,7 +140,7 @@ class TestPrimitives:
                     assert_bitwise(stacked, [w_row @ omega[s].T for s in range(S)])
 
     def test_dot_over_surface_point_stacks(self, sizes, B, R):
-        # signed_distance and per_point_bound: one dot and one norm per row
+        # per_point_bound: one dot and one norm per row
         rng = np.random.default_rng(18 + R)
         for n in sizes:
             for S in self.SURFACE_STACKS:
