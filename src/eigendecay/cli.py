@@ -480,7 +480,7 @@ def cmd_verify(args):
                 args.cls,
                 anchors_per_example=args.anchors,
             )
-        except (AnchorSamplingError, NonFiniteMidpointError) as exc:
+        except (AnchorSamplingError, NonFiniteMidpointError, OverflowError) as exc:
             raise DataError(f"theorem1: {exc}") from None
         except (NoCrossingError, BisectionToleranceError, DegenerateGradientError) as exc:
             raise CheckError(f"theorem1: {exc}") from None

@@ -14,9 +14,10 @@ example to its anchors are bisected together: each step evaluates the
 class output of every unfinished segment in one column pass, which gives
 each segment the bits of its bisection alone. The surface points of the
 whole call then go through one per_point_bound call per chunk: one
-forward pass, shared by the signed distances and the bound terms, and
-row-wise products that give each point the bits of its single-point
-arithmetic.
+forward pass and one input gradient per point, whose dot with the
+example's offset is the numerator of both the signed distance and the
+bound term, and row-wise products that give each point the bits of its
+single-point arithmetic.
 """
 
 from dataclasses import dataclass
@@ -179,19 +180,18 @@ def per_point_bound(model, X, P, l, targets, lambda_dom):
 
     The distance divides the dot of the input gradient at P[s] with
     X[s] - P[s] by the gradient norm; negative values mean X[s] sits on
-    the negative side. The bound term takes targets[s] times the same
-    numerator, formed through omega (the product of W_k^T Gamma_k^T across
-    hidden layers, Gamma_k the activation slopes at P[s]), and divides it
-    by |w_l| times the square roots of the layers' largest squared slopes
-    and of lambda_dom, layer_lambda_dom(model), instead of the gradient
-    norm.
+    the negative side. The bound term takes targets[s] times the same dot
+    and divides it by |w_l| times the square roots of the layers' largest
+    squared activation slopes at P[s] and of lambda_dom,
+    layer_lambda_dom(model), instead of the gradient norm.
 
     X and P are (N, d) stacks and targets (N,) +/-1 values; the call makes
     one forward pass of P. Returns (distances, bounds, failed): failed maps
     a row whose gradient vanishes, or else whose bound denominator is
     zero, to its DegenerateGradientError; the value that could not be
     formed is nan. Each row has the bits of its single-point arithmetic. A
-    target other than +/-1 or a zero output row raises for the whole call.
+    target other than +/-1 or a zero output row raises for the whole call,
+    and so does an output row whose norm overflows (OverflowError).
     """
     _require_smooth(model)
     X = as_vector(X, stacked=True)
@@ -209,22 +209,20 @@ def per_point_bound(model, X, P, l, targets, lambda_dom):
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
         raise DegenerateGradientError(f"output row {l} is zero")
-    lambda_activ, omega = [], None
-    for layer, v in zip(model.hidden, trace.preactivations):
-        slopes = layer.activation.deriv(v)
-        lambda_activ.append(np.max(slopes**2, axis=-1))
-        factor = layer.weights.T * slopes[:, None, :]  # W_k^T Gamma_k^T
-        omega = factor if omega is None else omega @ factor
-    numerator = np.asarray(targets, dtype=float) * _dot(
-        w_row @ omega.swapaxes(-1, -2), diff)
+    if not math.isfinite(w_norm):
+        raise OverflowError(f"the norm of output row {l} overflows float range")
+    lambda_activ = [np.max(layer.activation.deriv(v)**2, axis=-1)
+                    for layer, v in zip(model.hidden, trace.preactivations)]
     # left folds, as the layer loop multiplied them
     dom_product = math.prod(max(lam, 0.0) for lam in lambda_dom)
     denom = w_norm * np.sqrt(math.prod(lambda_activ)) * math.sqrt(dom_product)
+    numerator = _dot(g, diff)
     norm = np.sqrt(_dot(g, g))
     vanishing, zero = norm == 0.0, denom == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        distances = np.where(vanishing, np.nan, _dot(g, diff) / norm)
-        bounds = np.where(zero, np.nan, numerator / denom)
+        distances = np.where(vanishing, np.nan, numerator / norm)
+        bounds = np.where(zero, np.nan,
+                          np.asarray(targets, dtype=float) * numerator / denom)
     failed = {
         s: DegenerateGradientError(
             f"class-{l} output gradient vanishes at the surface point" if vanishing[s]
@@ -273,13 +271,6 @@ def _nearest_anchors(dataset, yl, examples, k):
                     f"available, {k} requested"
                 )
             yield i, features[group[np.argsort(d, kind="stable")[:k]]]
-
-
-def _point_floats(model):
-    # the largest per-point array of the per-point pass: a layer factor of
-    # the omega chain, or omega itself
-    return max(max(model.n_in, layer.in_dim) * layer.out_dim
-               for layer in model.hidden)
 
 
 def verify_theorem1(model, dataset, l, anchors_per_example=5):
@@ -337,7 +328,9 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
     points = np.asarray(points, dtype=float).reshape(len(owners), model.n_in)
     distances = np.empty(len(owners))
     bounds = np.empty(len(owners))
-    chunk = max(1, STACK_FLOATS // _point_floats(model))
+    # a point's largest array in the per-point pass is one layer's input or
+    # output vector
+    chunk = max(1, STACK_FLOATS // max(model.n_in, *model.hidden_dims, model.n_out))
     for start in range(0, len(owners), chunk):
         rows = slice(start, start + chunk)
         d, b, failed = per_point_bound(model, dataset.features[owners[rows]], points[rows],

@@ -171,13 +171,13 @@ class TestEvalCommand:
         assert report["accuracy"] == 1.0
 
 
-def _underflowing_slopes_model():
-    """Class 0 reads 1e150 * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)). Its
+def _underflowing_slopes_model(scale=1e150):
+    """Class 0 reads scale * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)). Its
     hidden W W^T has the all-ones start in its kernel."""
     return MlpModel(
         [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-400.0, -400.0]),
                     Activation("sigmoid"))],
-        DenseLayer(np.array([[1e150, -1e150], [-1e150, 1e150]]), np.zeros(2),
+        DenseLayer(scale * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2),
                    Activation("linear")),
     )
 
@@ -323,11 +323,13 @@ class TestVerifyCommand:
             for d, b in zip(rec["distances"], rec["bounds"]):
                 assert abs(rec["target"] * d - b) <= 1e-9 * (1 + abs(d))
 
-    # sha256 of margin.jsonl as the one-segment-at-a-time bisection wrote
-    # it, on this host's numpy; two trained nets and 5 anchors per example
+    # sha256 of margin.jsonl on numpy 2.4.6 with OpenBLAS, two trained nets
+    # and 5 anchors per example: distances as the one-segment-at-a-time
+    # bisection wrote them, bounds with the input gradient's dot as the
+    # numerator
     @pytest.mark.parametrize("layers, activation, sha256", [
-        ([2, 8, 2], "sigmoid", "451473ccdecc273b6e2ba9027d21223f924fdf498aaf8a8984cdfc18431621b2"),
-        ([2, 5, 4, 2], "tanh", "8a989821b4fa485590bdbeb6b1ff14d3cfa6b69244b2f31c10dada6e64c992fc"),
+        ([2, 8, 2], "sigmoid", "3ee3768508c2d0f6926da25e6de5788f778e242b60c5cf05bf03f3e0495fb9ac"),
+        ([2, 5, 4, 2], "tanh", "884e4ddeb464db73538f1c4ea0e4c9f477e88776b4baeb9f86a7b17d35c9b3ce"),
     ], ids=["sigmoid_2_8_2", "tanh_2_5_4_2"])
     def test_theorem1_output_bytes_unchanged(self, tmp_path, layers, activation, sha256):
         centers = ((-1.5, 0.0), (1.5, 0.0))
@@ -491,6 +493,17 @@ class TestVerifyCommand:
         assert rc == 4
         _assert_one_line_error(
             capsys, f"verification failed: theorem1: class-{cls} bound denominator")
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_theorem1_overflowing_output_row_is_data_error(self, tmp_path, capsys, cls):
+        # the slopes are those above, and the output rows' norms overflow:
+        # the bound would be nan, and the point a false violation (exit 4)
+        model = _underflowing_slopes_model(1e170)
+        rc = self._theorem1(tmp_path, model, [[1.0, 0.0], [-1.0, 0.0]], [0, 1], cls=cls)
+        assert rc == 2
+        _assert_one_line_error(
+            capsys, f"data error: theorem1: the norm of output row {cls} overflows")
+        assert not (tmp_path / "v" / "margin.jsonl").exists()
 
     @pytest.mark.parametrize("mode", ["theorem1", "gradcheck"])
     def test_overflowing_gram_is_data_error(self, tmp_path, capsys, mode):

@@ -248,15 +248,15 @@ class TestSignedDistance:
 
 class TestBoundIngredients:
     def test_all_linear(self):
-        # W = I, so omega = W^T Gamma^T = I holds exactly when every slope is
-        # 1, and the bound term is x1 with no rounding
+        # W = I and every slope is 1, so the input gradient is the output
+        # row (1, 0) and the bound term is x1 with no rounding
         model = _projector_model()
         assert layer_lambda_dom(model) == [1.0]
         assert _bound(model, [0.5, 0.0], [0.0, 0.0], 0, 1.0) == 0.5
 
     def test_sigmoid_at_zero(self):
-        # W = I, so omega carries the sigmoid slopes 0.25 on its diagonal:
-        # the numerator is 0.25 x1 + 0.25 x2 and the denominator
+        # W = I and every sigmoid slope is 0.25, so the input gradient is
+        # (0.25, 0.25): the numerator is 0.25 x1 + 0.25 x2 and the denominator
         # |(1, 1)| * sqrt(0.0625) * sqrt(1)
         h = DenseLayer(np.eye(2), np.zeros(2), Activation("sigmoid"))
         model = MlpModel([h], linear_layer(np.ones((1, 2))))
@@ -413,6 +413,18 @@ class TestVerifyTheorem1:
         assert got == _run(lambda: _reference_reports(model, ds, l, 1))
         assert got == (DegenerateGradientError, ZERO_DENOMINATOR.replace("0", str(l), 1))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_overflowing_output_row_raises_not_a_violation(self, l):
+        # the norm of |w_l| overflows to inf: the bound would be nan and
+        # the point a false violation
+        ds = Dataset.from_arrays(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]),
+                                 n_classes=2)
+        model = _underflowing_slopes_model(1e170)
+        got = _run(lambda: verify_theorem1(model, ds, l, anchors_per_example=1))
+        assert got == _run(lambda: _reference_reports(model, ds, l, 1))
+        assert got == (OverflowError, f"the norm of output row {l} overflows float range")
+
     def test_insufficient_anchors_raises(self):
         model = _projector_model()
         features = np.array([[1.0, 0.0], [2.0, 0.0]])  # all on the same side
@@ -519,15 +531,40 @@ def _reference_per_point_bound(model, x_i, point, l, y_target, *, trace, lambda_
     w_norm = float(np.linalg.norm(w_row))
     if w_norm == 0.0:
         raise DegenerateGradientError(f"output row {l} is zero")
+    if not math.isfinite(w_norm):
+        raise OverflowError(f"the norm of output row {l} overflows float range")
     numerator = float(y_target * (w_row @ omega.T @ (x_i - point)))
+    return numerator / _reference_denominator(w_norm, lambda_activ, lambda_dom)
+
+
+def _reference_denominator(w_norm, lambda_activ, lambda_dom):
     dom_product = 1.0
     for lam in lambda_dom:
         dom_product *= max(lam, 0.0)
     activ_product = 1.0
     for lam in lambda_activ:
         activ_product *= lam
-    denom = w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
-    return numerator / denom
+    return w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
+
+
+def _reference_bound_size(model, x_i, point, l, *, trace, lambda_dom):
+    """The frozen bound with every product of its numerator taken by
+    absolute value. The numerator's sums round by a few ulps of this,
+    whichever order multiplies them and however much they cancel."""
+    _, lambda_activ, lambda_dom = _reference_bound_ingredients(
+        model, point, l, trace=trace, lambda_dom=lambda_dom)
+    size = np.abs(model.output.weights[l])
+    for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
+        size = (size * np.abs(layer.activation.deriv(v))) @ np.abs(layer.weights)
+    w_norm = float(np.linalg.norm(model.output.weights[l]))
+    return float(size @ np.abs(as_vector(x_i) - point)) / _reference_denominator(
+        w_norm, lambda_activ, lambda_dom)
+
+
+# per_point_bound forms the bound's numerator from the input gradient, the
+# frozen reference from omega: the two agree to this share of the bound's
+# size, _reference_bound_size
+BOUND_REL_TOL = 1e-12
 
 
 def _reference_bound(model, x_i, point, l, y_target, *, trace, lambda_dom):
@@ -558,11 +595,12 @@ def _reference_anchors(dataset, yl, i, anchors_per_example):
     return dataset.features[opposite[order]]
 
 
-def _reference_reports(model, dataset, l, anchors_per_example):
+def _reference_reports(model, dataset, l, anchors_per_example, sizes=None):
     """verify_theorem1 rebuilt from the frozen single-point calls, each of
     which recomputes its own forward pass and layer eigenvalues, from the
     one-segment-at-a-time bisection and from the per-example anchor search,
-    raising each error as it comes."""
+    raising each error as it comes. If sizes is a list, each point's
+    _reference_bound_size is appended to it."""
     _, _, Yhat = forward_batch(model, dataset.features)
     yl = Yhat[:, l]
     reports = []
@@ -579,6 +617,9 @@ def _reference_reports(model, dataset, l, anchors_per_example):
             d = _reference_signed_distance(model, x_i, point, l, trace=trace)
             b = _reference_bound(model, x_i, point, l, target, trace=trace,
                                  lambda_dom=lambda_dom)
+            if sizes is not None:
+                sizes.append(_reference_bound_size(model, x_i, point, l, trace=trace,
+                                                   lambda_dom=lambda_dom))
             records.append(
                 PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
             )
@@ -594,10 +635,6 @@ def _reference_reports(model, dataset, l, anchors_per_example):
     return reports
 
 
-def _report_bytes(reports):
-    return json.dumps([report_to_dict(r) for r in reports]).encode()
-
-
 def _run(call):
     """The call's value, or its error's type and text."""
     try:
@@ -606,17 +643,37 @@ def _run(call):
         return type(exc), str(exc)
 
 
+def _assert_agrees_with_reference(got, model, dataset, l, anchors):
+    """got, the _run outcome of verify_theorem1's reports, against that of
+    _reference_reports: the same error, or reports with the same bytes but
+    for the bounds, each within BOUND_REL_TOL of its size."""
+    sizes = []
+    want = _run(lambda: _reference_reports(model, dataset, l, anchors, sizes))
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+        return
+    got, want = ([report_to_dict(r) for r in reports] for reports in (got, want))
+    bounds, theorem_bounds = [], []
+    for reports in (got, want):
+        bounds.append(np.array([r.pop("bounds") for r in reports]).reshape(-1, anchors))
+        theorem_bounds.append(np.array([r.pop("theorem_bound") for r in reports]))
+    # bytes, so that a -0.0 for a 0.0 fails and a nan equals itself
+    assert json.dumps(got) == json.dumps(want)
+    tol = BOUND_REL_TOL * np.array(sizes).reshape(-1, anchors)
+    assert (np.abs(bounds[0] - bounds[1]) <= tol).all()
+    assert (np.abs(theorem_bounds[0] - theorem_bounds[1]) <= tol.max(axis=1)).all()
+
+
 class TestSharedPerPointWork:
     """verify_theorem1 shares one forward pass per surface point and one
-    eigenvalue per layer across its calls; its reports must equal, bit for
-    bit, those of the per-point calls left to recompute everything."""
+    eigenvalue per layer across its calls; its reports must equal those of
+    the per-point calls left to recompute everything: bit for bit, but for
+    the bounds, which agree to BOUND_REL_TOL of their size."""
 
     def _assert_matches_reference(self, model, dataset, anchors):
         reports, _ = verify_theorem1(model, dataset, 0, anchors_per_example=anchors)
-        reference = _reference_reports(model, dataset, 0, anchors)
         assert len(reports) >= 10
-        # bytes, so that a -0.0 for a 0.0 fails and a nan equals itself
-        assert _report_bytes(reports) == _report_bytes(reference)
+        _assert_agrees_with_reference(reports, model, dataset, 0, anchors)
 
     def test_two_hidden_tanh_model(self):
         ds = gen_two_gaussians(30, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=41)
@@ -674,17 +731,11 @@ def _row_outcomes(values, failed, s):
     return [_bits(v[s]).tolist() for v in values]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
-       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
-       n_in=st.integers(1, 5), n_out=st.integers(1, 3), N=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_out, N,
-                                                        seed):
-    # about one point in four is scaled by 1e3, which saturates every
-    # sigmoid and tanh unit: its gradient vanishes and its bound divides
-    # by zero
+def _random_points(kind, widths, n_in, n_out, N, seed):
+    """(model, l, X, P, targets): a net with random biases, and N example
+    and point rows. About one point in four is scaled by 1e3, which
+    saturates every sigmoid and tanh unit: its gradient vanishes and its
+    bound divides by zero."""
     rng = np.random.default_rng(seed)
     model = init_mlp([n_in, *widths, n_out], kind, seed=seed)
     for layer in model.layers:
@@ -693,7 +744,21 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
     scale = np.where(rng.random(N) < 0.25, 1e3, 2.0)[:, None]
     P = scale * rng.standard_normal((N, n_in))
     X = 2.0 * rng.standard_normal((N, n_in))
-    targets = rng.choice([-1.0, 1.0], N)
+    return model, l, X, P, rng.choice([-1.0, 1.0], N)
+
+
+RANDOM_POINTS = dict(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
+                     widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+                     n_in=st.integers(1, 5), n_out=st.integers(1, 3), N=st.integers(1, 40),
+                     seed=st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(**RANDOM_POINTS)
+def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_out, N,
+                                                        seed):
+    model, l, X, P, targets = _random_points(kind, widths, n_in, n_out, N, seed)
     lambda_dom = layer_lambda_dom(model)
     trace = forward(model, P)
     g = input_gradient(model, trace, l)
@@ -706,20 +771,49 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
             np.testing.assert_array_equal(_bits(got[s]), _bits(want))
         np.testing.assert_array_equal(
             _bits(g[s]), _bits(_reference_input_gradient(model, ref, l)))
+        got = _row_outcomes((d, b), failed, s)
+        # the stack of one
+        *one, one_failed = per_point_bound(model, X[s:s + 1], P[s:s + 1], l,
+                                           targets[s:s + 1], lambda_dom)
+        assert _row_outcomes(one, one_failed, 0) == got
         want = [_alone_outcome(lambda: _reference_signed_distance(
                     model, X[s], P[s], l, trace=ref)),
                 _alone_outcome(lambda: _reference_bound(
                     model, X[s], P[s], l, targets[s], trace=ref, lambda_dom=lambda_dom))]
         # the row keeps its first error: a vanishing gradient before a zero
-        # denominator
+        # denominator. A bound that is formed is compared with the frozen
+        # one in the test below.
         errors = [w for w in want if isinstance(w, tuple)]
         if errors:
-            want = [errors[0]] * 2
-        assert _row_outcomes((d, b), failed, s) == want
-        # the stack of one
-        *one, one_failed = per_point_bound(model, X[s:s + 1], P[s:s + 1], l,
-                                           targets[s:s + 1], lambda_dom)
-        assert _row_outcomes(one, one_failed, 0) == want
+            assert got == [errors[0]] * 2
+        else:
+            assert got[0] == want[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(**RANDOM_POINTS)
+def test_bounds_agree_with_the_frozen_omega_arithmetic(kind, widths, n_in, n_out, N, seed):
+    # per_point_bound's numerator is the input gradient's dot with
+    # X[s] - P[s]; the frozen reference forms it through omega, the product
+    # of W_k^T Gamma_k^T. The distance divides the same dot by the gradient
+    # norm, so it keeps its bits, and so does the point's flag in
+    # verify_theorem1.
+    model, l, X, P, targets = _random_points(kind, widths, n_in, n_out, N, seed)
+    lambda_dom = layer_lambda_dom(model)
+    d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
+    for s in sorted(set(range(N)) - set(failed)):
+        ref = _reference_forward(model, P[s])
+        want_d = _reference_signed_distance(model, X[s], P[s], l, trace=ref)
+        want_b = _reference_bound(model, X[s], P[s], l, targets[s], trace=ref,
+                                  lambda_dom=lambda_dom)
+        size = _reference_bound_size(model, X[s], P[s], l, trace=ref,
+                                     lambda_dom=lambda_dom)
+        assert _bits(d[s]) == _bits(want_d)
+        assert abs(b[s] - want_b) <= BOUND_REL_TOL * size
+        t = targets[s]
+        assert ((t * d[s] >= b[s] - BOUND_EPS_REL * (1.0 + abs(d[s])))
+                == (t * want_d >= want_b - BOUND_EPS_REL * (1.0 + abs(want_d))))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -747,14 +841,15 @@ def test_chunked_verify_theorem1_equals_the_reference(kind, widths, chunk, ancho
         calls.append(len(x))
         return forward(model, x)
 
+    # a chunk of surface points is sized by the widest layer vector
+    widest = max(model.n_in, *model.hidden_dims, model.n_out)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(margin, "STACK_FLOATS", chunk * margin._point_floats(model))
+        mp.setattr(margin, "STACK_FLOATS", chunk * widest + widest - 1)
         mp.setattr(margin, "forward", spy)
-        got = _run(lambda: _report_bytes(verify_theorem1(model, ds, 0, anchors)[0]))
-    want = _run(lambda: _report_bytes(_reference_reports(model, ds, 0, anchors)))
-    assert got == want
+        got = _run(lambda: verify_theorem1(model, ds, 0, anchors)[0])
+    _assert_agrees_with_reference(got, model, ds, 0, anchors)
     if not isinstance(got, tuple):
-        points = sum(len(r["distances"]) for r in json.loads(got))
+        points = sum(len(r.points) for r in got)
         assert calls == [min(chunk, points - start) for start in range(0, points, chunk)]
 
 
@@ -815,16 +910,16 @@ class TestNearestAnchors:
                                                 "anchors available, 2 requested")
 
 
-def _underflowing_slopes_model():
-    """Class 0 reads 1e150 * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)), zero
-    on the surface x1 = 0. There both slopes are about 1.9e-174: the
-    gradient, about (3.8e-24, 0), is finite, but the squared slopes
-    underflow to zero and with them the bound denominator. x2 has no
-    weight."""
+def _underflowing_slopes_model(scale=1e150):
+    """Class 0 reads scale * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)), zero
+    on the surface x1 = 0. There both slopes are about 1.9e-174: at scale
+    1e150 the gradient, about (3.8e-24, 0), is finite, but the squared
+    slopes underflow to zero and with them the bound denominator. At 1e170
+    the output rows' norms overflow. x2 has no weight."""
     return MlpModel(
         [DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-400.0, -400.0]),
                     Activation("sigmoid"))],
-        DenseLayer(np.array([[1e150, -1e150], [-1e150, 1e150]]), np.zeros(2),
+        DenseLayer(scale * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2),
                    Activation("linear")),
     )
 
