@@ -8,7 +8,7 @@ and on the working tree in alternating pairs and writes BENCH_<label>.json.
 The base side is the committed files of REV, extracted with `git archive`
 into a temporary directory (as the benchmark gate runs them); the change
 side is the working tree, which on a clean checkout is HEAD. Every run is
-one of the four workloads at seed 0 for BENCHMARK.json's run_seconds.
+one of BENCHMARK.json's workloads at seed 0 for its run_seconds.
 Within a pair the side that runs first alternates. For every workload the
 record holds each end-to-end metric's median and quartiles per side, how
 many pairs the change won, and each side's sha256 of every workload's
@@ -25,7 +25,8 @@ import tarfile
 import tempfile
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("digits_epoch", "gauss_grid", "theorem1", "verify_suites")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SCHEMA_VERSION = 1
 SEED = 0
 
@@ -152,8 +153,7 @@ def main(argv=None):
     parser.add_argument("--fingerprint-seeds", default="0,7")
     args = parser.parse_args(argv)
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+    seconds = BENCHMARK["run_seconds"]
     fp_seeds = [int(s) for s in args.fingerprint_seeds.split(",")]
     with tempfile.TemporaryDirectory() as base_dir:
         roots = {"base": extract(args.base, base_dir), "change": ROOT}
@@ -185,7 +185,7 @@ def main(argv=None):
                 "pairs": len(pairs),
                 "correct": {side: all(p[k]["correct"] for p in pairs)
                             for k, side in enumerate(("base", "change"))},
-                "metrics": summarize(pairs, bench["end_to_end"]),
+                "metrics": summarize(pairs, BENCHMARK["end_to_end"]),
             }
         prints = {side: {str(s): fingerprints(roots[side], s) for s in fp_seeds}
                   for side in roots}

@@ -29,7 +29,7 @@ from .data import (
     load_idx,
     write_delimited,
 )
-from .linalg import MAX_JACOBI_SIDE, DegenerateIterateError, gram
+from .linalg import DegenerateIterateError, gram
 from .margin import (
     AnchorSamplingError,
     BisectionToleranceError,
@@ -427,14 +427,12 @@ def cmd_verify(args):
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed or 0
+    # each suite keeps its own default count unless --count is given
+    count = {} if args.count is None else {"count": args.count}
     if mode == "eigencheck":
-        records, ok = power_method_fidelity_suite(
-            count=500 if args.count is None else args.count, seed=seed
-        )
+        records, ok = power_method_fidelity_suite(seed=seed, **count)
     elif mode == "lemma1":
-        records, ok = quadratic_form_bound_suite(
-            count=1000 if args.count is None else args.count, seed=seed
-        )
+        records, ok = quadratic_form_bound_suite(seed=seed, **count)
     elif mode == "gradcheck":
         if args.model:
             model = _load_model_file(args.model)
@@ -444,9 +442,7 @@ def cmd_verify(args):
             except (DegenerateIterateError, OverflowError) as exc:
                 raise DataError(f"{mode}: {exc}") from None
         else:
-            records, ok = gradient_check_suite(
-                count=50 if args.count is None else args.count, seed=seed
-            )
+            records, ok = gradient_check_suite(seed=seed, **count)
     elif mode == "theorem1":
         if not args.model:
             raise ConfigError("theorem1 verification needs --model")
@@ -463,13 +459,6 @@ def cmd_verify(args):
             )
         if args.anchors < 1:
             raise ConfigError(f"--anchors must be >= 1, got {args.anchors}")
-        for layer in model.hidden:
-            if layer.out_dim > MAX_JACOBI_SIDE:
-                raise DataError(
-                    f"theorem1 verification needs hidden layers at most "
-                    f"{MAX_JACOBI_SIDE} wide (the exact eigensolver's cap); "
-                    f"the model has one {layer.out_dim} wide"
-                )
         _require_finite_grams(mode, model.hidden)
         dataset = _load_eval_data(args)
         _require_fit(model, dataset)

@@ -7,7 +7,6 @@ objective actually computes. A central-difference oracle is provided for
 verification.
 """
 
-import copy
 from dataclasses import dataclass, field
 import warnings
 
@@ -20,7 +19,7 @@ from .linalg import (
     _dot,
     gram,
 )
-from .model import STACK_FLOATS, MlpModel, forward_batch, model_params
+from .model import STACK_FLOATS, _with_params, forward_batch, model_params
 from .objectives import RegularizerSpec, _penalized, loss_gradient_batch, total_objective
 
 # below this estimated eigenvalue the sqrt gradient is treated as zero
@@ -310,18 +309,6 @@ def finite_diff_gradient(objective_fn, params, h=1e-5, *, member_floats=0):
     with np.errstate(all="ignore"):  # as the float arithmetic it replaced
         grad = (values[0::2] - values[1::2]) / (2.0 * h)
     return [grad[lo:hi].reshape(a.shape) for a, lo, hi in zip(params, bounds[:-1], bounds[1:])]
-
-
-def _with_params(model, params):
-    """model with each layer's weights and bias replaced by params[2k] and
-    params[2k + 1]; unlike a new DenseLayer, the arrays are not checked for
-    finiteness, as the objective never checks the arrays it is handed."""
-    layers = []
-    for k, layer in enumerate(model.layers):
-        layer = copy.copy(layer)
-        layer.weights, layer.bias = params[2 * k], params[2 * k + 1]
-        layers.append(layer)
-    return MlpModel(layers[:-1], layers[-1])
 
 
 def finite_diff_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_masks=None):

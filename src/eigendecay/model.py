@@ -2,6 +2,7 @@
 read-out, forward evaluation with cached pre-activations, and the
 input-space gradient row used by the margin analysis."""
 
+import copy
 from dataclasses import dataclass
 import json
 
@@ -293,6 +294,19 @@ def model_params(model):
         out.append(layer.weights)
         out.append(layer.bias)
     return out
+
+
+def _with_params(model, params):
+    """model with each layer's weights and bias replaced by params[2k] and
+    params[2k + 1], uncopied; (R, ...) params make a stacked model. Unlike
+    a new DenseLayer, the arrays are not scanned for finiteness: training
+    stacks only finite params, and the objective checks none it is handed."""
+    layers = []
+    for k, layer in enumerate(model.layers):
+        layer = copy.copy(layer)
+        layer.weights, layer.bias = params[2 * k], params[2 * k + 1]
+        layers.append(layer)
+    return MlpModel(layers[:-1], layers[-1])
 
 
 def set_model_params(model, values):

@@ -11,9 +11,8 @@ import numpy as np
 from .data import _is_int, _is_real, kfold, split_indices
 from .grad import backward
 from .model import (
-    DenseLayer,
-    MlpModel,
     _stack_cap,
+    _with_params,
     forward_batch,
     model_params,
     set_model_params,
@@ -181,14 +180,6 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _stacked_model(template, params):
-    layers = [
-        DenseLayer(params[2 * k], params[2 * k + 1], layer.activation)
-        for k, layer in enumerate(template.layers)
-    ]
-    return MlpModel(layers[:-1], layers[-1])
-
-
 def _stacked_masks(members, rngs, hidden_dims, batch):
     """Each member's dropout masks for one batch, drawn from its own
     generator in single-run order; a member without dropout in a layer gets
@@ -224,7 +215,7 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     diverges.
     """
     regs = [m.reg for m in members]
-    stack = _stacked_model(template, params)
+    stack = _with_params(template, params)
     if members[0].rows is None:
         # members that train on all rows, as sgd_train's does, read views
         # of the data, not copies
@@ -254,7 +245,7 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
         for i, m in enumerate(members):
             by_size.setdefault(len(m.val_rows), []).append(i)
         for idx in by_size.values():
-            model = stack if len(idx) == len(members) else _stacked_model(
+            model = stack if len(idx) == len(members) else _with_params(
                 template, [p[idx] for p in params])
             rows = _stack([members[i].val_rows for i in idx])
             _, _, Yhat = forward_batch(model, dataset.features[rows])
@@ -302,7 +293,7 @@ def _sgd_stack(members, dataset, loss_kind, config):
     any_dropout = any(m.reg.has_dropout for m in members)
 
     for epoch in range(config.max_epochs):
-        stack = _stacked_model(template, params)
+        stack = _with_params(template, params)
         live = [members[i] for i in active]
         live_rngs = [rngs[i] for i in active]
         regs = [m.reg for m in live]

@@ -385,11 +385,16 @@ class TestVerifyCommand:
         assert rc == 2
         _assert_one_line_error(capsys, "anchors")
 
-    def test_theorem1_wide_layer_is_data_error(self, tmp_path, capsys):
+    def test_theorem1_wide_layer_is_checked(self, tmp_path):
+        # a hidden layer wider than 64 gets its exact eigenvalue like any
+        # other; the shifted bias puts class 0's surface between the points
         model = init_mlp([2, 80, 2], "sigmoid", seed=0)
-        rc = self._theorem1(tmp_path, model, [[0.1, 0.2], [0.3, 0.4]], [0, 1])
-        assert rc == 2
-        _assert_one_line_error(capsys, "64")
+        model.output.bias[0] -= 0.77
+        rc = self._theorem1(tmp_path, model, [[-3.0, -3.0], [3.0, 3.0]], [0, 1])
+        assert rc == 0
+        lines = (tmp_path / "v" / "margin.jsonl").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(json.loads(line)["ok"] for line in lines[1:])
 
     def test_theorem1_data_model_mismatch_is_data_error(self, tmp_path, capsys):
         model = init_mlp([3, 4, 2], "sigmoid", seed=0)

@@ -393,6 +393,22 @@ class TestVerifyTheorem1:
             assert ok
             assert len(reports) == 60
 
+    def test_wide_deep_multiclass_net_no_violations(self):
+        # a first hidden layer wider than 64, on 64-d inputs: its gram's
+        # exact eigenvalue comes from the same Jacobi solver as a narrow
+        # layer's, and every class is checked
+        centers = np.random.default_rng(5).standard_normal((3, 64))
+        train = gen_two_gaussians(40, centers=centers, sigma=1.0, seed=1)
+        test = gen_two_gaussians(10, centers=centers, sigma=1.0, seed=2)
+        model = init_mlp([64, 80, 40, 3], "sigmoid", seed=3)
+        sgd_train(model, train, "mse", RegularizerSpec.none(3, 2),
+                  TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=30, seed=4))
+        assert evaluate(model, test)["accuracy"] == 1.0
+        for l in range(3):
+            reports, ok = verify_theorem1(model, test, l, anchors_per_example=1)
+            assert ok
+            assert len(reports) == 30
+
     def test_vacuous_pass_when_nothing_correct(self):
         # model output for class 0 is always +1, targets all -1
         h = DenseLayer(np.zeros((2, 2)), np.zeros(2), Activation("sigmoid"))
@@ -703,16 +719,6 @@ class TestSharedPerPointWork:
                     assert out.tobytes() == forward(model, x).output.tobytes()
                     assert [_reference_class_output(model, x, l)
                             for l in range(n_out)] == list(out)
-
-    def test_width_cap_raised_before_any_bisection(self):
-        # nothing is classified correctly, so no surface point is sought
-        model = small_model(dims=(2, 80, 2), seed=49)
-        features = np.array([[0.1, 0.2], [0.3, 0.4]])
-        _, _, Yhat = forward_batch(model, features)
-        labels = np.where(Yhat[:, 0] > 0.0, 1, 0)
-        ds = Dataset.from_arrays(features, labels, n_classes=2)
-        with pytest.raises(ValueError, match="cap"):
-            verify_theorem1(model, ds, 0, anchors_per_example=1)
 
 
 def _bits(a):
