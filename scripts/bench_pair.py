@@ -25,8 +25,6 @@ import tarfile
 import tempfile
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SCHEMA_VERSION = 1
 SEED = 0
 
@@ -47,21 +45,31 @@ print(json.dumps(out))
 """
 
 
+def read_benchmark():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def workload_names():
+    """The benchmark's workloads, in BENCHMARK.json's order."""
+    return tuple(w["name"] for w in read_benchmark()["workloads"])
+
+
 def parse_pairs(spec):
     """'3' or 'gauss_grid=10,3': pairs per workload, a bare number being
-    the default for the rest."""
+    the default for the rest; the keys are in BENCHMARK.json's order."""
+    workloads = workload_names()
     default, per = None, {}
     for item in spec.split(","):
         name, sep, count = item.partition("=")
         if sep:
-            if name not in WORKLOADS:
+            if name not in workloads:
                 raise ValueError(f"unknown workload {name!r}")
             per[name] = int(count)
         else:
             default = int(name)
-    if default is None and len(per) < len(WORKLOADS):
+    if default is None and len(per) < len(workloads):
         raise ValueError("give a default pair count for the other workloads")
-    counts = {w: per.get(w, default) for w in WORKLOADS}
+    counts = {w: per.get(w, default) for w in workloads}
     if any(c < 1 for c in counts.values()):
         raise ValueError("pair counts must be >= 1")
     return counts
@@ -153,7 +161,8 @@ def main(argv=None):
     parser.add_argument("--fingerprint-seeds", default="0,7")
     args = parser.parse_args(argv)
 
-    seconds = BENCHMARK["run_seconds"]
+    bench = read_benchmark()
+    seconds = bench["run_seconds"]
     fp_seeds = [int(s) for s in args.fingerprint_seeds.split(",")]
     with tempfile.TemporaryDirectory() as base_dir:
         roots = {"base": extract(args.base, base_dir), "change": ROOT}
@@ -167,7 +176,7 @@ def main(argv=None):
             "host": None,
             "workloads": {},
         }
-        for name in WORKLOADS:
+        for name in args.pairs:
             pairs = []
             for i in range(args.pairs[name]):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -185,11 +194,11 @@ def main(argv=None):
                 "pairs": len(pairs),
                 "correct": {side: all(p[k]["correct"] for p in pairs)
                             for k, side in enumerate(("base", "change"))},
-                "metrics": summarize(pairs, BENCHMARK["end_to_end"]),
+                "metrics": summarize(pairs, bench["end_to_end"]),
             }
         prints = {side: {str(s): fingerprints(roots[side], s) for s in fp_seeds}
                   for side in roots}
-        for name in WORKLOADS:
+        for name in args.pairs:
             record["workloads"][name]["fingerprint_sha256"] = {
                 side: {seed: fp[name] for seed, fp in prints[side].items()}
                 for side in prints}

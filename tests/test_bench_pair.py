@@ -73,7 +73,7 @@ def test_summarize_one_pair_and_ties():
 
 
 def test_parse_pairs():
-    assert bench_pair.parse_pairs("3") == dict.fromkeys(bench_pair.WORKLOADS, 3)
+    assert bench_pair.parse_pairs("3") == dict.fromkeys(bench_pair.workload_names(), 3)
     counts = bench_pair.parse_pairs("gauss_grid=10,2")
     assert counts["gauss_grid"] == 10
     assert counts["theorem1"] == 2
