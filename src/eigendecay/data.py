@@ -1,7 +1,9 @@
 """Dataset container, IDX and delimited-text loaders, synthetic 2-D
-generators, +/-1 one-hot encoding, and deterministic splits."""
+generators, +/-1 one-hot encoding, deterministic splits, and the JSON-lines
+report writer."""
 
 from dataclasses import dataclass
+import json
 import math
 import numbers
 import struct
@@ -176,6 +178,15 @@ def write_delimited(dataset, path, sep=","):
         for x, t in zip(dataset.features, dataset.targets):
             fh.write(sep.join(repr(float(v)) for v in x))
             fh.write(f"{sep}{int(t)}\n")
+
+
+def write_jsonl(path, header, records):
+    """A JSON-lines report: the header with its keys in the order given,
+    then one line per record with sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def gen_two_gaussians(n_per_class, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.5, seed=0):

@@ -231,15 +231,12 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     goes on.
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     stacked = model.output.weights.ndim == 3
-    if X.ndim != 2 + stacked or X.shape[-2] == 0:
-        shape = "(R, n, d)" if stacked else "(n, d)"
-        raise ValueError(f"batch must be a nonempty {shape} array")
     if stacked:
         regs = list(reg)
-        if len(regs) != X.shape[0]:
-            raise ValueError(f"{len(regs)} regularizer specs for {X.shape[0]} members")
+        members = model.output.weights.shape[0]
+        if len(regs) != members:
+            raise ValueError(f"{len(regs)} regularizer specs for {members} members")
     else:
         reg.check_against(model)
         regs = [reg]

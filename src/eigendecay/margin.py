@@ -21,11 +21,11 @@ single-point arithmetic.
 """
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 
+from .data import write_jsonl
 from .linalg import _dot, as_vector, exact_dominant_eigen, gram
 from .model import (
     SMOOTH_ACTIVATIONS,
@@ -170,7 +170,7 @@ def _require_smooth(model):
 
 def layer_lambda_dom(model):
     """Dominant eigenvalue of W W^T for each hidden layer, from the exact
-    solver. Raises ValueError for a layer wider than its side cap."""
+    solver."""
     return [exact_dominant_eigen(gram(layer.weights)) for layer in model.hidden]
 
 
@@ -295,8 +295,7 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
     anchor order.
     Misclassified examples are skipped, so a dataset with no correct
     examples passes vacuously with an empty report list. The layer
-    eigenvalues are computed on entry, so a hidden layer wider than the
-    exact solver's cap raises ValueError before any bisection.
+    eigenvalues are computed once, on entry.
     """
     _require_smooth(model)
     if not 0 <= l < model.n_out:
@@ -397,14 +396,11 @@ def report_to_dict(report):
 
 def save_margin_reports(reports, path):
     header = {
-        "schema_version": 1,
         "kind": "margin_report",
-        "surface_points": "segment bisection toward opposite-prediction "
-        "anchors; distances use the gradient at each surface point",
         "note": "margin and theorem_bound minimize over the candidate "
         "surface points only (upper estimates of the true minima)",
+        "schema_version": 1,
+        "surface_points": "segment bisection toward opposite-prediction "
+        "anchors; distances use the gradient at each surface point",
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for report in reports:
-            fh.write(json.dumps(report_to_dict(report), sort_keys=True) + "\n")
+    write_jsonl(path, header, [report_to_dict(report) for report in reports])

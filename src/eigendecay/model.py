@@ -209,8 +209,9 @@ def forward_batch(model, X, dropout_masks=None):
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != model.output.weights.ndim or X.shape[-1] != model.n_in:
+        lead = "R, " if model.output.weights.ndim == 3 else ""
         raise ValueError(
-            f"batch has shape {X.shape} but the model expects (n, {model.n_in})"
+            f"batch has shape {X.shape} but the model expects ({lead}n, {model.n_in})"
         )
     vs, ys = [], []
     Y = X

@@ -25,40 +25,27 @@ LOSS_KINDS = (
 PENALTY_KINDS = ("none", "eigen_decay", "l1", "l2")
 
 
-def _as_batch(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a
-
-
-def _check_pm1(y, kind):
-    if not np.all(np.abs(y) == 1.0):
+def _loss_inputs(kind, Yhat, Y):
+    """Outputs and targets as float batches, each 1-D array a batch of one
+    row, once their shapes match, the batch is nonempty, the kind is known
+    and the targets are +/-1."""
+    Yhat, Y = (np.asarray(a, dtype=float) for a in (Yhat, Y))
+    Yhat, Y = (a.reshape(1, -1) if a.ndim == 1 else a for a in (Yhat, Y))
+    if Yhat.shape != Y.shape:
+        raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
+    n, _ = Yhat.shape[-2:]  # a 0-d array raises ValueError here
+    if n == 0:
+        raise ValueError("batch must be nonempty")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
+    if not np.all(np.abs(Y) == 1.0):
         raise ValueError(f"{kind} targets must be encoded as +/-1")
+    return Yhat, Y
 
 
 def _logsumexp(z):
     m = np.max(z, axis=-1, keepdims=True)
     return m[..., 0] + np.log(np.sum(np.exp(z - m), axis=-1))
-
-
-def _loss_per_example(kind, Yhat, Y):
-    if kind == "mse":
-        _check_pm1(Y, kind)
-        return np.mean((Yhat - Y) ** 2, axis=-1)
-    if kind == "multiclass_hinge":
-        _check_pm1(Y, kind)
-        return np.sum(np.maximum(0.0, 1.0 - Y * Yhat), axis=-1)
-    if kind == "binary_cross_entropy":
-        _check_pm1(Y, kind)
-        t = (Y + 1.0) / 2.0
-        # -[t log s(z) + (1-t) log(1-s(z))] = softplus(z) - t z, summed
-        return np.sum(np.logaddexp(0.0, Yhat) - t * Yhat, axis=-1)
-    if kind == "categorical_cross_entropy":
-        _check_pm1(Y, kind)
-        t = (Y + 1.0) / 2.0
-        return np.sum(t, axis=-1) * _logsumexp(Yhat) - np.sum(t * Yhat, axis=-1)
-    raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
 
 
 def loss_batch(kind, Yhat, Y):
@@ -67,13 +54,18 @@ def loss_batch(kind, Yhat, Y):
     A stack of batches (R, n, L) gives an (R,) array of each member's mean,
     with the bits of the 2-D call on that member.
     """
-    Yhat = _as_batch(Yhat)
-    Y = _as_batch(Y)
-    if Yhat.shape != Y.shape:
-        raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
-    if Yhat.shape[-2] == 0:
-        raise ValueError("batch must be nonempty")
-    per_example = _loss_per_example(kind, Yhat, Y)
+    Yhat, Y = _loss_inputs(kind, Yhat, Y)
+    if kind == "mse":
+        per_example = np.mean((Yhat - Y) ** 2, axis=-1)
+    elif kind == "multiclass_hinge":
+        per_example = np.sum(np.maximum(0.0, 1.0 - Y * Yhat), axis=-1)
+    elif kind == "binary_cross_entropy":
+        t = (Y + 1.0) / 2.0
+        # -[t log s(z) + (1-t) log(1-s(z))] = softplus(z) - t z, summed
+        per_example = np.sum(np.logaddexp(0.0, Yhat) - t * Yhat, axis=-1)
+    else:  # categorical_cross_entropy
+        t = (Y + 1.0) / 2.0
+        per_example = np.sum(t, axis=-1) * _logsumexp(Yhat) - np.sum(t * Yhat, axis=-1)
     if per_example.ndim == 1:
         return float(np.mean(per_example))
     return np.mean(per_example, axis=-1)
@@ -85,33 +77,22 @@ def loss_gradient_batch(kind, Yhat, Y):
     A stack of batches (R, n, L) gives each member's gradient, with the bits
     of the 2-D call on that member.
     """
-    Yhat = _as_batch(Yhat)
-    Y = _as_batch(Y)
-    if Yhat.shape != Y.shape:
-        raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
+    Yhat, Y = _loss_inputs(kind, Yhat, Y)
     n, L = Yhat.shape[-2:]
-    if n == 0:
-        raise ValueError("batch must be nonempty")
     if kind == "mse":
-        _check_pm1(Y, kind)
         return 2.0 * (Yhat - Y) / (L * n)
     if kind == "multiclass_hinge":
-        _check_pm1(Y, kind)
         violated = (1.0 - Y * Yhat) > 0.0
         return np.where(violated, -Y, 0.0) / n
+    t = (Y + 1.0) / 2.0
     if kind == "binary_cross_entropy":
-        _check_pm1(Y, kind)
-        t = (Y + 1.0) / 2.0
         s = 1.0 / (1.0 + np.exp(-np.clip(Yhat, -500, 500)))
         return (s - t) / n
-    if kind == "categorical_cross_entropy":
-        _check_pm1(Y, kind)
-        t = (Y + 1.0) / 2.0
-        z = Yhat - np.max(Yhat, axis=-1, keepdims=True)
-        ez = np.exp(z)
-        p = ez / np.sum(ez, axis=-1, keepdims=True)
-        return (p * np.sum(t, axis=-1, keepdims=True) - t) / n
-    raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")
+    # categorical_cross_entropy
+    z = Yhat - np.max(Yhat, axis=-1, keepdims=True)
+    ez = np.exp(z)
+    p = ez / np.sum(ez, axis=-1, keepdims=True)
+    return (p * np.sum(t, axis=-1, keepdims=True) - t) / n
 
 
 def eigen_decay_penalty(w, C, lambda_dom):
@@ -307,14 +288,9 @@ def total_objective(model, X, Y, loss_kind, reg, dropout_masks=None):
     member, and penalties()' lambdas and {member: error}, whose members'
     2-D calls raise.
     """
-    X = np.asarray(X, dtype=float)
-    stacked = model.output.weights.ndim == 3
-    if X.ndim != 2 + stacked or X.shape[-2] == 0:
-        shape = "(R, n, d)" if stacked else "(n, d)"
-        raise ValueError(f"batch must be a nonempty {shape} array")
     _, _, Yhat = forward_batch(model, X, dropout_masks)
     e = loss_batch(loss_kind, Yhat, Y)
-    if not stacked:
+    if model.output.weights.ndim == 2:
         return _objective_value(e, penalties(model, reg))
     pens, lambdas, failed = penalties(model, reg)
     return [_objective_value(float(er), p) for er, p in zip(e, pens)], lambdas, failed

@@ -3,12 +3,11 @@ validation split, evaluation, and k-fold cross-validated grid search over
 the two regularization constants."""
 
 from dataclasses import dataclass, field
-import json
 import math
 
 import numpy as np
 
-from .data import _is_int, _is_real, kfold, split_indices
+from .data import _is_int, _is_real, kfold, split_indices, write_jsonl
 from .grad import backward
 from .model import (
     _stack_cap,
@@ -18,7 +17,6 @@ from .model import (
     set_model_params,
 )
 from .objectives import (
-    LOSS_KINDS,
     _lambdas,
     _penalized,
     loss_batch,
@@ -108,19 +106,8 @@ class TrainHistory:
 
 
 def save_history(history, path):
-    with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "kind": "train_history",
-                    "best_epoch": history.best_epoch,
-                }
-            )
-            + "\n"
-        )
-        for rec in history.records():
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    header = {"schema_version": 1, "kind": "train_history", "best_epoch": history.best_epoch}
+    write_jsonl(path, header, history.records())
 
 
 @dataclass
@@ -148,13 +135,11 @@ class _Member:
         return self.train_size(dataset), layers
 
 
-def _member(model, dataset, rows, loss_kind, reg, config):
+def _member(model, dataset, rows, reg, config):
     """Checks one training run's inputs and carves its validation split.
     rows picks the dataset rows it trains on; None means all of them."""
     if (len(dataset) if rows is None else len(rows)) == 0:
         raise ValueError("dataset must be nonempty")
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}; pick one of {LOSS_KINDS}")
     reg.check_against(model)
     if dataset.n_features != model.n_in:
         raise ValueError(
@@ -383,7 +368,7 @@ def sgd_train(model, dataset, loss_kind, reg, config):
     validation loss. This is the one-member case of the stacked loop that
     grid_search runs.
     """
-    member = _member(model, dataset, None, loss_kind, reg, config)
+    member = _member(model, dataset, None, reg, config)
     (result,) = _sgd_stack([member], dataset, loss_kind, config)
     if isinstance(result, DivergenceError):
         raise result
@@ -474,7 +459,7 @@ def grid_search(
         ia, ib = divmod(cell, len(grid_b))
         for f in range(n_folds):
             model = model_builder(_cell_seed(config.seed, ia, ib, f))
-            m = _member(model, dataset, train_rows[f], loss_kind, reg, config)
+            m = _member(model, dataset, train_rows[f], reg, config)
             key = m.stack_key(dataset)
             pending.setdefault(key, []).append((pos, m))
             if len(pending[key]) == _stack_cap(model, config.batch_size):
@@ -498,32 +483,18 @@ def grid_search(
             "fold_accuracies": accs,
         })
 
-    best = None
-    for cell in cells:
-        score = cell["mean_accuracy"] if select_by == "accuracy" else -cell["mean_loss"]
-        key = (cell["c_a"], cell["c_b"])
-        if (
-            best is None
-            or score > best[0]
-            or (score == best[0] and key < best[1])
-        ):
-            best = (score, key, cell["mean_accuracy"])
-    return GridSearchResult(cells, best[1], best[2])
+    # min keeps the first of equal keys; a nan score compares false both
+    # ways, so it never displaces the first cell
+    best = min(cells, key=lambda cell: (
+        -cell["mean_accuracy"] if select_by == "accuracy" else cell["mean_loss"],
+        cell["c_a"], cell["c_b"]))
+    return GridSearchResult(cells, (best["c_a"], best["c_b"]), best["mean_accuracy"])
 
 
 def save_grid_result(result, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema_version": 1, "kind": "grid_search"}) + "\n")
-        for cell in result.cells:
-            fh.write(json.dumps(cell, sort_keys=True) + "\n")
-        fh.write(
-            json.dumps(
-                {
-                    "selected_c_a": result.selected[0],
-                    "selected_c_b": result.selected[1],
-                    "selected_accuracy": result.selected_accuracy,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    selected = {
+        "selected_c_a": result.selected[0],
+        "selected_c_b": result.selected[1],
+        "selected_accuracy": result.selected_accuracy,
+    }
+    write_jsonl(path, {"schema_version": 1, "kind": "grid_search"}, result.cells + [selected])

@@ -170,6 +170,19 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "e" / "eval.jsonl").read_text().splitlines()[1])
         assert report["accuracy"] == 1.0
 
+    # sha256 of eval.jsonl on numpy 2.4.6 with OpenBLAS, an untrained
+    # 2-5-3 sigmoid net on three gaussian blobs
+    def test_output_bytes_unchanged(self, tmp_path):
+        save_model(init_mlp([2, 5, 3], "sigmoid", seed=3), tmp_path / "m.json")
+        ds = gen_two_gaussians(6, centers=((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), seed=4)
+        write_delimited(ds, tmp_path / "d.csv")
+        rc = main(["eval", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv"),
+                   "--loss", "categorical_cross_entropy", "--out", str(tmp_path / "e")])
+        assert rc == 0
+        written = (tmp_path / "e" / "eval.jsonl").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == (
+            "4b4c7849933385188661aaf50b7a22a3a85adb67717ea7429ce7c350c3b7a226")
+
 
 def _underflowing_slopes_model(scale=1e150):
     """Class 0 reads scale * (sigmoid(x1 - 400) - sigmoid(-x1 - 400)). Its
@@ -253,6 +266,17 @@ class TestGendataCommand:
 
 
 class TestVerifyCommand:
+    # sha256 of verify.jsonl on numpy 2.4.6 with OpenBLAS, at the default seed
+    @pytest.mark.parametrize("mode, sha256", [
+        ("eigencheck", "3021eb157bb0d77eeb7a75de7486dbd8bbd0e2b0230ee845bd95888de81863c7"),
+        ("lemma1", "d99182765103a24c24cb364b25771f609a26a619641d7c2ad856324ed8df647b"),
+    ])
+    def test_output_bytes_unchanged(self, tmp_path, mode, sha256):
+        rc = main(["verify", "--mode", mode, "--count", "5", "--out", str(tmp_path / "v")])
+        assert rc == 0
+        written = (tmp_path / "v" / "verify.jsonl").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == sha256
+
     def test_eigencheck_passes(self, tmp_path):
         rc = main(["verify", "--mode", "eigencheck", "--count", "40",
                    "--seed", "0", "--out", str(tmp_path / "v")])

@@ -45,7 +45,7 @@ def _regs():
     ]
 
 
-def _members(ds, loss_kind, cfg):
+def _members(ds, cfg):
     folds = np.array_split(np.random.default_rng(0).permutation(N_ROWS), 3)
     members = []
     for j, reg in enumerate(_regs()):
@@ -53,7 +53,7 @@ def _members(ds, loss_kind, cfg):
         if j in (3, 4):
             model.output.weights[1] = -model.output.weights[0]
         rows = np.setdiff1d(np.arange(N_ROWS), folds[j % 3])
-        members.append(train._member(model, ds, rows, loss_kind, reg, cfg))
+        members.append(train._member(model, ds, rows, reg, cfg))
     return members
 
 
@@ -111,7 +111,7 @@ def test_every_member_history_is_pinned(loss_kind, early_stopping, momentum):
                       momentum=momentum,
                       early_stopping=EarlyStopping(early_stopping, patience=2,
                                                    validation_fraction=0.25))
-    members = _members(ds, loss_kind, cfg)
+    members = _members(ds, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         results = train._sgd_stack(members, ds, loss_kind, cfg)

@@ -291,7 +291,7 @@ def test_members_hold_row_indices_not_data():
     cfg = TrainConfig(learning_rate=0.1, early_stopping=EarlyStopping(True))
     reg = RegularizerSpec((LayerPenalty(), LayerPenalty()), (0.0,))
     rows = np.arange(5, 55)
-    m = train._member(_sigmoid_builder(0), ds, rows, "mse", reg, cfg)
+    m = train._member(_sigmoid_builder(0), ds, rows, reg, cfg)
     for value in vars(m).values():
         assert not isinstance(value, Dataset)
         if isinstance(value, np.ndarray):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import linear_layer, rotation, small_model
 
+from eigendecay.grad import backward
 from eigendecay.linalg import exact_dominant_eigen, gram
-from eigendecay.model import Activation, DenseLayer, MlpModel
+from eigendecay.model import Activation, DenseLayer, MlpModel, _with_params, model_params
 from eigendecay.objectives import (
     LayerPenalty,
     RegularizerSpec,
@@ -262,3 +265,43 @@ class TestTotalObjective:
                 model, rng.standard_normal((2, 2)), np.tile([1.0, -1.0], (2, 1)),
                 "mse", reg,
             )
+
+
+MEMBERS = 3
+REJECTED_BATCHES = ["x_1d", "wrong_rank", "wrong_width", "empty", "targets", "y_shape",
+                    "loss_kind"]
+
+
+def _rejected_batch(case, stacked):
+    """(X, Y, loss kind, error pattern) of one batch that a 2-3-2 model, or
+    a stack of MEMBERS of them, rejects. wrong_rank is a 3-D X on the 2-D
+    model and a 2-D X on the stack."""
+    lead = (MEMBERS,) if stacked else ()
+    X = np.random.default_rng(0).standard_normal(lead + (4, 2))
+    Y = np.broadcast_to([1.0, -1.0], lead + (4, 2))
+    shaped = {"x_1d": X.reshape(-1)[:2], "wrong_rank": X[0] if stacked else X[None],
+              "wrong_width": X[..., :1]}
+    if case in shaped:
+        X = shaped[case]
+        expects = f"({'R, ' if stacked else ''}n, 2)"
+        return X, Y, "mse", re.escape(f"batch has shape {X.shape} but the model expects {expects}")
+    return {
+        "empty": (X[..., :0, :], Y[..., :0, :], "mse", "batch must be nonempty"),
+        "targets": (X, 0.5 * Y, "mse", re.escape("mse targets must be encoded as +/-1")),
+        "y_shape": (X, Y[..., :3, :], "mse", "shape mismatch"),
+        "loss_kind": (X, Y, "huber", "unknown loss kind 'huber'"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", REJECTED_BATCHES)
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+@pytest.mark.parametrize("fn", [total_objective, backward], ids=["total_objective", "backward"])
+def test_rejected_batch_raises_its_error(fn, stacked, case):
+    model = small_model()
+    reg = RegularizerSpec.none(2, 1)
+    if stacked:
+        model = _with_params(model, [np.stack([p] * MEMBERS) for p in model_params(model)])
+        reg = [reg] * MEMBERS
+    X, Y, loss_kind, pattern = _rejected_batch(case, stacked)
+    with pytest.raises(ValueError, match=pattern):
+        fn(model, X, Y, loss_kind, reg)

@@ -638,7 +638,7 @@ def test_overflowing_member_fails_at_once_and_leaves_the_others_alone():
     models = [init_mlp([2, 4, 2], "sigmoid", seed=r) for r in range(3)]
     models[1].hidden[0].weights *= 1e160
     start = [a.copy() for a in model_params(models[1])]
-    members = [train._member(m, ds, None, "mse", reg, cfg) for m in models]
+    members = [train._member(m, ds, None, reg, cfg) for m in models]
     results = train._sgd_stack(members, ds, "mse", cfg)
 
     assert isinstance(results[1], DivergenceError)

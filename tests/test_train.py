@@ -175,8 +175,8 @@ class TestSgdTrain:
         regs = [reg, RegularizerSpec.none(2, 1),
                 RegularizerSpec((LayerPenalty("eigen_decay", 0.01, 5), LayerPenalty()),
                                 (0.0,))]
-        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, "mse", r,
-                                 cfg) for s, r in enumerate(regs)]
+        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, r, cfg)
+                   for s, r in enumerate(regs)]
         results = train._sgd_stack(members, ds, "mse", cfg)
         assert all(len(r.epochs) == 6 for r in results)
         assert len(weights) == 6
@@ -202,8 +202,8 @@ class TestSgdTrain:
         regs = [RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty("l2", 1e-3)),
                                 (0.1,)),
                 RegularizerSpec.none(2, 1)]
-        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, "mse", r,
-                                 cfg) for s, r in enumerate(regs)]
+        members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, r, cfg)
+                   for s, r in enumerate(regs)]
         assert checked == regs
         results = train._sgd_stack(members, ds, "mse", cfg)
         assert all(len(r.epochs) == 3 for r in results)
