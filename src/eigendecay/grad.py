@@ -16,7 +16,6 @@ from .linalg import (
     ITERATE_OVERFLOW,
     NONFINITE_MATRIX,
     DegenerateIterateError,
-    _dot,
     gram,
 )
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
@@ -41,11 +40,6 @@ class Gradients:
             out.append(w)
             out.append(b)
         return out
-
-
-def _mv(m, v):
-    # (R, n, n) times (R, n), member by member, with the bits of 2-D m @ v
-    return (m @ v[..., None])[..., 0]
 
 
 DEGENERATE_ITERATE = (
@@ -82,17 +76,15 @@ def eigen_decay_gradient(w, C, p=9):
     stacked = w.ndim == 3
     if w.ndim != 2 + stacked:
         raise ValueError(f"expected a 2-d array, got shape {w.shape}")
-    ws = w if stacked else w[None]
-    # the one finiteness scan of these weights per training step
-    finite = np.isfinite(ws).all(axis=(1, 2))
-    if not stacked and not finite[0]:
+    if not stacked and not np.isfinite(w).all():
         raise ValueError(NONFINITE_MATRIX)
+    ws = w if stacked else w[None]
     cs = np.broadcast_to(np.asarray(C, dtype=float), ws.shape[:1])
     if np.any(cs < 0):
         raise ValueError(f"penalty coefficient must be >= 0, got {C}")
     if p < 1:
         raise ValueError(f"iteration count must be >= 1, got {p}")
-    grad, failed = _eigen_decay_stack(ws, cs, p, finite)
+    grad, failed = _eigen_decay_stack(ws, cs, p)
     if stacked:
         return grad, failed
     if failed:
@@ -100,77 +92,92 @@ def eigen_decay_gradient(w, C, p=9):
     return grad[0]
 
 
-def _eigen_decay_stack(ws, cs, p, finite):
-    """eigen_decay_gradient's (grad, failed) for a stack whose non-finite
-    members are False in finite. failed maps each member whose gradient
-    cannot be formed to the error its 2-D call raises, and each of them
-    gets a zero gradient."""
+def _eigen_decay_stack(ws, cs, p):
+    """eigen_decay_gradient's (grad, failed) for a weight stack. failed
+    maps each member whose gradient cannot be formed to the error its 2-D
+    call raises, and each of them gets a zero gradient.
+
+    Iterates are (R, n, 1) columns, so each GEMV and sqrt-of-dot norm has
+    the bits of the 1-D arithmetic on that member. Failures are told apart
+    after the loop; numpy's warnings for them would just precede the typed
+    error.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = gram(ws, check=False)
+        # the gram diagonal holds each row's sum of squares, which is not
+        # finite where the row has a non-finite entry, and nonzero only
+        # where the row is. Only a member whose diagonal is not finite (a
+        # finite W whose squares overflow) or all zero (squares that
+        # underflow) needs its weights scanned.
+        diag = np.diagonal(m, axis1=1, axis2=2)
+        finite = np.isfinite(diag).all(axis=1)
+        nonzero = diag.any(axis=1)
+        for r in np.flatnonzero(~finite | ~nonzero).tolist():
+            finite[r] = np.isfinite(ws[r]).all()
+            nonzero[r] = ws[r].any()
     failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
     # the power iteration cannot start from the zero matrix; its penalty is
     # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
-    live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
+    live = (cs != 0.0) & finite & nonzero
     if not live.any():
         return np.zeros_like(ws), failed
 
     # members that are not live run along and are zeroed at the end
-    hit_zero = np.zeros(len(ws), dtype=bool)
-    norm_overflow = np.zeros(len(ws), dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = gram(ws, check=False)
         # forward pass, keeping each post-step iterate
-        iterates = [np.ones(ws.shape[:2])]
+        iterates = [np.ones(ws.shape[:2] + (1,))]
         norms = []
         v = iterates[0]
         for _ in range(p):
-            v = _mv(m, v)
-            nrm = np.sqrt(_dot(v, v))
-            hit_zero |= nrm == 0.0
-            norm_overflow |= nrm == np.inf
-            v = v / nrm[:, None]
+            v = m @ v
+            nrm = np.sqrt(v.swapaxes(1, 2) @ v)
+            v /= nrm
             norms.append(nrm)
             iterates.append(v)
-        den = _dot(v, v)
-        hit_zero |= den == 0.0
+        steps = np.concatenate(norms, axis=2)[:, 0]
+        den = v.swapaxes(1, 2) @ v
+        hit_zero = (steps == 0.0).any(axis=1) | (den == 0.0)[:, 0, 0]
         degenerate = live & hit_zero
         live &= ~degenerate
-        mv = _mv(m, v)
-        num = _dot(mv, v)
+        mv = m @ v
+        num = mv.swapaxes(1, 2) @ v
         lam = num / den
         # a gram or iterate past float range; the penalty value fails there
-        overflow = live & ~np.isfinite(lam)
+        overflow = live & ~np.isfinite(lam[:, 0, 0])
         live &= ~overflow
 
-        below = live & (lam < EIGEN_GRAD_FLOOR)
+        below = live & (lam[:, 0, 0] < EIGEN_GRAD_FLOOR)
         if below.any():
             warnings.warn(
                 "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
-                f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
+                f"estimate {lam[below, 0, 0][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
                 RuntimeWarning,
                 stacklevel=3,
             )
 
-        # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked backwards
+        # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked
+        # backwards; each outer product is formed in one scratch buffer
         dnum = 1.0 / den
         dden = -num / (den * den)
-        gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
-        dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
+        gm = v * v.swapaxes(1, 2)
+        gm *= dnum
+        outer = np.empty_like(gm)
+        dv = 2.0 * mv * dnum + 2.0 * v * dden
         for t in range(p, 0, -1):
             vt = iterates[t]
             # v_t = u_t / ||u_t||
-            du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
-            gm += du[:, :, None] * iterates[t - 1][:, None, :]
+            du = (dv - vt * (vt.swapaxes(1, 2) @ dv)) / norms[t - 1]
+            gm += np.multiply(du, iterates[t - 1].swapaxes(1, 2), out=outer)
             if t > 1:  # v_0 is the fixed start, so nothing reads its dv
-                dv = _mv(m, du)
+                dv = m @ du
         # M = W W^T, so dL/dW = (G + G^T) W
-        dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
-        grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
-    keep = live & ~below
-    if not keep.all():
-        grad = np.where(keep[:, None, None], grad, 0.0)
+        grad = np.add(gm, gm.swapaxes(1, 2), out=outer) @ ws
+        grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))
+    grad[~live | below] = 0.0
     for r in np.flatnonzero(degenerate | overflow).tolist():
         if degenerate[r]:
             failed[r] = DegenerateIterateError(
-                NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
+                NORM_OVERFLOW if (steps[r] == np.inf).any() else DEGENERATE_ITERATE)
         elif np.isfinite(m[r]).all():
             failed[r] = OverflowError(ITERATE_OVERFLOW)
         else:
@@ -207,7 +214,7 @@ def _add_penalty_gradients(dW, model, regs, stacked):
                     ok = [j for j in range(len(idx)) if j not in errors]
                     idx, pg = idx[ok], pg[ok]
             if len(idx) == len(d):
-                d = d + pg
+                d += pg
             elif len(idx):
                 d[idx] += pg
         dW[k] = d if stacked else d[0]
@@ -229,6 +236,10 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     layer's weights are not finite or its power iterate degenerates or
     overflows, the stacked call records the error in Gradients.failed and
     goes on.
+
+    Every array of the result is new and the caller's: the SGD step
+    scales each one in place. The slopes are read from the activations
+    forward_batch hands back from before dropout.
     """
     X = np.asarray(X, dtype=float)
     stacked = model.output.weights.ndim == 3
@@ -241,7 +252,7 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
         reg.check_against(model)
         regs = [reg]
 
-    vs, ys, Yhat = forward_batch(model, X, dropout_masks)
+    acts, ys, Yhat = forward_batch(model, X, dropout_masks)
     G = loss_gradient_batch(loss_kind, Yhat, Y)
 
     K = len(model.hidden)
@@ -256,8 +267,8 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     for k in range(K - 1, -1, -1):
         layer = model.hidden[k]
         if dropout_masks is not None and dropout_masks[k] is not None:
-            D = D * dropout_masks[k]
-        D = D * layer.activation.deriv(vs[k])
+            D *= dropout_masks[k]
+        D *= layer.activation.slope(acts[k])
         prev = X if k == 0 else ys[k - 1]
         dW[k] = D.swapaxes(-1, -2) @ prev
         db[k] = D.sum(axis=-2)

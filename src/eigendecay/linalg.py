@@ -2,6 +2,7 @@
 cyclic-Jacobi eigensolver kept as an exact, slow reference."""
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -57,8 +58,17 @@ def gram(w, *, check=True):
         w = np.asarray(w, dtype=float)
         w = as_matrix(w, stacked=w.ndim == 3)
     g = w @ w.swapaxes(-1, -2)
+    np.copyto(g, g.swapaxes(-1, -2), where=_strict_upper(g.shape[-1]))
     # adding 0.0 turns -0.0 into +0.0, as summing the two triangles did
-    return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
+    g += 0.0
+    return g
+
+
+@functools.cache
+def _strict_upper(n):
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _symmetric(m):

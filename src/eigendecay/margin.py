@@ -115,7 +115,7 @@ def find_surface_point(model, x_a, x_b, l):
         )
 
     def class_output(X):
-        return _column_pass(model, X)[2][:, l]
+        return _column_pass(model, X)[1][:, l]
 
     fa = class_output(x_a)
     fb = class_output(x_b)
@@ -211,8 +211,8 @@ def per_point_bound(model, X, P, l, targets, lambda_dom):
         raise DegenerateGradientError(f"output row {l} is zero")
     if not math.isfinite(w_norm):
         raise OverflowError(f"the norm of output row {l} overflows float range")
-    lambda_activ = [np.max(layer.activation.deriv(v)**2, axis=-1)
-                    for layer, v in zip(model.hidden, trace.preactivations)]
+    lambda_activ = [np.max(layer.activation.slope(y)**2, axis=-1)
+                    for layer, y in zip(model.hidden, trace.activations)]
     # left folds, as the layer loop multiplied them
     dom_product = math.prod(max(lam, 0.0) for lam in lambda_dom)
     denom = w_norm * np.sqrt(math.prod(lambda_activ)) * math.sqrt(dom_product)

@@ -1,5 +1,5 @@
 """Dense multilayer perceptron: stacked nonlinear layers with a linear
-read-out, forward evaluation with cached pre-activations, and the
+read-out, forward evaluation with cached activations, and the
 input-space gradient row used by the margin analysis."""
 
 import copy
@@ -15,43 +15,40 @@ def _sigmoid(v):
     # exp of -|v| never overflows; 1/(1+e) for v >= 0 and e/(1+e) below
     # are the two stable forms. minimum(v, -v) is -|v| that keeps the sign
     # of a nan, so nan inputs pass through with their bits unchanged.
+    # Picking the numerator first makes one division where the two forms
+    # took one each.
     e = np.exp(np.minimum(v, -v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_deriv(v):
-    s = _sigmoid(v)
-    return s * (1.0 - s)
+def _sigmoid_slope(y):
+    return y * (1.0 - y)
 
 
-def _tanh_deriv(v):
-    t = np.tanh(v)
-    return 1.0 - t * t
+def _tanh_slope(y):
+    return 1.0 - y * y
 
 
 def _relu(v):
     return np.maximum(v, 0.0)
 
 
-def _relu_deriv(v):
-    # derivative at the kink (v == 0) is defined as 0
-    return np.where(v > 0, 1.0, 0.0)
+def _relu_slope(y):
+    # the slope at the kink (y == 0) is defined as 0
+    return np.where(y > 0, 1.0, 0.0)
 
 
 def _identity(v):
     return v
 
 
-def _ones(v):
-    return np.ones_like(v)
-
-
+# kind -> (value, slope): the slope takes the activation's value y, not
+# its input v, and performs the ops the derivative in v would after value
 _ACTIVATIONS = {
-    "sigmoid": (_sigmoid, _sigmoid_deriv),
-    "tanh": (np.tanh, _tanh_deriv),
-    "relu": (_relu, _relu_deriv),
-    "linear": (_identity, _ones),
+    "sigmoid": (_sigmoid, _sigmoid_slope),
+    "tanh": (np.tanh, _tanh_slope),
+    "relu": (_relu, _relu_slope),
+    "linear": (_identity, np.ones_like),
 }
 
 SMOOTH_ACTIVATIONS = ("sigmoid", "tanh", "linear")
@@ -71,8 +68,9 @@ class Activation:
     def value(self, v):
         return _ACTIVATIONS[self.kind][0](np.asarray(v, dtype=float))
 
-    def deriv(self, v):
-        return _ACTIVATIONS[self.kind][1](np.asarray(v, dtype=float))
+    def slope(self, y):
+        """The derivative at the input whose activation value is y."""
+        return _ACTIVATIONS[self.kind][1](np.asarray(y, dtype=float))
 
 
 @dataclass
@@ -152,10 +150,10 @@ class MlpModel:
 @dataclass
 class ForwardTrace:
     """Every intermediate of forward; a stacked trace gives each array a
-    leading axis of N inputs."""
+    leading axis of N inputs. The activation slopes are read from the
+    activations (Activation.slope)."""
 
     input: np.ndarray
-    preactivations: list  # v_k per hidden layer
     activations: list  # y_k per hidden layer
     output: np.ndarray
 
@@ -175,22 +173,20 @@ def forward(model, x):
 
 def _column_pass(model, X):
     """Forward pass of one input X (n_in,) or a stack of inputs (S, n_in),
-    one example per row, without input checks. Returns (preactivations,
-    activations, outputs), the first two as lists over hidden layers.
+    one example per row, without input checks. Returns (activations,
+    outputs), the first a list over hidden layers.
 
     Each row has the bits of that example passed alone: every layer
     broadcasts its shared W over the stacked columns, one GEMV per row.
     The row GEMM of forward_batch rounds differently.
     """
-    vs, ys = [], []
+    ys = []
     Y = X
     for layer in model.hidden:
-        V = (layer.weights @ Y[..., None])[..., 0] + layer.bias
-        Y = layer.activation.value(V)
-        vs.append(V)
+        Y = layer.activation.value((layer.weights @ Y[..., None])[..., 0] + layer.bias)
         ys.append(Y)
     out = model.output
-    return vs, ys, (out.weights @ Y[..., None])[..., 0] + out.bias
+    return ys, (out.weights @ Y[..., None])[..., 0] + out.bias
 
 
 def forward_batch(model, X, dropout_masks=None):
@@ -200,8 +196,11 @@ def forward_batch(model, X, dropout_masks=None):
     hidden layer (entries 0 or 1/keep-rate) multiplied into the hidden
     activations.
 
-    Returns (preactivations, activations, outputs), the first two as lists
-    over hidden layers.
+    Returns (activations, inputs, outputs), the first two as lists over
+    hidden layers: each hidden layer's activations before dropout, which
+    grad.backward reads the slopes from, and after it, which the next
+    layer takes as input. Without masks the two lists hold the same
+    arrays.
 
     A stacked model (see DenseLayer) takes X as (R, n, d), masks as
     (R, n, width), and gives every array a leading member axis; each
@@ -213,25 +212,27 @@ def forward_batch(model, X, dropout_masks=None):
         raise ValueError(
             f"batch has shape {X.shape} but the model expects ({lead}n, {model.n_in})"
         )
-    vs, ys = [], []
+    acts, ys = [], []
     Y = X
     for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+        V = Y @ layer.weights.swapaxes(-1, -2)
+        V += layer.bias[..., None, :]
         Y = layer.activation.value(V)
+        acts.append(Y)
         if dropout_masks is not None and dropout_masks[k] is not None:
             Y = Y * dropout_masks[k]
-        vs.append(V)
         ys.append(Y)
     out = model.output
-    Yhat = Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
-    return vs, ys, Yhat
+    Yhat = Y @ out.weights.swapaxes(-1, -2)
+    Yhat += out.bias[..., None, :]
+    return acts, ys, Yhat
 
 
 def input_gradient(model, trace, l):
     """Gradient of output component l with respect to the model input.
 
     The row is the product of the output row with each hidden layer's
-    weight matrix scaled by the activation derivatives cached in the trace.
+    weight matrix scaled by the activation slopes read from the trace.
     A stacked trace gives one row per input, (N, n_in): each row times the
     shared W is its own vector-matrix product, with the bits of the
     single-input call.
@@ -239,8 +240,8 @@ def input_gradient(model, trace, l):
     if not 0 <= l < model.n_out:
         raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
     g = model.output.weights[l]
-    for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        g = ((g * layer.activation.deriv(v))[..., None, :] @ layer.weights)[..., 0, :]
+    for layer, y in zip(reversed(model.hidden), reversed(trace.activations)):
+        g = ((g * layer.activation.slope(y))[..., None, :] @ layer.weights)[..., 0, :]
     return g
 
 

@@ -27,14 +27,14 @@ PENALTY_KINDS = ("none", "eigen_decay", "l1", "l2")
 
 def _loss_inputs(kind, Yhat, Y):
     """Outputs and targets as float batches, each 1-D array a batch of one
-    row, once their shapes match, the batch is nonempty, the kind is known
-    and the targets are +/-1."""
+    row, once their shapes match, the batch has rows and outputs, the kind
+    is known and the targets are +/-1."""
     Yhat, Y = (np.asarray(a, dtype=float) for a in (Yhat, Y))
     Yhat, Y = (a.reshape(1, -1) if a.ndim == 1 else a for a in (Yhat, Y))
     if Yhat.shape != Y.shape:
         raise ValueError(f"shape mismatch {Yhat.shape} vs {Y.shape}")
-    n, _ = Yhat.shape[-2:]  # a 0-d array raises ValueError here
-    if n == 0:
+    n, L = Yhat.shape[-2:]  # a 0-d array raises ValueError here
+    if n == 0 or L == 0:
         raise ValueError("batch must be nonempty")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; pick one of {LOSS_KINDS}")

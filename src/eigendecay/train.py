@@ -299,13 +299,17 @@ def _sgd_stack(members, dataset, loss_kind, config):
                     set_model_params(live[j].model, [p[j] for p in params])
             if len(failed) == len(live):
                 break
+            # the step consumes the gradient arrays: each is scaled by the
+            # learning rate in place
             if velocity is None:
                 for p, g in zip(params, grads.as_list()):
-                    p -= config.learning_rate * g
+                    g *= config.learning_rate
+                    p -= g
             else:
                 for p, g, v in zip(params, grads.as_list(), velocity):
                     v *= config.momentum
-                    v -= config.learning_rate * g
+                    g *= config.learning_rate
+                    v -= g
                     p += v
 
         finite = np.ones(len(live), dtype=bool)

@@ -26,6 +26,27 @@ def small_model(dims=(2, 3, 2), activation="sigmoid", seed=0):
     return init_mlp(list(dims), activation, seed=seed)
 
 
+def reference_sigmoid(v):
+    """The sigmoid as it was written with two full-array divisions."""
+    e = np.exp(np.minimum(v, -v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def reference_deriv(kind, v):
+    """The activation derivative at the preactivation v, as the model took
+    it before it read slopes from the activation values."""
+    if kind == "sigmoid":
+        s = reference_sigmoid(v)
+        return s * (1.0 - s)
+    if kind == "tanh":
+        t = np.tanh(v)
+        return 1.0 - t * t
+    if kind == "relu":
+        return np.where(v > 0, 1.0, 0.0)
+    return np.ones_like(v)
+
+
 def rotation(n, scale, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return scale * q

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 import json
 import math
 
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from conftest import linear_layer, rotation, small_model
+from conftest import linear_layer, reference_deriv, rotation, small_model
 
 from eigendecay import margin
 from eigendecay.data import Dataset, gen_two_gaussians
@@ -33,7 +34,6 @@ from eigendecay.margin import (
 from eigendecay.model import (
     Activation,
     DenseLayer,
-    ForwardTrace,
     MlpModel,
     _column_pass,
     forward,
@@ -266,10 +266,10 @@ class TestBoundIngredients:
     def test_omega_transpose_is_input_gradient(self, rng):
         model = small_model(dims=(3, 4, 4, 2), activation="tanh", seed=31)
         point = rng.standard_normal(3)
-        trace = forward(model, point)
-        omega, _, _ = _reference_bound_ingredients(model, point, 1, trace=trace,
+        omega, _, _ = _reference_bound_ingredients(model, point, 1,
+                                                   trace=_reference_forward(model, point),
                                                    lambda_dom=layer_lambda_dom(model))
-        g = input_gradient(model, trace, 1)
+        g = input_gradient(model, forward(model, point), 1)
         np.testing.assert_allclose(model.output.weights[1] @ omega.T, g, rtol=1e-12)
 
     def test_relu_rejected(self):
@@ -492,15 +492,32 @@ def _reference_surface_point(model, x_a, x_b, l):
     )
 
 
+@dataclass
+class _ReferenceTrace:
+    input: np.ndarray
+    preactivations: list
+    activations: list
+    output: np.ndarray
+
+
 def _reference_forward(model, x):
-    """forward as it passed one input at a time, frozen as the reference
-    for the stacked per-point pass."""
+    """forward as it passed one input at a time, keeping the
+    preactivations, frozen as the reference for the stacked per-point
+    pass."""
     x = as_vector(x)
     if x.shape[0] != model.n_in:
         raise ValueError(
             f"input has length {x.shape[0]} but the model expects {model.n_in}"
         )
-    return ForwardTrace(x, *_column_pass(model, x))
+    vs, ys = [], []
+    y = x
+    for layer in model.hidden:
+        v = (layer.weights @ y[:, None])[:, 0] + layer.bias
+        y = layer.activation.value(v)
+        vs.append(v)
+        ys.append(y)
+    out = model.output
+    return _ReferenceTrace(x, vs, ys, (out.weights @ y[:, None])[:, 0] + out.bias)
 
 
 def _reference_input_gradient(model, trace, l):
@@ -508,7 +525,7 @@ def _reference_input_gradient(model, trace, l):
         raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
     g = model.output.weights[l].copy()
     for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        g = (g * layer.activation.deriv(v)) @ layer.weights
+        g = (g * reference_deriv(layer.activation.kind, v)) @ layer.weights
     return g
 
 
@@ -530,7 +547,7 @@ def _reference_bound_ingredients(model, point, l, *, trace, lambda_dom):
     lambda_activ = []
     omega = None
     for layer, v in zip(model.hidden, trace.preactivations):
-        slopes = layer.activation.deriv(v)
+        slopes = reference_deriv(layer.activation.kind, v)
         lambda_activ.append(float(np.max(slopes**2)))
         factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
         omega = factor if omega is None else omega @ factor
@@ -571,7 +588,7 @@ def _reference_bound_size(model, x_i, point, l, *, trace, lambda_dom):
         model, point, l, trace=trace, lambda_dom=lambda_dom)
     size = np.abs(model.output.weights[l])
     for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        size = (size * np.abs(layer.activation.deriv(v))) @ np.abs(layer.weights)
+        size = (size * np.abs(reference_deriv(layer.activation.kind, v))) @ np.abs(layer.weights)
     w_norm = float(np.linalg.norm(model.output.weights[l]))
     return float(size @ np.abs(as_vector(x_i) - point)) / _reference_denominator(
         w_norm, lambda_activ, lambda_dom)
@@ -714,7 +731,7 @@ class TestSharedPerPointWork:
                 model = small_model(dims=(3, width, width, n_out), activation=kind,
                                     seed=width)
                 X = rng.standard_normal((5, 3))
-                outputs = _column_pass(model, X)[2]
+                outputs = _column_pass(model, X)[1]
                 for x, out in zip(X, outputs):
                     assert out.tobytes() == forward(model, x).output.tobytes()
                     assert [_reference_class_output(model, x, l)
@@ -772,7 +789,6 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
     for s in range(N):
         ref = _reference_forward(model, P[s])
         for got, want in [(trace.input, ref.input), (trace.output, ref.output),
-                          *zip(trace.preactivations, ref.preactivations),
                           *zip(trace.activations, ref.activations)]:
             np.testing.assert_array_equal(_bits(got[s]), _bits(want))
         np.testing.assert_array_equal(

@@ -11,6 +11,7 @@ from eigendecay.grad import backward
 from eigendecay.linalg import exact_dominant_eigen, gram
 from eigendecay.model import Activation, DenseLayer, MlpModel, _with_params, model_params
 from eigendecay.objectives import (
+    LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
     eigen_decay_penalty,
@@ -60,6 +61,14 @@ class TestLoss:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             _example_loss("huber", [0.0], [1.0])
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 0)])
+    @pytest.mark.parametrize("fn", [loss_batch, loss_gradient_batch])
+    def test_zero_width_batch_rejected(self, fn, shape, kind):
+        # an empty 1-D pair is a batch of one row with no outputs
+        with pytest.raises(ValueError, match="^batch must be nonempty$"):
+            fn(kind, np.zeros(shape), np.zeros(shape))
 
     @pytest.mark.parametrize(
         "kind",

@@ -10,10 +10,19 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from conftest import reference_deriv, reference_sigmoid
+
 from eigendecay import train
 from eigendecay.data import Dataset, gen_two_gaussians
-from eigendecay.grad import backward, eigen_decay_gradient
+from eigendecay.grad import (
+    DEGENERATE_ITERATE,
+    EIGEN_GRAD_FLOOR,
+    NORM_OVERFLOW,
+    backward,
+    eigen_decay_gradient,
+)
 from eigendecay.linalg import (
+    ITERATE_OVERFLOW,
     NONFINITE_MATRIX,
     DegenerateIterateError,
     as_matrix,
@@ -24,6 +33,8 @@ from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
+    _sigmoid,
+    _with_params,
     forward_batch,
     init_mlp,
     model_params,
@@ -32,7 +43,10 @@ from eigendecay.objectives import (
     LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
+    _penalized,
     loss_batch,
+    loss_gradient_batch,
+    sample_dropout_masks,
     total_objective,
 )
 from eigendecay.train import DivergenceError, TrainConfig, sgd_train
@@ -544,9 +558,11 @@ def _outcome(call):
 
 
 # Penalty edge cases: zero weights (the iteration cannot start), rank-1
-# weights, weights whose gram is huge or overflows, and weights whose gram
-# sends the all-ones start to zero (two rows w and -w)
-EDGE_KINDS = ("gaussian", "zero", "rank1", "huge", "kernel")
+# weights, weights whose gram is huge or overflows, weights whose gram
+# sends the all-ones start to zero (two rows w and -w), tiny weights whose
+# estimate is below EIGEN_GRAD_FLOOR, and nonzero weights whose squares
+# underflow to zero
+EDGE_KINDS = ("gaussian", "zero", "rank1", "huge", "kernel", "tiny", "underflow")
 
 
 @st.composite
@@ -567,6 +583,10 @@ def edge_stacks(draw):
         elif kind == "kernel":
             w[2:] = 0.0
             w[1] = -w[0]
+        elif kind == "tiny":
+            w *= 10.0 ** -draw(st.integers(7, 150))
+        elif kind == "underflow":
+            w *= 10.0 ** -draw(st.integers(165, 300))
         ws.append(w)
     return np.stack(ws)
 
@@ -652,3 +672,361 @@ def test_overflowing_member_fails_at_once_and_leaves_the_others_alone():
         assert results[r].records() == history.records()
         for got, want in zip(model_params(models[r]), model_params(alone)):
             np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+# Frozen copies of the training step as it was written before it worked in
+# place and read the slopes from the activations: the penalty gradient on
+# (R, n) row iterates with its full finiteness and all-zero scans, the
+# gram mirrored through np.where, the two-division sigmoid, a forward pass
+# that kept the preactivations and a backward pass that took the
+# activation derivative from them, each product a new array. The program
+# must keep their bits, errors and warnings.
+
+def _reference_gram(w):
+    g = w @ w.swapaxes(-1, -2)
+    return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
+
+
+def _reference_activation(kind, v):
+    if kind == "sigmoid":
+        return reference_sigmoid(v)
+    if kind == "tanh":
+        return np.tanh(v)
+    if kind == "relu":
+        return np.maximum(v, 0.0)
+    return v
+
+
+def _reference_mv(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def _reference_dot(a, b):
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _reference_eigen_decay_stack(ws, cs, p):
+    """The stacked eigen_decay_gradient's (grad, failed)."""
+    finite = np.isfinite(ws).all(axis=(1, 2))
+    failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
+    live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
+    if not live.any():
+        return np.zeros_like(ws), failed
+    hit_zero = np.zeros(len(ws), dtype=bool)
+    norm_overflow = np.zeros(len(ws), dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = _reference_gram(ws)
+        iterates = [np.ones(ws.shape[:2])]
+        norms = []
+        v = iterates[0]
+        for _ in range(p):
+            v = _reference_mv(m, v)
+            nrm = np.sqrt(_reference_dot(v, v))
+            hit_zero |= nrm == 0.0
+            norm_overflow |= nrm == np.inf
+            v = v / nrm[:, None]
+            norms.append(nrm)
+            iterates.append(v)
+        den = _reference_dot(v, v)
+        hit_zero |= den == 0.0
+        degenerate = live & hit_zero
+        live &= ~degenerate
+        mv = _reference_mv(m, v)
+        num = _reference_dot(mv, v)
+        lam = num / den
+        overflow = live & ~np.isfinite(lam)
+        live &= ~overflow
+        below = live & (lam < EIGEN_GRAD_FLOOR)
+        if below.any():
+            warnings.warn(
+                "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
+                f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
+                RuntimeWarning,
+            )
+        dnum = 1.0 / den
+        dden = -num / (den * den)
+        gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
+        dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
+        for t in range(p, 0, -1):
+            vt = iterates[t]
+            du = (dv - vt * _reference_dot(vt, dv)[:, None]) / norms[t - 1][:, None]
+            gm += du[:, :, None] * iterates[t - 1][:, None, :]
+            if t > 1:
+                dv = _reference_mv(m, du)
+        dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
+        grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
+    keep = live & ~below
+    if not keep.all():
+        grad = np.where(keep[:, None, None], grad, 0.0)
+    for r in np.flatnonzero(degenerate | overflow).tolist():
+        if degenerate[r]:
+            failed[r] = DegenerateIterateError(
+                NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
+        elif np.isfinite(m[r]).all():
+            failed[r] = OverflowError(ITERATE_OVERFLOW)
+        else:
+            failed[r] = ValueError(NONFINITE_MATRIX)
+    return grad, failed
+
+
+def _reference_forward_batch(model, X, masks):
+    vs, ys = [], []
+    Y = X
+    for k, layer in enumerate(model.hidden):
+        V = Y @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+        Y = _reference_activation(layer.activation.kind, V)
+        if masks is not None and masks[k] is not None:
+            Y = Y * masks[k]
+        vs.append(V)
+        ys.append(Y)
+    out = model.output
+    return vs, ys, Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
+
+
+def _reference_backward(model, X, Y, loss_kind, regs, masks):
+    """A stacked backward's (dW, db, failed)."""
+    vs, ys, Yhat = _reference_forward_batch(model, X, masks)
+    G = loss_gradient_batch(loss_kind, Yhat, Y)
+    K = len(model.hidden)
+    dW, db = [None] * (K + 1), [None] * (K + 1)
+    dW[K] = G.swapaxes(-1, -2) @ ys[-1]
+    db[K] = G.sum(axis=-2)
+    D = G @ model.output.weights
+    for k in range(K - 1, -1, -1):
+        layer = model.hidden[k]
+        if masks is not None and masks[k] is not None:
+            D = D * masks[k]
+        D = D * reference_deriv(layer.activation.kind, vs[k])
+        prev = X if k == 0 else ys[k - 1]
+        dW[k] = D.swapaxes(-1, -2) @ prev
+        db[k] = D.sum(axis=-2)
+        if k > 0:
+            D = D @ layer.weights
+    failed = {}
+    for k, layer in enumerate(model.layers):
+        w, d = layer.weights, dW[k]
+        for (kind, p), members in _penalized(regs, k).items():
+            idx = np.array(members)
+            c = np.array([regs[r].layers[k].c for r in members])
+            wk = w if len(idx) == len(w) else w[idx]
+            if kind == "l1":
+                pg = c[:, None, None] * np.sign(wk)
+            elif kind == "l2":
+                pg = (2.0 * c)[:, None, None] * wk
+            else:
+                pg, errors = _reference_eigen_decay_stack(wk, c, p)
+                for j, exc in errors.items():
+                    failed.setdefault(int(idx[j]), exc)
+                if errors:
+                    ok = [j for j in range(len(idx)) if j not in errors]
+                    idx, pg = idx[ok], pg[ok]
+            if len(idx) == len(d):
+                d = d + pg
+            elif len(idx):
+                d[idx] += pg
+        dW[k] = d
+    return dW, db, failed
+
+
+def _errors(failed):
+    return {r: (type(exc), str(exc)) for r, exc in failed.items()}
+
+
+def _warned(call):
+    """(result, [(category, message)]) of a call, every warning recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-320, -1e-320,
+                     709.0, -709.0, 746.0, -746.0, 1e308, -1e308])
+
+
+def _values(rng, shape):
+    # a spread of magnitudes with the special values mixed in
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    v.flat[rng.integers(0, v.size, max(1, v.size // 8))] = rng.choice(SPECIALS, max(1, v.size // 8))
+    return v
+
+
+@given(st.integers(1, 25), st.integers(1, 40), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_and_sigmoid_keep_the_frozen_bits(R, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    W = _stack((rows, cols), R, rng)
+    W[rng.random(R) < 0.2] = 0.0
+    W[..., rng.integers(rows), :] *= -0.0
+    np.testing.assert_array_equal(_bits(gram(W)), _bits(_reference_gram(W)))
+    np.testing.assert_array_equal(_bits(gram(W[0])), _bits(_reference_gram(W[0])))
+    v = _values(rng, (R, rows, cols))
+    (got, want), warned = zip(*(_warned(lambda f=f: f(v)) for f in (_sigmoid, reference_sigmoid)))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert warned[0] == warned[1]
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "linear"])
+def test_slope_of_the_value_is_the_frozen_derivative(kind):
+    # slope(value(v)) performs the ops deriv(v) performed
+    v = _values(np.random.default_rng(19), (64, 33))
+    act = Activation(kind)
+    with np.errstate(all="ignore"):
+        got = act.slope(act.value(v))
+        want = reference_deriv(kind, v)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _random_stack(R, sizes, kinds, rng):
+    layers = []
+    for k, (d, h) in enumerate(zip(sizes[:-1], sizes[1:])):
+        kind = kinds[k] if k < len(sizes) - 2 else "linear"
+        scale = rng.uniform(0.1, 2.0, (R, 1, 1))
+        layers.append(DenseLayer(rng.standard_normal((R, h, d)) * scale / np.sqrt(d),
+                                 rng.normal(scale=0.3, size=(R, h)), Activation(kind)))
+    return MlpModel(layers[:-1], layers[-1])
+
+
+def _assert_backward_matches_the_reference(model, X, Y, loss_kind, regs, masks):
+    got, warned = _warned(lambda: backward(model, X, Y, loss_kind, regs, masks))
+    (dW, db, failed), ref_warned = _warned(
+        lambda: _reference_backward(model, X, Y, loss_kind, regs, masks))
+    assert _errors(got.failed) == _errors(failed)
+    for a, b in zip(got.dW + got.db, dW + db):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+    assert warned == ref_warned
+    # the forward pass hands backward each hidden layer's activations
+    # before dropout and after it
+    acts, ys, Yhat = forward_batch(model, X, masks)
+    vs, ref_ys, ref_Yhat = _reference_forward_batch(model, X, masks)
+    for layer, a, y, v, ref_y in zip(model.hidden, acts, ys, vs, ref_ys):
+        np.testing.assert_array_equal(_bits(a), _bits(_reference_activation(
+            layer.activation.kind, v)))
+        np.testing.assert_array_equal(_bits(y), _bits(ref_y))
+    np.testing.assert_array_equal(_bits(Yhat), _bits(ref_Yhat))
+
+
+STEP_ENTRIES = ENTRIES + [LayerPenalty("eigen_decay", 0.3, 1), LayerPenalty("l1", 0.5)]
+
+
+@given(R=st.integers(1, 25), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       n_in=st.integers(1, 5), n_out=st.integers(1, 4), batch=st.integers(1, 12),
+       kinds=st.lists(st.sampled_from(["sigmoid", "tanh", "relu", "linear"]),
+                      min_size=3, max_size=3),
+       dropout=st.booleans(), loss_kind=st.sampled_from(LOSS_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_backward_keeps_the_frozen_bits(R, hidden, n_in, n_out, batch, kinds, dropout,
+                                        loss_kind, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [n_in, *hidden, n_out]
+    model = _random_stack(R, sizes, kinds, rng)
+    X = rng.uniform(-1.0, 1.0, (R, batch, n_in))
+    Y = np.where(rng.random((R, batch, n_out)) < 0.5, -1.0, 1.0)
+    K = len(hidden)
+    regs = [RegularizerSpec(tuple(STEP_ENTRIES[i] for i in rng.integers(0, len(STEP_ENTRIES),
+                                                                        K + 1)),
+                            (0.25,) * K if dropout else ())
+            for _ in range(R)]
+    masks = None
+    if dropout:
+        # a layer of ones where no member drops, as _stacked_masks gives
+        masks = [np.where(rng.random((R, batch, h)) < 0.25, 0.0, 1.0 / 0.75) for h in hidden]
+    _assert_backward_matches_the_reference(model, X, Y, loss_kind, regs, masks)
+
+
+@pytest.mark.parametrize("kind, dropout", [("relu", False), ("sigmoid", True)])
+def test_backward_keeps_the_frozen_bits_at_784_128_10(kind, dropout):
+    rng = np.random.default_rng(20)
+    R, B = 2, 128
+    model = _random_stack(R, [784, 128, 10], [kind], rng)
+    X = rng.uniform(0.0, 1.0, (R, B, 784))
+    Y = np.where(rng.random((R, B, 10)) < 0.1, 1.0, -1.0)
+    regs = [RegularizerSpec((LayerPenalty("eigen_decay", 1e-3), LayerPenalty("l2", 1e-4)),
+                            (0.2,) if dropout else ()),
+            RegularizerSpec((LayerPenalty("eigen_decay", 1e-2, 5), LayerPenalty()),
+                            (0.2,) if dropout else ())]
+    masks = [np.where(rng.random((R, B, 128)) < 0.2, 0.0, 1.25)] if dropout else None
+    _assert_backward_matches_the_reference(model, X, Y, "mse", regs, masks)
+
+
+EDGE_POISON = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(edge_stacks(), st.sampled_from([1, 3, 9]), st.lists(st.integers(0, 3), max_size=6),
+       st.sampled_from([0.0, 0.5, 2.0]))
+@settings(max_examples=100, deadline=None)
+def test_penalty_gradient_edge_cases_keep_the_frozen_outcomes(W, p, poison, c0):
+    # each member's bits, error type and text, and the warnings raised;
+    # a member may hold a non-finite entry, and member 0 may have C == 0
+    W = W.copy()
+    for r, which in enumerate(poison[:len(W)]):
+        if which:
+            W[r, r % W.shape[1], 0] = EDGE_POISON[which - 1]
+    C = np.full(len(W), 0.5)
+    C[0] = c0
+    (grad, failed), warned = _warned(lambda: eigen_decay_gradient(W, C, p))
+    (want, want_failed), want_warned = _warned(
+        lambda: _reference_eigen_decay_stack(W, C, p))
+    assert _errors(failed) == _errors(want_failed)
+    np.testing.assert_array_equal(_bits(grad), _bits(want))
+    assert warned == want_warned
+    assert all(message.startswith("eigenvalue penalty gradient treated as zero")
+               for _, message in warned)
+
+
+def test_weights_whose_squares_underflow_are_not_the_zero_matrix():
+    # the gram diagonal of these weights is zero, but W is not: the
+    # iterate hits the zero vector, as the frozen full scan found
+    W = np.stack([np.full((2, 3), 1e-170), np.zeros((2, 3)), np.eye(2, 3)])
+    grad, failed = eigen_decay_gradient(W, 0.5)
+    want, want_failed = _reference_eigen_decay_stack(W, np.full(3, 0.5), 9)
+    assert _errors(failed) == _errors(want_failed) == {
+        0: (DegenerateIterateError, DEGENERATE_ITERATE)}
+    np.testing.assert_array_equal(_bits(grad), _bits(want))
+    with pytest.raises(DegenerateIterateError, match="zero vector"):
+        eigen_decay_gradient(W[0], 0.5)
+
+
+def _reference_sgd(model, dataset, loss_kind, reg, config):
+    """sgd_train's final parameters, stepped with the frozen backward and
+    the update that formed each learning-rate product as a new array."""
+    params = [p[None].copy() for p in model_params(model)]
+    velocity = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(config.seed)
+    n = len(dataset)
+    for _ in range(config.max_epochs):
+        rows = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = rows[start:start + config.batch_size]
+            masks = sample_dropout_masks(reg.dropout, model.hidden_dims, len(idx), rng)
+            if masks is not None:
+                masks = [None if m is None else m[None] for m in masks]
+            dW, db, failed = _reference_backward(
+                _with_params(model, params), dataset.features[idx][None],
+                dataset.encoded[idx][None], loss_kind, [reg], masks)
+            assert failed == {}
+            for p, g, v in zip(params, [a for pair in zip(dW, db) for a in pair], velocity):
+                if config.momentum == 0.0:
+                    p -= config.learning_rate * g
+                else:
+                    v *= config.momentum
+                    v -= config.learning_rate * g
+                    p += v
+    return [p[0] for p in params]
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_steps_keep_the_frozen_update(momentum):
+    ds = gen_two_gaussians(40, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.7, seed=5)
+    cfg = TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=3, seed=2,
+                      momentum=momentum)
+    reg = RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty("eigen_decay", 0.02),
+                           LayerPenalty("l2", 1e-3)), (0.2, 0.0))
+    model = init_mlp([2, 8, 6, 2], ["sigmoid", "tanh"], seed=4)
+    want = _reference_sgd(model, ds, "mse", reg, cfg)
+    sgd_train(model, ds, "mse", reg, cfg)
+    for got, w in zip(model_params(model), want):
+        np.testing.assert_array_equal(_bits(got), _bits(w))
