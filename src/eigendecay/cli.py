@@ -132,6 +132,8 @@ def _build_dataset(spec):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad data spec: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"data spec too large to generate: {exc}") from None
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
@@ -163,6 +165,8 @@ def _build_model(spec):
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"model too large to allocate: {exc}") from None
 
 
 def _build_regularizers(spec, n_layers, n_hidden):

@@ -19,7 +19,7 @@ from .linalg import (
     gram,
 )
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
-from .objectives import RegularizerSpec, _penalized, loss_gradient_batch, total_objective
+from .objectives import RegularizerSpec, _grouped, loss_gradient_batch, total_objective
 
 # below this estimated eigenvalue the sqrt gradient is treated as zero
 # rather than letting 1/sqrt blow up on a near-zero-spectrum layer
@@ -185,29 +185,29 @@ def _eigen_decay_stack(ws, cs, p):
     return grad, failed
 
 
-def _add_penalty_gradients(dW, model, regs, stacked):
+def _add_penalty_gradients(dW, model, specs, stacked):
     """Adds each member's weight-penalty gradient to dW, layer by layer.
 
     The members of a stack that share a layer's penalty kind and step count
-    get one call. Members with C == 0 or kind none get no add at all (adding
-    0.0 would turn -0.0 into +0.0). Returns {member: error} for members
-    whose eigen-decay gradient cannot be formed, and adds nothing for them;
-    the first error in layer order is kept, as a single run would raise it.
+    (one group of the _StackSpecs specs) get one call. Members with C == 0
+    or kind none get no add at all (adding 0.0 would turn -0.0 into +0.0).
+    Returns {member: error} for members whose eigen-decay gradient cannot
+    be formed, and adds nothing for them; the first error in layer order is
+    kept, as a single run would raise it.
     """
     failed = {}
-    for k, layer in enumerate(model.layers):
+    for k, (layer, groups) in enumerate(zip(model.layers, specs.layers)):
         w = layer.weights if stacked else layer.weights[None]
         d = dW[k] if stacked else dW[k][None]
-        for (kind, p), members in _penalized(regs, k).items():
-            idx = np.array(members)
-            c = np.array([regs[r].layers[k].c for r in members])
+        for g in groups:
+            idx, c = g.members, g.c
             wk = w if len(idx) == len(w) else w[idx]
-            if kind == "l1":
+            if g.kind == "l1":
                 pg = c[:, None, None] * np.sign(wk)
-            elif kind == "l2":
+            elif g.kind == "l2":
                 pg = (2.0 * c)[:, None, None] * wk
             else:
-                pg, errors = eigen_decay_gradient(wk, c, p)
+                pg, errors = eigen_decay_gradient(wk, c, g.p)
                 for j, exc in errors.items():
                     failed.setdefault(int(idx[j]), exc)
                 if errors:
@@ -231,11 +231,12 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     A stacked model (weights (R, out, in), see model.DenseLayer) takes
     (R, n, .) batches, masks and gradients, and reg as one RegularizerSpec
     per member, each already checked against the model (train._member
-    does); each member's slice has the bits of the 2-D call, which is
-    the stack of one. Where the 2-D call raises because an eigen-decay
-    layer's weights are not finite or its power iterate degenerates or
-    overflows, the stacked call records the error in Gradients.failed and
-    goes on.
+    does), or as their objectives._StackSpecs, which train._sgd_stack builds
+    once per set of live members; each member's slice has the bits of the
+    2-D call, which is the stack of one. Where the 2-D call raises because
+    an eigen-decay layer's weights are not finite or its power iterate
+    degenerates or overflows, the stacked call records the error in
+    Gradients.failed and goes on.
 
     Every array of the result is new and the caller's: the SGD step
     scales each one in place. The slopes are read from the activations
@@ -244,13 +245,13 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     X = np.asarray(X, dtype=float)
     stacked = model.output.weights.ndim == 3
     if stacked:
-        regs = list(reg)
+        specs = _grouped(reg)
         members = model.output.weights.shape[0]
-        if len(regs) != members:
-            raise ValueError(f"{len(regs)} regularizer specs for {members} members")
+        if len(specs) != members:
+            raise ValueError(f"{len(specs)} regularizer specs for {members} members")
     else:
         reg.check_against(model)
-        regs = [reg]
+        specs = _grouped([reg])
 
     acts, ys, Yhat = forward_batch(model, X, dropout_masks)
     G = loss_gradient_batch(loss_kind, Yhat, Y)
@@ -275,7 +276,7 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
         if k > 0:
             D = D @ layer.weights
 
-    failed = _add_penalty_gradients(dW, model, regs, stacked)
+    failed = _add_penalty_gradients(dW, model, specs, stacked)
     if failed and not stacked:
         raise failed[0]
     return Gradients(dW, db, failed)

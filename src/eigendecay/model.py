@@ -8,17 +8,25 @@ import json
 
 import numpy as np
 
+from .data import _is_int
 from .linalg import as_matrix, as_vector
 
 
-def _sigmoid(v):
+def _sigmoid(v, out=None):
     # exp of -|v| never overflows; 1/(1+e) for v >= 0 and e/(1+e) below
     # are the two stable forms. minimum(v, -v) is -|v| that keeps the sign
     # of a nan, so nan inputs pass through with their bits unchanged.
-    # Picking the numerator first makes one division where the two forms
-    # took one each.
-    e = np.exp(np.minimum(v, -v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    # The numerator max(e, v >= 0) is exactly 1.0 for v >= 0, where e <= 1,
+    # and e below, where e >= +0.0; a nan e is returned as it is, so it has
+    # the bits of picking 1.0 or e by v >= 0. One scratch array holds -v,
+    # then the denominator.
+    nonneg = v >= 0
+    scratch = np.negative(v)
+    e = np.minimum(v, scratch, out=out)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=scratch)
+    np.maximum(e, nonneg, out=e)
+    return np.divide(e, scratch, out=e)
 
 
 def _sigmoid_slope(y):
@@ -29,21 +37,22 @@ def _tanh_slope(y):
     return 1.0 - y * y
 
 
-def _relu(v):
-    return np.maximum(v, 0.0)
+def _relu(v, out=None):
+    return np.maximum(v, 0.0, out=out)
 
 
 def _relu_slope(y):
     # the slope at the kink (y == 0) is defined as 0
-    return np.where(y > 0, 1.0, 0.0)
+    return (y > 0).astype(float)
 
 
-def _identity(v):
-    return v
+def _identity(v, out=None):
+    return np.positive(v, out=out)
 
 
-# kind -> (value, slope): the slope takes the activation's value y, not
-# its input v, and performs the ops the derivative in v would after value
+# kind -> (value, slope): the value takes out= as a ufunc does, and may
+# write into its input; the slope takes the activation's value y, not its
+# input v, and performs the ops the derivative in v would after value
 _ACTIVATIONS = {
     "sigmoid": (_sigmoid, _sigmoid_slope),
     "tanh": (np.tanh, _tanh_slope),
@@ -66,7 +75,8 @@ class Activation:
             )
 
     def value(self, v):
-        return _ACTIVATIONS[self.kind][0](np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        return _ACTIVATIONS[self.kind][0](v, out=np.empty_like(v))
 
     def slope(self, y):
         """The derivative at the input whose activation value is y."""
@@ -158,6 +168,12 @@ class ForwardTrace:
     output: np.ndarray
 
 
+def _activate(layer, V):
+    """layer's activation of the preactivations V, written into V, which
+    the caller made and nothing else reads."""
+    return _ACTIVATIONS[layer.activation.kind][0](V, out=V)
+
+
 def forward(model, x):
     """Forward pass keeping every intermediate. x is one input (n_in,), or
     a stack of inputs (N, n_in) whose trace holds one row per input, each
@@ -183,7 +199,7 @@ def _column_pass(model, X):
     ys = []
     Y = X
     for layer in model.hidden:
-        Y = layer.activation.value((layer.weights @ Y[..., None])[..., 0] + layer.bias)
+        Y = _activate(layer, (layer.weights @ Y[..., None])[..., 0] + layer.bias)
         ys.append(Y)
     out = model.output
     return ys, (out.weights @ Y[..., None])[..., 0] + out.bias
@@ -217,7 +233,7 @@ def forward_batch(model, X, dropout_masks=None):
     for k, layer in enumerate(model.hidden):
         V = Y @ layer.weights.swapaxes(-1, -2)
         V += layer.bias[..., None, :]
-        Y = layer.activation.value(V)
+        Y = _activate(layer, V)
         acts.append(Y)
         if dropout_masks is not None and dropout_masks[k] is not None:
             Y = Y * dropout_masks[k]
@@ -250,6 +266,8 @@ def init_mlp(layer_sizes, hidden_activation="sigmoid", seed=0):
     and zero biases. layer_sizes runs input -> hidden... -> output."""
     if len(layer_sizes) < 3:
         raise ValueError("layer_sizes needs input, at least one hidden, and output")
+    if not all(_is_int(size) for size in layer_sizes):
+        raise ValueError(f"layer sizes must be integers, got {list(layer_sizes)}")
     if min(layer_sizes) < 1:
         raise ValueError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
     kinds = hidden_activation

@@ -198,15 +198,43 @@ class ObjectiveValue:
     total: float
 
 
-def _penalized(regs, k):
-    """{(kind, p): members} for the members of a stack whose layer-k entry
-    is penalized; kind none and C == 0 are not."""
-    groups = {}
-    for r, reg in enumerate(regs):
-        entry = reg.layers[k]
-        if entry.kind != "none" and entry.c != 0.0:
-            groups.setdefault((entry.kind, entry.p), []).append(r)
-    return groups
+@dataclass(frozen=True)
+class _Group:
+    """The members of a stack that share one layer's penalty kind and
+    power-method step count, with each one's coefficient."""
+
+    kind: str
+    p: int
+    members: np.ndarray  # stack positions, ascending
+    c: np.ndarray
+
+
+class _StackSpecs(tuple):
+    """A stack's specs, one RegularizerSpec per member, with .layers: per
+    weight layer, one _Group per (kind, p) of the members whose entry is
+    penalized (kind none and C == 0 are not), in order of first member.
+
+    It stands wherever a stack's specs are taken; train builds one per set
+    of live members, so no step regroups them."""
+
+    def __new__(cls, regs):
+        self = super().__new__(cls, regs)
+        self.layers = []
+        for entries in zip(*(reg.layers for reg in self)):
+            groups = {}
+            for r, entry in enumerate(entries):
+                if entry.kind != "none" and entry.c != 0.0:
+                    groups.setdefault((entry.kind, entry.p), []).append(r)
+            self.layers.append([
+                _Group(kind, p, np.array(idx), np.array([entries[r].c for r in idx], dtype=float))
+                for (kind, p), idx in groups.items()
+            ])
+        return self
+
+
+def _grouped(regs):
+    """regs as a _StackSpecs, grouped here unless they already are."""
+    return regs if isinstance(regs, _StackSpecs) else _StackSpecs(regs)
 
 
 def _lambdas(w, p):
@@ -229,36 +257,36 @@ def penalties(model, reg):
     finite; kind none and C == 0 never fail.
 
     A stacked model (see model.DenseLayer) takes reg as one RegularizerSpec
-    per member, each already checked against the model, and returns
-    (values, lambdas, failed): one tuple of values per member, the (R,
-    layers) array of the lambda each eigen-decay value read (nan on other
-    layers), and {member: its first error in layer order}, whose values are
-    not meaningful. The 2-D call is the stack of one; it returns the tuple
+    per member, each already checked against the model (or a _StackSpecs
+    of them), and returns (values, lambdas, failed): one tuple of values
+    per member, the (R, layers) array of the lambda each eigen-decay value
+    read (nan on other layers), and {member: its first error in layer
+    order}, whose values are not meaningful. The 2-D call is the stack of one; it returns the tuple
     of values or raises its error.
     """
     stacked = model.output.weights.ndim == 3
     if not stacked:
         reg.check_against(model)
-    regs = list(reg) if stacked else [reg]
-    R, K = len(regs), len(model.layers)
+    specs = _grouped(reg if stacked else [reg])
+    R, K = len(specs), len(model.layers)
     values = np.zeros((R, K))
     lambdas = np.full((R, K), math.nan)
     failed = {}
-    for k, layer in enumerate(model.layers):
+    for k, (layer, groups) in enumerate(zip(model.layers, specs.layers)):
         w = layer.weights if stacked else layer.weights[None]
-        for (kind, p), idx in _penalized(regs, k).items():
-            c = np.array([regs[r].layers[k].c for r in idx], dtype=float)
+        for g in groups:
+            idx = g.members
             wk = w if len(idx) == R else w[idx]
-            if kind == "eigen_decay":
-                lam, errors = _lambdas(wk, p)
+            if g.kind == "eigen_decay":
+                lam, errors = _lambdas(wk, g.p)
                 lambdas[idx, k] = lam
-                values[idx, k] = eigen_decay_penalty(wk, c, lam)
+                values[idx, k] = eigen_decay_penalty(wk, g.c, lam)
             else:
                 bad = ~np.isfinite(wk).all(axis=(1, 2))
                 errors = {j: ValueError(NONFINITE_MATRIX) for j in np.flatnonzero(bad).tolist()}
-                values[idx, k] = c * (abs(wk) if kind == "l1" else wk * wk).sum(axis=(1, 2))
+                values[idx, k] = g.c * (abs(wk) if g.kind == "l1" else wk * wk).sum(axis=(1, 2))
             for j, exc in errors.items():
-                failed.setdefault(idx[j], exc)
+                failed.setdefault(int(idx[j]), exc)
     out = [tuple(row) for row in values.tolist()]
     if stacked:
         return out, lambdas, failed

@@ -18,7 +18,7 @@ from .model import (
 )
 from .objectives import (
     _lambdas,
-    _penalized,
+    _StackSpecs,
     loss_batch,
     sample_dropout_masks,
     total_objective,
@@ -186,9 +186,10 @@ def _stacked_masks(members, rngs, hidden_dims, batch):
     return masks
 
 
-def _epoch_end(members, params, template, dataset, loss_kind, epoch):
+def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
     """The epoch-end record of each member of a stack whose parameters are
-    finite, or the DivergenceError that ends it.
+    finite, or the DivergenceError that ends it. specs is the members'
+    objectives._StackSpecs.
 
     One stacked total_objective over each member's training rows gives the
     objective and the lambda of each penalized eigen-decay layer; a member
@@ -199,7 +200,6 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     validation loss; a member where it or the objective is not finite
     diverges.
     """
-    regs = [m.reg for m in members]
     stack = _with_params(template, params)
     if members[0].rows is None:
         # members that train on all rows, as sgd_train's does, read views
@@ -209,19 +209,18 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     else:
         rows = _stack([m.rows for m in members])
         X, Y = dataset.features[rows], dataset.encoded[rows]
-    objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, regs)
+    objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, specs)
 
     # the lambdas no penalty read, for the members that do not end
-    for k, w in enumerate(params[0::2]):
-        read = {r for (kind, _), idx in _penalized(regs, k).items()
-                if kind == "eigen_decay" for r in idx}
+    for k, (w, penalized) in enumerate(zip(params[0::2], specs.layers)):
+        read = {r for g in penalized if g.kind == "eigen_decay" for r in g.members.tolist()}
         groups = {}
-        for r, reg in enumerate(regs):
+        for r, reg in enumerate(specs):
             if r not in read and r not in failed:
                 entry = reg.layers[k]
                 groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
         for p, idx in groups.items():
-            lambdas[idx, k] = _lambdas(w if len(idx) == len(regs) else w[idx], p)[0]
+            lambdas[idx, k] = _lambdas(w if len(idx) == len(specs) else w[idx], p)[0]
 
     val_loss = [None] * len(members)
     if members[0].val_rows is not None:
@@ -250,6 +249,14 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch):
     return out
 
 
+def _write_back(member, result, params):
+    """Writes the parameters a member leaves the stack with into its model:
+    its best validation epoch's if it trained to the end with early
+    stopping's best parameters kept, else params."""
+    best = isinstance(result, TrainHistory) and member.best_params is not None
+    set_model_params(member.model, member.best_params if best else params)
+
+
 def _sgd_stack(members, dataset, loss_kind, config):
     """Minibatch SGD for same-shape members together: one step for all of
     them per batch.
@@ -260,12 +267,14 @@ def _sgd_stack(members, dataset, loss_kind, config):
     then its dropout masks, batch by batch, and gathers its batch rows from
     the shared dataset by index. All members must have the same training
     set size. At each epoch end every member is checked on its own; one
-    that stops early or diverges leaves the stack.
+    that stops early or diverges leaves the stack. The live members' specs
+    are grouped (objectives._StackSpecs) once, and again only when some
+    leave.
 
     Returns one TrainHistory or DivergenceError per member, in order. Each
-    member's model ends with its final parameters, or with the best
-    validation epoch's under early stopping, or as they were when it
-    diverged.
+    member's model is written once, when it leaves the stack or training
+    ends: with its final parameters, or with the best validation epoch's
+    under early stopping, or as they were when it diverged.
     """
     es = config.early_stopping
     template = members[0].model
@@ -276,12 +285,14 @@ def _sgd_stack(members, dataset, loss_kind, config):
     params = [_stack(arrays) for arrays in zip(*(model_params(m.model) for m in members))]
     velocity = [np.zeros_like(p) for p in params] if config.momentum > 0 else None
     any_dropout = any(m.reg.has_dropout for m in members)
+    specs = None  # the live members' grouped specs; None once some leave
 
     for epoch in range(config.max_epochs):
-        stack = _with_params(template, params)
-        live = [members[i] for i in active]
-        live_rngs = [rngs[i] for i in active]
-        regs = [m.reg for m in live]
+        if specs is None:
+            stack = _with_params(template, params)
+            live = [members[i] for i in active]
+            live_rngs = [rngs[i] for i in active]
+            specs = _StackSpecs(m.reg for m in live)
         orders = [rng.permutation(n) if config.shuffle else np.arange(n) for rng in live_rngs]
         rows = _stack([o if m.rows is None else m.rows[o] for m, o in zip(live, orders)])
         failed = {}  # stack position -> divergence message
@@ -291,11 +302,12 @@ def _sgd_stack(members, dataset, loss_kind, config):
             if any_dropout:
                 masks = _stacked_masks(live, live_rngs, template.hidden_dims, idx.shape[1])
             grads = backward(
-                stack, dataset.features[idx], dataset.encoded[idx], loss_kind, regs, masks
+                stack, dataset.features[idx], dataset.encoded[idx], loss_kind, specs, masks
             )
             for j, exc in grads.failed.items():
                 if j not in failed:
                     failed[j] = f"parameters diverged during epoch {epoch}: {exc}"
+                    # it leaves at the epoch end, but keeps these parameters
                     set_model_params(live[j].model, [p[j] for p in params])
             if len(failed) == len(live):
                 break
@@ -316,22 +328,22 @@ def _sgd_stack(members, dataset, loss_kind, config):
         for p in params:
             finite &= np.isfinite(p).reshape(len(live), -1).all(axis=1)
         evaluate_at = []  # stack positions that reach the epoch-end evaluation
-        for j, (i, m) in enumerate(zip(active, live)):
+        for j, i in enumerate(active):
             if j in failed:
                 results[i] = DivergenceError(epoch, failed[j])
-                continue
-            set_model_params(m.model, [p[j] for p in params])
-            if not finite[j]:
+            elif not finite[j]:
                 results[i] = DivergenceError(
                     epoch, f"parameters diverged during epoch {epoch}"
                 )
-                continue
-            evaluate_at.append(j)
+            else:
+                evaluate_at.append(j)
         records = []
-        if evaluate_at:
-            sel = evaluate_at if len(evaluate_at) < len(live) else slice(None)
-            records = _epoch_end([live[j] for j in evaluate_at], [p[sel] for p in params],
-                                 template, dataset, loss_kind, epoch)
+        if len(evaluate_at) == len(live):
+            records = _epoch_end(live, params, template, dataset, loss_kind, epoch, specs)
+        elif evaluate_at:
+            records = _epoch_end([live[j] for j in evaluate_at],
+                                 [p[evaluate_at] for p in params], template, dataset,
+                                 loss_kind, epoch, _StackSpecs(specs[j] for j in evaluate_at))
         for j, record in zip(evaluate_at, records):
             i, m = active[j], live[j]
             if isinstance(record, DivergenceError):
@@ -343,11 +355,16 @@ def _sgd_stack(members, dataset, loss_kind, config):
             elif record.val_loss < m.best_val:
                 m.best_val = record.val_loss
                 m.best_epoch = epoch
-                m.best_params = [p.copy() for p in model_params(m.model)]
+                m.best_params = [p[j].copy() for p in params]
             elif epoch - m.best_epoch >= es.patience:
                 results[i] = TrainHistory(m.history, m.best_epoch)
 
-        keep = [j for j, i in enumerate(active) if results[i] is None]
+        keep = []
+        for j, i in enumerate(active):
+            if results[i] is None:
+                keep.append(j)
+            elif j not in failed:
+                _write_back(members[i], results[i], [p[j] for p in params])
         if len(keep) < len(active):
             active = [active[j] for j in keep]
             if not active:
@@ -355,12 +372,12 @@ def _sgd_stack(members, dataset, loss_kind, config):
             params = [p[keep] for p in params]
             if velocity is not None:
                 velocity = [v[keep] for v in velocity]
+            specs = None
 
-    for i, m in enumerate(members):
-        if results[i] is None:
-            results[i] = TrainHistory(m.history, m.best_epoch)
-        if isinstance(results[i], TrainHistory) and m.best_params is not None:
-            set_model_params(m.model, m.best_params)
+    for j, i in enumerate(active):
+        m = members[i]
+        results[i] = TrainHistory(m.history, m.best_epoch)
+        _write_back(m, results[i], [p[j] for p in params])
     return results
 
 

@@ -774,6 +774,40 @@ def test_training_input_error_is_config_error(tmp_path, capsys, keys, value, nee
     _assert_one_line_error(capsys, f"config error: {needle}")
 
 
+# malloc refuses arrays of this many rows at once, touching no pages
+HUGE = 10**12
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+@pytest.mark.parametrize("keys, value, needle", [
+    (("model", "layers"), [2, HUGE, 2], "model too large to allocate"),
+    (("data",), {"kind": "two_gaussians", "n_per_class": HUGE}, "data spec too large"),
+    (("data",), {"kind": "xor", "n": HUGE}, "data spec too large"),
+    (("model", "layers"), [2, "8", 2],
+     "bad model spec: layer sizes must be integers, got [2, '8', 2]"),
+    (("model", "layers"), [2, 8.0, 2],
+     "bad model spec: layer sizes must be integers, got [2, 8.0, 2]"),
+    (("model", "layers"), [2, True, 2],
+     "bad model spec: layer sizes must be integers, got [2, True, 2]"),
+], ids=["huge_model", "huge_two_gaussians", "huge_xor", "string_size", "float_size",
+        "bool_size"])
+def test_unbuildable_model_or_data_is_config_error(tmp_path, capsys, command, keys, value,
+                                                   needle):
+    path, config = _two_gaussians_config(tmp_path, max_epochs=2)
+    config["grid"] = {"a": [0.0], "b": [0.0], "folds": 2}
+    path.write_text(json.dumps(_set(config, keys, value)))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, f"config error: {needle}")
+
+
+@pytest.mark.parametrize("kind", ["two_gaussians", "two_moons", "xor"])
+def test_gendata_too_large_to_generate_is_config_error(tmp_path, capsys, kind):
+    rc = main(["gendata", "--kind", kind, "--n", str(HUGE), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "config error: data spec too large to generate")
+
+
 @pytest.mark.parametrize("command", ["train", "gridsearch"])
 def test_divergence_prints_one_error_line(tmp_path, command):
     # numpy's overflow warnings used to precede the error line; a separate

@@ -33,6 +33,8 @@ from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
+    _ACTIVATIONS,
+    _relu_slope,
     _sigmoid,
     _with_params,
     forward_batch,
@@ -43,7 +45,7 @@ from eigendecay.objectives import (
     LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
-    _penalized,
+    _StackSpecs,
     loss_batch,
     loss_gradient_batch,
     sample_dropout_masks,
@@ -446,7 +448,8 @@ def _epoch_records(params, regs, X, Y):
     members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None)
                for r, reg in enumerate(regs)]
     template = _two_layer([p[0] for p in params])
-    return train._epoch_end(members, params, template, ds, "multiclass_hinge", 0)
+    return train._epoch_end(members, params, template, ds, "multiclass_hinge", 0,
+                            _StackSpecs(regs))
 
 
 def _assert_stack_matches_reference(params, regs, X, Y):
@@ -783,6 +786,17 @@ def _reference_forward_batch(model, X, masks):
     return vs, ys, Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
 
 
+def _reference_penalized(regs, k):
+    """{(kind, p): members} for the members of a stack whose layer-k entry
+    is penalized; kind none and C == 0 are not."""
+    groups = {}
+    for r, reg in enumerate(regs):
+        entry = reg.layers[k]
+        if entry.kind != "none" and entry.c != 0.0:
+            groups.setdefault((entry.kind, entry.p), []).append(r)
+    return groups
+
+
 def _reference_backward(model, X, Y, loss_kind, regs, masks):
     """A stacked backward's (dW, db, failed)."""
     vs, ys, Yhat = _reference_forward_batch(model, X, masks)
@@ -805,7 +819,7 @@ def _reference_backward(model, X, Y, loss_kind, regs, masks):
     failed = {}
     for k, layer in enumerate(model.layers):
         w, d = layer.weights, dW[k]
-        for (kind, p), members in _penalized(regs, k).items():
+        for (kind, p), members in _reference_penalized(regs, k).items():
             idx = np.array(members)
             c = np.array([regs[r].layers[k].c for r in members])
             wk = w if len(idx) == len(w) else w[idx]
@@ -1030,3 +1044,114 @@ def test_sgd_steps_keep_the_frozen_update(momentum):
     sgd_train(model, ds, "mse", reg, cfg)
     for got, w in zip(model_params(model), want):
         np.testing.assert_array_equal(_bits(got), _bits(w))
+
+
+# Frozen copies of the activation kernels and of forward_batch as they were
+# before each hidden activation was written into its preactivation buffer:
+# the sigmoid's numerator picked by np.where, the relu slope by np.where,
+# and every activation a new array. The in-place kernels must keep their
+# bits, and leave the caller's batch and masks alone.
+
+def _where_sigmoid(v):
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+def _where_relu_slope(y):
+    return np.where(y > 0, 1.0, 0.0)
+
+
+_FROZEN_VALUES = {"sigmoid": _where_sigmoid, "tanh": np.tanh,
+                  "relu": lambda v: np.maximum(v, 0.0), "linear": lambda v: v}
+
+
+def _frozen_forward_batch(model, X, masks):
+    acts, ys = [], []
+    Y = X
+    for k, layer in enumerate(model.hidden):
+        V = Y @ layer.weights.swapaxes(-1, -2)
+        V += layer.bias[..., None, :]
+        Y = _FROZEN_VALUES[layer.activation.kind](V)
+        acts.append(Y)
+        if masks is not None and masks[k] is not None:
+            Y = Y * masks[k]
+        ys.append(Y)
+    out = model.output
+    Yhat = Y @ out.weights.swapaxes(-1, -2)
+    Yhat += out.bias[..., None, :]
+    return acts, ys, Yhat
+
+
+# +-0, +-inf, quiet nans with set payloads of both signs and a signaling
+# one, subnormals, and the edges of exp's range
+KERNEL_SPECIALS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+     36.7, -36.7, 710.0, -710.0, 745.0, -745.0],
+    np.array([0x7FF8000000000123, 0xFFF8000000000ABC, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+def _kernel_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    flat = v.reshape(-1)
+    flat[:len(KERNEL_SPECIALS)] = KERNEL_SPECIALS[:flat.size]
+    spots = rng.integers(0, flat.size, max(1, flat.size // 8))
+    flat[spots] = rng.choice(KERNEL_SPECIALS, len(spots))
+    return v
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (25, 16, 8), (25, 160, 8), (1, 10000, 128)])
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "linear"])
+def test_in_place_kernels_keep_the_frozen_bits(shape, kind):
+    v = _kernel_inputs(shape, len(shape) + shape[-1])
+    before = v.copy()
+    want, want_warned = _warned(lambda: _FROZEN_VALUES[kind](v))
+    kernel = _ACTIVATIONS[kind][0]
+    buf = v.copy()
+    for got, warned in (_warned(lambda: Activation(kind).value(v)),
+                        _warned(lambda: kernel(buf, out=buf))):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert warned == want_warned
+    np.testing.assert_array_equal(_bits(v), _bits(before))  # value gives a new array
+    if kind == "sigmoid":
+        np.testing.assert_array_equal(_bits(_sigmoid(v)), _bits(want))
+        np.testing.assert_array_equal(_bits(v), _bits(before))
+        np.testing.assert_array_equal(_bits(reference_sigmoid(v)), _bits(want))
+    if kind == "relu":
+        # the slope of any value, nan and -0.0 included
+        for y in (v, want):
+            np.testing.assert_array_equal(_bits(_relu_slope(y)), _bits(_where_relu_slope(y)))
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 25])
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "linear"])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_forward_batch_keeps_the_frozen_bits_and_inputs(R, kind, dropout):
+    rng = np.random.default_rng(R * 8 + len(kind) + dropout)
+    kinds = [kind, "sigmoid" if kind != "sigmoid" else "relu"]
+    model = _random_stack(R, [3, 8, 5, 2], kinds, rng)
+    X = _kernel_inputs((R, 16, 3), R) if R % 2 else rng.uniform(-2.0, 2.0, (R, 16, 3))
+    masks = None
+    if dropout:
+        # the first layer drops, the second does not
+        masks = [np.where(rng.random((R, 16, 8)) < 0.25, 0.0, 1.0 / 0.75), None]
+    X_before = X.copy()
+    masks_before = None if masks is None else masks[0].copy()
+    with np.errstate(all="ignore"):
+        got = forward_batch(model, X, masks)
+        want = _frozen_forward_batch(model, X, masks)
+        alone = [forward_batch(_with_params(model, [p[r] for p in model_params(model)]),
+                               X[r], None if masks is None else [masks[0][r], None])
+                 for r in range(R)]
+    for a, b in zip(got[0] + got[1] + [got[2]], want[0] + want[1] + [want[2]]):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+    # each member's slice has the bits of the 2-D pass
+    for r, (acts, ys, Yhat) in enumerate(alone):
+        for a, b in zip(acts + ys + [Yhat], [x[r] for x in got[0] + got[1] + [got[2]]]):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+    np.testing.assert_array_equal(_bits(X), _bits(X_before))
+    if dropout:
+        np.testing.assert_array_equal(_bits(masks[0]), _bits(masks_before))
+        assert got[0][0] is not got[1][0]

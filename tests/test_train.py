@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,42 @@ class TestSgdTrain:
         want = [(e + 1, gram(w[j]).tobytes())
                 for e, ws in enumerate(weights) for w in ws for j in range(3)]
         assert sorted(grams) == sorted(want)
+
+    def test_members_after_a_leaving_member_keep_their_solo_bits(self):
+        # member 0's penalty gradient fails in epoch 1 and it leaves the
+        # stack; the stack regroups the specs of the members after it, so
+        # each still trains under its own penalties, with sgd_train's bits.
+        # The last member has no penalty, so a stale grouping would still
+        # index inside the smaller stack, and put the wrong penalties on
+        # members 1 and 2.
+        from eigendecay import train
+
+        ds = _blobs(9, n=20)
+        cfg = TrainConfig(learning_rate=0.2, batch_size=8, max_epochs=6, seed=1)
+        regs = [
+            RegularizerSpec((LayerPenalty("eigen_decay", 0.05), LayerPenalty("l2", 1e20)),
+                            (0.0,)),
+            RegularizerSpec((LayerPenalty("eigen_decay", 0.02), LayerPenalty("l1", 1e-3)),
+                            (0.0,)),
+            RegularizerSpec((LayerPenalty("l2", 1e-3), LayerPenalty()), (0.0,)),
+            RegularizerSpec.none(2, 1),
+        ]
+        models = [small_model(dims=(2, 5, 2), seed=s) for s in range(len(regs))]
+        members = [train._member(m, ds, None, r, cfg) for m, r in zip(models, regs)]
+        with np.errstate(all="ignore"):
+            results = train._sgd_stack(members, ds, "mse", cfg)
+        assert isinstance(results[0], DivergenceError) and results[0].epoch == 1
+        for j, (model, reg, result) in enumerate(zip(models, regs, results)):
+            alone = small_model(dims=(2, 5, 2), seed=j)
+            with np.errstate(all="ignore"):
+                if j == 0:
+                    with pytest.raises(DivergenceError, match=re.escape(str(result))):
+                        sgd_train(alone, ds, "mse", reg, cfg)
+                else:
+                    _, history = sgd_train(alone, ds, "mse", reg, cfg)
+                    assert result.records() == history.records()
+            for got, want in zip(model_params(model), model_params(alone)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_each_spec_checked_once_per_member(self, monkeypatch):
         # train._member checks each spec; the stacked steps and epoch ends
