@@ -251,8 +251,8 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
 
 def _write_back(member, result, params):
     """Writes the parameters a member leaves the stack with into its model:
-    its best validation epoch's if it trained to the end with early
-    stopping's best parameters kept, else params."""
+    its best validation epoch's when it ends with a TrainHistory under
+    early stopping, else params."""
     best = isinstance(result, TrainHistory) and member.best_params is not None
     set_model_params(member.model, member.best_params if best else params)
 
