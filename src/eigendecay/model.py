@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .data import _is_int
+from .data import _is_int, _is_real
 from .linalg import as_matrix, as_vector
 
 
@@ -73,10 +73,6 @@ class Activation:
                 f"unknown activation {self.kind!r}; "
                 f"pick one of {sorted(_ACTIVATIONS)}"
             )
-
-    def value(self, v):
-        v = np.asarray(v, dtype=float)
-        return _ACTIVATIONS[self.kind][0](v, out=np.empty_like(v))
 
     def slope(self, y):
         """The derivative at the input whose activation value is y."""
@@ -356,16 +352,43 @@ def model_to_dict(model):
     return {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION, "layers": layers}
 
 
+def _numbers(entry, key, k):
+    """Layer k's field key as a float array: a flat list of numbers, as
+    model_to_dict writes it."""
+    values = entry.get(key)
+    if isinstance(values, list) and all(_is_real(x) for x in values):
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an integer past float range
+            pass
+    raise ValueError(f"layer {k} field {key!r} must be a flat list of floats")
+
+
 def model_from_dict(doc):
+    """The model a document from model_to_dict describes. A document whose
+    fields have the wrong type raises ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document is a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model document (format={doc.get('format')!r})")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
+    if not isinstance(doc.get("layers"), list):
+        raise ValueError(f"model field 'layers' must be a list, got {doc.get('layers')!r}")
     layers = []
-    for entry in doc["layers"]:
-        w = np.array(entry["weights"], dtype=float).reshape(entry["out"], entry["in"])
-        b = np.array(entry["bias"], dtype=float)
-        layers.append(DenseLayer(w, b, Activation(entry["activation"])))
+    for k, entry in enumerate(doc["layers"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"layer {k} must be a JSON object, got {entry!r}")
+        for key in ("out", "in"):
+            # a zero size is refused by MlpModel, with its own message
+            if not _is_int(entry.get(key)) or entry[key] < 0:
+                raise ValueError(f"layer {k} field {key!r} must be an integer >= 0, "
+                                 f"got {entry.get(key)!r}")
+        if not isinstance(entry.get("activation"), str):
+            raise ValueError(f"layer {k} field 'activation' must be a string, "
+                             f"got {entry.get('activation')!r}")
+        w = _numbers(entry, "weights", k).reshape(entry["out"], entry["in"])
+        layers.append(DenseLayer(w, _numbers(entry, "bias", k), Activation(entry["activation"])))
     if len(layers) < 2:
         raise ValueError("model document needs at least two layers")
     return MlpModel(layers[:-1], layers[-1])

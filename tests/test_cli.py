@@ -746,6 +746,39 @@ def test_zero_width_model_file_is_data_error(tmp_path, capsys, command):
     assert "at least one input and one output" in capsys.readouterr().err
 
 
+def _model_doc_with(**layer0):
+    doc = {"format": "eigendecay-model", "version": 1, "layers": [
+        {"activation": "sigmoid", "out": 3, "in": 2, "weights": [0.1] * 6, "bias": [0.0] * 3},
+        {"activation": "linear", "out": 2, "in": 3, "weights": [0.2] * 6, "bias": [0.0] * 2},
+    ]}
+    doc["layers"][0].update(layer0)
+    return doc
+
+
+# model documents whose fields have the wrong type
+MALFORMED_MODEL_DOCS = {
+    "top_level_list": [_model_doc_with()],
+    "layers_number": {**_model_doc_with(), "layers": 5},
+    "layers_of_numbers": {**_model_doc_with(), "layers": [1, 2]},
+    "out_bool": _model_doc_with(out=True),
+    "out_float": _model_doc_with(out=3.0),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["verify", "--mode", "theorem1"], ["verify", "--mode", "gradcheck"],
+], ids=["eval", "theorem1", "gradcheck"])
+@pytest.mark.parametrize("name", list(MALFORMED_MODEL_DOCS))
+def test_malformed_model_document_is_data_error(tmp_path, capsys, command, name):
+    (tmp_path / "m.json").write_text(json.dumps(MALFORMED_MODEL_DOCS[name]))
+    data = [] if "gradcheck" in command else ["--data", str(tmp_path / "d.csv")]
+    (tmp_path / "d.csv").write_text("0.1,0.2,0\n0.3,0.4,1\n")
+    rc = main([*command, "--model", str(tmp_path / "m.json"), *data,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    _assert_one_line_error(capsys, "bad model file")
+
+
 def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     config = {
         "model": {"layers": [2, 4, 3]},

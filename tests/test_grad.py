@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_layer, max_rel_err, small_model
+import reference
 
 from eigendecay import grad
 from eigendecay.data import encode_batch_pm1
@@ -26,25 +27,6 @@ from eigendecay.objectives import (
     sample_dropout_masks,
     total_objective,
 )
-
-
-def _unnormalized_gradient(w, C, p):
-    """Gradient of C * sqrt(lambda) where lambda is the Rayleigh quotient of
-    the raw iterate (W W^T)^p 1, without per-step rescaling: the reverse
-    pass of the plain power iteration."""
-    m = w @ w.T
-    iterates = [np.ones(m.shape[0])]
-    for _ in range(p):
-        iterates.append(m @ iterates[-1])
-    v = iterates[-1]
-    mv = m @ v
-    num, den = mv @ v, v @ v
-    gm = np.outer(v, v) / den
-    dv = 2.0 * mv / den - 2.0 * v * num / (den * den)
-    for t in range(p, 0, -1):
-        gm += np.outer(dv, iterates[t - 1])
-        dv = m @ dv
-    return C / (2.0 * np.sqrt(num / den)) * ((gm + gm.T) @ w)
 
 
 class TestFiniteDiffOracle:
@@ -153,7 +135,7 @@ class TestEigenDecayGradient:
         for _ in range(6):
             w = rng.standard_normal((4, 3))
             a = eigen_decay_gradient(w, 0.7, 9)
-            b = _unnormalized_gradient(w, 0.7, 9)
+            b = reference.raw_power_gradient(w, 0.7, 9)
             assert max_rel_err(a, b) <= 1e-6
 
     def test_zero_matrix_gradient_is_zero(self):
@@ -291,30 +273,6 @@ class TestBackward:
         assert after < before
 
 
-def _reference_model_gradient(model, X, Y, loss_kind, reg, h=1e-5, dropout_masks=None):
-    """The per-perturbation oracle the stacked one replaced, frozen: one
-    2-D total_objective call per +h and per -h perturbation, entries
-    perturbed in place and restored."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    params = model_params(model)
-    grads = []
-    for arr in params:
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = total_objective(model, X, Y, loss_kind, reg, dropout_masks).total
-            flat[i] = orig - h
-            fm = total_objective(model, X, Y, loss_kind, reg, dropout_masks).total
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
 def _outcome(fn, *args):
     # the gradient's bits, or the type and text of what the call raised
     try:
@@ -331,7 +289,7 @@ def _assert_same_as_reference(model, X, Y, loss_kind, reg, h=1e-5, masks=None):
     # the reference left its failing perturbation in place, so it gets a copy
     for p, q in zip(model_params(model), before):
         np.testing.assert_array_equal(p.view(np.int64), q.view(np.int64))
-    want = _outcome(_reference_model_gradient, copy.deepcopy(model), X, Y, loss_kind,
+    want = _outcome(reference.model_gradient, copy.deepcopy(model), X, Y, loss_kind,
                     reg, h, masks)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want

@@ -1,5 +1,4 @@
 from fractions import Fraction
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_layer
+import reference
 
 from eigendecay.linalg import (
     DegenerateIterateError,
@@ -79,21 +79,6 @@ class TestGram:
         assert np.min(jacobi_eigenvalues(g)) >= -1e-10 * scale
 
 
-def _unnormalized_power(m, p):
-    """The power iteration from the all-ones vector without per-step
-    rescaling: the raw iterate m^p 1 grows like lambda^p. Returns the
-    Rayleigh quotient and the iterate; OverflowError once either leaves
-    float range."""
-    v = np.ones(m.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(p):
-            v = m @ v
-        num, den = float((m @ v) @ v), float(v @ v)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise OverflowError("unnormalized iterate overflowed")
-    return num / den, v
-
-
 class TestPowerDominantEigen:
     def test_identity_any_p(self):
         est = power_dominant_eigen(np.eye(3), 9)
@@ -109,7 +94,7 @@ class TestPowerDominantEigen:
         # unnormalized iterate from ones: v = (4^9, 1, 0); quotient by
         # exact rational arithmetic
         m = np.diag([4.0, 1.0, 0.0])
-        lam, v = _unnormalized_power(m, 9)
+        lam, v = reference.raw_power(m, 9)
         np.testing.assert_array_equal(v, [4.0**9, 1.0, 0.0])
         expected = float((Fraction(4) ** 19 + 1) / (Fraction(4) ** 18 + 1))
         assert lam == pytest.approx(expected, rel=1e-15)
@@ -139,7 +124,7 @@ class TestPowerDominantEigen:
         # lambda^p exceeds float range; the normalized iteration handles it
         m = np.diag([1e40, 1.0])
         with pytest.raises(OverflowError):
-            _unnormalized_power(m, 9)
+            reference.raw_power(m, 9)
         est = power_dominant_eigen(m, 9)
         assert est.lambda_dom == pytest.approx(1e40, rel=1e-9)
 
@@ -166,8 +151,35 @@ class TestPowerDominantEigen:
         n = int(rng.integers(2, 8))
         m = gram(rng.standard_normal((n, n)))
         a = power_dominant_eigen(m, 9).lambda_dom
-        b, _ = _unnormalized_power(m, 9)
+        b, _ = reference.raw_power(m, 9)
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+
+    def test_start_orthogonal_to_the_top_eigenvector_reads_low(self):
+        # W W^T has the spectrum 4, 2, 1, 0.5, 0.25, 0.125, and its top
+        # eigenvector (1, -1, 0, 0, 0, 0)/sqrt(2) is orthogonal to the
+        # all-ones start. Only rounding puts that eigenvector into the
+        # iterate, so at p = 9 the estimate is the second eigenvalue, far
+        # below the exact one; by p = 100 the rounding has grown into it.
+        a = np.random.default_rng(0).standard_normal((6, 6))
+        a[:, 0] = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
+        q, _ = np.linalg.qr(a)
+        assert q[:, 0].sum() == 0.0
+        w = q * np.sqrt([4.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+        exact = exact_dominant_eigen(gram(w))
+        assert exact == pytest.approx(4.0, rel=1e-12)
+        assert power_dominant_eigen(gram(w), 9).lambda_dom == pytest.approx(2.0, rel=1e-4)
+        assert power_dominant_eigen(gram(w), 100).lambda_dom == pytest.approx(exact, rel=1e-12)
+        # the stacked and 2-D calls keep the bits of the frozen normalized
+        # iteration; the second member's rows are permuted
+        m = gram(np.stack([w, w[::-1]]))
+        for p in (9, 100):
+            est = power_dominant_eigen(m, p)
+            assert est.failed == {}
+            for r in range(2):
+                want, error = reference.power(m[r], p)
+                assert error is None
+                got = np.array([est.lambda_dom[r], power_dominant_eigen(m[r], p).lambda_dom])
+                assert (got.view(np.int64) == np.float64(want).view(np.int64)).all()
 
     def test_convergence_with_spectral_gap(self):
         from eigendecay.verify import random_gapped_psd
@@ -230,57 +242,11 @@ class TestQuadraticFormBound:
         assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
 
-def _numpy_jacobi(m, tol=1e-12, max_sweeps=60):
-    """Frozen copy of the cyclic-Jacobi kernel that rotated numpy columns
-    (about ten numpy calls per pivot), kept as the bitwise reference for
-    jacobi_eigenvalues. Validation is left to the caller."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    skip = tol * scale / (10.0 * n)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * scale:
-            return np.diag(a).copy()
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                akl = a[k, l]
-                if abs(akl) <= skip:
-                    continue
-                diff = a[l, l] - a[k, k]
-                if abs(akl) < abs(diff) * 1e-36:
-                    t = akl / diff
-                else:
-                    phi = diff / (2.0 * akl)
-                    t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                akk = a[k, k]
-                all_ = a[l, l]
-                col_k = c * a[:, k] - s * a[:, l]
-                col_l = s * a[:, k] + c * a[:, l]
-                a[:, k] = col_k
-                a[:, l] = col_l
-                a[k, :] = col_k
-                a[l, :] = col_l
-                a[k, k] = akk - t * akl
-                a[l, l] = all_ + t * akl
-                a[k, l] = 0.0
-                a[l, k] = 0.0
-    raise RuntimeError(f"jacobi rotations did not converge in {max_sweeps} sweeps")
-
-
 def _assert_same_jacobi_bits(m):
     assert _symmetric(m)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         got = jacobi_eigenvalues(m)
-        want = _numpy_jacobi(m)
+        want = reference.jacobi(m)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -337,7 +303,7 @@ class TestJacobiBits:
     def test_same_error_when_sweeps_run_out(self):
         m = gram(np.random.default_rng(3).standard_normal((6, 6)))
         with pytest.raises(RuntimeError) as want:
-            _numpy_jacobi(m, max_sweeps=1)
+            reference.jacobi(m, max_sweeps=1)
         with pytest.raises(RuntimeError) as got:
             jacobi_eigenvalues(m, max_sweeps=1)
         assert str(got.value) == str(want.value)

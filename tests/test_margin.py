@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 import json
 import math
 
@@ -7,11 +6,11 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from conftest import linear_layer, reference_deriv, rotation, small_model
+from conftest import linear_layer, rotation, small_model
+import reference
 
 from eigendecay import margin
 from eigendecay.data import Dataset, gen_two_gaussians
-from eigendecay.linalg import as_vector
 from eigendecay.margin import (
     BISECTION_MAX_STEPS,
     BISECTION_TOL,
@@ -136,7 +135,7 @@ class TestFindSurfacePoint:
         with pytest.raises(BisectionToleranceError) as got:
             verify_theorem1(model, ds, 0, anchors_per_example=2)
         with pytest.raises(BisectionToleranceError) as want:
-            _reference_reports(model, ds, 0, 2)
+            reference.reports(model, ds, 0, 2)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -198,7 +197,7 @@ def test_stacked_bisection_equals_each_segment_alone(kind, widths, n_in, S, huge
     l = int(rng.integers(2))
     points, failed = find_surface_point(model, x_a, x_b, l)
     for s in range(S):
-        want = _alone(model, x_a[s], x_b[s], l, _reference_surface_point)
+        want = _alone(model, x_a[s], x_b[s], l, reference.surface_point)
         assert _outcome(points[s], failed.get(s)) == want
         assert np.isnan(points[s]).all() == (s in failed)
         assert _alone(model, x_a[s], x_b[s], l, _surface_point) == want
@@ -266,9 +265,7 @@ class TestBoundIngredients:
     def test_omega_transpose_is_input_gradient(self, rng):
         model = small_model(dims=(3, 4, 4, 2), activation="tanh", seed=31)
         point = rng.standard_normal(3)
-        omega, _, _ = _reference_bound_ingredients(model, point, 1,
-                                                   trace=_reference_forward(model, point),
-                                                   lambda_dom=layer_lambda_dom(model))
+        omega, _ = reference.omega(model, reference.forward(model, point))
         g = input_gradient(model, forward(model, point), 1)
         np.testing.assert_allclose(model.output.weights[1] @ omega.T, g, rtol=1e-12)
 
@@ -319,10 +316,11 @@ class TestPerPointBound:
         assert all(type(e) is DegenerateGradientError for e in failed.values())
         assert str(failed[0]) == ZERO_DENOMINATOR
         assert np.isfinite(d).all() and np.isnan(b).all()
-        with pytest.raises(ZeroDivisionError):
-            _reference_per_point_bound(model, X[0], P[0], 0, 1.0,
-                                       trace=_reference_forward(model, P[0]),
-                                       lambda_dom=layer_lambda_dom(model))
+        # the frozen arithmetic divides by zero there
+        with pytest.raises(DegenerateGradientError, match="denominator") as info:
+            reference.bound(model, X[0], P[0], 0, 1.0, reference.forward(model, P[0]),
+                            layer_lambda_dom(model))
+        assert type(info.value.__context__) is ZeroDivisionError
 
     @pytest.mark.parametrize("X, P, targets, match", [
         ([[0.5, 0.0]], [[0.0, 0.0]], [0.5], "target must be"),
@@ -426,7 +424,7 @@ class TestVerifyTheorem1:
                                  n_classes=2)
         model = _underflowing_slopes_model()
         got = _run(lambda: verify_theorem1(model, ds, l, anchors_per_example=1))
-        assert got == _run(lambda: _reference_reports(model, ds, l, 1))
+        assert got == _run(lambda: reference.reports(model, ds, l, 1))
         assert got == (DegenerateGradientError, ZERO_DENOMINATOR.replace("0", str(l), 1))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -438,7 +436,7 @@ class TestVerifyTheorem1:
                                  n_classes=2)
         model = _underflowing_slopes_model(1e170)
         got = _run(lambda: verify_theorem1(model, ds, l, anchors_per_example=1))
-        assert got == _run(lambda: _reference_reports(model, ds, l, 1))
+        assert got == _run(lambda: reference.reports(model, ds, l, 1))
         assert got == (OverflowError, f"the norm of output row {l} overflows float range")
 
     def test_insufficient_anchors_raises(self):
@@ -449,223 +447,10 @@ class TestVerifyTheorem1:
             verify_theorem1(model, ds, 0, anchors_per_example=1)
 
 
-def _reference_class_output(model, x, l):
-    # the per-layer arithmetic of forward(), without its input checks or trace
-    y = x
-    for layer in model.hidden:
-        y = layer.activation.value(layer.weights @ y + layer.bias)
-    return float((model.output.weights @ y + model.output.bias)[l])
-
-
-def _reference_surface_point(model, x_a, x_b, l):
-    """find_surface_point as it bisected one segment at a time, frozen as
-    the reference for the stacked bisection."""
-    x_a = as_vector(x_a)
-    x_b = as_vector(x_b)
-    for x in (x_a, x_b):
-        if x.shape[0] != model.n_in:
-            raise ValueError(
-                f"input has length {x.shape[0]} but the model expects {model.n_in}"
-            )
-    fa = _reference_class_output(model, x_a, l)
-    fb = _reference_class_output(model, x_b, l)
-    if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-        raise NoCrossingError(
-            f"class-{l} output does not change sign along the segment "
-            f"({fa:.3e} vs {fb:.3e})"
-        )
-    lo, hi = x_a, x_b
-    for _ in range(BISECTION_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not np.isfinite(mid).all():
-            raise NonFiniteMidpointError("bisection midpoint entries must be finite")
-        fm = _reference_class_output(model, mid, l)
-        if abs(fm) < BISECTION_TOL:
-            return mid
-        if (fm > 0) == (fa > 0):
-            lo = mid
-        else:
-            hi = mid
-    raise BisectionToleranceError(
-        f"bisection did not reach |output| < {BISECTION_TOL:g} in "
-        f"{BISECTION_MAX_STEPS} steps"
-    )
-
-
-@dataclass
-class _ReferenceTrace:
-    input: np.ndarray
-    preactivations: list
-    activations: list
-    output: np.ndarray
-
-
-def _reference_forward(model, x):
-    """forward as it passed one input at a time, keeping the
-    preactivations, frozen as the reference for the stacked per-point
-    pass."""
-    x = as_vector(x)
-    if x.shape[0] != model.n_in:
-        raise ValueError(
-            f"input has length {x.shape[0]} but the model expects {model.n_in}"
-        )
-    vs, ys = [], []
-    y = x
-    for layer in model.hidden:
-        v = (layer.weights @ y[:, None])[:, 0] + layer.bias
-        y = layer.activation.value(v)
-        vs.append(v)
-        ys.append(y)
-    out = model.output
-    return _ReferenceTrace(x, vs, ys, (out.weights @ y[:, None])[:, 0] + out.bias)
-
-
-def _reference_input_gradient(model, trace, l):
-    if not 0 <= l < model.n_out:
-        raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
-    g = model.output.weights[l].copy()
-    for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        g = (g * reference_deriv(layer.activation.kind, v)) @ layer.weights
-    return g
-
-
-def _reference_signed_distance(model, x_i, point, l, *, trace):
-    x_i = as_vector(x_i)
-    g = _reference_input_gradient(model, trace, l)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        raise DegenerateGradientError(
-            f"class-{l} output gradient vanishes at the surface point"
-        )
-    return float(g @ (x_i - point)) / norm
-
-
-def _reference_bound_ingredients(model, point, l, *, trace, lambda_dom):
-    """(omega, lambda_activ, lambda_dom): omega the product of W_k^T
-    Gamma_k^T across hidden layers, lambda_activ the largest squared slope
-    per layer."""
-    lambda_activ = []
-    omega = None
-    for layer, v in zip(model.hidden, trace.preactivations):
-        slopes = reference_deriv(layer.activation.kind, v)
-        lambda_activ.append(float(np.max(slopes**2)))
-        factor = layer.weights.T * slopes  # W_k^T Gamma_k^T, Gamma diagonal
-        omega = factor if omega is None else omega @ factor
-    return omega, lambda_activ, list(lambda_dom)
-
-
-def _reference_per_point_bound(model, x_i, point, l, y_target, *, trace, lambda_dom):
-    x_i = as_vector(x_i)
-    if y_target not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"target must be +/-1, got {y_target}")
-    omega, lambda_activ, lambda_dom = _reference_bound_ingredients(
-        model, point, l, trace=trace, lambda_dom=lambda_dom)
-    w_row = model.output.weights[l]
-    w_norm = float(np.linalg.norm(w_row))
-    if w_norm == 0.0:
-        raise DegenerateGradientError(f"output row {l} is zero")
-    if not math.isfinite(w_norm):
-        raise OverflowError(f"the norm of output row {l} overflows float range")
-    numerator = float(y_target * (w_row @ omega.T @ (x_i - point)))
-    return numerator / _reference_denominator(w_norm, lambda_activ, lambda_dom)
-
-
-def _reference_denominator(w_norm, lambda_activ, lambda_dom):
-    dom_product = 1.0
-    for lam in lambda_dom:
-        dom_product *= max(lam, 0.0)
-    activ_product = 1.0
-    for lam in lambda_activ:
-        activ_product *= lam
-    return w_norm * math.sqrt(activ_product) * math.sqrt(dom_product)
-
-
-def _reference_bound_size(model, x_i, point, l, *, trace, lambda_dom):
-    """The frozen bound with every product of its numerator taken by
-    absolute value. The numerator's sums round by a few ulps of this,
-    whichever order multiplies them and however much they cancel."""
-    _, lambda_activ, lambda_dom = _reference_bound_ingredients(
-        model, point, l, trace=trace, lambda_dom=lambda_dom)
-    size = np.abs(model.output.weights[l])
-    for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        size = (size * np.abs(reference_deriv(layer.activation.kind, v))) @ np.abs(layer.weights)
-    w_norm = float(np.linalg.norm(model.output.weights[l]))
-    return float(size @ np.abs(as_vector(x_i) - point)) / _reference_denominator(
-        w_norm, lambda_activ, lambda_dom)
-
-
 # per_point_bound forms the bound's numerator from the input gradient, the
 # frozen reference from omega: the two agree to this share of the bound's
-# size, _reference_bound_size
+# size (reference.bound)
 BOUND_REL_TOL = 1e-12
-
-
-def _reference_bound(model, x_i, point, l, y_target, *, trace, lambda_dom):
-    # the frozen bound, its zero denominator failed as per_point_bound
-    # fails the row
-    try:
-        return _reference_per_point_bound(model, x_i, point, l, y_target, trace=trace,
-                                          lambda_dom=lambda_dom)
-    except ZeroDivisionError:
-        raise DegenerateGradientError(
-            f"class-{l} bound denominator underflows to zero at the surface point"
-        ) from None
-
-
-def _reference_anchors(dataset, yl, i, anchors_per_example):
-    """The per-example nearest-anchor search, frozen as the reference for
-    the search that gathers each sign group once per call."""
-    x_i = dataset.features[i]
-    anchor_pool = np.arange(len(dataset))
-    opposite = anchor_pool[yl[anchor_pool] * yl[i] < 0.0]
-    if opposite.size < anchors_per_example:
-        raise AnchorSamplingError(
-            f"example {i}: only {opposite.size} opposite-prediction anchors "
-            f"available, {anchors_per_example} requested"
-        )
-    dists = np.linalg.norm(dataset.features[opposite] - x_i, axis=1)
-    order = np.argsort(dists, kind="stable")[:anchors_per_example]
-    return dataset.features[opposite[order]]
-
-
-def _reference_reports(model, dataset, l, anchors_per_example, sizes=None):
-    """verify_theorem1 rebuilt from the frozen single-point calls, each of
-    which recomputes its own forward pass and layer eigenvalues, from the
-    one-segment-at-a-time bisection and from the per-example anchor search,
-    raising each error as it comes. If sizes is a list, each point's
-    _reference_bound_size is appended to it."""
-    _, _, Yhat = forward_batch(model, dataset.features)
-    yl = Yhat[:, l]
-    reports = []
-    for i in range(len(dataset)):
-        if not dataset.encoded[i, l] * yl[i] > 0.0:
-            continue
-        x_i = dataset.features[i]
-        target = float(dataset.encoded[i, l])
-        records = []
-        for anchor in _reference_anchors(dataset, yl, i, anchors_per_example):
-            point = _reference_surface_point(model, x_i, anchor, l)
-            trace = _reference_forward(model, point)
-            lambda_dom = layer_lambda_dom(model)
-            d = _reference_signed_distance(model, x_i, point, l, trace=trace)
-            b = _reference_bound(model, x_i, point, l, target, trace=trace,
-                                 lambda_dom=lambda_dom)
-            if sizes is not None:
-                sizes.append(_reference_bound_size(model, x_i, point, l, trace=trace,
-                                                   lambda_dom=lambda_dom))
-            records.append(
-                PointRecord(d, b, target * d >= b - BOUND_EPS_REL * (1.0 + abs(d)))
-            )
-        reports.append(MarginReport(
-            index=i,
-            cls=l,
-            target=target,
-            points=records,
-            margin=min(r.distance * target for r in records),
-            theorem_bound=min(r.bound for r in records),
-            ok=all(r.ok for r in records),
-        ))
-    return reports
 
 
 def _run(call):
@@ -678,10 +463,10 @@ def _run(call):
 
 def _assert_agrees_with_reference(got, model, dataset, l, anchors):
     """got, the _run outcome of verify_theorem1's reports, against that of
-    _reference_reports: the same error, or reports with the same bytes but
+    reference.reports: the same error, or reports with the same bytes but
     for the bounds, each within BOUND_REL_TOL of its size."""
     sizes = []
-    want = _run(lambda: _reference_reports(model, dataset, l, anchors, sizes))
+    want = _run(lambda: reference.reports(model, dataset, l, anchors, sizes))
     if isinstance(got, tuple) or isinstance(want, tuple):
         assert got == want
         return
@@ -734,8 +519,7 @@ class TestSharedPerPointWork:
                 outputs = _column_pass(model, X)[1]
                 for x, out in zip(X, outputs):
                     assert out.tobytes() == forward(model, x).output.tobytes()
-                    assert [_reference_class_output(model, x, l)
-                            for l in range(n_out)] == list(out)
+                    assert list(reference.forward(model, x).output) == list(out)
 
 
 def _bits(a):
@@ -787,21 +571,20 @@ def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_ou
     g = input_gradient(model, trace, l)
     d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
     for s in range(N):
-        ref = _reference_forward(model, P[s])
+        ref = reference.forward(model, P[s])
         for got, want in [(trace.input, ref.input), (trace.output, ref.output),
                           *zip(trace.activations, ref.activations)]:
             np.testing.assert_array_equal(_bits(got[s]), _bits(want))
         np.testing.assert_array_equal(
-            _bits(g[s]), _bits(_reference_input_gradient(model, ref, l)))
+            _bits(g[s]), _bits(reference.input_gradient(model, ref, l)))
         got = _row_outcomes((d, b), failed, s)
         # the stack of one
         *one, one_failed = per_point_bound(model, X[s:s + 1], P[s:s + 1], l,
                                            targets[s:s + 1], lambda_dom)
         assert _row_outcomes(one, one_failed, 0) == got
-        want = [_alone_outcome(lambda: _reference_signed_distance(
-                    model, X[s], P[s], l, trace=ref)),
-                _alone_outcome(lambda: _reference_bound(
-                    model, X[s], P[s], l, targets[s], trace=ref, lambda_dom=lambda_dom))]
+        want = [_alone_outcome(lambda: reference.signed_distance(model, X[s], P[s], l, ref)),
+                _alone_outcome(lambda: reference.bound(model, X[s], P[s], l, targets[s], ref,
+                                                       lambda_dom)[0])]
         # the row keeps its first error: a vanishing gradient before a zero
         # denominator. A bound that is formed is compared with the frozen
         # one in the test below.
@@ -825,12 +608,9 @@ def test_bounds_agree_with_the_frozen_omega_arithmetic(kind, widths, n_in, n_out
     lambda_dom = layer_lambda_dom(model)
     d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
     for s in sorted(set(range(N)) - set(failed)):
-        ref = _reference_forward(model, P[s])
-        want_d = _reference_signed_distance(model, X[s], P[s], l, trace=ref)
-        want_b = _reference_bound(model, X[s], P[s], l, targets[s], trace=ref,
-                                  lambda_dom=lambda_dom)
-        size = _reference_bound_size(model, X[s], P[s], l, trace=ref,
-                                     lambda_dom=lambda_dom)
+        ref = reference.forward(model, P[s])
+        want_d = reference.signed_distance(model, X[s], P[s], l, ref)
+        want_b, size = reference.bound(model, X[s], P[s], l, targets[s], ref, lambda_dom)
         assert _bits(d[s]) == _bits(want_d)
         assert abs(b[s] - want_b) <= BOUND_REL_TOL * size
         t = targets[s]
@@ -885,7 +665,7 @@ class TestNearestAnchors:
         examples = np.flatnonzero(yl != 0.0)
         want = []
         for i in examples.tolist():
-            outcome = _run(lambda: _reference_anchors(ds, yl, i, k))
+            outcome = _run(lambda: reference.anchors(ds, yl, i, k))
             if isinstance(outcome, tuple):
                 want.append(outcome)
                 break
@@ -985,7 +765,7 @@ def test_first_failing_example_raises_whatever_the_stage(case, reverse):
     ds = Dataset.from_arrays(np.array(features), np.array(labels), n_classes=2)
     model = _flat_root_model()
     got = _run(lambda: verify_theorem1(model, ds, 0, anchors_per_example=anchors))
-    assert got == _run(lambda: _reference_reports(model, ds, 0, anchors))
+    assert got == _run(lambda: reference.reports(model, ds, 0, anchors))
     if reverse:
         assert got[0] is error and text in got[1]
     else:

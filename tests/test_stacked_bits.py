@@ -2,7 +2,6 @@
 2-D call. The stacked SGD loop (train._sgd_stack) rests on this: a numpy or
 BLAS upgrade that breaks it fails here, before any output changes."""
 
-import math
 import warnings
 
 from hypothesis import given, settings
@@ -10,25 +9,12 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from conftest import reference_deriv, reference_sigmoid
+import reference
 
 from eigendecay import train
 from eigendecay.data import Dataset, gen_two_gaussians
-from eigendecay.grad import (
-    DEGENERATE_ITERATE,
-    EIGEN_GRAD_FLOOR,
-    NORM_OVERFLOW,
-    backward,
-    eigen_decay_gradient,
-)
-from eigendecay.linalg import (
-    ITERATE_OVERFLOW,
-    NONFINITE_MATRIX,
-    DegenerateIterateError,
-    as_matrix,
-    gram,
-    power_dominant_eigen,
-)
+from eigendecay.grad import DEGENERATE_ITERATE, backward, eigen_decay_gradient
+from eigendecay.linalg import DegenerateIterateError, gram, power_dominant_eigen
 from eigendecay.model import (
     Activation,
     DenseLayer,
@@ -47,8 +33,6 @@ from eigendecay.objectives import (
     RegularizerSpec,
     _StackSpecs,
     loss_batch,
-    loss_gradient_batch,
-    sample_dropout_masks,
     total_objective,
 )
 from eigendecay.train import DivergenceError, TrainConfig, sgd_train
@@ -186,9 +170,7 @@ class TestPrimitives:
             for r in range(R):
                 g = W[r] @ W[r].T
                 want.append(np.tril(g) + np.tril(g, -1).T)
-            g = W @ np.swapaxes(W, -1, -2)
-            mirrored = np.where(np.tri(h, dtype=bool), g, np.swapaxes(g, -1, -2)) + 0.0
-            assert_bitwise(mirrored, want)
+            assert_bitwise(reference.gram(W), want)
             assert_bitwise(gram(W), want)
 
 
@@ -295,17 +277,6 @@ def test_backward_stack_reports_failed_members():
         np.testing.assert_array_equal(_bits(stacked[1]), _bits(w))
 
 
-def _power_1d(m, p):
-    """The normalized power iteration written with 1-D numpy: GEMV, the
-    max-abs peak and np.linalg.norm."""
-    v = np.ones(m.shape[0])
-    for _ in range(p):
-        v = m @ v
-        v = v / float(np.max(np.abs(v)))
-        v = v / float(np.linalg.norm(v))
-    return float((m @ v) @ v) / float(v @ v)
-
-
 @pytest.mark.parametrize("R", STACKS)
 @pytest.mark.parametrize("sizes, B", SHAPES)
 def test_power_dominant_eigen_stack_matches_each_member(sizes, B, R):
@@ -319,7 +290,8 @@ def test_power_dominant_eigen_stack_matches_each_member(sizes, B, R):
             assert_bitwise(est.lambda_dom[:, None], [np.array([w.lambda_dom]) for w in want])
             # and the 2-D call has the bits of the 1-D iteration
             for r, w in enumerate(want):
-                lam = _power_1d(M[r], p)
+                lam, error = reference.power(M[r], p)
+                assert error is None
                 assert_bitwise(np.array([[w.lambda_dom]]), [np.array([lam])])
 
 
@@ -337,88 +309,6 @@ def test_loss_batch_stack_matches_each_member(sizes, B, R, kind):
         want = [loss_batch(kind, Yhat[r], Y[r]) for r in range(R)]
         assert all(type(w) is float for w in want)
         assert_bitwise(got[:, None], [np.array([w]) for w in want])
-
-
-# A frozen copy of the per-member penalty path that the stacked
-# objectives.penalties replaced. Once the stacked and 2-D calls ran
-# the same code, comparing them with each other proved nothing; these
-# references keep what each member's values, lambdas and errors were.
-
-def _reference_value(entry, w, lambda_dom=None):
-    """LayerPenalty.value on one member's weights, with eigen_decay_penalty,
-    l1_penalty and l2_penalty as they were."""
-    if entry.kind == "none" or entry.c == 0.0:
-        return 0.0
-    w = as_matrix(w)
-    if entry.kind == "l1":
-        return entry.c * float(np.sum(np.abs(w)))
-    if entry.kind == "l2":
-        return entry.c * float(np.sum(w * w))
-    if not np.any(w):
-        return 0.0
-    if lambda_dom is None:
-        lambda_dom = power_dominant_eigen(gram(w), entry.p).lambda_dom
-    return entry.c * math.sqrt(max(lambda_dom, 0.0))
-
-
-def _reference_objective(model, X, Y, loss_kind, reg):
-    """The 2-D total_objective as (loss, *penalties, total), with the
-    penalties summed one by one onto the loss."""
-    _, _, Yhat = forward_batch(model, X)
-    total = loss = loss_batch(loss_kind, Yhat, Y)
-    pens = [_reference_value(entry, layer.weights)
-            for entry, layer in zip(reg.layers, model.layers)]
-    for pen in pens:
-        total += pen
-    return [loss, *pens, total]
-
-
-def _reference_oracle_lambdas(reg, weights):
-    """The finite-difference oracle's (lambdas, errors) for a stack of one
-    spec: lambdas on penalized eigen-decay layers only, and each member's
-    first error in layer order."""
-    R = len(weights[0])
-    lambdas = np.zeros((R, len(reg.layers)))
-    errors = {}
-    for k, entry in enumerate(reg.layers):
-        if entry.kind == "none" or entry.c == 0.0:
-            continue
-        w = weights[k]
-        if entry.kind == "eigen_decay":
-            est = power_dominant_eigen(gram(w, check=False), entry.p)
-            lambdas[:, k] = est.lambda_dom
-            nonzero = w.any(axis=(1, 2))
-            failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
-        else:
-            bad = ~np.isfinite(w).all(axis=(1, 2))
-            failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(bad).tolist()}
-        for r, exc in failed.items():
-            errors.setdefault(r, exc)
-    return lambdas, errors
-
-
-def _reference_epoch_lambdas(weights, regs):
-    """The epoch end's lambdas and errors for finite weights: every layer's
-    lambda from one stacked iteration per step count, and the first
-    penalized eigen-decay layer whose iteration fails on a nonzero W."""
-    R = len(regs)
-    lambdas = np.zeros((R, len(weights)))
-    errors = {}
-    for k, w_all in enumerate(weights):
-        groups = {}
-        for j, reg in enumerate(regs):
-            entry = reg.layers[k]
-            groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(j)
-        for p, idx in groups.items():
-            w = w_all if len(idx) == R else w_all[idx]
-            est = power_dominant_eigen(gram(w), p)
-            nonzero = w.any(axis=(1, 2))
-            for i, exc in est.failed.items():
-                entry = regs[idx[i]].layers[k]
-                if nonzero[i] and entry.kind == "eigen_decay" and entry.c != 0.0:
-                    errors.setdefault(idx[i], exc)
-            lambdas[idx, k] = np.where(nonzero, est.lambda_dom, 0.0)
-    return lambdas, errors
 
 
 # every penalty kind, eigen decay at two step counts, and C == 0
@@ -453,13 +343,13 @@ def _epoch_records(params, regs, X, Y):
 
 
 def _assert_stack_matches_reference(params, regs, X, Y):
-    want, errors = _reference_epoch_lambdas(params[0::2], regs)
+    want, errors = reference.lambdas(params[0::2], regs)
     assert errors == {}
     got, lambdas, failed = total_objective(_two_layer(params), X, Y, "multiclass_hinge", regs)
     assert failed == {}
     assert all(type(o.total) is float for o in got)
-    members = [_reference_objective(_two_layer([p[r] for p in params]), X[r], Y[r],
-                                    "multiclass_hinge", regs[r])
+    members = [reference.objective(_two_layer([p[r] for p in params]), X[r], Y[r],
+                                   "multiclass_hinge", regs[r])
                for r in range(len(regs))]
     assert_bitwise(np.array([[o.loss, *o.penalties, o.total] for o in got]),
                    [np.array(m) for m in members])
@@ -523,7 +413,7 @@ def test_penalty_errors_match_the_reference(entry, output):
         model.hidden[0].weights, model.output.weights = w, w_out
         models.append(model)
         got = _outcome(lambda: total_objective(model, X, Y, "mse", reg))
-        want = _outcome(lambda: _reference_objective(model, X, Y, "mse", reg))
+        want = _outcome(lambda: reference.objective(model, X, Y, "mse", reg))
         if want[0] == "ok":
             o = got[1]
             assert_bitwise(np.array([[o.loss, *o.penalties, o.total]]), [np.array(want[1])])
@@ -533,7 +423,7 @@ def test_penalty_errors_match_the_reference(entry, output):
     # the members of one stack: each one's values, lambdas and error
     weights = [np.stack([m.hidden[0].weights for m in models]),
                np.stack([m.output.weights for m in models])]
-    want_lambdas, errors = _reference_oracle_lambdas(reg, weights)
+    want_lambdas, errors = reference.lambdas(weights, [reg] * 5, read_only=True)
     stack = _two_layer([np.zeros((5, 2, 2)), np.zeros((5, 2))] * 2)
     stack.hidden[0].weights, stack.output.weights = weights
     got, lambdas, failed = total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5),
@@ -677,171 +567,6 @@ def test_overflowing_member_fails_at_once_and_leaves_the_others_alone():
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-# Frozen copies of the training step as it was written before it worked in
-# place and read the slopes from the activations: the penalty gradient on
-# (R, n) row iterates with its full finiteness and all-zero scans, the
-# gram mirrored through np.where, the two-division sigmoid, a forward pass
-# that kept the preactivations and a backward pass that took the
-# activation derivative from them, each product a new array. The program
-# must keep their bits, errors and warnings.
-
-def _reference_gram(w):
-    g = w @ w.swapaxes(-1, -2)
-    return np.where(np.tri(g.shape[-1], dtype=bool), g, g.swapaxes(-1, -2)) + 0.0
-
-
-def _reference_activation(kind, v):
-    if kind == "sigmoid":
-        return reference_sigmoid(v)
-    if kind == "tanh":
-        return np.tanh(v)
-    if kind == "relu":
-        return np.maximum(v, 0.0)
-    return v
-
-
-def _reference_mv(m, v):
-    return (m @ v[..., None])[..., 0]
-
-
-def _reference_dot(a, b):
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _reference_eigen_decay_stack(ws, cs, p):
-    """The stacked eigen_decay_gradient's (grad, failed)."""
-    finite = np.isfinite(ws).all(axis=(1, 2))
-    failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
-    live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
-    if not live.any():
-        return np.zeros_like(ws), failed
-    hit_zero = np.zeros(len(ws), dtype=bool)
-    norm_overflow = np.zeros(len(ws), dtype=bool)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = _reference_gram(ws)
-        iterates = [np.ones(ws.shape[:2])]
-        norms = []
-        v = iterates[0]
-        for _ in range(p):
-            v = _reference_mv(m, v)
-            nrm = np.sqrt(_reference_dot(v, v))
-            hit_zero |= nrm == 0.0
-            norm_overflow |= nrm == np.inf
-            v = v / nrm[:, None]
-            norms.append(nrm)
-            iterates.append(v)
-        den = _reference_dot(v, v)
-        hit_zero |= den == 0.0
-        degenerate = live & hit_zero
-        live &= ~degenerate
-        mv = _reference_mv(m, v)
-        num = _reference_dot(mv, v)
-        lam = num / den
-        overflow = live & ~np.isfinite(lam)
-        live &= ~overflow
-        below = live & (lam < EIGEN_GRAD_FLOOR)
-        if below.any():
-            warnings.warn(
-                "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
-                f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
-                RuntimeWarning,
-            )
-        dnum = 1.0 / den
-        dden = -num / (den * den)
-        gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
-        dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
-        for t in range(p, 0, -1):
-            vt = iterates[t]
-            du = (dv - vt * _reference_dot(vt, dv)[:, None]) / norms[t - 1][:, None]
-            gm += du[:, :, None] * iterates[t - 1][:, None, :]
-            if t > 1:
-                dv = _reference_mv(m, du)
-        dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
-        grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
-    keep = live & ~below
-    if not keep.all():
-        grad = np.where(keep[:, None, None], grad, 0.0)
-    for r in np.flatnonzero(degenerate | overflow).tolist():
-        if degenerate[r]:
-            failed[r] = DegenerateIterateError(
-                NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
-        elif np.isfinite(m[r]).all():
-            failed[r] = OverflowError(ITERATE_OVERFLOW)
-        else:
-            failed[r] = ValueError(NONFINITE_MATRIX)
-    return grad, failed
-
-
-def _reference_forward_batch(model, X, masks):
-    vs, ys = [], []
-    Y = X
-    for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
-        Y = _reference_activation(layer.activation.kind, V)
-        if masks is not None and masks[k] is not None:
-            Y = Y * masks[k]
-        vs.append(V)
-        ys.append(Y)
-    out = model.output
-    return vs, ys, Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
-
-
-def _reference_penalized(regs, k):
-    """{(kind, p): members} for the members of a stack whose layer-k entry
-    is penalized; kind none and C == 0 are not."""
-    groups = {}
-    for r, reg in enumerate(regs):
-        entry = reg.layers[k]
-        if entry.kind != "none" and entry.c != 0.0:
-            groups.setdefault((entry.kind, entry.p), []).append(r)
-    return groups
-
-
-def _reference_backward(model, X, Y, loss_kind, regs, masks):
-    """A stacked backward's (dW, db, failed)."""
-    vs, ys, Yhat = _reference_forward_batch(model, X, masks)
-    G = loss_gradient_batch(loss_kind, Yhat, Y)
-    K = len(model.hidden)
-    dW, db = [None] * (K + 1), [None] * (K + 1)
-    dW[K] = G.swapaxes(-1, -2) @ ys[-1]
-    db[K] = G.sum(axis=-2)
-    D = G @ model.output.weights
-    for k in range(K - 1, -1, -1):
-        layer = model.hidden[k]
-        if masks is not None and masks[k] is not None:
-            D = D * masks[k]
-        D = D * reference_deriv(layer.activation.kind, vs[k])
-        prev = X if k == 0 else ys[k - 1]
-        dW[k] = D.swapaxes(-1, -2) @ prev
-        db[k] = D.sum(axis=-2)
-        if k > 0:
-            D = D @ layer.weights
-    failed = {}
-    for k, layer in enumerate(model.layers):
-        w, d = layer.weights, dW[k]
-        for (kind, p), members in _reference_penalized(regs, k).items():
-            idx = np.array(members)
-            c = np.array([regs[r].layers[k].c for r in members])
-            wk = w if len(idx) == len(w) else w[idx]
-            if kind == "l1":
-                pg = c[:, None, None] * np.sign(wk)
-            elif kind == "l2":
-                pg = (2.0 * c)[:, None, None] * wk
-            else:
-                pg, errors = _reference_eigen_decay_stack(wk, c, p)
-                for j, exc in errors.items():
-                    failed.setdefault(int(idx[j]), exc)
-                if errors:
-                    ok = [j for j in range(len(idx)) if j not in errors]
-                    idx, pg = idx[ok], pg[ok]
-            if len(idx) == len(d):
-                d = d + pg
-            elif len(idx):
-                d[idx] += pg
-        dW[k] = d
-    return dW, db, failed
-
-
 def _errors(failed):
     return {r: (type(exc), str(exc)) for r, exc in failed.items()}
 
@@ -873,10 +598,10 @@ def test_gram_and_sigmoid_keep_the_frozen_bits(R, rows, cols, seed):
     W = _stack((rows, cols), R, rng)
     W[rng.random(R) < 0.2] = 0.0
     W[..., rng.integers(rows), :] *= -0.0
-    np.testing.assert_array_equal(_bits(gram(W)), _bits(_reference_gram(W)))
-    np.testing.assert_array_equal(_bits(gram(W[0])), _bits(_reference_gram(W[0])))
+    np.testing.assert_array_equal(_bits(gram(W)), _bits(reference.gram(W)))
+    np.testing.assert_array_equal(_bits(gram(W[0])), _bits(reference.gram(W[0])))
     v = _values(rng, (R, rows, cols))
-    (got, want), warned = zip(*(_warned(lambda f=f: f(v)) for f in (_sigmoid, reference_sigmoid)))
+    (got, want), warned = zip(*(_warned(lambda f=f: f(v)) for f in (_sigmoid, reference.sigmoid)))
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert warned[0] == warned[1]
 
@@ -885,10 +610,10 @@ def test_gram_and_sigmoid_keep_the_frozen_bits(R, rows, cols, seed):
 def test_slope_of_the_value_is_the_frozen_derivative(kind):
     # slope(value(v)) performs the ops deriv(v) performed
     v = _values(np.random.default_rng(19), (64, 33))
-    act = Activation(kind)
+    value, _ = _ACTIVATIONS[kind]
     with np.errstate(all="ignore"):
-        got = act.slope(act.value(v))
-        want = reference_deriv(kind, v)
+        got = Activation(kind).slope(value(v))
+        want = reference.slope(kind, v)
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -905,7 +630,7 @@ def _random_stack(R, sizes, kinds, rng):
 def _assert_backward_matches_the_reference(model, X, Y, loss_kind, regs, masks):
     got, warned = _warned(lambda: backward(model, X, Y, loss_kind, regs, masks))
     (dW, db, failed), ref_warned = _warned(
-        lambda: _reference_backward(model, X, Y, loss_kind, regs, masks))
+        lambda: reference.backward(model, X, Y, loss_kind, regs, masks))
     assert _errors(got.failed) == _errors(failed)
     for a, b in zip(got.dW + got.db, dW + db):
         np.testing.assert_array_equal(_bits(a), _bits(b))
@@ -913,10 +638,9 @@ def _assert_backward_matches_the_reference(model, X, Y, loss_kind, regs, masks):
     # the forward pass hands backward each hidden layer's activations
     # before dropout and after it
     acts, ys, Yhat = forward_batch(model, X, masks)
-    vs, ref_ys, ref_Yhat = _reference_forward_batch(model, X, masks)
-    for layer, a, y, v, ref_y in zip(model.hidden, acts, ys, vs, ref_ys):
-        np.testing.assert_array_equal(_bits(a), _bits(_reference_activation(
-            layer.activation.kind, v)))
+    _, ref_acts, ref_ys, ref_Yhat = reference.forward_batch(model, X, masks)
+    for a, y, ref_a, ref_y in zip(acts, ys, ref_acts, ref_ys):
+        np.testing.assert_array_equal(_bits(a), _bits(ref_a))
         np.testing.assert_array_equal(_bits(y), _bits(ref_y))
     np.testing.assert_array_equal(_bits(Yhat), _bits(ref_Yhat))
 
@@ -982,8 +706,7 @@ def test_penalty_gradient_edge_cases_keep_the_frozen_outcomes(W, p, poison, c0):
     C = np.full(len(W), 0.5)
     C[0] = c0
     (grad, failed), warned = _warned(lambda: eigen_decay_gradient(W, C, p))
-    (want, want_failed), want_warned = _warned(
-        lambda: _reference_eigen_decay_stack(W, C, p))
+    (want, want_failed), want_warned = _warned(lambda: reference.power_gradient(W, C, p))
     assert _errors(failed) == _errors(want_failed)
     np.testing.assert_array_equal(_bits(grad), _bits(want))
     assert warned == want_warned
@@ -996,40 +719,12 @@ def test_weights_whose_squares_underflow_are_not_the_zero_matrix():
     # iterate hits the zero vector, as the frozen full scan found
     W = np.stack([np.full((2, 3), 1e-170), np.zeros((2, 3)), np.eye(2, 3)])
     grad, failed = eigen_decay_gradient(W, 0.5)
-    want, want_failed = _reference_eigen_decay_stack(W, np.full(3, 0.5), 9)
+    want, want_failed = reference.power_gradient(W, np.full(3, 0.5), 9)
     assert _errors(failed) == _errors(want_failed) == {
         0: (DegenerateIterateError, DEGENERATE_ITERATE)}
     np.testing.assert_array_equal(_bits(grad), _bits(want))
     with pytest.raises(DegenerateIterateError, match="zero vector"):
         eigen_decay_gradient(W[0], 0.5)
-
-
-def _reference_sgd(model, dataset, loss_kind, reg, config):
-    """sgd_train's final parameters, stepped with the frozen backward and
-    the update that formed each learning-rate product as a new array."""
-    params = [p[None].copy() for p in model_params(model)]
-    velocity = [np.zeros_like(p) for p in params]
-    rng = np.random.default_rng(config.seed)
-    n = len(dataset)
-    for _ in range(config.max_epochs):
-        rows = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = rows[start:start + config.batch_size]
-            masks = sample_dropout_masks(reg.dropout, model.hidden_dims, len(idx), rng)
-            if masks is not None:
-                masks = [None if m is None else m[None] for m in masks]
-            dW, db, failed = _reference_backward(
-                _with_params(model, params), dataset.features[idx][None],
-                dataset.encoded[idx][None], loss_kind, [reg], masks)
-            assert failed == {}
-            for p, g, v in zip(params, [a for pair in zip(dW, db) for a in pair], velocity):
-                if config.momentum == 0.0:
-                    p -= config.learning_rate * g
-                else:
-                    v *= config.momentum
-                    v -= config.learning_rate * g
-                    p += v
-    return [p[0] for p in params]
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -1040,46 +735,10 @@ def test_sgd_steps_keep_the_frozen_update(momentum):
     reg = RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty("eigen_decay", 0.02),
                            LayerPenalty("l2", 1e-3)), (0.2, 0.0))
     model = init_mlp([2, 8, 6, 2], ["sigmoid", "tanh"], seed=4)
-    want = _reference_sgd(model, ds, "mse", reg, cfg)
+    want = reference.sgd(model, ds, "mse", reg, cfg)
     sgd_train(model, ds, "mse", reg, cfg)
     for got, w in zip(model_params(model), want):
         np.testing.assert_array_equal(_bits(got), _bits(w))
-
-
-# Frozen copies of the activation kernels and of forward_batch as they were
-# before each hidden activation was written into its preactivation buffer:
-# the sigmoid's numerator picked by np.where, the relu slope by np.where,
-# and every activation a new array. The in-place kernels must keep their
-# bits, and leave the caller's batch and masks alone.
-
-def _where_sigmoid(v):
-    e = np.exp(np.minimum(v, -v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-
-def _where_relu_slope(y):
-    return np.where(y > 0, 1.0, 0.0)
-
-
-_FROZEN_VALUES = {"sigmoid": _where_sigmoid, "tanh": np.tanh,
-                  "relu": lambda v: np.maximum(v, 0.0), "linear": lambda v: v}
-
-
-def _frozen_forward_batch(model, X, masks):
-    acts, ys = [], []
-    Y = X
-    for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.swapaxes(-1, -2)
-        V += layer.bias[..., None, :]
-        Y = _FROZEN_VALUES[layer.activation.kind](V)
-        acts.append(Y)
-        if masks is not None and masks[k] is not None:
-            Y = Y * masks[k]
-        ys.append(Y)
-    out = model.output
-    Yhat = Y @ out.weights.swapaxes(-1, -2)
-    Yhat += out.bias[..., None, :]
-    return acts, ys, Yhat
 
 
 # +-0, +-inf, quiet nans with set payloads of both signs and a signaling
@@ -1107,22 +766,18 @@ def _kernel_inputs(shape, seed):
 def test_in_place_kernels_keep_the_frozen_bits(shape, kind):
     v = _kernel_inputs(shape, len(shape) + shape[-1])
     before = v.copy()
-    want, want_warned = _warned(lambda: _FROZEN_VALUES[kind](v))
+    want, want_warned = _warned(lambda: reference.activation(kind, v))
     kernel = _ACTIVATIONS[kind][0]
     buf = v.copy()
-    for got, warned in (_warned(lambda: Activation(kind).value(v)),
-                        _warned(lambda: kernel(buf, out=buf))):
+    for got, warned in (_warned(lambda: kernel(v)), _warned(lambda: kernel(buf, out=buf))):
         np.testing.assert_array_equal(_bits(got), _bits(want))
         assert warned == want_warned
-    np.testing.assert_array_equal(_bits(v), _bits(before))  # value gives a new array
-    if kind == "sigmoid":
-        np.testing.assert_array_equal(_bits(_sigmoid(v)), _bits(want))
-        np.testing.assert_array_equal(_bits(v), _bits(before))
-        np.testing.assert_array_equal(_bits(reference_sigmoid(v)), _bits(want))
+    np.testing.assert_array_equal(_bits(v), _bits(before))  # without out=, a new array
     if kind == "relu":
         # the slope of any value, nan and -0.0 included
         for y in (v, want):
-            np.testing.assert_array_equal(_bits(_relu_slope(y)), _bits(_where_relu_slope(y)))
+            np.testing.assert_array_equal(_bits(_relu_slope(y)),
+                                          _bits(reference.slope("relu", y)))
 
 
 @pytest.mark.parametrize("R", [1, 2, 7, 25])
@@ -1141,7 +796,7 @@ def test_forward_batch_keeps_the_frozen_bits_and_inputs(R, kind, dropout):
     masks_before = None if masks is None else masks[0].copy()
     with np.errstate(all="ignore"):
         got = forward_batch(model, X, masks)
-        want = _frozen_forward_batch(model, X, masks)
+        want = reference.forward_batch(model, X, masks)[1:]
         alone = [forward_batch(_with_params(model, [p[r] for p in model_params(model)]),
                                X[r], None if masks is None else [masks[0][r], None])
                  for r in range(R)]
