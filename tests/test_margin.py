@@ -12,16 +12,12 @@ import reference
 from eigendecay import margin
 from eigendecay.data import Dataset, gen_two_gaussians
 from eigendecay.margin import (
-    BISECTION_MAX_STEPS,
-    BISECTION_TOL,
     BOUND_EPS_REL,
     AnchorSamplingError,
     BisectionToleranceError,
     DegenerateGradientError,
-    MarginReport,
     NoCrossingError,
     NonFiniteMidpointError,
-    PointRecord,
     find_surface_point,
     layer_lambda_dom,
     per_point_bound,
