@@ -267,24 +267,21 @@ def _penalized(entry):
     return entry.kind != "none" and entry.c != 0.0
 
 
-def lambdas(weights, regs, read_only=False):
+def lambdas(weights, regs):
     """(lambdas, errors) of a stack, weights one (R, out, in) array per
     layer and regs one RegularizerSpec per member. lambdas[r, k] is power()
     on the gram of member r's layer k, with the entry's p for eigen decay
-    and 9 otherwise: 0 for a zero W, nan where the iteration fails. With
-    read_only, only the layers whose penalty reads a lambda, the penalized
-    eigen-decay ones, are iterated, and the others hold 0. errors maps a
-    member to its first error in layer order on a penalized layer (kind
-    none and C == 0 are not): eigen decay where the iteration on a nonzero
-    W fails, l1 and l2 where W is not finite."""
+    and 9 otherwise: 0 for a zero W, nan where the iteration fails. errors
+    maps a member to its first error in layer order on a penalized layer
+    (kind none and C == 0 are not): eigen decay where the iteration on a
+    nonzero W fails, l1 and l2 where W is not finite."""
     lam = np.zeros((len(regs), len(weights)))
     errors = {}
     for r, reg in enumerate(regs):
         for k, entry in enumerate(reg.layers):
             w = weights[k][r]
             error = None
-            read = entry.kind == "eigen_decay" and _penalized(entry)
-            if np.any(w) and (read or not read_only):
+            if np.any(w):
                 lam[r, k], error = power(gram(w), entry.p if entry.kind == "eigen_decay" else 9)
             if entry.kind != "eigen_decay":
                 error = None if np.isfinite(w).all() else ValueError(NONFINITE_MATRIX)
@@ -367,7 +364,7 @@ def objective(model, X, Y, loss_kind, reg, masks=None):
         raise ValueError(f"batch has shape {X.shape} but the model expects (n, {model.n_in})")
     total = e = loss(loss_kind, forward_batch(model, X, masks)[-1], Y)
     reg.check_against(model)
-    lam, errors = lambdas([layer.weights[None] for layer in model.layers], [reg], True)
+    lam, errors = lambdas([layer.weights[None] for layer in model.layers], [reg])
     if errors:
         raise errors[0]
     pens = [penalty(entry, layer.weights, lam[0, k])

@@ -762,6 +762,13 @@ MALFORMED_MODEL_DOCS = {
     "layers_of_numbers": {**_model_doc_with(), "layers": [1, 2]},
     "out_bool": _model_doc_with(out=True),
     "out_float": _model_doc_with(out=3.0),
+    "out_negative": _model_doc_with(out=-1),
+    "activation_list": _model_doc_with(activation=[]),
+    "weights_object": _model_doc_with(weights={"a": 1}),
+    "weights_nested": _model_doc_with(weights=[[0.1] * 2] * 3),
+    "weights_past_float_range": _model_doc_with(weights=[10**400] * 6),
+    "version_float": {**_model_doc_with(), "version": 1.0},
+    "version_bool": {**_model_doc_with(), "version": True},
 }
 
 

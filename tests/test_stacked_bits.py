@@ -423,7 +423,7 @@ def test_penalty_errors_match_the_reference(entry, output):
     # the members of one stack: each one's values, lambdas and error
     weights = [np.stack([m.hidden[0].weights for m in models]),
                np.stack([m.output.weights for m in models])]
-    want_lambdas, errors = reference.lambdas(weights, [reg] * 5, read_only=True)
+    want_lambdas, errors = reference.lambdas(weights, [reg] * 5)
     stack = _two_layer([np.zeros((5, 2, 2)), np.zeros((5, 2))] * 2)
     stack.hidden[0].weights, stack.output.weights = weights
     got, lambdas, failed = total_objective(stack, np.stack([X] * 5), np.stack([Y] * 5),
