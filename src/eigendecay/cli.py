@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
+import warnings
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .data import (
     write_delimited,
     write_jsonl,
 )
-from .linalg import DegenerateIterateError, gram
+from .linalg import POWER_STEPS, DegenerateIterateError, gram
 from .margin import (
     AnchorSamplingError,
     BisectionToleranceError,
@@ -179,7 +180,7 @@ def _build_regularizers(spec, n_layers, n_hidden):
                 LayerPenalty(
                     kind=entry.get("kind", "none"),
                     c=entry.get("c", 0.0),
-                    p=entry.get("p", 9),
+                    p=entry.get("p", POWER_STEPS),
                 )
             )
         dropout = tuple(spec.get("dropout", (0.0,) * n_hidden))
@@ -594,8 +595,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a diverging run ends in one error line, not numpy's float warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a run ends in at most one stderr line: not numpy's float warnings
+        # nor the penalty gradient's below-floor RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

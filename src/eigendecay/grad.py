@@ -17,6 +17,7 @@ from .linalg import (
     NONFINITE_MATRIX,
     DegenerateIterateError,
     gram,
+    power_dominant_eigen,
 )
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
 from .objectives import RegularizerSpec, _grouped, loss_gradient_batch, total_objective
@@ -52,50 +53,25 @@ NORM_OVERFLOW = (
 )
 
 
-def eigen_decay_gradient(w, C, p=9):
-    """Gradient of C * sqrt(lambda_pm(W W^T)) with respect to W.
+def eigen_decay_gradient(ws, cs, p):
+    """(grad, failed): the gradient of C * sqrt(lambda_pm(W W^T)) with
+    respect to W for each member of a weight stack ws (R, m, n). cs (R,)
+    and p come from one objectives._StackSpecs group: each C is finite and
+    positive, and p >= 1.
 
     lambda_pm is the Rayleigh quotient of the p-step power iterate from the
-    all-ones vector, normalized at each step as power_dominant_eigen does.
-    The backward pass walks the iteration in reverse, so the result is the
-    exact gradient of the estimate at finite p.
+    all-ones vector, each step divided by its norm. The backward pass walks
+    the iteration in reverse, so the result is the exact gradient of the
+    estimate at finite p. Each slice of grad has the bits of the stack of
+    one on that member, and a zero W gets 0, a subgradient of C*||W||_2.
 
-    W may be a stack (R, m, n) of same-shape members, with C one scalar or
-    one coefficient per member. The stack returns (grad, failed): each
-    slice of grad has the bits of the 2-D call on that member, and failed
-    maps each member whose gradient cannot be formed to its error, with a
-    zero gradient. A 2-D W is the stack of one and returns the gradient or
-    raises its error: ValueError for non-finite weights,
-    DegenerateIterateError where an iterate hits the zero vector (or its
-    norm overflows, which zeroes the next one), and,
-    where the estimate leaves float range, what the penalty value raises on
-    those weights (ValueError if the gram overflows, OverflowError if an
-    iterate does).
-    """
-    w = np.asarray(w, dtype=float)
-    stacked = w.ndim == 3
-    if w.ndim != 2 + stacked:
-        raise ValueError(f"expected a 2-d array, got shape {w.shape}")
-    if not stacked and not np.isfinite(w).all():
-        raise ValueError(NONFINITE_MATRIX)
-    ws = w if stacked else w[None]
-    cs = np.broadcast_to(np.asarray(C, dtype=float), ws.shape[:1])
-    if np.any(cs < 0):
-        raise ValueError(f"penalty coefficient must be >= 0, got {C}")
-    if p < 1:
-        raise ValueError(f"iteration count must be >= 1, got {p}")
-    grad, failed = _eigen_decay_stack(ws, cs, p)
-    if stacked:
-        return grad, failed
-    if failed:
-        raise failed[0]
-    return grad[0]
-
-
-def _eigen_decay_stack(ws, cs, p):
-    """eigen_decay_gradient's (grad, failed) for a weight stack. failed
-    maps each member whose gradient cannot be formed to the error its 2-D
-    call raises, and each of them gets a zero gradient.
+    failed maps each member whose gradient cannot be formed to its error,
+    and its gradient is zero. Non-finite weights give ValueError. Where the
+    iteration fails and the penalty value (power_dominant_eigen on the
+    gram) raises ValueError or OverflowError, the member gets that error.
+    Otherwise an iterate that hits the zero vector, or whose norm overflows
+    and so zeroes the next one, gives DegenerateIterateError, and an
+    estimate past float range gives OverflowError.
 
     Iterates are (R, n, 1) columns, so each GEMV and sqrt-of-dot norm has
     the bits of the 1-D arithmetic on that member. Failures are told apart
@@ -103,7 +79,7 @@ def _eigen_decay_stack(ws, cs, p):
     error.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = gram(ws, check=False)
+        m = gram(ws)
         # the gram diagonal holds each row's sum of squares, which is not
         # finite where the row has a non-finite entry, and nonzero only
         # where the row is. Only a member whose diagonal is not finite (a
@@ -111,14 +87,15 @@ def _eigen_decay_stack(ws, cs, p):
         # underflow) needs its weights scanned.
         diag = np.diagonal(m, axis1=1, axis2=2)
         finite = np.isfinite(diag).all(axis=1)
-        nonzero = diag.any(axis=1)
-        for r in np.flatnonzero(~finite | ~nonzero).tolist():
-            finite[r] = np.isfinite(ws[r]).all()
-            nonzero[r] = ws[r].any()
-    failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
-    # the power iteration cannot start from the zero matrix; its penalty is
-    # 0 (eigen_decay_penalty) and zero is a subgradient of C*||W||_2
-    live = (cs != 0.0) & finite & nonzero
+        live = diag.any(axis=1)
+    failed = {}
+    if not (finite.all() and live.all()):
+        for r in np.flatnonzero(~finite | ~live).tolist():
+            if np.isfinite(ws[r]).all():
+                live[r] = ws[r].any()
+            else:
+                live[r] = False
+                failed[r] = ValueError(NONFINITE_MATRIX)
     if not live.any():
         return np.zeros_like(ws), failed
 
@@ -152,7 +129,7 @@ def _eigen_decay_stack(ws, cs, p):
                 "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
                 f"estimate {lam[below, 0, 0][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
 
         # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked
@@ -174,14 +151,18 @@ def _eigen_decay_stack(ws, cs, p):
         grad = np.add(gm, gm.swapaxes(1, 2), out=outer) @ ws
         grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))
     grad[~live | below] = 0.0
-    for r in np.flatnonzero(degenerate | overflow).tolist():
-        if degenerate[r]:
-            failed[r] = DegenerateIterateError(
-                NORM_OVERFLOW if (steps[r] == np.inf).any() else DEGENERATE_ITERATE)
-        elif np.isfinite(m[r]).all():
-            failed[r] = OverflowError(ITERATE_OVERFLOW)
-        else:
-            failed[r] = ValueError(NONFINITE_MATRIX)
+    bad = np.flatnonzero(degenerate | overflow).tolist()
+    if bad:
+        value_failed = power_dominant_eigen(m[bad], p).failed
+        for j, r in enumerate(bad):
+            exc = value_failed.get(j)
+            if isinstance(exc, (ValueError, OverflowError)):
+                failed[r] = exc
+            elif degenerate[r]:
+                failed[r] = DegenerateIterateError(
+                    NORM_OVERFLOW if (steps[r] == np.inf).any() else DEGENERATE_ITERATE)
+            else:
+                failed[r] = OverflowError(ITERATE_OVERFLOW)
     return grad, failed
 
 

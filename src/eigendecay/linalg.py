@@ -2,13 +2,14 @@
 cyclic-Jacobi eigensolver kept as an exact, slow reference."""
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
 
 
 SYMMETRY_RTOL = 1e-9
+# the default number of power-method steps behind the soft lambda estimate
+POWER_STEPS = 9
 # Jacobi sweeps stop once the off-diagonal norm is below this share of the
 # input's Frobenius norm
 JACOBI_TOL = 1e-12
@@ -49,26 +50,16 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def gram(w, *, check=True):
-    """W W^T, with the upper triangle mirrored from the lower so the result
-    is symmetric to the last bit. A stack (R, m, n) gives one gram per
-    member, each with the bits of the 2-D call. check=False skips the
-    shape and finiteness checks, for callers that have made them."""
-    if check:
-        w = np.asarray(w, dtype=float)
-        w = as_matrix(w, stacked=w.ndim == 3)
+def gram(w):
+    """W W^T of a float array W (m, n), or of each member of a stack
+    (R, m, n) with the bits of the 2-D call. The caller has checked W.
+
+    numpy forms a product with its own transpose symmetric to the last bit
+    (tests/test_stacked_bits.py pins this), so no triangle is mirrored."""
     g = w @ w.swapaxes(-1, -2)
-    np.copyto(g, g.swapaxes(-1, -2), where=_strict_upper(g.shape[-1]))
-    # adding 0.0 turns -0.0 into +0.0, as summing the two triangles did
+    # a Fortran-order or strided W gives -0.0 where its products underflow
     g += 0.0
     return g
-
-
-@functools.cache
-def _strict_upper(n):
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
 
 
 def _symmetric(m):
@@ -92,7 +83,7 @@ NOT_SYMMETRIC = "power_dominant_eigen needs a symmetric matrix"
 ITERATE_OVERFLOW = "power iterate overflowed"
 
 
-def power_dominant_eigen(m, p=9):
+def power_dominant_eigen(m, p=POWER_STEPS):
     """Dominant-eigenvalue estimate of a symmetric matrix.
 
     Runs ``p`` multiplies starting from the all-ones vector and returns the

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .data import write_jsonl
-from .linalg import _dot, as_vector, exact_dominant_eigen, gram
+from .linalg import _dot, as_matrix, as_vector, exact_dominant_eigen, gram
 from .model import (
     SMOOTH_ACTIVATIONS,
     STACK_FLOATS,
@@ -369,6 +369,7 @@ def verify_denominator_inequality(w_row, gamma, w):
     gamma is the vector of activation slopes, the diagonal of Gamma.
     """
     w_row = as_vector(w_row)
+    w = as_matrix(w)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != w_row.shape:
         raise ValueError(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .data import _is_int, _is_real
-from .linalg import NONFINITE_MATRIX, gram, power_dominant_eigen
+from .linalg import NONFINITE_MATRIX, POWER_STEPS, gram, power_dominant_eigen
 from .model import forward_batch
 
 LOSS_KINDS = (
@@ -95,21 +95,11 @@ def loss_gradient_batch(kind, Yhat, Y):
     return (p * np.sum(t, axis=-1, keepdims=True) - t) / n
 
 
-def eigen_decay_penalty(w, C, lambda_dom):
-    """C * sqrt(lambda_dom), where lambda_dom is the power-method dominant
-    eigenvalue of W W^T (penalties computes it).
-
-    The zero matrix has dominant eigenvalue 0 and is handled directly; the
-    power iteration itself cannot start there. A stack (R, m, n), with C
-    and lambda_dom per member, gives an (R,) array with the 2-D call's bits.
-    """
-    cs = np.asarray(C, dtype=float)
-    if np.any(cs < 0):
-        raise ValueError(f"penalty coefficient must be >= 0, got {C}")
-    w = np.asarray(w, dtype=float)
-    live = (cs != 0.0) & w.any(axis=(-2, -1))
-    value = np.where(live, cs * np.sqrt(np.maximum(lambda_dom, 0.0)), 0.0)
-    return value if w.ndim == 3 else float(value)
+def eigen_decay_penalty(c, lambda_dom):
+    """C * sqrt(lambda_dom) for each member of a stack: c and lambda_dom
+    are (R,) arrays, lambda_dom the power-method dominant eigenvalue of
+    each member's W W^T from _lambdas, which gives a zero W 0."""
+    return c * np.sqrt(np.maximum(lambda_dom, 0.0))
 
 
 def sample_dropout_masks(rates, hidden_dims, batch_size, rng):
@@ -135,7 +125,7 @@ def sample_dropout_masks(rates, hidden_dims, batch_size, rng):
 class LayerPenalty:
     kind: str = "none"
     c: float = 0.0
-    p: int = 9  # power-method steps, eigen_decay only
+    p: int = POWER_STEPS  # power-method steps, eigen_decay only
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -242,7 +232,7 @@ def _lambdas(w, p):
     power iteration on the grams. A zero W gets 0, as the iteration cannot
     start there; failed maps each nonzero member whose iteration fails to
     its error, and its lambda is nan."""
-    est = power_dominant_eigen(gram(w, check=False), p)
+    est = power_dominant_eigen(gram(w), p)
     nonzero = w.any(axis=(1, 2))
     failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
     return np.where(nonzero, est.lambda_dom, 0.0), failed
@@ -280,7 +270,7 @@ def penalties(model, reg):
             if g.kind == "eigen_decay":
                 lam, errors = _lambdas(wk, g.p)
                 lambdas[idx, k] = lam
-                values[idx, k] = eigen_decay_penalty(wk, g.c, lam)
+                values[idx, k] = eigen_decay_penalty(g.c, lam)
             else:
                 bad = ~np.isfinite(wk).all(axis=(1, 2))
                 errors = {j: ValueError(NONFINITE_MATRIX) for j in np.flatnonzero(bad).tolist()}

@@ -9,6 +9,7 @@ import numpy as np
 
 from .data import _is_int, _is_real, kfold, split_indices, write_jsonl
 from .grad import backward
+from .linalg import POWER_STEPS
 from .model import (
     _stack_cap,
     _with_params,
@@ -195,9 +196,9 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
     objective and the lambda of each penalized eigen-decay layer; a member
     whose penalty value cannot be computed ends. The history's other lambdas
     take one stacked power iteration per layer and step count (the entry's
-    p for eigen decay, 9 otherwise), and one that fails records nan. One
-    stacked forward pass over each member's validation rows gives the
-    validation loss; a member where it or the objective is not finite
+    p for eigen decay, POWER_STEPS otherwise), and one that fails records
+    nan. One stacked forward pass over each member's validation rows gives
+    the validation loss; a member where it or the objective is not finite
     diverges.
     """
     stack = _with_params(template, params)
@@ -218,7 +219,8 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
         for r, reg in enumerate(specs):
             if r not in read and r not in failed:
                 entry = reg.layers[k]
-                groups.setdefault(entry.p if entry.kind == "eigen_decay" else 9, []).append(r)
+                p = entry.p if entry.kind == "eigen_decay" else POWER_STEPS
+                groups.setdefault(p, []).append(r)
         for p, idx in groups.items():
             lambdas[idx, k] = _lambdas(w if len(idx) == len(specs) else w[idx], p)[0]
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import encode_batch_pm1
 from .grad import backward, finite_diff_model_gradient
-from .linalg import exact_dominant_eigen, gram, power_dominant_eigen
+from .linalg import POWER_STEPS, exact_dominant_eigen, gram, power_dominant_eigen
 from .margin import verify_denominator_inequality
 from .model import forward_batch, init_mlp
 from .objectives import (
@@ -38,8 +38,14 @@ GAP_RATIO = 0.5
 MODEL_CHECK_BATCH = 4
 
 
-def _fd_max_rel_err(analytic, numeric, objective_scale):
-    noise = FD_NOISE_FLOOR * max(1.0, abs(objective_scale))
+def _gradient_error(model, X, Y, loss_kind, reg, h=1e-5, masks=None):
+    """The largest relative error of backward() against central differences
+    of the total objective. Per component it divides by max(|a|, |b|, 1e-8);
+    a discrepancy below FD_NOISE_FLOOR of the objective's scale counts as 0."""
+    analytic = backward(model, X, Y, loss_kind, reg, masks).as_list()
+    numeric = finite_diff_model_gradient(model, X, Y, loss_kind, reg, h, masks).as_list()
+    scale = total_objective(model, X, Y, loss_kind, reg, masks).total
+    noise = FD_NOISE_FLOOR * max(1.0, abs(scale))
     worst = 0.0
     for a, b in zip(analytic, numeric):
         diff = np.abs(a - b)
@@ -67,7 +73,7 @@ def random_gapped_psd(rng, n):
     return np.tril(a) + np.tril(a, -1).T
 
 
-def power_method_fidelity_suite(count=500, seed=0, max_side=32, p=9):
+def power_method_fidelity_suite(count=500, seed=0, max_side=32, p=POWER_STEPS):
     """Estimate vs exact dominant eigenvalue on gapped random PSD matrices.
 
     Each record checks two things: the estimate lands within POWER_REL_TOL
@@ -198,10 +204,7 @@ def gradient_check_suite(count=50, seed=0, h=1e-5, tol=GRAD_CHECK_TOL):
                 reg.dropout, model.hidden_dims, batch, rng
             )
 
-        analytic = backward(model, X, Y, loss_kind, reg, masks)
-        numeric = finite_diff_model_gradient(model, X, Y, loss_kind, reg, h, masks)
-        scale = total_objective(model, X, Y, loss_kind, reg, masks).total
-        max_rel = _fd_max_rel_err(analytic.as_list(), numeric.as_list(), scale)
+        max_rel = _gradient_error(model, X, Y, loss_kind, reg, h, masks)
         records.append(
             {
                 "index": i,
@@ -232,10 +235,7 @@ def model_gradient_check(model, seed=0):
         else:
             entries = tuple(LayerPenalty(kind, 0.05) for _ in range(n_layers))
         reg = RegularizerSpec(entries, dropout=(0.0,) * len(model.hidden))
-        analytic = backward(model, X, Y, "mse", reg)
-        numeric = finite_diff_model_gradient(model, X, Y, "mse", reg)
-        scale = total_objective(model, X, Y, "mse", reg).total
-        max_rel = _fd_max_rel_err(analytic.as_list(), numeric.as_list(), scale)
+        max_rel = _gradient_error(model, X, Y, "mse", reg)
         records.append(
             {"penalty": kind, "max_rel_err": max_rel, "ok": bool(max_rel <= GRAD_CHECK_TOL)}
         )

@@ -152,11 +152,13 @@ def _dot(a, b):
 
 def power_gradient(ws, cs, p):
     """eigen_decay_gradient's (grad, failed) for a weight stack (R, m, n)
-    and coefficients (R,), on (R, m) row iterates each divided by its norm,
-    with full finiteness and all-zero scans of W."""
+    and positive coefficients (R,), on (R, m) row iterates each divided by
+    its norm, with full finiteness and all-zero scans of W. A member whose
+    iteration fails takes the ValueError or OverflowError that power()
+    gives on its gram, where power() gives one."""
     finite = np.isfinite(ws).all(axis=(1, 2))
     failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
-    live = (cs != 0.0) & finite & ws.any(axis=(1, 2))
+    live = finite & ws.any(axis=(1, 2))
     if not live.any():
         return np.zeros_like(ws), failed
     hit_zero = np.zeros(len(ws), dtype=bool)
@@ -206,13 +208,14 @@ def power_gradient(ws, cs, p):
     if not keep.all():
         grad = np.where(keep[:, None, None], grad, 0.0)
     for r in np.flatnonzero(degenerate | overflow).tolist():
-        if degenerate[r]:
+        _, error = power(m[r], p)
+        if isinstance(error, (ValueError, OverflowError)):
+            failed[r] = error
+        elif degenerate[r]:
             failed[r] = DegenerateIterateError(
                 NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
-        elif np.isfinite(m[r]).all():
-            failed[r] = OverflowError(ITERATE_OVERFLOW)
         else:
-            failed[r] = ValueError(NONFINITE_MATRIX)
+            failed[r] = OverflowError(ITERATE_OVERFLOW)
     return grad, failed
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx
@@ -25,7 +26,15 @@ from eigendecay.data import (
     load_delimited,
     write_delimited,
 )
-from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, load_model, save_model
+from eigendecay.model import (
+    Activation,
+    DenseLayer,
+    MlpModel,
+    init_mlp,
+    load_model,
+    model_to_dict,
+    save_model,
+)
 from eigendecay.objectives import LOSS_KINDS, RegularizerSpec
 from eigendecay.train import TrainConfig, sgd_train
 
@@ -1104,3 +1113,85 @@ def test_generated_argv_ends_in_documented_exit_code(case):
     if argv[0] == "eval":
         # every other argument is valid: the model fits the data
         assert code == (1 if int(argv[argv.index("--limit") + 1]) < 1 else 0)
+
+
+# the ways _model_doc changes one layer's weights
+_LAYER_KINDS = ("plain", "scaled", "zero", "rank1", "kernel", "poison")
+
+
+@st.composite
+def _model_doc(draw):
+    """A model document for 2 inputs and 2 classes, with 1-2 hidden layers.
+    Each layer may be scaled by 1e-300 to 1e300, zero, rank-1, hold rows w
+    and -w (which put the all-ones power start in W W^T's kernel) or hold
+    a nan or inf. The output may never change sign on the data."""
+    widths = [2] + [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 2)))] + [2]
+    activation = draw(st.sampled_from(["sigmoid", "tanh", "linear", "relu"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for k, (d, h) in enumerate(zip(widths[:-1], widths[1:])):
+        w = rng.standard_normal((h, d))
+        kind = draw(st.sampled_from(_LAYER_KINDS))
+        if kind == "scaled":
+            w *= 10.0 ** draw(st.integers(-300, 300))
+        elif kind == "zero":
+            w[:] = 0.0
+        elif kind == "rank1":
+            w = np.outer(rng.standard_normal(h), rng.standard_normal(d))
+        elif kind == "kernel":
+            w[1::2] = -w[0::2][:h // 2]
+        elif kind == "poison":
+            w.flat[draw(st.integers(0, w.size - 1))] = draw(st.sampled_from([NAN, INF, -INF]))
+        bias = rng.standard_normal(h)
+        if k == len(widths) - 2 and draw(st.booleans()):
+            # every output's sign is its bias's, whatever the input
+            w[:] = 0.0
+            bias = np.array([1.0, -1.0])
+        layers.append({"activation": activation if k < len(widths) - 2 else "linear",
+                       "out": h, "in": d, "weights": w.reshape(-1).tolist(),
+                       "bias": bias.tolist()})
+    return {"format": "eigendecay-model", "version": 1, "layers": layers}
+
+
+_MODEL_COMMANDS = {
+    "eval": ["eval", "--data", "d.csv"],
+    "theorem1": ["verify", "--mode", "theorem1", "--data", "d.csv", "--anchors", "1"],
+    "gradcheck": ["verify", "--mode", "gradcheck"],
+}
+
+
+def _tiny_model_doc():
+    # every weight of a 2-8-2 sigmoid net times 1e-8: the eigen-decay
+    # estimate falls below the gradient floor, which warns
+    model = init_mlp([2, 8, 2], "sigmoid", seed=0)
+    for layer in model.layers:
+        layer.weights *= 1e-8
+    return model_to_dict(model)
+
+
+@given(_model_doc(), st.sampled_from(list(_MODEL_COMMANDS)))
+@example(_tiny_model_doc(), "gradcheck")
+@settings(max_examples=100, deadline=None)
+def test_generated_model_document_ends_in_documented_exit_code(doc, command):
+    err = io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with tempfile.TemporaryDirectory() as work:
+        with open(f"{work}/m.json", "w") as fh:
+            json.dump(doc, fh)
+        with open(f"{work}/d.csv", "w") as fh:
+            fh.write("1.0,0.5,0\n-1.0,0.5,1\n0.8,-0.3,0\n-0.7,-0.2,1\n"
+                     "0.3,1.0,0\n-0.2,-1.0,1\n2.0,0.1,0\n-1.5,0.4,1\n")
+        argv = [f"{work}/d.csv" if a == "d.csv" else a for a in _MODEL_COMMANDS[command]]
+        # warnings print as a plain run prints them, and stderr is read
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            warnings.showwarning = show
+            code = main([*argv, "--model", f"{work}/m.json", "--out", f"{work}/out"])
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+

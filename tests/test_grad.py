@@ -23,6 +23,7 @@ from eigendecay.objectives import (
     LOSS_KINDS,
     LayerPenalty,
     RegularizerSpec,
+    _StackSpecs,
     penalties,
     sample_dropout_masks,
     total_objective,
@@ -95,16 +96,26 @@ def _penalty_value(w, C, p):
     return _penalty_values(C, p)([np.asarray(w, dtype=float)[None]])[0]
 
 
-class TestEigenDecayGradient:
-    def test_zero_coefficient(self):
-        g = eigen_decay_gradient(np.eye(3), 0.0, 9)
-        assert np.array_equal(g, np.zeros((3, 3)))
+def _gradient(w, C, p):
+    """The penalty gradient of one W, as a stack of one, once its bits and
+    error match reference.power_gradient's; raises the member's error."""
+    ws, cs = np.asarray(w, dtype=float)[None], np.array([C])
+    grad, failed = eigen_decay_gradient(ws, cs, p)
+    want, want_failed = reference.power_gradient(ws, cs, p)
+    assert {r: (type(e), str(e)) for r, e in failed.items()} == \
+        {r: (type(e), str(e)) for r, e in want_failed.items()}
+    np.testing.assert_array_equal(grad.view(np.int64), want.view(np.int64))
+    if failed:
+        raise failed[0]
+    return grad[0]
 
+
+class TestEigenDecayGradient:
     def test_diag_gradient_concentrates_on_dominant_entry(self):
         # penalty ~ C * w11 for w11 clearly dominant, so the gradient is
         # approximately C at (0,0) and negligible elsewhere
         C = 0.8
-        g = eigen_decay_gradient(np.diag([2.0, 1.0]), C, 9)
+        g = _gradient(np.diag([2.0, 1.0]), C, 9)
         fd = finite_diff_gradient(_penalty_values(C, 9), [np.diag([2.0, 1.0])], h=1e-6)[0]
         # absolute term covers the structurally-zero entries, where central
         # differences only deliver roundoff noise
@@ -117,7 +128,7 @@ class TestEigenDecayGradient:
         # quotient is stationary in the iterate, and only the explicit
         # rank-one term survives: gradient = C/n * ones * ones^T
         n, C = 3, 0.5
-        g = eigen_decay_gradient(1.7 * np.eye(n), C, 9)
+        g = _gradient(1.7 * np.eye(n), C, 9)
         np.testing.assert_allclose(g, np.full((n, n), C / n), rtol=1e-12)
         fd = finite_diff_gradient(_penalty_values(C, 9), [1.7 * np.eye(n)], h=1e-6)[0]
         assert max_rel_err(g, fd) <= 1e-4
@@ -127,14 +138,14 @@ class TestEigenDecayGradient:
             w = rng.standard_normal((int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             C = float(rng.uniform(0.05, 1.0))
             p = int(rng.choice([1, 3, 9]))
-            g = eigen_decay_gradient(w, C, p)
+            g = _gradient(w, C, p)
             fd = finite_diff_gradient(_penalty_values(C, p), [w], h=1e-6)[0]
             assert max_rel_err(g, fd) <= 1e-4
 
     def test_normalize_toggle_agrees(self, rng):
         for _ in range(6):
             w = rng.standard_normal((4, 3))
-            a = eigen_decay_gradient(w, 0.7, 9)
+            a = _gradient(w, 0.7, 9)
             b = reference.raw_power_gradient(w, 0.7, 9)
             assert max_rel_err(a, b) <= 1e-6
 
@@ -143,16 +154,17 @@ class TestEigenDecayGradient:
         for shape in ((2, 2), (3, 5)):
             w = np.zeros(shape)
             assert _penalty_value(w, 0.5, 9) == 0.0
-            g = eigen_decay_gradient(w, 0.5, 9)
+            g = _gradient(w, 0.5, 9)
             assert np.array_equal(g, np.zeros(shape))
 
     def test_kernel_start_raises_in_value_and_gradient(self):
         # W W^T = [[1, -1], [-1, 1]] sends the all-ones start to zero
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert isinstance(reference.power(reference.gram(w), 9)[1], DegenerateIterateError)
         with pytest.raises(DegenerateIterateError):
             _penalty_value(w, 0.5, 9)
         with pytest.raises(DegenerateIterateError):
-            eigen_decay_gradient(w, 0.5, 9)
+            _gradient(w, 0.5, 9)
 
     def test_norm_overflow_is_named_apart_from_the_kernel_start(self):
         # gram entries near 1e300: the penalty value is finite, but the
@@ -160,18 +172,19 @@ class TestEigenDecayGradient:
         # the next iterate is zero
         w = init_mlp([2, 4, 2], "sigmoid", seed=0).hidden[0].weights * 1e150
         assert 0.0 < _penalty_value(w, 0.5, 9) < np.inf
+        assert reference.power(reference.gram(w), 9)[1] is None
         with pytest.raises(DegenerateIterateError, match="^power iterate norm overflowed"):
-            eigen_decay_gradient(w, 0.5, 9)
+            _gradient(w, 0.5, 9)
         # rows w and -w put the all-ones start in the kernel; a stack keeps
         # each member's text
         kernel = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        _, failed = eigen_decay_gradient(np.stack([w, kernel]), 0.5, 9)
+        _, failed = eigen_decay_gradient(np.stack([w, kernel]), np.array([0.5, 0.5]), 9)
         assert [str(failed[r]) for r in (0, 1)] == [grad.NORM_OVERFLOW, grad.DEGENERATE_ITERATE]
 
     def test_near_zero_spectrum_warns_and_returns_zero(self):
         w = np.full((2, 2), 1e-9)
         with pytest.warns(RuntimeWarning):
-            g = eigen_decay_gradient(w, 0.5, 9)
+            g = _gradient(w, 0.5, 9)
         assert np.array_equal(g, np.zeros((2, 2)))
 
 
@@ -221,6 +234,8 @@ class TestBackward:
         zero_c = RegularizerSpec(
             (LayerPenalty("eigen_decay", 0.0), LayerPenalty("l2", 0.0)), (0.0,)
         )
+        # a C = 0 entry joins no penalty group, so no penalty kernel sees it
+        assert _StackSpecs([zero_c]).layers == [[], []]
         a = backward(model, X, Y, "mse", none)
         b = backward(model, X, Y, "mse", zero_c)
         for x, y in zip(a.as_list(), b.as_list()):

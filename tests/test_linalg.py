@@ -206,7 +206,7 @@ class TestExactDominantEigen:
         assert exact_dominant_eigen(m) == pytest.approx(3.0, rel=1e-12)
 
     def test_gram_hand_value(self):
-        assert exact_dominant_eigen(gram([[3.0, 0.0], [0.0, 0.0]])) == pytest.approx(9.0)
+        assert exact_dominant_eigen(gram(np.array([[3.0, 0.0], [0.0, 0.0]]))) == pytest.approx(9.0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -132,19 +132,24 @@ class TestEigenDecayPenalty:
     def test_zero_coefficient(self, rng):
         w = rng.standard_normal((3, 2))
         assert _penalty("eigen_decay", w, 0.0) == 0.0
-        assert eigen_decay_penalty(w, 0.0, 4.0) == 0.0
 
     def test_identity_gram(self):
         assert _penalty("eigen_decay", np.eye(4), 0.7) == pytest.approx(0.7)
 
     def test_zero_matrix_has_zero_penalty(self):
+        # the iteration cannot start there; its lambda is 0
         assert _penalty("eigen_decay", np.zeros((3, 2)), 0.5) == 0.0
-        # the iteration cannot start there, and its lambda is not read
-        assert eigen_decay_penalty(np.zeros((3, 2)), 0.5, np.nan) == 0.0
+
+    def test_stack_of_values(self):
+        # one value per member; a lambda that rounds below zero reads 0
+        got = eigen_decay_penalty(np.array([0.5, 2.0, 0.1]), np.array([4.0, -1e-17, 0.0]))
+        np.testing.assert_array_equal(got, [1.0, 0.0, 0.0])
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_decay_penalty(np.eye(2), -0.1, 1.0)
+        # the spec refuses it, so no penalty kernel sees it
+        for c in (-0.1, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="penalty coefficient"):
+                LayerPenalty("eigen_decay", c)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

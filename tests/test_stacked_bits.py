@@ -4,7 +4,7 @@ BLAS upgrade that breaks it fails here, before any output changes."""
 
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -176,29 +176,47 @@ class TestPrimitives:
 
 @pytest.mark.parametrize("R", STACKS)
 @pytest.mark.parametrize("sizes, B", SHAPES)
+def _member_gradient(W, C, p, r):
+    """Member r's gradient and error, from the stack of that member alone."""
+    grad, failed = eigen_decay_gradient(W[r:r + 1], C[r:r + 1], p)
+    return grad[0], failed.get(0)
+
+
+def _assert_gradient_matches_the_reference(W, C, p):
+    """The stack's (grad, failed), once it keeps reference.power_gradient's
+    bits and errors."""
+    grad, failed = eigen_decay_gradient(W, C, p)
+    want, want_failed = reference.power_gradient(W, C, p)
+    assert _errors(failed) == _errors(want_failed)
+    np.testing.assert_array_equal(_bits(grad), _bits(want))
+    return grad, failed
+
+
+@pytest.mark.parametrize("R", STACKS)
+@pytest.mark.parametrize("sizes, B", SHAPES)
 def test_eigen_decay_gradient_stack_matches_each_member(sizes, B, R):
     rng = np.random.default_rng(11)
     for d, h in zip(sizes[:-1], sizes[1:]):
         W = _stack((h, d), R, rng)
         C = rng.uniform(0.001, 0.1, R)
-        stacked, failed = eigen_decay_gradient(W, C, 9)
+        stacked, failed = _assert_gradient_matches_the_reference(W, C, 9)
         assert failed == {}
-        assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r], 9) for r in range(R)])
+        assert_bitwise(stacked, [_member_gradient(W, C, 9, r)[0] for r in range(R)])
 
 
 def test_eigen_decay_gradient_stack_zeroes_dead_members():
     rng = np.random.default_rng(12)
-    W = _stack((4, 3), 4, rng)
+    W = _stack((4, 3), 3, rng)
     W[1] = 0.0
-    W[3] *= 1e-9  # lambda ~ 1e-18, below the gradient floor
-    C = np.array([0.5, 0.5, 0.0, 0.5])
+    W[2] *= 1e-9  # lambda ~ 1e-18, below the gradient floor
+    C = np.array([0.5, 0.5, 0.5])
     with pytest.warns(RuntimeWarning, match="below"):
-        stacked, failed = eigen_decay_gradient(W, C)
+        stacked, failed = _assert_gradient_matches_the_reference(W, C, 9)
     assert failed == {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert_bitwise(stacked, [eigen_decay_gradient(W[r], C[r]) for r in range(4)])
-    assert not np.any(stacked[[1, 2, 3]])
+        assert_bitwise(stacked, [_member_gradient(W, C, 9, r)[0] for r in range(3)])
+    assert np.any(stacked[0]) and not np.any(stacked[[1, 2]])
 
 
 def test_degenerate_members_are_marked_and_zeroed():
@@ -207,7 +225,8 @@ def test_degenerate_members_are_marked_and_zeroed():
     for r in (1, 3):
         W[r, 1] = -W[r, 0]  # W W^T maps the all-ones start to zero
     W[4, 0, 1] = np.nan
-    grad, failed = eigen_decay_gradient(W, 0.5)
+    C = np.full(5, 0.5)
+    grad, failed = _assert_gradient_matches_the_reference(W, C, 9)
     assert sorted(failed) == [1, 3, 4]
     for r in (1, 3):
         assert isinstance(failed[r], DegenerateIterateError)
@@ -215,16 +234,12 @@ def test_degenerate_members_are_marked_and_zeroed():
     assert type(failed[4]) is ValueError
     assert str(failed[4]) == "matrix entries must be finite"
     assert not np.any(grad[[1, 3, 4]])
-    assert_bitwise(grad[[0, 2]], [eigen_decay_gradient(W[r], 0.5) for r in (0, 2)])
-    # a stack records each member's error; a 2-D call raises it
-    grad, failed = eigen_decay_gradient(W[:4], 0.5)
-    assert sorted(failed) == [1, 3] and not np.any(grad[[1, 3]])
-    with pytest.raises(DegenerateIterateError, match="zero vector"):
-        eigen_decay_gradient(W[1], 0.5)
-    with pytest.raises(ValueError, match="must be finite"):
-        eigen_decay_gradient(W[4], 0.5)
-    grad, failed = eigen_decay_gradient(W[1:2], 0.5)
-    assert list(failed) == [0] and not np.any(grad)
+    assert_bitwise(grad[[0, 2]], [_member_gradient(W, C, 9, r)[0] for r in (0, 2)])
+    # each member alone records the error it has in the stack
+    for r in (1, 3, 4):
+        alone, error = _member_gradient(W, C, 9, r)
+        assert (type(error), str(error)) == (type(failed[r]), str(failed[r]))
+        assert not np.any(alone)
 
 
 @pytest.mark.parametrize("R", STACKS)
@@ -497,12 +512,19 @@ def _assert_same_eigen_outcomes(W, p):
             assert np.isnan(est.lambda_dom[r])
 
 
-def _assert_same_gradient_outcomes(W, C, p):
+def _gradient_outcome(W, C, p, r):
+    # member r alone: its gradient, or the type and text of its error
+    grad, error = _member_gradient(W, C, p, r)
+    return ("ok", grad) if error is None else ("raise", type(error), str(error))
+
+
+def _assert_same_gradient_outcomes(W, c, p):
+    C = np.full(len(W), c)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grad, failed = eigen_decay_gradient(W, C, p)
+        grad, failed = _assert_gradient_matches_the_reference(W, C, p)
         for r in range(len(W)):
-            want = _outcome(lambda: eigen_decay_gradient(W[r], C, p))
+            want = _gradient_outcome(W, C, p, r)
             value = _outcome(lambda: power_dominant_eigen(gram(W[r]), p).lambda_dom)
             if want[0] == "ok":
                 assert r not in failed
@@ -521,6 +543,10 @@ def _assert_same_gradient_outcomes(W, C, p):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(edge_stacks(), st.sampled_from([1, 3, 9]))
+# a "huge" member whose largest gram entry is 1.79e308: the value's Rayleigh
+# numerator overflows, and the gradient's first iterate norm does too
+@example(np.array([[[1.45356467e153, 2.56842658e153, -1.97979807e153],
+                    [-1.21828213e154, 4.13315535e153, 3.66310439e153]]]), 3)
 @settings(max_examples=60, deadline=None)
 def test_stacked_eigen_edge_cases_match_each_member(W, p):
     _assert_same_eigen_outcomes(W, p)
@@ -604,6 +630,38 @@ def test_gram_and_sigmoid_keep_the_frozen_bits(R, rows, cols, seed):
     (got, want), warned = zip(*(_warned(lambda f=f: f(v)) for f in (_sigmoid, reference.sigmoid)))
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert warned[0] == warned[1]
+
+
+def _laid_out(W, layout):
+    # the same values in C order, in Fortran order, or as a strided view
+    if layout == "fortran":
+        return np.asfortranarray(W)
+    if layout == "strided":
+        big = np.full(W.shape[:-2] + (2 * W.shape[-2], 3 * W.shape[-1]), np.nan)
+        big[..., ::2, ::3] = W
+        return big[..., ::2, ::3]
+    return W
+
+
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 20), st.integers(-200, 200),
+       st.sampled_from(["c", "fortran", "strided"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_is_symmetric_to_the_bit_with_no_negative_zero(R, rows, cols, scale, layout,
+                                                            seed):
+    # numpy forms W W^T symmetric to the bit, so gram keeps the bits of the
+    # frozen mirrored gram without mirroring, and its zeros are +0.0; at
+    # |scale| past about 154 the products overflow or underflow
+    rng = np.random.default_rng(seed)
+    W = _stack((rows, cols), R, rng) * 10.0 ** scale
+    W[rng.random(R) < 0.2] = 0.0
+    W[:, rng.integers(rows)] = 0.0
+    W[:, rng.integers(rows)] = -0.0
+    W = _laid_out(W, layout)
+    with np.errstate(over="ignore", under="ignore"):
+        for w in (W, W[0]):
+            g = gram(w)
+            np.testing.assert_array_equal(_bits(g), _bits(reference.gram(w)))
+            assert not np.signbit(g[g == 0.0]).any()
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "linear"])
@@ -694,11 +752,12 @@ EDGE_POISON = (np.nan, np.inf, -np.inf)
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(edge_stacks(), st.sampled_from([1, 3, 9]), st.lists(st.integers(0, 3), max_size=6),
-       st.sampled_from([0.0, 0.5, 2.0]))
+       st.sampled_from([1e-300, 0.5, 2.0]))
 @settings(max_examples=100, deadline=None)
 def test_penalty_gradient_edge_cases_keep_the_frozen_outcomes(W, p, poison, c0):
     # each member's bits, error type and text, and the warnings raised;
-    # a member may hold a non-finite entry, and member 0 may have C == 0
+    # a member may hold a non-finite entry, and member 0 a C so small that
+    # its gradient underflows
     W = W.copy()
     for r, which in enumerate(poison[:len(W)]):
         if which:
@@ -718,13 +777,11 @@ def test_weights_whose_squares_underflow_are_not_the_zero_matrix():
     # the gram diagonal of these weights is zero, but W is not: the
     # iterate hits the zero vector, as the frozen full scan found
     W = np.stack([np.full((2, 3), 1e-170), np.zeros((2, 3)), np.eye(2, 3)])
-    grad, failed = eigen_decay_gradient(W, 0.5)
-    want, want_failed = reference.power_gradient(W, np.full(3, 0.5), 9)
-    assert _errors(failed) == _errors(want_failed) == {
-        0: (DegenerateIterateError, DEGENERATE_ITERATE)}
-    np.testing.assert_array_equal(_bits(grad), _bits(want))
-    with pytest.raises(DegenerateIterateError, match="zero vector"):
-        eigen_decay_gradient(W[0], 0.5)
+    C = np.full(3, 0.5)
+    _, failed = _assert_gradient_matches_the_reference(W, C, 9)
+    assert _errors(failed) == {0: (DegenerateIterateError, DEGENERATE_ITERATE)}
+    _, error = _member_gradient(W, C, 9, 0)
+    assert (type(error), str(error)) == (DegenerateIterateError, DEGENERATE_ITERATE)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
