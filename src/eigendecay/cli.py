@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from pathlib import Path
-import warnings
 
 import numpy as np
 
@@ -87,8 +86,10 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"config path is a directory: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deeply") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key in ("model", "data", "train", "regularizers", "grid"):
@@ -311,8 +312,10 @@ def _load_model_file(path):
         raise DataError(f"model file not found: {path}")
     try:
         return load_model(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise DataError(f"bad model file {path}: {exc}") from None
+    except RecursionError:
+        raise DataError(f"bad model file {path}: nested too deeply") from None
 
 
 def cmd_eval(args):
@@ -595,11 +598,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a run ends in at most one stderr line: not numpy's float warnings
-        # nor the penalty gradient's below-floor RuntimeWarning
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # a run ends in at most one stderr line, not in numpy's float warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

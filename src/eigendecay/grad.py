@@ -8,7 +8,6 @@ verification.
 """
 
 from dataclasses import dataclass, field
-import warnings
 
 import numpy as np
 
@@ -21,11 +20,6 @@ from .linalg import (
 )
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
 from .objectives import RegularizerSpec, _grouped, loss_gradient_batch, total_objective
-
-# below this estimated eigenvalue the sqrt gradient is treated as zero
-# rather than letting 1/sqrt blow up on a near-zero-spectrum layer
-EIGEN_GRAD_FLOOR = 1e-12
-
 
 @dataclass
 class Gradients:
@@ -63,12 +57,17 @@ def eigen_decay_gradient(ws, cs, p):
     all-ones vector, each step divided by its norm. The backward pass walks
     the iteration in reverse, so the result is the exact gradient of the
     estimate at finite p. Each slice of grad has the bits of the stack of
-    one on that member, and a zero W gets 0, a subgradient of C*||W||_2.
+    one on that member, and a zero W gets 0, a subgradient of C*||W||_2,
+    as does an estimate at or below 0, where the value is flat.
+    Like the spectral norm's C * u v^T, the gradient does not shrink with
+    W: s * W has the gradient of W, up to rounding, at any scale s whose
+    gram does not underflow.
 
     failed maps each member whose gradient cannot be formed to its error,
     and its gradient is zero. Non-finite weights give ValueError. Where the
     iteration fails and the penalty value (power_dominant_eigen on the
-    gram) raises ValueError or OverflowError, the member gets that error.
+    gram) fails with ValueError or OverflowError, the member gets that
+    error.
     Otherwise an iterate that hits the zero vector, or whose norm overflows
     and so zeroes the next one, gives DegenerateIterateError, and an
     estimate past float range gives OverflowError.
@@ -121,16 +120,9 @@ def eigen_decay_gradient(ws, cs, p):
         lam = num / den
         # a gram or iterate past float range; the penalty value fails there
         overflow = live & ~np.isfinite(lam[:, 0, 0])
-        live &= ~overflow
-
-        below = live & (lam[:, 0, 0] < EIGEN_GRAD_FLOOR)
-        if below.any():
-            warnings.warn(
-                "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
-                f"estimate {lam[below, 0, 0][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        # the value reads max(lam, 0), which is flat where rounding puts a
+        # start near the kernel at lam <= 0
+        live &= ~overflow & (lam[:, 0, 0] > 0.0)
 
         # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked
         # backwards; each outer product is formed in one scratch buffer
@@ -150,10 +142,10 @@ def eigen_decay_gradient(ws, cs, p):
         # M = W W^T, so dL/dW = (G + G^T) W
         grad = np.add(gm, gm.swapaxes(1, 2), out=outer) @ ws
         grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))
-    grad[~live | below] = 0.0
+    grad[~live] = 0.0
     bad = np.flatnonzero(degenerate | overflow).tolist()
     if bad:
-        value_failed = power_dominant_eigen(m[bad], p).failed
+        _, value_failed = power_dominant_eigen(m[bad], p)
         for j, r in enumerate(bad):
             exc = value_failed.get(j)
             if isinstance(exc, (ValueError, OverflowError)):

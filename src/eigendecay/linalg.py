@@ -1,7 +1,6 @@
 """Dense matrix/vector plumbing, power-method eigenvalue estimation, and a
 cyclic-Jacobi eigensolver kept as an exact, slow reference."""
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -13,6 +12,8 @@ POWER_STEPS = 9
 # Jacobi sweeps stop once the off-diagonal norm is below this share of the
 # input's Frobenius norm
 JACOBI_TOL = 1e-12
+# and give up with RuntimeError after this many sweeps
+JACOBI_MAX_SWEEPS = 60
 
 
 NONFINITE_MATRIX = "matrix entries must be finite"
@@ -69,24 +70,18 @@ def _symmetric(m):
     return (abs(m - m.swapaxes(-1, -2)) <= tol).all(axis=(-2, -1))
 
 
-@dataclass
-class EigenEstimate:
-    lambda_dom: float  # an (R,) array for a stack, nan where a member failed
-    # stack only: member -> its error, which a 2-D call raises instead
-    failed: dict = field(default_factory=dict)
-
-
 DEGENERATE_START = (
     "power iterate hit the zero vector (all-ones start lies in the kernel)"
 )
-NOT_SYMMETRIC = "power_dominant_eigen needs a symmetric matrix"
 ITERATE_OVERFLOW = "power iterate overflowed"
 
 
-def power_dominant_eigen(m, p=POWER_STEPS):
-    """Dominant-eigenvalue estimate of a symmetric matrix.
+def power_dominant_eigen(ms, p):
+    """(lam, failed): the dominant-eigenvalue estimate of each member of a
+    stack ms (R, n, n) of symmetric matrices, which the program makes as
+    grams or symmetrized matrices, and p >= 1 steps.
 
-    Runs ``p`` multiplies starting from the all-ones vector and returns the
+    Runs p multiplies starting from the all-ones vector and returns the
     Rayleigh quotient of the final iterate. Each step divides the iterate by
     its largest entry and then by its 2-norm; the quotient is invariant
     under that rescaling, which only keeps intermediates bounded (the raw
@@ -96,31 +91,20 @@ def power_dominant_eigen(m, p=POWER_STEPS):
     converge to a lower eigenvalue; the Rayleigh quotient still never
     exceeds the true dominant eigenvalue.
 
-    A stack (R, n, n) gives one estimate per member: lambda_dom is an (R,)
-    array, and a member that fails is not raised for; failed maps it to its
-    error, and its lambda_dom is nan. A 2-D matrix is the stack of one and
-    raises its error.
+    lam is an (R,) array. A member that fails is not raised for: failed
+    maps it to its error, and its lam is nan. A non-finite matrix gives
+    ValueError, an iterate that hits the zero vector
+    DegenerateIterateError, and one that overflows OverflowError.
     """
-    m = np.asarray(m, dtype=float)
-    stacked = m.ndim == 3
-    if m.ndim not in (2, 3):
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if p < 1:
-        raise ValueError(f"iteration count must be >= 1, got {p}")
-    if not stacked:
-        m = m[None]
-
     # iterates are (R, n, 1) columns: the GEMV, the max-abs and the
     # sqrt-of-dot norm of each member then have the bits of 1-D m @ v,
     # max(abs(v)) and np.linalg.norm(v). Failures are told apart after the
     # loop; numpy's warnings for them would just precede the typed error.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = np.ones(m.shape[:-1] + (1,))
+        v = np.ones(ms.shape[:-1] + (1,))
         peaks = []
         for _ in range(p):
-            v = m @ v
+            v = ms @ v
             # scale by the largest entry first so the squared sum in the
             # 2-norm cannot overflow for huge spectra
             peak = abs(v).max(axis=-2, keepdims=True)
@@ -130,34 +114,26 @@ def power_dominant_eigen(m, p=POWER_STEPS):
         # the largest entry of v is at least 1/sqrt(n), so den > 0 unless
         # an earlier step failed
         den = v.swapaxes(-1, -2) @ v
-        num = (m @ v).swapaxes(-1, -2) @ v
+        num = (ms @ v).swapaxes(-1, -2) @ v
         lam = (num / den)[:, 0, 0]
     # a zero peak makes every later iterate nan, so it is told apart here
     zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[:, 0]
     overflow = ~(np.isfinite(num) & np.isfinite(den))[:, 0, 0]
-    finite = np.isfinite(m).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
-        symmetric = _symmetric(m)
+    finite = np.isfinite(ms).all(axis=(1, 2))
     failed = {}
-    for r in np.flatnonzero(~finite | ~symmetric | zero | overflow).tolist():
+    for r in np.flatnonzero(~finite | zero | overflow).tolist():
         if not finite[r]:
             failed[r] = ValueError(NONFINITE_MATRIX)
-        elif not symmetric[r]:
-            failed[r] = ValueError(NOT_SYMMETRIC)
         elif zero[r]:
             failed[r] = DegenerateIterateError(DEGENERATE_START)
         else:
             failed[r] = OverflowError(ITERATE_OVERFLOW)
-    if not stacked:
-        if failed:
-            raise failed[0]
-        return EigenEstimate(float(lam[0]))
     if failed:
         lam[list(failed)] = math.nan
-    return EigenEstimate(lam, failed)
+    return lam, failed
 
 
-def jacobi_eigenvalues(m, max_sweeps=60):
+def jacobi_eigenvalues(m):
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below JACOBI_TOL
@@ -185,7 +161,7 @@ def jacobi_eigenvalues(m, max_sweeps=60):
     rows = a.tolist()
     # every pivot (k, l) in cyclic order, with its two rows
     plan = [(k, l, rows[k], rows[l]) for k in range(n - 1) for l in range(k + 1, n)]
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         a = np.array(rows)
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= JACOBI_TOL * scale:
@@ -219,7 +195,7 @@ def jacobi_eigenvalues(m, max_sweeps=60):
             row_l[l] = all_ + t * akl
             row_k[l] = 0.0
             row_l[k] = 0.0
-    raise RuntimeError(f"jacobi rotations did not converge in {max_sweeps} sweeps")
+    raise RuntimeError(f"jacobi rotations did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def exact_dominant_eigen(m):

@@ -232,10 +232,10 @@ def _lambdas(w, p):
     power iteration on the grams. A zero W gets 0, as the iteration cannot
     start there; failed maps each nonzero member whose iteration fails to
     its error, and its lambda is nan."""
-    est = power_dominant_eigen(gram(w), p)
+    lam, failed = power_dominant_eigen(gram(w), p)
     nonzero = w.any(axis=(1, 2))
-    failed = {r: exc for r, exc in est.failed.items() if nonzero[r]}
-    return np.where(nonzero, est.lambda_dom, 0.0), failed
+    failed = {r: exc for r, exc in failed.items() if nonzero[r]}
+    return np.where(nonzero, lam, 0.0), failed
 
 
 def penalties(model, reg):

@@ -36,6 +36,8 @@ OVERLAP_FLOOR = 0.1
 GAP_RATIO = 0.5
 # rows of the seeded batch model_gradient_check differentiates on
 MODEL_CHECK_BATCH = 4
+# the largest side the quadratic-form and denominator suites draw
+BOUND_SUITE_MAX_SIDE = 16
 
 
 def _gradient_error(model, X, Y, loss_kind, reg, h=1e-5, masks=None):
@@ -86,7 +88,8 @@ def power_method_fidelity_suite(count=500, seed=0, max_side=32, p=POWER_STEPS):
     for i in range(count):
         n = int(rng.integers(2, max_side + 1))
         m = random_gapped_psd(rng, n)
-        est = power_dominant_eigen(m, p).lambda_dom
+        lam, _ = power_dominant_eigen(m[None], p)
+        est = float(lam[0])
         exact = exact_dominant_eigen(m)
         rel_err = abs(est - exact) / exact
         within = rel_err <= POWER_REL_TOL
@@ -106,12 +109,12 @@ def power_method_fidelity_suite(count=500, seed=0, max_side=32, p=POWER_STEPS):
     return records, all(r["ok"] for r in records)
 
 
-def quadratic_form_bound_suite(count=1000, seed=0, max_side=16):
+def quadratic_form_bound_suite(count=1000, seed=0):
     """x^T A x <= lambda_dom * x^T x for random PSD A and random x."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(count):
-        n = int(rng.integers(1, max_side + 1))
+        n = int(rng.integers(1, BOUND_SUITE_MAX_SIDE + 1))
         a = gram(rng.standard_normal((n, n)))
         x = rng.standard_normal(n) * float(np.exp(rng.uniform(-2, 2)))
         lhs = float(x @ (a @ x))
@@ -124,14 +127,14 @@ def quadratic_form_bound_suite(count=1000, seed=0, max_side=16):
     return records, all(r["ok"] for r in records)
 
 
-def denominator_inequality_suite(count=500, seed=0, max_side=16):
+def denominator_inequality_suite(count=500, seed=0):
     """Random (row, slope vector, weight matrix) triples through
     verify_denominator_inequality."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(count):
-        r = int(rng.integers(1, max_side + 1))
-        c = int(rng.integers(1, max_side + 1))
+        r = int(rng.integers(1, BOUND_SUITE_MAX_SIDE + 1))
+        c = int(rng.integers(1, BOUND_SUITE_MAX_SIDE + 1))
         w_row = rng.standard_normal(r)
         gamma = rng.uniform(-1.0, 1.0, size=r)
         w = rng.standard_normal((r, c))

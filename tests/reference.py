@@ -17,11 +17,10 @@ program.
 import copy
 from dataclasses import dataclass
 import math
-import warnings
 
 import numpy as np
 
-from eigendecay.grad import DEGENERATE_ITERATE, EIGEN_GRAD_FLOOR, NORM_OVERFLOW
+from eigendecay.grad import DEGENERATE_ITERATE, NORM_OVERFLOW
 from eigendecay.linalg import (
     DEGENERATE_START,
     ITERATE_OVERFLOW,
@@ -90,8 +89,8 @@ def power(m, p):
     """(lambda, error) of the p-step power iteration on one symmetric
     matrix m from the all-ones start, with 1-D numpy: each step a GEMV,
     then a division by the max-abs peak and one by np.linalg.norm. error
-    is what power_dominant_eigen raises on m, else None, and lambda is nan
-    where it is not None."""
+    is what power_dominant_eigen records for m, else None, and lambda is
+    nan where it is not None."""
     if not np.isfinite(m).all():
         return math.nan, ValueError(NONFINITE_MATRIX)
     v = np.ones(m.shape[0])
@@ -184,14 +183,7 @@ def power_gradient(ws, cs, p):
         num = _dot(mv, v)
         lam = num / den
         overflow = live & ~np.isfinite(lam)
-        live &= ~overflow
-        below = live & (lam < EIGEN_GRAD_FLOOR)
-        if below.any():
-            warnings.warn(
-                "eigenvalue penalty gradient treated as zero: dominant-eigenvalue "
-                f"estimate {lam[below][0]:.3e} is below {EIGEN_GRAD_FLOOR:.0e}",
-                RuntimeWarning,
-            )
+        live &= ~overflow & (lam > 0.0)
         dnum = 1.0 / den
         dden = -num / (den * den)
         gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
@@ -204,9 +196,8 @@ def power_gradient(ws, cs, p):
                 dv = _mv(m, du)
         dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
         grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
-    keep = live & ~below
-    if not keep.all():
-        grad = np.where(keep[:, None, None], grad, 0.0)
+    if not live.all():
+        grad = np.where(live[:, None, None], grad, 0.0)
     for r in np.flatnonzero(degenerate | overflow).tolist():
         _, error = power(m[r], p)
         if isinstance(error, (ValueError, OverflowError)):

@@ -795,6 +795,37 @@ def test_malformed_model_document_is_data_error(tmp_path, capsys, command, name)
     _assert_one_line_error(capsys, "bad model file")
 
 
+# file bodies that hold no JSON document: bytes that are not UTF-8, and
+# arrays nested past the parser's recursion limit
+UNREADABLE_FILES = {
+    "not_utf8": b'\xff\xfe{"model": {}}',
+    "nested_too_deeply": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+@pytest.mark.parametrize("name", list(UNREADABLE_FILES))
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, command, name):
+    (tmp_path / "c.json").write_bytes(UNREADABLE_FILES[name])
+    rc = main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "config error")
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["verify", "--mode", "theorem1"], ["verify", "--mode", "gradcheck"],
+], ids=["eval", "theorem1", "gradcheck"])
+@pytest.mark.parametrize("name", list(UNREADABLE_FILES))
+def test_unreadable_model_file_is_data_error(tmp_path, capsys, command, name):
+    (tmp_path / "m.json").write_bytes(UNREADABLE_FILES[name])
+    data = [] if "gradcheck" in command else ["--data", str(tmp_path / "d.csv")]
+    (tmp_path / "d.csv").write_text("0.1,0.2,0\n0.3,0.4,1\n")
+    rc = main([*command, "--model", str(tmp_path / "m.json"), *data,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    _assert_one_line_error(capsys, "bad model file")
+
+
 def test_model_data_class_mismatch_is_config_error(tmp_path, capsys):
     config = {
         "model": {"layers": [2, 4, 3]},
@@ -1162,7 +1193,8 @@ _MODEL_COMMANDS = {
 
 def _tiny_model_doc():
     # every weight of a 2-8-2 sigmoid net times 1e-8: the eigen-decay
-    # estimate falls below the gradient floor, which warns
+    # gradient keeps its size, while the oracle's 1e-5 step spans weights a
+    # thousand times smaller, so gradcheck exits 4
     model = init_mlp([2, 8, 2], "sigmoid", seed=0)
     for layer in model.layers:
         layer.weights *= 1e-8

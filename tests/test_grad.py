@@ -181,11 +181,31 @@ class TestEigenDecayGradient:
         _, failed = eigen_decay_gradient(np.stack([w, kernel]), np.array([0.5, 0.5]), 9)
         assert [str(failed[r]) for r in (0, 1)] == [grad.NORM_OVERFLOW, grad.DEGENERATE_ITERATE]
 
-    def test_near_zero_spectrum_warns_and_returns_zero(self):
-        w = np.full((2, 2), 1e-9)
-        with pytest.warns(RuntimeWarning):
-            g = _gradient(w, 0.5, 9)
-        assert np.array_equal(g, np.zeros((2, 2)))
+    def test_near_zero_spectrum_gives_c_u_vt(self):
+        # W = 1e-9 * ones has lambda = 4e-18, and its top singular vectors
+        # u = v = (1, 1)/sqrt(2) lie along the all-ones start, so the
+        # gradient of C * sqrt(lambda) = C * ||W||_2 is C * u v^T
+        g = _gradient(np.full((2, 2), 1e-9), 0.5, 9)
+        np.testing.assert_allclose(g, np.full((2, 2), 0.25), rtol=1e-12)
+
+    def test_estimate_below_zero_gets_zero_gradient(self):
+        # the column sums to about 0, so the all-ones start is nearly in the
+        # kernel of W W^T, and one step reads lambda from rounding alone:
+        # about -3e-16 here. The value reads max(lambda, 0), which is flat
+        # there, and the gradient is 0 rather than nan.
+        w = np.array([[-0.7723013541726013], [1.5825995690031542], [-0.8102982148305529]])
+        assert reference.power(reference.gram(w), 1)[0] < 0.0
+        assert _penalty_value(w, 0.5, 1) == 0.0
+        assert np.array_equal(_gradient(w, 0.5, 1), np.zeros((3, 1)))
+
+    def test_gradient_is_scale_free(self, rng):
+        # C * ||W||_2 is linear in the scale of W, so its gradient is the
+        # same at s * W as at W for any s whose gram does not underflow
+        w = rng.standard_normal((4, 3))
+        want = _gradient(w, 0.5, 9)
+        for k in range(8, 61):
+            got = _gradient(10.0 ** -k * w, 0.5, 9)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
 
 def _least_squares_oracle(model, X, Y):

@@ -151,6 +151,12 @@ class TestEigenDecayPenalty:
             with pytest.raises(ValueError, match="penalty coefficient"):
                 LayerPenalty("eigen_decay", c)
 
+    def test_step_count_below_one_rejected(self):
+        # the spec refuses it, so the power iteration never sees it
+        for p in (0, -3):
+            with pytest.raises(ValueError, match=f"step count must be >= 1, got {p}$"):
+                LayerPenalty("eigen_decay", 0.1, p)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_invariant_under_right_rotation(self, seed):

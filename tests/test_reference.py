@@ -13,7 +13,7 @@ ALLOWED = {
     "AnchorSamplingError", "BisectionToleranceError", "DegenerateGradientError",
     "DegenerateIterateError", "NoCrossingError", "NonFiniteMidpointError",
     "BISECTION_MAX_STEPS", "BISECTION_TOL", "BOUND_EPS_REL", "DEGENERATE_ITERATE",
-    "DEGENERATE_START", "EIGEN_GRAD_FLOOR", "ITERATE_OVERFLOW", "LOSS_KINDS",
+    "DEGENERATE_START", "ITERATE_OVERFLOW", "LOSS_KINDS",
     "NONFINITE_MATRIX", "NORM_OVERFLOW",
 }
 
