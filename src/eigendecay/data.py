@@ -32,10 +32,13 @@ def _is_real(value):
 def encode_batch_pm1(targets, n_classes):
     targets = np.asarray(targets)
     out = np.full((targets.shape[0], n_classes), -1.0)
-    for i, c in enumerate(targets):
-        if not 0 <= c < n_classes:
-            raise ValueError(f"class {c} out of range for {n_classes} classes")
-        out[i, c] = 1.0
+    # written as the negation, so a nan class is out of range too
+    bad = ~((0 <= targets) & (targets < n_classes))
+    if bad.any():
+        c = targets[bad.argmax()]  # the first in input order
+        raise ValueError(f"class {c} out of range for {n_classes} classes")
+    if len(targets):  # an empty list is a float array, which cannot index
+        out[np.arange(len(targets)), targets] = 1.0
     return out
 
 

@@ -88,7 +88,8 @@ def eigen_decay_gradient(ws, cs, p):
         finite = np.isfinite(diag).all(axis=1)
         live = diag.any(axis=1)
     failed = {}
-    if not (finite.all() and live.all()):
+    all_live = finite.all() and live.all()
+    if not all_live:
         for r in np.flatnonzero(~finite | ~live).tolist():
             if np.isfinite(ws[r]).all():
                 live[r] = ws[r].any()
@@ -112,17 +113,9 @@ def eigen_decay_gradient(ws, cs, p):
             iterates.append(v)
         steps = np.concatenate(norms, axis=2)[:, 0]
         den = v.swapaxes(1, 2) @ v
-        hit_zero = (steps == 0.0).any(axis=1) | (den == 0.0)[:, 0, 0]
-        degenerate = live & hit_zero
-        live &= ~degenerate
         mv = m @ v
         num = mv.swapaxes(1, 2) @ v
         lam = num / den
-        # a gram or iterate past float range; the penalty value fails there
-        overflow = live & ~np.isfinite(lam[:, 0, 0])
-        # the value reads max(lam, 0), which is flat where rounding puts a
-        # start near the kernel at lam <= 0
-        live &= ~overflow & (lam[:, 0, 0] > 0.0)
 
         # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked
         # backwards; each outer product is formed in one scratch buffer
@@ -142,6 +135,19 @@ def eigen_decay_gradient(ws, cs, p):
         # M = W W^T, so dL/dW = (G + G^T) W
         grad = np.add(gm, gm.swapaxes(1, 2), out=outer) @ ws
         grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))
+    lam = lam[:, 0, 0]
+    # every member live, with nonzero steps and a finite, positive estimate
+    # (a nan min or max fails the comparison): nothing to mark or zero
+    if all_live and steps.all() and den.all() and lam.min() > 0.0 and lam.max() < np.inf:
+        return grad, failed
+
+    degenerate = live & ((steps == 0.0).any(axis=1) | (den == 0.0)[:, 0, 0])
+    live &= ~degenerate
+    # a gram or iterate past float range; the penalty value fails there
+    overflow = live & ~np.isfinite(lam)
+    # the value reads max(lam, 0), which is flat where rounding puts a
+    # start near the kernel at lam <= 0
+    live &= ~overflow & (lam > 0.0)
     grad[~live] = 0.0
     bad = np.flatnonzero(degenerate | overflow).tolist()
     if bad:

@@ -85,12 +85,12 @@ class EpochRecord:
     train_objective: float
     train_loss: float
     val_loss: float  # None when early stopping is off
-    lambda_dom: tuple  # power-method estimate per weight layer
+    lambda_dom: tuple  # power-method estimate per weight layer; None if no history
 
 
 @dataclass
 class TrainHistory:
-    epochs: list
+    epochs: list  # None for a member that keeps no history
     best_epoch: int
 
     def records(self):
@@ -115,7 +115,8 @@ def save_history(history, path):
 class _Member:
     """One training run in a stack: its model, penalties, the rows of the
     shared dataset it trains on (None: all of them, in order), the rows of
-    its validation split (None: early stopping is off), and its
+    its validation split (None: early stopping is off), its EpochRecords
+    (None: it keeps none, as grid_search's members do), and its
     early-stopping state. Rows are gathered when used, so a member never
     holds a copy of the data."""
 
@@ -187,6 +188,23 @@ def _stacked_masks(members, rngs, hidden_dims, batch):
     return masks
 
 
+def _unread_lambdas(lambdas, params, specs, recorded):
+    """Fills in the lambdas (R, layers) that no penalty read, for the stack
+    positions in recorded: one stacked power iteration per layer and step
+    count (the entry's p for eigen decay, POWER_STEPS otherwise). One that
+    fails records nan; it ends nothing."""
+    for k, (w, penalized) in enumerate(zip(params[0::2], specs.layers)):
+        read = {r for g in penalized if g.kind == "eigen_decay" for r in g.members.tolist()}
+        groups = {}
+        for r in recorded:
+            if r not in read:
+                entry = specs[r].layers[k]
+                p = entry.p if entry.kind == "eigen_decay" else POWER_STEPS
+                groups.setdefault(p, []).append(r)
+        for p, idx in groups.items():
+            lambdas[idx, k] = _lambdas(w if len(idx) == len(specs) else w[idx], p)[0]
+
+
 def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
     """The epoch-end record of each member of a stack whose parameters are
     finite, or the DivergenceError that ends it. specs is the members'
@@ -194,12 +212,11 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
 
     One stacked total_objective over each member's training rows gives the
     objective and the lambda of each penalized eigen-decay layer; a member
-    whose penalty value cannot be computed ends. The history's other lambdas
-    take one stacked power iteration per layer and step count (the entry's
-    p for eigen decay, POWER_STEPS otherwise), and one that fails records
-    nan. One stacked forward pass over each member's validation rows gives
-    the validation loss; a member where it or the objective is not finite
-    diverges.
+    whose penalty value cannot be computed ends. A member that keeps a
+    history also records the lambdas no penalty read (_unread_lambdas); one
+    that keeps none gets a record without lambdas. One stacked forward pass
+    over each member's validation rows gives the validation loss; a member
+    where it or the objective is not finite diverges.
     """
     stack = _with_params(template, params)
     if members[0].rows is None:
@@ -212,17 +229,9 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
         X, Y = dataset.features[rows], dataset.encoded[rows]
     objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, specs)
 
-    # the lambdas no penalty read, for the members that do not end
-    for k, (w, penalized) in enumerate(zip(params[0::2], specs.layers)):
-        read = {r for g in penalized if g.kind == "eigen_decay" for r in g.members.tolist()}
-        groups = {}
-        for r, reg in enumerate(specs):
-            if r not in read and r not in failed:
-                entry = reg.layers[k]
-                p = entry.p if entry.kind == "eigen_decay" else POWER_STEPS
-                groups.setdefault(p, []).append(r)
-        for p, idx in groups.items():
-            lambdas[idx, k] = _lambdas(w if len(idx) == len(specs) else w[idx], p)[0]
+    recorded = [r for r, m in enumerate(members) if m.history is not None and r not in failed]
+    if recorded:
+        _unread_lambdas(lambdas, params, specs, recorded)
 
     val_loss = [None] * len(members)
     if members[0].val_rows is not None:
@@ -247,7 +256,8 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
             out.append(DivergenceError(
                 epoch, f"objective diverged at epoch {epoch}: {obj.total}"))
         else:
-            out.append(EpochRecord(epoch, obj.total, obj.loss, val, tuple(lambdas[j].tolist())))
+            lam = None if members[j].history is None else tuple(lambdas[j].tolist())
+            out.append(EpochRecord(epoch, obj.total, obj.loss, val, lam))
     return out
 
 
@@ -273,7 +283,8 @@ def _sgd_stack(members, dataset, loss_kind, config):
     are grouped (objectives._StackSpecs) once, and again only when some
     leave.
 
-    Returns one TrainHistory or DivergenceError per member, in order. Each
+    Returns one TrainHistory or DivergenceError per member, in order; a
+    member that keeps no history gets TrainHistory(None, best_epoch). Each
     member's model is written once, when it leaves the stack or training
     ends: with its final parameters, or with the best validation epoch's
     under early stopping, or as they were when it diverged.
@@ -351,7 +362,8 @@ def _sgd_stack(members, dataset, loss_kind, config):
             if isinstance(record, DivergenceError):
                 results[i] = record
                 continue
-            m.history.append(record)
+            if m.history is not None:
+                m.history.append(record)
             if not es.enabled:
                 m.best_epoch = epoch
             elif record.val_loss < m.best_val:
@@ -483,6 +495,7 @@ def grid_search(
         for f in range(n_folds):
             model = model_builder(_cell_seed(config.seed, ia, ib, f))
             m = _member(model, dataset, train_rows[f], reg, config)
+            m.history = None  # the search reads no member's history
             key = m.stack_key(dataset)
             pending.setdefault(key, []).append((pos, m))
             if len(pending[key]) == _stack_cap(model, config.batch_size):

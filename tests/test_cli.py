@@ -1150,12 +1150,36 @@ def test_generated_argv_ends_in_documented_exit_code(case):
 _LAYER_KINDS = ("plain", "scaled", "zero", "rank1", "kernel", "poison")
 
 
+_DROP = object()  # a mutation that deletes the field
+
+
+def _mutated(draw, value):
+    """value with its type or shape changed: a list and a scalar swapped,
+    a list one entry shorter or longer (an integer one less or more), the
+    value nested in a list, or a string, bool, null, object or missing
+    field in its place."""
+    kind = draw(st.sampled_from(["swap", "shorter", "longer", "nest", "string", "bool",
+                                 "null", "object", "drop"]))
+    is_list = isinstance(value, list)
+    if kind == "swap":
+        return (value[0] if value else 1.5) if is_list else [value]
+    if kind in ("shorter", "longer"):
+        step = -1 if kind == "shorter" else 1
+        if is_list:
+            return value[:-1] if step < 0 else value + value[-1:]
+        return value + step if isinstance(value, int) and not isinstance(value, bool) else 0.5
+    return {"nest": [value], "string": str(value), "bool": True, "null": None,
+            "object": {"value": value}, "drop": _DROP}[kind]
+
+
 @st.composite
 def _model_doc(draw):
     """A model document for 2 inputs and 2 classes, with 1-2 hidden layers.
     Each layer may be scaled by 1e-300 to 1e300, zero, rank-1, hold rows w
     and -w (which put the all-ones power start in W W^T's kernel) or hold
-    a nan or inf. The output may never change sign on the data."""
+    a nan or inf. The output may never change sign on the data. One
+    document in three has one field of the document or of a layer
+    _mutated, as MALFORMED_MODEL_DOCS' fixed cases are."""
     widths = [2] + [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 2)))] + [2]
     activation = draw(st.sampled_from(["sigmoid", "tanh", "linear", "relu"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1181,7 +1205,17 @@ def _model_doc(draw):
         layers.append({"activation": activation if k < len(widths) - 2 else "linear",
                        "out": h, "in": d, "weights": w.reshape(-1).tolist(),
                        "bias": bias.tolist()})
-    return {"format": "eigendecay-model", "version": 1, "layers": layers}
+    doc = {"format": "eigendecay-model", "version": 1, "layers": layers}
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(-1, len(layers) - 1))
+        target = doc if k < 0 else layers[k]
+        key = draw(st.sampled_from(sorted(target)))
+        value = _mutated(draw, target[key])
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
 
 
 _MODEL_COMMANDS = {

@@ -37,6 +37,12 @@ class TestEncoding:
             with pytest.raises(ValueError):
                 encode_batch_pm1([0, bad], 2)
 
+    def test_out_of_range_names_the_first_bad_class(self):
+        for targets, first in (([0, 5, 1, -2], 5), ([1, -2, 0, 5], -2)):
+            with pytest.raises(ValueError) as got:
+                encode_batch_pm1(np.array(targets), 2)
+            assert str(got.value) == f"class {first} out of range for 2 classes"
+
     @given(st.integers(1, 20), st.data())
     @settings(max_examples=50, deadline=None)
     def test_decode_round_trip(self, n_classes, data):

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from eigendecay import model as model_module, train
 from eigendecay.cli import main
 from eigendecay.data import Dataset, gen_two_gaussians, kfold
-from eigendecay.model import init_mlp, save_model
+from eigendecay.model import init_mlp, model_params, save_model
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import (
     DivergenceError,
@@ -297,6 +298,85 @@ def test_members_hold_row_indices_not_data():
         if isinstance(value, np.ndarray):
             assert value.dtype.kind == "i"
     np.testing.assert_array_equal(np.sort(np.concatenate([m.rows, m.val_rows])), rows)
+
+
+def _grid_members(ds, cfg, keep_history):
+    """grid_search's members for _mixed_regs' 4 x 2 grid plus a diverging
+    cell, over 5 folds of 203 rows (training sets of 162 and 163 rows),
+    and each one's held-out rows. Each cell's fold-0 member has output rows
+    w and -w, which mse keeps so: the all-ones start lies in the kernel of
+    its output gram, so the unread output lambda of an unpenalized output
+    layer records nan and the member trains on, and a penalized one
+    diverges."""
+    folds = kfold(ds, 5, cfg.seed)
+    regs = [_mixed_regs(a, b) for a in (0.0, 1.0, 2.0, 3.0) for b in (0.0, 4e-3)]
+    regs.append(RegularizerSpec((LayerPenalty("eigen_decay", 1e200), LayerPenalty()),
+                                (0.0,)))
+    members, held = [], []
+    for cell, reg in enumerate(regs):
+        for f, fold in enumerate(folds):
+            model = _sigmoid_builder(train._cell_seed(cfg.seed, cell, 0, f))
+            if f == 0:
+                model.output.weights[1] = -model.output.weights[0]
+            m = train._member(model, ds, np.setdiff1d(np.arange(len(ds)), fold), reg, cfg)
+            if not keep_history:
+                m.history = None
+            members.append(m)
+            held.append(fold)
+    return members, held
+
+
+def _train_grid_members(ds, cfg, keep_history):
+    """Each member's result and held-out scores, its stack the members of
+    its training-set size, as grid_search stacks them: two stacks, or one
+    whose validation splits differ by a row under early stopping."""
+    members, held = _grid_members(ds, cfg, keep_history)
+    by_size = {}
+    for i, m in enumerate(members):
+        by_size.setdefault(m.train_size(ds), []).append(i)
+    results = [None] * len(members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for idx in by_size.values():
+            trained = train._sgd_stack([members[i] for i in idx], ds, "mse", cfg)
+            for i, result in zip(idx, trained):
+                results[i] = result
+    scores = [None if isinstance(r, DivergenceError) else evaluate(m.model, ds.subset(rows))
+              for m, r, rows in zip(members, results, held)]
+    return members, results, scores
+
+
+@pytest.mark.parametrize("early_stopping", [False, True])
+def test_members_without_history_end_as_members_with_one(early_stopping):
+    ds = _odd_blobs()
+    cfg = TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=8, seed=4,
+                      early_stopping=EarlyStopping(early_stopping, patience=2,
+                                                   validation_fraction=0.25))
+    kept, kept_results, kept_scores = _train_grid_members(ds, cfg, True)
+    bare, bare_results, bare_scores = _train_grid_members(ds, cfg, False)
+
+    for m, kept_r, bare_r in zip(kept, kept_results, bare_results):
+        if isinstance(kept_r, DivergenceError):
+            assert isinstance(bare_r, DivergenceError)
+            assert (bare_r.epoch, str(bare_r)) == (kept_r.epoch, str(kept_r))
+        else:
+            assert bare_r.epochs is None
+            assert bare_r.best_epoch == kept_r.best_epoch
+    assert bare_scores == kept_scores
+    for k, b in zip(kept, bare):
+        for got, want in zip(model_params(b.model), model_params(k.model)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    # the fold-0 members of cells with an unpenalized output layer recorded a
+    # failed output lambda at every epoch and trained on; those of cells
+    # with a penalized one diverged, as did every member of the last cell
+    kernel = [r for j, r in enumerate(kept_results) if j % 5 == 0 and j < 40]
+    for r, reg in zip(kernel, [_mixed_regs(a, b) for a in range(4) for b in (0.0, 4e-3)]):
+        if reg.layers[1].kind == "none":
+            assert all(np.isnan(e.lambda_dom[1]) for e in r.epochs)
+        else:
+            assert isinstance(r, DivergenceError)
+    assert all(isinstance(r, DivergenceError) for r in kept_results[40:])
 
 
 def _sha(path):

@@ -13,7 +13,12 @@ import reference
 
 from eigendecay import train
 from eigendecay.data import Dataset, gen_two_gaussians
-from eigendecay.grad import DEGENERATE_ITERATE, backward, eigen_decay_gradient
+from eigendecay.grad import (
+    DEGENERATE_ITERATE,
+    NORM_OVERFLOW,
+    backward,
+    eigen_decay_gradient,
+)
 from eigendecay.linalg import DegenerateIterateError, gram, power_dominant_eigen
 from eigendecay.model import (
     Activation,
@@ -217,6 +222,11 @@ def test_eigen_decay_gradient_stack_zeroes_dead_members():
     # C * ||W||_2 is linear in the scale of W, so the tiny member is live
     # and has the gradient of the member it is a multiple of
     assert np.max(np.abs(stacked[2] - stacked[0])) <= 1e-12 * np.max(np.abs(stacked[0]))
+    # without the zero member every member is live: the kernel marks and
+    # zeroes nothing, and each slice keeps the bits it has above
+    live, failed = _assert_gradient_matches_the_reference(W[[0, 2]], C[[0, 2]], 9)
+    assert failed == {}
+    assert_bitwise(live, [stacked[0], stacked[2]])
 
 
 def test_degenerate_members_are_marked_and_zeroed():
@@ -240,6 +250,39 @@ def test_degenerate_members_are_marked_and_zeroed():
         alone, error = _member_gradient(W, C, 9, r)
         assert (type(error), str(error)) == (type(failed[r]), str(failed[r]))
         assert not np.any(alone)
+
+    # one live member among a zero W, a non-finite W, a start in the
+    # kernel, a gram past float range, a squared iterate norm past float
+    # range, and a start so near the kernel that one step reads lambda < 0
+    W = np.stack([
+        [[0.3], [-1.2], [0.7]],
+        [[0.0], [0.0], [0.0]],
+        [[1.0], [np.inf], [0.0]],
+        [[1.0], [-1.0], [0.0]],
+        [[1e160], [1.0], [1.0]],
+        [[1e150], [1e150], [1.0]],
+        [[-0.7723013541726013], [1.5825995690031542], [-0.8102982148305529]],
+    ])
+    C = np.full(len(W), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the frozen copy's
+        grad, failed = _assert_gradient_matches_the_reference(W, C, 1)
+        # and each beside the live member alone
+        for r in range(1, len(W)):
+            pair, pair_failed = _assert_gradient_matches_the_reference(W[[0, r]], C[:2], 1)
+            assert_bitwise(pair, [grad[0], grad[r]])
+            assert _errors(pair_failed) == _errors({1: failed[r]} if r in failed else {})
+    assert _errors(failed) == {
+        2: (ValueError, "matrix entries must be finite"),
+        3: (DegenerateIterateError, DEGENERATE_ITERATE),
+        4: (ValueError, "matrix entries must be finite"),
+        5: (DegenerateIterateError, NORM_OVERFLOW),
+    }
+    assert np.any(grad[0]) and not np.any(grad[1:])
+    for r in range(len(W)):
+        alone, error = _member_gradient(W, C, 1, r)
+        assert_bitwise(grad[r:r + 1], [alone])
+        assert (type(error), str(error)) == (type(failed.get(r)), str(failed.get(r)))
 
 
 @pytest.mark.parametrize("R", STACKS)
