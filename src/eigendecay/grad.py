@@ -1,9 +1,10 @@
 """Exact reverse-mode gradients of the training objective.
 
 The eigenvalue penalty is differentiated through the unrolled power
-iteration: the estimated eigenvector is a function of the weights, not a
-constant, so the gradient here is the exact derivative of the quantity the
-objective actually computes. A central-difference oracle is provided for
+iteration, the very steps linalg._power takes for the penalty value: the
+estimated eigenvector is a function of the weights, not a constant, so the
+gradient here is the exact derivative of the quantity the objective
+actually computes. A central-difference oracle is provided for
 verification.
 """
 
@@ -11,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    ITERATE_OVERFLOW,
-    NONFINITE_MATRIX,
-    DegenerateIterateError,
-    gram,
-    power_dominant_eigen,
-)
+from .linalg import _power, gram
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
 from .objectives import RegularizerSpec, _grouped, loss_gradient_batch, total_objective
 
@@ -37,130 +32,63 @@ class Gradients:
         return out
 
 
-DEGENERATE_ITERATE = (
-    "power iterate hit the zero vector while differentiating the eigenvalue penalty"
-)
-# the iterate's squared norm passes float range for gram entries above about
-# 1e154, where the penalty value is still finite, so the next iterate is zero
-NORM_OVERFLOW = (
-    "power iterate norm overflowed while differentiating the eigenvalue penalty"
-)
-
-
 def eigen_decay_gradient(ws, cs, p):
     """(grad, failed): the gradient of C * sqrt(lambda_pm(W W^T)) with
     respect to W for each member of a weight stack ws (R, m, n). cs (R,)
     and p come from one objectives._StackSpecs group: each C is finite and
     positive, and p >= 1.
 
-    lambda_pm is the Rayleigh quotient of the p-step power iterate from the
-    all-ones vector, each step divided by its norm. The backward pass walks
-    the iteration in reverse, so the result is the exact gradient of the
-    estimate at finite p. Each slice of grad has the bits of the stack of
-    one on that member, and a zero W gets 0, a subgradient of C*||W||_2,
-    as does an estimate at or below 0, where the value is flat.
-    Like the spectral norm's C * u v^T, the gradient does not shrink with
-    W: s * W has the gradient of W, up to rounding, at any scale s whose
-    gram does not underflow.
+    lambda_pm is the penalty value's estimate: linalg._power on the gram,
+    whose steps divide each iterate by its largest entry and then its
+    2-norm. The backward pass walks that iteration in reverse, so the
+    result is the exact gradient of the estimate at finite p. Each slice
+    of grad has the bits of the stack of one on that member, and a zero W
+    gets 0, a subgradient of C*||W||_2, as does an estimate at or below 0,
+    where the value is flat. Like the spectral norm's C * u v^T, the
+    gradient does not shrink or grow with W: s * W has the gradient of W,
+    up to rounding, at any scale s where the value is finite and its gram
+    does not underflow.
 
     failed maps each member whose gradient cannot be formed to its error,
-    and its gradient is zero. Non-finite weights give ValueError. Where the
-    iteration fails and the penalty value (power_dominant_eigen on the
-    gram) fails with ValueError or OverflowError, the member gets that
-    error.
-    Otherwise an iterate that hits the zero vector, or whose norm overflows
-    and so zeroes the next one, gives DegenerateIterateError, and an
-    estimate past float range gives OverflowError.
-
-    Iterates are (R, n, 1) columns, so each GEMV and sqrt-of-dot norm has
-    the bits of the 1-D arithmetic on that member. Failures are told apart
-    after the loop; numpy's warnings for them would just precede the typed
-    error.
+    and its gradient is zero. A member fails exactly where the penalty
+    value fails, with the value's error: ValueError for a gram that is not
+    finite, DegenerateIterateError for an iterate that hits the zero
+    vector, OverflowError for one that overflows.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = gram(ws)
-        # the gram diagonal holds each row's sum of squares, which is not
-        # finite where the row has a non-finite entry, and nonzero only
-        # where the row is. Only a member whose diagonal is not finite (a
-        # finite W whose squares overflow) or all zero (squares that
-        # underflow) needs its weights scanned.
-        diag = np.diagonal(m, axis1=1, axis2=2)
-        finite = np.isfinite(diag).all(axis=1)
-        live = diag.any(axis=1)
-    failed = {}
-    all_live = finite.all() and live.all()
-    if not all_live:
-        for r in np.flatnonzero(~finite | ~live).tolist():
-            if np.isfinite(ws[r]).all():
-                live[r] = ws[r].any()
-            else:
-                live[r] = False
-                failed[r] = ValueError(NONFINITE_MATRIX)
-    if not live.any():
-        return np.zeros_like(ws), failed
-
-    # members that are not live run along and are zeroed at the end
+    lam, failed, (iterates, peaks, norms, mv, num, den) = _power(m, p)
+    # members that fail or read lam <= 0 run along and are zeroed at the end
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # forward pass, keeping each post-step iterate
-        iterates = [np.ones(ws.shape[:2] + (1,))]
-        norms = []
-        v = iterates[0]
-        for _ in range(p):
-            v = m @ v
-            nrm = np.sqrt(v.swapaxes(1, 2) @ v)
-            v /= nrm
-            norms.append(nrm)
-            iterates.append(v)
-        steps = np.concatenate(norms, axis=2)[:, 0]
-        den = v.swapaxes(1, 2) @ v
-        mv = m @ v
-        num = mv.swapaxes(1, 2) @ v
-        lam = num / den
-
-        # reverse pass: d(lam)/dM accumulated in gm, d(lam)/dv walked
-        # backwards; each outer product is formed in one scratch buffer
+        # d(lam)/dM is the sum of outer products du_t v_(t-1)^T and
+        # v v^T / den; the du_t are walked backwards from d(lam)/dv and
+        # the sum is one product over the p + 1 columns
+        v = iterates[p]
         dnum = 1.0 / den
         dden = -num / (den * den)
-        gm = v * v.swapaxes(1, 2)
-        gm *= dnum
-        outer = np.empty_like(gm)
         dv = 2.0 * mv * dnum + 2.0 * v * dden
+        du = [v * dnum]
         for t in range(p, 0, -1):
             vt = iterates[t]
-            # v_t = u_t / ||u_t||
-            du = (dv - vt * (vt.swapaxes(1, 2) @ dv)) / norms[t - 1]
-            gm += np.multiply(du, iterates[t - 1].swapaxes(1, 2), out=outer)
+            # v_t = u_t / (peak_t * norm_t), and v_t is scale-free in u_t
+            u = (dv - vt * (vt.swapaxes(1, 2) @ dv)) / norms[t - 1] / peaks[t - 1]
+            du.append(u)
             if t > 1:  # v_0 is the fixed start, so nothing reads its dv
-                dv = m @ du
+                dv = m @ u
+        gm = np.concatenate(du, axis=2) @ np.concatenate(iterates[::-1], axis=2).swapaxes(1, 2)
         # M = W W^T, so dL/dW = (G + G^T) W
-        grad = np.add(gm, gm.swapaxes(1, 2), out=outer) @ ws
-        grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))
-    lam = lam[:, 0, 0]
-    # every member live, with nonzero steps and a finite, positive estimate
-    # (a nan min or max fails the comparison): nothing to mark or zero
-    if all_live and steps.all() and den.all() and lam.min() > 0.0 and lam.max() < np.inf:
+        grad = (gm + gm.swapaxes(1, 2)) @ ws
+        grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))[:, None, None]
+    # a finite, positive estimate everywhere (a nan min fails the
+    # comparison): nothing to mark or zero
+    if lam.min() > 0.0:
         return grad, failed
-
-    degenerate = live & ((steps == 0.0).any(axis=1) | (den == 0.0)[:, 0, 0])
-    live &= ~degenerate
-    # a gram or iterate past float range; the penalty value fails there
-    overflow = live & ~np.isfinite(lam)
-    # the value reads max(lam, 0), which is flat where rounding puts a
-    # start near the kernel at lam <= 0
-    live &= ~overflow & (lam > 0.0)
-    grad[~live] = 0.0
-    bad = np.flatnonzero(degenerate | overflow).tolist()
-    if bad:
-        _, value_failed = power_dominant_eigen(m[bad], p)
-        for j, r in enumerate(bad):
-            exc = value_failed.get(j)
-            if isinstance(exc, (ValueError, OverflowError)):
-                failed[r] = exc
-            elif degenerate[r]:
-                failed[r] = DegenerateIterateError(
-                    NORM_OVERFLOW if (steps[r] == np.inf).any() else DEGENERATE_ITERATE)
-            else:
-                failed[r] = OverflowError(ITERATE_OVERFLOW)
+    # the value reads 0 for a zero W and max(lam, 0), which is flat where
+    # rounding puts a start near the kernel at lam <= 0
+    for r in list(failed):
+        if not ws[r].any():
+            del failed[r]
+    grad[~(lam > 0.0)] = 0.0
     return grad, failed
 
 

@@ -1,5 +1,9 @@
 """Dense matrix/vector plumbing, power-method eigenvalue estimation, and a
-cyclic-Jacobi eigensolver kept as an exact, slow reference."""
+cyclic-Jacobi eigensolver kept as an exact, slow reference.
+
+_power is the program's only power iteration: the penalty value reads its
+estimate through power_dominant_eigen, and grad.eigen_decay_gradient
+differentiates the same steps."""
 
 import math
 
@@ -76,6 +80,62 @@ DEGENERATE_START = (
 ITERATE_OVERFLOW = "power iterate overflowed"
 
 
+def _power(ms, p):
+    """(lam, failed, trail): the one power iteration, run on a stack ms
+    (R, n, n) of symmetric matrices for p >= 1 steps from the all-ones
+    vector. power_dominant_eigen returns its (lam, failed), and
+    grad.eigen_decay_gradient walks its trail backwards.
+
+    Step t multiplies, u_t = M v_(t-1), then divides by the largest entry,
+    peak_t, and then by the 2-norm of the result, norm_t, so v_t is u_t over
+    ||u_t|| = peak_t * norm_t. trail is (iterates, peaks, norms, mv, num,
+    den): the p + 1 iterates v_0 .. v_p as (R, n, 1) columns, the p peaks
+    and norms as (R, 1, 1) arrays, M v_p, and the Rayleigh quotient's
+    numerator (M v_p)^T v_p and denominator v_p^T v_p, each (R, 1, 1).
+
+    Columns give each member's GEMV, max-abs and sqrt-of-dot norm the bits
+    of 1-D m @ v, max(abs(v)) and np.linalg.norm(v). A non-finite matrix, a
+    zero peak and an overflow each leave lam not finite, so failures are
+    told apart only then; numpy's warnings for them would just precede the
+    typed error.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.ones(ms.shape[:-1] + (1,))
+        iterates, peaks, norms = [v], [], []
+        for _ in range(p):
+            v = ms @ v
+            # scale by the largest entry first so the squared sum in the
+            # 2-norm cannot overflow for huge spectra
+            peak = abs(v).max(axis=-2, keepdims=True)
+            v = v / peak
+            nrm = np.sqrt(v.swapaxes(-1, -2) @ v)
+            v = v / nrm
+            iterates.append(v)
+            peaks.append(peak)
+            norms.append(nrm)
+        # the largest entry of v is at least 1/sqrt(n), so den > 0 unless
+        # an earlier step failed
+        den = v.swapaxes(-1, -2) @ v
+        mv = ms @ v
+        num = mv.swapaxes(-1, -2) @ v
+        lam = (num / den)[:, 0, 0]
+    failed = {}
+    bad = ~np.isfinite(lam)
+    if bad.any():
+        # a zero peak makes every later iterate nan, and the first GEMV
+        # carries any non-finite entry of m into lam
+        zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[:, 0]
+        for r in np.flatnonzero(bad).tolist():
+            if not np.isfinite(ms[r]).all():
+                failed[r] = ValueError(NONFINITE_MATRIX)
+            elif zero[r]:
+                failed[r] = DegenerateIterateError(DEGENERATE_START)
+            else:
+                failed[r] = OverflowError(ITERATE_OVERFLOW)
+        lam[bad] = math.nan
+    return lam, failed, (iterates, peaks, norms, mv, num, den)
+
+
 def power_dominant_eigen(ms, p):
     """(lam, failed): the dominant-eigenvalue estimate of each member of a
     stack ms (R, n, n) of symmetric matrices, which the program makes as
@@ -96,40 +156,7 @@ def power_dominant_eigen(ms, p):
     ValueError, an iterate that hits the zero vector
     DegenerateIterateError, and one that overflows OverflowError.
     """
-    # iterates are (R, n, 1) columns: the GEMV, the max-abs and the
-    # sqrt-of-dot norm of each member then have the bits of 1-D m @ v,
-    # max(abs(v)) and np.linalg.norm(v). Failures are told apart after the
-    # loop; numpy's warnings for them would just precede the typed error.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = np.ones(ms.shape[:-1] + (1,))
-        peaks = []
-        for _ in range(p):
-            v = ms @ v
-            # scale by the largest entry first so the squared sum in the
-            # 2-norm cannot overflow for huge spectra
-            peak = abs(v).max(axis=-2, keepdims=True)
-            peaks.append(peak)
-            v = v / peak
-            v = v / np.sqrt(v.swapaxes(-1, -2) @ v)
-        # the largest entry of v is at least 1/sqrt(n), so den > 0 unless
-        # an earlier step failed
-        den = v.swapaxes(-1, -2) @ v
-        num = (ms @ v).swapaxes(-1, -2) @ v
-        lam = (num / den)[:, 0, 0]
-    # a zero peak makes every later iterate nan, so it is told apart here
-    zero = (np.concatenate(peaks, axis=-1) == 0.0).any(axis=-1)[:, 0]
-    overflow = ~(np.isfinite(num) & np.isfinite(den))[:, 0, 0]
-    finite = np.isfinite(ms).all(axis=(1, 2))
-    failed = {}
-    for r in np.flatnonzero(~finite | zero | overflow).tolist():
-        if not finite[r]:
-            failed[r] = ValueError(NONFINITE_MATRIX)
-        elif zero[r]:
-            failed[r] = DegenerateIterateError(DEGENERATE_START)
-        else:
-            failed[r] = OverflowError(ITERATE_OVERFLOW)
-    if failed:
-        lam[list(failed)] = math.nan
+    lam, failed, _ = _power(ms, p)
     return lam, failed
 
 

@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,14 @@ def max_rel_err(a, b, floor=1e-8):
     b = np.asarray(b, dtype=float)
     denom = np.maximum.reduce([np.abs(a), np.abs(b), np.full_like(a, floor)])
     return float(np.max(np.abs(a - b) / denom))
+
+
+def _warned(call):
+    """(result, [(category, message)]) of a call, every warning recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 def linear_layer(weights, bias=None):

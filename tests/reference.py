@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from eigendecay.grad import DEGENERATE_ITERATE, NORM_OVERFLOW
 from eigendecay.linalg import (
     DEGENERATE_START,
     ITERATE_OVERFLOW,
@@ -151,62 +150,52 @@ def _dot(a, b):
 
 def power_gradient(ws, cs, p):
     """eigen_decay_gradient's (grad, failed) for a weight stack (R, m, n)
-    and positive coefficients (R,), on (R, m) row iterates each divided by
-    its norm, with full finiteness and all-zero scans of W. A member whose
-    iteration fails takes the ValueError or OverflowError that power()
-    gives on its gram, where power() gives one."""
-    finite = np.isfinite(ws).all(axis=(1, 2))
-    failed = {r: ValueError(NONFINITE_MATRIX) for r in np.flatnonzero(~finite).tolist()}
-    live = finite & ws.any(axis=(1, 2))
-    if not live.any():
-        return np.zeros_like(ws), failed
-    hit_zero = np.zeros(len(ws), dtype=bool)
-    norm_overflow = np.zeros(len(ws), dtype=bool)
+    and positive coefficients (R,), on (R, m) row iterates with power()'s
+    steps: a division by the max-abs peak, then one by the norm. The
+    reverse pass divides by the norm, then the peak, and sums the outer
+    products as one product over the p + 1 stacked columns. A member with
+    a nonzero W takes the error power() gives on its gram; a zero W, a
+    failed member and an estimate at or below 0 get a zero gradient."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = gram(ws)
         iterates = [np.ones(ws.shape[:2])]
-        norms = []
+        peaks, norms = [], []
         v = iterates[0]
         for _ in range(p):
             v = _mv(m, v)
+            peak = np.abs(v).max(axis=1)
+            v = v / peak[:, None]
             nrm = np.sqrt(_dot(v, v))
-            hit_zero |= nrm == 0.0
-            norm_overflow |= nrm == np.inf
             v = v / nrm[:, None]
+            peaks.append(peak)
             norms.append(nrm)
             iterates.append(v)
         den = _dot(v, v)
-        hit_zero |= den == 0.0
-        degenerate = live & hit_zero
-        live &= ~degenerate
         mv = _mv(m, v)
         num = _dot(mv, v)
         lam = num / den
-        overflow = live & ~np.isfinite(lam)
-        live &= ~overflow & (lam > 0.0)
         dnum = 1.0 / den
         dden = -num / (den * den)
-        gm = (v[:, :, None] * v[:, None, :]) * dnum[:, None, None]
         dv = 2.0 * mv * dnum[:, None] + 2.0 * v * dden[:, None]
+        dus = [v * dnum[:, None]]
         for t in range(p, 0, -1):
             vt = iterates[t]
-            du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None]
-            gm += du[:, :, None] * iterates[t - 1][:, None, :]
+            du = (dv - vt * _dot(vt, dv)[:, None]) / norms[t - 1][:, None] / peaks[t - 1][:, None]
+            dus.append(du)
             if t > 1:
                 dv = _mv(m, du)
+        gm = np.stack(dus, axis=2) @ np.stack(iterates[::-1], axis=1)
         dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
-        grad = (cs / (2.0 * np.sqrt(lam)))[:, None, None] * dlam_dw
+        grad = dlam_dw * (cs / (2.0 * np.sqrt(lam)))[:, None, None]
+    failed = {}
+    for r in np.flatnonzero(ws.any(axis=(1, 2))).tolist():
+        _, error = power(m[r], p)
+        if error is not None:
+            failed[r] = error
+    live = lam > 0.0
+    live[list(failed)] = False
     if not live.all():
         grad = np.where(live[:, None, None], grad, 0.0)
-    for r in np.flatnonzero(degenerate | overflow).tolist():
-        _, error = power(m[r], p)
-        if isinstance(error, (ValueError, OverflowError)):
-            failed[r] = error
-        elif degenerate[r]:
-            failed[r] = DegenerateIterateError(
-                NORM_OVERFLOW if norm_overflow[r] else DEGENERATE_ITERATE)
-        else:
-            failed[r] = OverflowError(ITERATE_OVERFLOW)
     return grad, failed
 
 

@@ -70,31 +70,31 @@ def _digest(member, result):
 
 GOLDEN = {
     "mse": [
-        "d6c08f43397724a499599b116a276b03a17fd14464495ecbc0227c609f152ccd",
+        "7d0304ce227e3c64d959a8e1497ac8099d68d5c9d85c752de70cb8aa7fe9a463",
         "fb6540992966774c80fd417f49d29be383475108032b762b31a8f51ad1c3b341",
         "89639e7638c327a68004c96c4c72884c9bd6e4bc968b89097e06148a5c0615f2",
         "cc77054e48c44d52b89b9ae294e84639e79ddcbddbee306aea5727355986a3de",
-        "a2ebba3183294453c9b4675e7e4b566cbcbc5b4e6a66737ce3d0c8745c173fd3",
+        "9fa568d63af73af3b6a4d78fdd6d44dfbbc2e263e4708fdfcd1320b732a7eb96",
         "0a6cbe6d0662fcae84a6bde6e4b08db21a6b55b4cb94dd5f3d0e98b1ca49a916",
-        "e5d1bfaef33ded6d3ac5b7536660e039f564ebcfcc03d0f79ca3f7198c070eb8",
+        "dc5bed17efd0a8ab7d697c3b9e0337350bf42e5bba17ad8af60fcb41499391d5",
     ],
     "categorical_cross_entropy": [
-        "72b5400a97a7adf44419714a42cdf787217bc6a3ec338b71f33cf489081e77c8",
+        "25c87dbe2756c878d03006c6e1779c8df2c6ec1244665c9ddd4de6bdcaf49f32",
         "434ee993b12a67416201b83326d551ba557c92e8185d6960bd71110b330db4f4",
         "b2eb623cd5713e45621877dc3bd8a80be2ac7010843c10ddb9a74e754d617f1b",
         "f2d4e578bba8e697f5d9db0b60cb3f8731df297180874237fcbeed0eef7c106d",
-        "950b0e558994e10d419ebfe41ca482a24131e8c4fbd42e5706a93f3531bf199b",
+        "b5a01241ae2c6e437537c5a9e2141777436da52c431a4f967b753c150537cbbb",
         "5fb0db52f784331bcdd308b25e506d5276f9d10fd8b9218a2da844a8f415fadc",
-        "b6ddf3e89680f3bc1da8c13a00f60e2e1062071dc03f5fb4b4b9e1feaf26de4a",
+        "daa4b9127eecad7281bd0cc887c1355c4d7fce634a2a87919776d62ee2836f70",
     ],
     "multiclass_hinge": [
-        "8c1beb287884f555d053068c204f28016802daf9aed8821ab77f68e8f142fd30",
+        "19c8d84ae3ead34cc21a7a7e11121b9749ddd65a1b7f9347495c33b1794165bf",
         "4bee3180c151bdd16572accbcbe76d19ff42c902dd715bed33aa803dcdd1457a",
         "ad47b1dc299e41434666afd95dda964cd0a4cd0e1c429d49ac07960f4b6d1781",
         "02b980b9f771071dfdcb70e9fe3d531de68e809c1dbcfa6a207831ece81f128a",
-        "c3e07681cdb9a13aee786d26050a23ddd0aab4b881bef655e32fbfeb48cef520",
+        "c504fecfcad3a86a6bd8e5d1350fdc4855adbbf787ee864b1f165fc8f8cf3230",
         "239e5bffee12306397a9f461e1435c1928bd809bbb3cb329140448044ce2fd9b",
-        "fda09215f083380d1b0bc04ee161dcf5da83562444800a3f53133da8f7155980",
+        "533bf592e8ecf06151f8210988a2c423d90e55c4151b75f279e26cb6add5184f",
     ],
 }
 

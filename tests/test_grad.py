@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from conftest import linear_layer, max_rel_err, small_model
+from conftest import _warned, linear_layer, max_rel_err, small_model
 import reference
 
 from eigendecay import grad
@@ -17,7 +17,7 @@ from eigendecay.grad import (
     finite_diff_gradient,
     finite_diff_model_gradient,
 )
-from eigendecay.linalg import DegenerateIterateError
+from eigendecay.linalg import ITERATE_OVERFLOW, NONFINITE_MATRIX, DegenerateIterateError
 from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp, model_params
 from eigendecay.objectives import (
     LOSS_KINDS,
@@ -166,21 +166,6 @@ class TestEigenDecayGradient:
         with pytest.raises(DegenerateIterateError):
             _gradient(w, 0.5, 9)
 
-    def test_norm_overflow_is_named_apart_from_the_kernel_start(self):
-        # gram entries near 1e300: the penalty value is finite, but the
-        # gradient's first iterate has a squared norm past float range, so
-        # the next iterate is zero
-        w = init_mlp([2, 4, 2], "sigmoid", seed=0).hidden[0].weights * 1e150
-        assert 0.0 < _penalty_value(w, 0.5, 9) < np.inf
-        assert reference.power(reference.gram(w), 9)[1] is None
-        with pytest.raises(DegenerateIterateError, match="^power iterate norm overflowed"):
-            _gradient(w, 0.5, 9)
-        # rows w and -w put the all-ones start in the kernel; a stack keeps
-        # each member's text
-        kernel = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        _, failed = eigen_decay_gradient(np.stack([w, kernel]), np.array([0.5, 0.5]), 9)
-        assert [str(failed[r]) for r in (0, 1)] == [grad.NORM_OVERFLOW, grad.DEGENERATE_ITERATE]
-
     def test_near_zero_spectrum_gives_c_u_vt(self):
         # W = 1e-9 * ones has lambda = 4e-18, and its top singular vectors
         # u = v = (1, 1)/sqrt(2) lie along the all-ones start, so the
@@ -201,11 +186,30 @@ class TestEigenDecayGradient:
     def test_gradient_is_scale_free(self, rng):
         # C * ||W||_2 is linear in the scale of W, so its gradient is the
         # same at s * W as at W for any s whose gram does not underflow
+        # and whose penalty value is finite
         w = rng.standard_normal((4, 3))
         want = _gradient(w, 0.5, 9)
-        for k in range(8, 61):
-            got = _gradient(10.0 ** -k * w, 0.5, 9)
+        for k in [-k for k in range(8, 61)] + list(range(1, 154)):
+            got, warned = _warned(lambda: _gradient(10.0 ** k * w, 0.5, 9))
+            assert warned == []
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    def test_gradient_fails_where_the_value_fails_at_huge_scales(self):
+        # past 1e153 the first iterate overflows, and past about 1e154 the
+        # gram does: the gradient takes the value's error, with no warning
+        w = init_mlp([2, 4, 2], "sigmoid", seed=0).hidden[0].weights
+        for k, error, text in ((154, OverflowError, ITERATE_OVERFLOW),
+                               (160, ValueError, NONFINITE_MATRIX)):
+            # the penalty value forms its gram outside an errstate
+            with pytest.raises(error, match=f"^{text}$"), np.errstate(over="ignore"):
+                _penalty_value(10.0 ** k * w, 0.5, 9)
+            (grad, failed), warned = _warned(
+                lambda: eigen_decay_gradient(10.0 ** k * w[None], np.array([0.5]), 9))
+            assert warned == []
+            assert {r: (type(e), str(e)) for r, e in failed.items()} == {0: (error, text)}
+            assert not grad.any()
+            with pytest.raises(error, match=f"^{text}$"):
+                _gradient(10.0 ** k * w, 0.5, 9)
 
 
 def _least_squares_oracle(model, X, Y):

@@ -385,11 +385,11 @@ def _sha(path):
 
 # sha256 of the outputs as the single-member training loop wrote them
 GRID_SHA256 = {
-    0: "59a99872aed86198e2aedf6d4cddce0233cdcbd5a767a909961418b143a0f8d1",
-    7: "68ad6b06654811b2a690acc50afb60e0a3a812ca111edbaea63e52d251b11b29",
+    0: "3b6a4e92cccee52d30ec16dbbdbec2e653849beef3c8ae3f74e2708d70b39655",
+    7: "fee0c5e05c9b2fe4643be762449b5f4da2c14bd4f80a3120ed02b388d9b8881c",
 }
-HISTORY_SHA256 = "b3664a8e54d363d42997372006bd0fa580e86105784cdacae5877e5b11901b1e"
-MODEL_SHA256 = "dbdf5f8e70d6fd574840f6ba0966e817ef650fe178ad89fc7b98af627dc0b594"
+HISTORY_SHA256 = "ac91b7f833dbe8de347bc181a05454a8ec48f40fa1ec32141d7921dcf7bd29ff"
+MODEL_SHA256 = "15a7ee31b4f0ab97c63615dfe51dc4a9e624888ebe28a65859c5e40a262b3843"
 
 
 @pytest.mark.parametrize("seed", sorted(GRID_SHA256))

@@ -12,9 +12,8 @@ ALLOWED = {
     "MarginReport", "MlpModel", "PointRecord",
     "AnchorSamplingError", "BisectionToleranceError", "DegenerateGradientError",
     "DegenerateIterateError", "NoCrossingError", "NonFiniteMidpointError",
-    "BISECTION_MAX_STEPS", "BISECTION_TOL", "BOUND_EPS_REL", "DEGENERATE_ITERATE",
-    "DEGENERATE_START", "ITERATE_OVERFLOW", "LOSS_KINDS",
-    "NONFINITE_MATRIX", "NORM_OVERFLOW",
+    "BISECTION_MAX_STEPS", "BISECTION_TOL", "BOUND_EPS_REL", "DEGENERATE_START",
+    "ITERATE_OVERFLOW", "LOSS_KINDS", "NONFINITE_MATRIX",
 }
 
 
