@@ -55,11 +55,10 @@ def eigen_decay_gradient(ws, cs, p):
     finite, DegenerateIterateError for an iterate that hits the zero
     vector, OverflowError for one that overflows.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = gram(ws)
-    lam, failed, (iterates, peaks, norms, mv, num, den) = _power(m, p)
     # members that fail or read lam <= 0 run along and are zeroed at the end
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = gram(ws)
+        lam, failed, (iterates, peaks, norms, mv, num, den) = _power(m, p)
         # d(lam)/dM is the sum of outer products du_t v_(t-1)^T and
         # v v^T / den; the du_t are walked backwards from d(lam)/dv and
         # the sum is one product over the p + 1 columns
@@ -70,8 +69,12 @@ def eigen_decay_gradient(ws, cs, p):
         du = [v * dnum]
         for t in range(p, 0, -1):
             vt = iterates[t]
-            # v_t = u_t / (peak_t * norm_t), and v_t is scale-free in u_t
-            u = (dv - vt * (vt.swapaxes(1, 2) @ dv)) / norms[t - 1] / peaks[t - 1]
+            # v_t = u_t / (peak_t * norm_t), and v_t is scale-free in u_t:
+            # u = (dv - vt (vt^T dv)) / norm_t / peak_t, formed in place
+            u = vt * (vt.swapaxes(1, 2) @ dv)
+            np.subtract(dv, u, out=u)
+            u /= norms[t - 1]
+            u /= peaks[t - 1]
             du.append(u)
             if t > 1:  # v_0 is the fixed start, so nothing reads its dv
                 dv = m @ u

@@ -97,28 +97,28 @@ def _power(ms, p):
     of 1-D m @ v, max(abs(v)) and np.linalg.norm(v). A non-finite matrix, a
     zero peak and an overflow each leave lam not finite, so failures are
     told apart only then; numpy's warnings for them would just precede the
-    typed error.
+    typed error, so callers run it inside an np.errstate that ignores
+    overflow, invalid and divide.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = np.ones(ms.shape[:-1] + (1,))
-        iterates, peaks, norms = [v], [], []
-        for _ in range(p):
-            v = ms @ v
-            # scale by the largest entry first so the squared sum in the
-            # 2-norm cannot overflow for huge spectra
-            peak = abs(v).max(axis=-2, keepdims=True)
-            v = v / peak
-            nrm = np.sqrt(v.swapaxes(-1, -2) @ v)
-            v = v / nrm
-            iterates.append(v)
-            peaks.append(peak)
-            norms.append(nrm)
-        # the largest entry of v is at least 1/sqrt(n), so den > 0 unless
-        # an earlier step failed
-        den = v.swapaxes(-1, -2) @ v
-        mv = ms @ v
-        num = mv.swapaxes(-1, -2) @ v
-        lam = (num / den)[:, 0, 0]
+    v = np.ones(ms.shape[:-1] + (1,))
+    iterates, peaks, norms = [v], [], []
+    for _ in range(p):
+        v = ms @ v
+        # scale by the largest entry first so the squared sum in the 2-norm
+        # cannot overflow for huge spectra
+        peak = np.maximum.reduce(np.abs(v), axis=-2, keepdims=True)
+        v = v / peak
+        nrm = np.sqrt(v.swapaxes(-1, -2) @ v)
+        v = v / nrm
+        iterates.append(v)
+        peaks.append(peak)
+        norms.append(nrm)
+    # the largest entry of v is at least 1/sqrt(n), so den > 0 unless an
+    # earlier step failed
+    den = v.swapaxes(-1, -2) @ v
+    mv = ms @ v
+    num = mv.swapaxes(-1, -2) @ v
+    lam = (num / den)[:, 0, 0]
     failed = {}
     bad = ~np.isfinite(lam)
     if bad.any():
@@ -156,7 +156,8 @@ def power_dominant_eigen(ms, p):
     ValueError, an iterate that hits the zero vector
     DegenerateIterateError, and one that overflows OverflowError.
     """
-    lam, failed, _ = _power(ms, p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam, failed, _ = _power(ms, p)
     return lam, failed
 
 

@@ -231,8 +231,11 @@ def _lambdas(w, p):
     """(lambda, failed) for a weight stack (R, out, in): one stacked p-step
     power iteration on the grams. A zero W gets 0, as the iteration cannot
     start there; failed maps each nonzero member whose iteration fails to
-    its error, and its lambda is nan."""
-    lam, failed = power_dominant_eigen(gram(w), p)
+    its error, and its lambda is nan. A gram past float range fails as a
+    non-finite matrix, with no numpy warning first, as in the gradient."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = gram(w)
+    lam, failed = power_dominant_eigen(m, p)
     nonzero = w.any(axis=(1, 2))
     failed = {r: exc for r, exc in failed.items() if nonzero[r]}
     return np.where(nonzero, lam, 0.0), failed

@@ -167,25 +167,52 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _stacked_masks(members, rngs, hidden_dims, batch):
-    """Each member's dropout masks for one batch, drawn from its own
-    generator in single-run order; a member without dropout in a layer gets
-    ones there (x * 1.0 == x), and a layer without any dropout gets None."""
+def _stacked_masks(streams, rngs, stream_of, hidden_dims, batch):
+    """The live members' dropout masks for one batch: one draw per stream,
+    from its generator in single-run order, given to each member of the
+    stream (stream_of holds each member's position in streams). A stream
+    without dropout in a layer gets ones there (x * 1.0 == x), and a layer
+    no stream drops gets None."""
     drawn = [
-        sample_dropout_masks(m.reg.dropout, hidden_dims, batch, rng)
-        if m.reg.has_dropout else None
-        for m, rng in zip(members, rngs)
+        None if key is None else sample_dropout_masks(key, hidden_dims, batch, rngs[key])
+        for key in streams
     ]
     masks = []
     for k, width in enumerate(hidden_dims):
-        layer = [d[k] if d is not None else None for d in drawn]
+        layer = [None if d is None else d[k] for d in drawn]
         if all(mask is None for mask in layer):
             masks.append(None)
         else:
-            masks.append(_stack([
+            masks.append(np.stack([
                 np.ones((batch, width)) if mask is None else mask for mask in layer
-            ]))
+            ])[stream_of])
     return masks
+
+
+def _gathers(members, dataset):
+    """(X, Y, val): what the epoch end reads of a set of members, gathered
+    from the shared dataset by index once per set. X and Y stack each
+    member's training rows; members that train on all rows, as sgd_train's
+    does, read views of the data, not copies. val holds, per validation
+    split size (splits of one training-set size can differ by a row), the
+    members' stack positions and their stacked validation rows; it is None
+    when early stopping is off."""
+    if members[0].rows is None:
+        X, Y = (np.broadcast_to(a, (len(members),) + a.shape)
+                for a in (dataset.features, dataset.encoded))
+    else:
+        rows = _stack([m.rows for m in members])
+        X, Y = dataset.features[rows], dataset.encoded[rows]
+    val = None
+    if members[0].val_rows is not None:
+        by_size = {}
+        for i, m in enumerate(members):
+            by_size.setdefault(len(m.val_rows), []).append(i)
+        val = []
+        for idx in by_size.values():
+            rows = _stack([members[i].val_rows for i in idx])
+            val.append((idx, dataset.features[rows], dataset.encoded[rows]))
+    return X, Y, val
 
 
 def _unread_lambdas(lambdas, params, specs, recorded):
@@ -205,28 +232,21 @@ def _unread_lambdas(lambdas, params, specs, recorded):
             lambdas[idx, k] = _lambdas(w if len(idx) == len(specs) else w[idx], p)[0]
 
 
-def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
+def _epoch_end(members, params, template, gathered, loss_kind, epoch, specs):
     """The epoch-end record of each member of a stack whose parameters are
-    finite, or the DivergenceError that ends it. specs is the members'
-    objectives._StackSpecs.
+    finite, or the DivergenceError that ends it. gathered is the members'
+    _gathers and specs their objectives._StackSpecs.
 
     One stacked total_objective over each member's training rows gives the
     objective and the lambda of each penalized eigen-decay layer; a member
     whose penalty value cannot be computed ends. A member that keeps a
     history also records the lambdas no penalty read (_unread_lambdas); one
     that keeps none gets a record without lambdas. One stacked forward pass
-    over each member's validation rows gives the validation loss; a member
-    where it or the objective is not finite diverges.
+    per validation split size gives the validation loss; a member where it
+    or the objective is not finite diverges.
     """
+    X, Y, val = gathered
     stack = _with_params(template, params)
-    if members[0].rows is None:
-        # members that train on all rows, as sgd_train's does, read views
-        # of the data, not copies
-        X, Y = (np.broadcast_to(a, (len(members),) + a.shape)
-                for a in (dataset.features, dataset.encoded))
-    else:
-        rows = _stack([m.rows for m in members])
-        X, Y = dataset.features[rows], dataset.encoded[rows]
     objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, specs)
 
     recorded = [r for r, m in enumerate(members) if m.history is not None and r not in failed]
@@ -234,18 +254,12 @@ def _epoch_end(members, params, template, dataset, loss_kind, epoch, specs):
         _unread_lambdas(lambdas, params, specs, recorded)
 
     val_loss = [None] * len(members)
-    if members[0].val_rows is not None:
-        # validation splits of one training-set size can differ by a row
-        by_size = {}
-        for i, m in enumerate(members):
-            by_size.setdefault(len(m.val_rows), []).append(i)
-        for idx in by_size.values():
-            model = stack if len(idx) == len(members) else _with_params(
-                template, [p[idx] for p in params])
-            rows = _stack([members[i].val_rows for i in idx])
-            _, _, Yhat = forward_batch(model, dataset.features[rows])
-            for i, loss in zip(idx, loss_batch(loss_kind, Yhat, dataset.encoded[rows])):
-                val_loss[i] = float(loss)
+    for idx, Xv, Yv in val or ():
+        model = stack if len(idx) == len(members) else _with_params(
+            template, [p[idx] for p in params])
+        _, _, Yhat = forward_batch(model, Xv)
+        for i, loss in zip(idx, loss_batch(loss_kind, Yhat, Yv)):
+            val_loss[i] = float(loss)
 
     out = []
     for j, (obj, val) in enumerate(zip(objectives, val_loss)):
@@ -275,12 +289,17 @@ def _sgd_stack(members, dataset, loss_kind, config):
 
     Every parameter, activation and gradient carries a leading member axis,
     and each member's slice has the bits it would have trained alone. Each
-    member has its own Generator(config.seed) that draws its permutation and
-    then its dropout masks, batch by batch, and gathers its batch rows from
-    the shared dataset by index. All members must have the same training
-    set size. At each epoch end every member is checked on its own; one
-    that stops early or diverges leaves the stack. The live members' specs
-    are grouped (objectives._StackSpecs) once, and again only when some
+    member's draws would come from its own Generator(config.seed): its
+    permutation, then its dropout masks, batch by batch. Members whose
+    draws are the same share one such generator, a draw stream keyed by
+    their dropout rates, which draws each epoch's permutation and each
+    batch's masks once for all of them. All members must have the same
+    training set size; each epoch's batch rows come from one fancy index
+    into the live members' stacked row indices. At each epoch end every
+    member is checked on its own; one that stops early or diverges leaves
+    the stack. The live members' specs are grouped
+    (objectives._StackSpecs), their row indices stacked and their
+    epoch-end rows gathered (_gathers) once, and again only when some
     leave.
 
     Returns one TrainHistory or DivergenceError per member, in order; a
@@ -292,28 +311,41 @@ def _sgd_stack(members, dataset, loss_kind, config):
     es = config.early_stopping
     template = members[0].model
     n = members[0].train_size(dataset)
-    rngs = [np.random.default_rng(config.seed) for _ in members]
+    # alone, every member draws from a Generator(config.seed), so members
+    # with equal dropout rates draw the same permutations and masks, and
+    # members without dropout the same permutations: one draw stream each
+    keys = [m.reg.dropout if m.reg.has_dropout else None for m in members]
+    rngs = {key: np.random.default_rng(config.seed) for key in dict.fromkeys(keys)}
     results = [None] * len(members)
     active = list(range(len(members)))
     params = [_stack(arrays) for arrays in zip(*(model_params(m.model) for m in members))]
     velocity = [np.zeros_like(p) for p in params] if config.momentum > 0 else None
-    any_dropout = any(m.reg.has_dropout for m in members)
-    specs = None  # the live members' grouped specs; None once some leave
+    any_dropout = any(key is not None for key in keys)
+    specs = None  # the live set's grouped specs; None once some leave
 
     for epoch in range(config.max_epochs):
         if specs is None:
             stack = _with_params(template, params)
             live = [members[i] for i in active]
-            live_rngs = [rngs[i] for i in active]
             specs = _StackSpecs(m.reg for m in live)
-        orders = [rng.permutation(n) if config.shuffle else np.arange(n) for rng in live_rngs]
-        rows = _stack([o if m.rows is None else m.rows[o] for m, o in zip(live, orders)])
+            # the live streams in order of first member; member j draws from
+            # streams[stream_of[j]]
+            streams = list(dict.fromkeys(keys[i] for i in active))
+            stream_of = np.array([streams.index(keys[i]) for i in active])
+            lanes = np.arange(len(live))[:, None]
+            member_rows = _stack([np.arange(n) if m.rows is None else m.rows for m in live])
+            gathered = _gathers(live, dataset)
+        rows = member_rows
+        if config.shuffle:
+            orders = np.stack([rngs[key].permutation(n) for key in streams])
+            rows = member_rows[lanes, orders[stream_of]]
         failed = {}  # stack position -> divergence message
         for start in range(0, n, config.batch_size):
             idx = rows[:, start : start + config.batch_size]
             masks = None
             if any_dropout:
-                masks = _stacked_masks(live, live_rngs, template.hidden_dims, idx.shape[1])
+                masks = _stacked_masks(streams, rngs, stream_of, template.hidden_dims,
+                                       idx.shape[1])
             grads = backward(
                 stack, dataset.features[idx], dataset.encoded[idx], loss_kind, specs, masks
             )
@@ -352,11 +384,12 @@ def _sgd_stack(members, dataset, loss_kind, config):
                 evaluate_at.append(j)
         records = []
         if len(evaluate_at) == len(live):
-            records = _epoch_end(live, params, template, dataset, loss_kind, epoch, specs)
+            records = _epoch_end(live, params, template, gathered, loss_kind, epoch, specs)
         elif evaluate_at:
-            records = _epoch_end([live[j] for j in evaluate_at],
-                                 [p[evaluate_at] for p in params], template, dataset,
-                                 loss_kind, epoch, _StackSpecs(specs[j] for j in evaluate_at))
+            evaluated = [live[j] for j in evaluate_at]
+            records = _epoch_end(evaluated, [p[evaluate_at] for p in params], template,
+                                 _gathers(evaluated, dataset), loss_kind, epoch,
+                                 _StackSpecs(specs[j] for j in evaluate_at))
         for j, record in zip(evaluate_at, records):
             i, m = active[j], live[j]
             if isinstance(record, DivergenceError):

@@ -196,13 +196,16 @@ class TestEigenDecayGradient:
 
     def test_gradient_fails_where_the_value_fails_at_huge_scales(self):
         # past 1e153 the first iterate overflows, and past about 1e154 the
-        # gram does: the gradient takes the value's error, with no warning
+        # gram does: the value and the gradient take the same error, with no
+        # warning
         w = init_mlp([2, 4, 2], "sigmoid", seed=0).hidden[0].weights
         for k, error, text in ((154, OverflowError, ITERATE_OVERFLOW),
                                (160, ValueError, NONFINITE_MATRIX)):
-            # the penalty value forms its gram outside an errstate
-            with pytest.raises(error, match=f"^{text}$"), np.errstate(over="ignore"):
-                _penalty_value(10.0 ** k * w, 0.5, 9)
+            def value():
+                with pytest.raises(error, match=f"^{text}$"):
+                    _penalty_value(10.0 ** k * w, 0.5, 9)
+            _, warned = _warned(value)
+            assert warned == []
             (grad, failed), warned = _warned(
                 lambda: eigen_decay_gradient(10.0 ** k * w[None], np.array([0.5]), 9))
             assert warned == []

@@ -287,6 +287,94 @@ class TestStackSize:
                                                      str(expected.value))
 
 
+class _CountingGenerator:
+    """A Generator(seed) that counts the permutations it draws."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.rng = self.make(seed)
+        self.permutations = 0
+
+    def permutation(self, n):
+        self.permutations += 1
+        return self.rng.permutation(n)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """The generators each stacked SGD loop makes, one list per loop."""
+    loops = []
+    original = train._sgd_stack
+
+    def spy(members, *args, **kwargs):
+        loops.append([])
+
+        def make(seed):
+            loops[-1].append(_CountingGenerator(seed))
+            return loops[-1][-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", make)
+            return original(members, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_sgd_stack", spy)
+    return loops
+
+
+def _dropout_regs(c_a, c_b):
+    # c_a picks the hidden layer's penalty and c_b its dropout rate, so the
+    # grid holds three dropout signatures: none, 0.15 and 0.3
+    hidden = {
+        0.0: LayerPenalty(),
+        1.0: LayerPenalty("l2", 2e-3),
+        3.0: LayerPenalty("eigen_decay", 1e-2),
+    }[c_a]
+    return RegularizerSpec((hidden, LayerPenalty("eigen_decay", 4e-3, 5)), (c_b,))
+
+
+def test_members_share_one_draw_stream_per_dropout_signature(generators):
+    ds = _blobs(60, seed=5)
+    cfg = TrainConfig(
+        learning_rate=0.6, batch_size=8, max_epochs=40, seed=9, momentum=0.5,
+        early_stopping=EarlyStopping(True, patience=2, validation_fraction=0.25),
+    )
+    built = []
+
+    def builder(seed):
+        built.append(_sigmoid_builder(seed))
+        return built[-1]
+
+    args = (ds, builder, "binary_cross_entropy", [0.0, 1.0, 3.0], [0.0, 0.15, 0.3], 4,
+            cfg, _dropout_regs)
+    reference = _per_member_grid(*args)
+    alone = [model_params(m) for m in built]
+    built.clear()
+    generators.clear()
+    stacked = grid_search(*args)
+    _assert_same(stacked, reference)
+    assert len(built) == len(alone) == 36
+    for m, want in zip(built, alone):
+        for got, w in zip(model_params(m), want):
+            np.testing.assert_array_equal(got.view(np.int64), w.view(np.int64))
+
+    # one stack of all 36 members and one generator per dropout signature,
+    # in order of first member: grid position 4c + f holds cell c, fold f,
+    # and cell c has rate index c % 3
+    (loop,) = generators
+    assert len(loop) == 3
+    epochs_run = reference[3]
+    for s, generator in enumerate(loop):
+        runs = [epochs_run[pos] for pos in range(36) if pos // 4 % 3 == s]
+        # its members leave the stack at different epochs, and it draws one
+        # permutation per epoch while any of them trains
+        assert len(set(runs)) > 1
+        assert generator.permutations == max(runs)
+
+
 def test_members_hold_row_indices_not_data():
     ds = _blobs(30, seed=2)
     cfg = TrainConfig(learning_rate=0.1, early_stopping=EarlyStopping(True))

@@ -395,8 +395,8 @@ def _epoch_records(params, regs, X, Y):
     members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None)
                for r, reg in enumerate(regs)]
     template = _two_layer([p[0] for p in params])
-    return train._epoch_end(members, params, template, ds, "multiclass_hinge", 0,
-                            _StackSpecs(regs))
+    return train._epoch_end(members, params, template, train._gathers(members, ds),
+                            "multiclass_hinge", 0, _StackSpecs(regs))
 
 
 def _assert_stack_matches_reference(params, regs, X, Y):
@@ -699,7 +699,7 @@ def test_gram_is_symmetric_to_the_bit_with_no_negative_zero(R, rows, cols, scale
     W[:, rng.integers(rows)] = 0.0
     W[:, rng.integers(rows)] = -0.0
     W = _laid_out(W, layout)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for w in (W, W[0]):
             g = gram(w)
             np.testing.assert_array_equal(_bits(g), _bits(reference.gram(w)))
