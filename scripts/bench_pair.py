@@ -11,8 +11,9 @@ side is the working tree, which on a clean checkout is HEAD. Every run is
 one of BENCHMARK.json's workloads at seed 0 for its run_seconds.
 Within a pair the side that runs first alternates. For every workload the
 record holds each end-to-end metric's median and quartiles per side, how
-many pairs the change won, and each side's sha256 of every workload's
-output fingerprint per seed, so byte identity can be read off the file.
+many pairs the change won, each side's timed repetitions per run, and each
+side's sha256 of every workload's output fingerprint per seed, so byte
+identity can be read off the file.
 """
 
 import argparse
@@ -76,10 +77,12 @@ def parse_pairs(spec):
 
 
 def parse_run_output(stdout):
-    """The result object run.py prints last, and its env line."""
+    """The result object run.py prints last, its env line, and the number
+    of timed repetitions its timing line gives (None without one)."""
     lines = stdout.strip().splitlines()
     env = next((json.loads(l[len("env "):]) for l in lines if l.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    reps = next((int(l.split()[1]) for l in lines if l.startswith("timing ")), None)
+    return json.loads(lines[-1]), env, reps
 
 
 def quartiles(values):
@@ -119,6 +122,20 @@ def summarize(pairs, end_to_end):
             "pairs_change_better": won,
         }
     return out
+
+
+def workload_record(pairs, repetitions, end_to_end):
+    """One workload's record. pairs as summarize takes them; repetitions
+    maps each side to its runs' timed repetition counts, in pair order.
+    run.py keeps every repetition's fingerprint, so peak_rss_mb grows with
+    the count and reads against it."""
+    return {
+        "pairs": len(pairs),
+        "correct": {side: all(p[k]["correct"] for p in pairs)
+                    for k, side in enumerate(("base", "change"))},
+        "repetitions": repetitions,
+        "metrics": summarize(pairs, end_to_end),
+    }
 
 
 def extract(rev, into):
@@ -178,11 +195,13 @@ def main(argv=None):
         }
         for name in args.pairs:
             pairs = []
+            repetitions = {"base": [], "change": []}
             for i in range(args.pairs[name]):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 got = {}
                 for side in order:
-                    got[side], env = run_bench(roots[side], name, seconds)
+                    got[side], env, reps = run_bench(roots[side], name, seconds)
+                    repetitions[side].append(reps)
                     record[side]["source_sha256"] = env.get("source_sha256")
                     print(f"{name} pair {i + 1}/{args.pairs[name]} {side}: "
                           f"correct={got[side]['correct']}", file=sys.stderr, flush=True)
@@ -190,12 +209,8 @@ def main(argv=None):
                     k: env.get(k) for k in ("nproc", "affinity_cpus", "python", "numpy",
                                             "blas", "blas_version", "blas_threads")}
                 pairs.append((got["base"], got["change"]))
-            record["workloads"][name] = {
-                "pairs": len(pairs),
-                "correct": {side: all(p[k]["correct"] for p in pairs)
-                            for k, side in enumerate(("base", "change"))},
-                "metrics": summarize(pairs, bench["end_to_end"]),
-            }
+            record["workloads"][name] = workload_record(
+                pairs, repetitions, bench["end_to_end"])
         prints = {side: {str(s): fingerprints(roots[side], s) for s in fp_seeds}
                   for side in roots}
         for name in args.pairs:

@@ -30,7 +30,7 @@ from .data import (
     write_delimited,
     write_jsonl,
 )
-from .linalg import POWER_STEPS, DegenerateIterateError, gram
+from .linalg import DegenerateIterateError, gram
 from .margin import (
     AnchorSamplingError,
     BisectionToleranceError,
@@ -65,6 +65,10 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
 
+# The loss of a config that names none, and of `eval` without --loss.
+# Every other default lives in the library call a key or flag feeds.
+DEFAULT_LOSS = "mse"
+
 
 class ConfigError(ValueError):
     pass
@@ -98,36 +102,38 @@ def _load_config(path):
     return config
 
 
+def _given(spec, *keys):
+    """The entries under keys that a config object sets. A key left out is
+    not passed on, so the library's own default applies."""
+    if not isinstance(spec, dict):
+        # a str would answer `key in spec` by substring
+        raise TypeError(f"expected a JSON object, got {spec!r}")
+    return {key: spec[key] for key in keys if key in spec}
+
+
+def _flags(args, *names):
+    """The flags among names that the command line gives."""
+    given = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _build_dataset(spec):
     kind = spec.get("kind")
     try:
         if kind == "csv":
-            return _load_csv(
-                spec["path"],
-                sep=spec.get("sep", ","),
-                header=spec.get("header", False),
-                n_classes=spec.get("n_classes"),
-            )
+            return _load_csv(spec["path"], **_given(spec, "sep", "header", "n_classes"))
         if kind == "idx":
             return _load_idx_pair(
-                spec["images"],
-                spec["labels"],
-                n_classes=spec.get("n_classes"),
-                limit=spec.get("limit"),
+                spec["images"], spec["labels"], **_given(spec, "n_classes", "limit")
             )
         if kind == "two_gaussians":
             return gen_two_gaussians(
-                n_per_class=spec["n_per_class"],
-                centers=spec.get("centers", ((-1.0, 0.0), (1.0, 0.0))),
-                sigma=spec.get("sigma", 0.5),
-                seed=spec.get("seed", 0),
+                spec["n_per_class"], **_given(spec, "centers", "sigma", "seed")
             )
         if kind == "two_moons":
-            return gen_two_moons(
-                n=spec["n"], noise=spec.get("noise", 0.1), seed=spec.get("seed", 0)
-            )
+            return gen_two_moons(spec["n"], **_given(spec, "noise", "seed"))
         if kind == "xor":
-            return gen_xor(n=spec["n"], seed=spec.get("seed", 0))
+            return gen_xor(spec["n"], **_given(spec, "seed"))
     except KeyError as exc:
         raise ConfigError(f"data spec is missing key {exc}") from None
     except DataError:
@@ -139,32 +145,28 @@ def _build_dataset(spec):
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
-def _load_csv(path, sep=",", header=False, n_classes=None):
+def _load_csv(path, **options):
     if not os.path.isfile(path):
         raise DataError(f"data file not found: {path}")
     try:
-        return load_delimited(path, sep=sep, header=header, n_classes=n_classes)
+        return load_delimited(path, **options)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
 
-def _load_idx_pair(images, labels, n_classes=None, limit=None):
+def _load_idx_pair(images, labels, **options):
     for path in (images, labels):
         if not os.path.isfile(path):
             raise DataError(f"data file not found: {path}")
     try:
-        return load_idx(images, labels, n_classes=n_classes, limit=limit)
+        return load_idx(images, labels, **options)
     except IdxFormatError as exc:
         raise DataError(str(exc)) from None
 
 
 def _build_model(spec):
     try:
-        return init_mlp(
-            spec["layers"],
-            hidden_activation=spec.get("hidden_activation", "sigmoid"),
-            seed=spec.get("seed", 0),
-        )
+        return init_mlp(spec["layers"], **_given(spec, "hidden_activation", "seed"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from None
     except MemoryError as exc:
@@ -172,21 +174,16 @@ def _build_model(spec):
 
 
 def _build_regularizers(spec, n_layers, n_hidden):
+    reg = RegularizerSpec.none(n_layers, n_hidden)
     if spec is None:
-        return RegularizerSpec.none(n_layers, n_hidden)
+        return reg
     try:
-        entries = []
-        for entry in spec.get("layers", [{}] * n_layers):
-            entries.append(
-                LayerPenalty(
-                    kind=entry.get("kind", "none"),
-                    c=entry.get("c", 0.0),
-                    p=entry.get("p", POWER_STEPS),
-                )
-            )
-        dropout = tuple(spec.get("dropout", (0.0,) * n_hidden))
-        reg = RegularizerSpec(tuple(entries), dropout)
-    except (ValueError, TypeError, AttributeError) as exc:
+        layers = reg.layers
+        if "layers" in spec:
+            layers = [LayerPenalty(**_given(entry, "kind", "c", "p"))
+                      for entry in spec["layers"]]
+        reg = RegularizerSpec(layers, spec.get("dropout", reg.dropout))
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad regularizer spec: {exc}") from None
     if len(reg.layers) != n_layers:
         raise ConfigError(
@@ -201,37 +198,46 @@ def _build_regularizers(spec, n_layers, n_hidden):
 
 def _build_train_config(spec, seed_override=None, epochs_override=None):
     spec = dict(spec or {})
+    if seed_override is not None:
+        spec["seed"] = seed_override
+    if epochs_override is not None:
+        spec["max_epochs"] = epochs_override
     es_spec = spec.get("early_stopping") or {}
     if not isinstance(es_spec, dict):
         raise ConfigError("config section 'early_stopping' must be a JSON object")
     try:
         es = EarlyStopping(
-            enabled=es_spec.get("enabled", False),
-            patience=es_spec.get("patience", 10),
-            validation_fraction=es_spec.get("validation_fraction", 0.1),
+            **_given(es_spec, "enabled", "patience", "validation_fraction")
         )
         return TrainConfig(
-            learning_rate=spec["learning_rate"],
-            batch_size=spec.get("batch_size", 32),
-            max_epochs=(
-                epochs_override
-                if epochs_override is not None
-                else spec.get("max_epochs", 100)
-            ),
-            seed=seed_override if seed_override is not None else spec.get("seed", 0),
+            spec["learning_rate"],
             early_stopping=es,
-            shuffle=spec.get("shuffle", True),
-            momentum=spec.get("momentum", 0.0),
+            **_given(spec, "batch_size", "max_epochs", "seed", "shuffle", "momentum"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad train spec: {exc}") from None
 
 
-def _loss_kind(config):
-    kind = config.get("loss", "mse")
+def _loss_kind(kind):
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss {kind!r}; pick one of {LOSS_KINDS}")
     return kind
+
+
+def _numerics():
+    """What report bytes depend on besides the config and seeds: the numpy
+    and BLAS build, and the threads BLAS may split a matmul across."""
+    build = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.26
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "affinity_cpus": len(affinity(0)) if affinity else None,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
 
 
 def _write_manifest(out_dir, command, config_echo, seed, started, outputs):
@@ -241,6 +247,7 @@ def _write_manifest(out_dir, command, config_echo, seed, started, outputs):
         "config": config_echo,
         "seed": seed,
         "version": __version__,
+        "numerics": _numerics(),
         "duration_s": time.perf_counter() - started,
         "outputs": sorted(outputs),
     }
@@ -264,13 +271,13 @@ def cmd_train(args):
     started = time.perf_counter()
     config = _load_config(args.config)
     out = _out_dir(args)
-    loss_kind = _loss_kind(config)
+    loss_kind = _loss_kind(config.get("loss", DEFAULT_LOSS))
     tcfg = _build_train_config(config.get("train"), args.seed, args.epochs)
-    model = _build_model(config.get("model", {}))
+    model = _build_model(config.get("model") or {})
     reg = _build_regularizers(
         config.get("regularizers"), len(model.layers), len(model.hidden)
     )
-    dataset = _build_dataset(config.get("data", {}))
+    dataset = _build_dataset(config.get("data") or {})
     try:
         model, history = sgd_train(model, dataset, loss_kind, reg, tcfg)
     except ValueError as exc:
@@ -295,7 +302,7 @@ def _load_eval_data(args):
             dataset = dataset.subset(np.arange(min(args.limit, len(dataset))))
         return dataset
     if args.images and args.labels:
-        return _load_idx_pair(args.images, args.labels, limit=args.limit)
+        return _load_idx_pair(args.images, args.labels, **_flags(args, "limit"))
     raise ConfigError("provide --data CSV or --images/--labels IDX paths")
 
 
@@ -324,8 +331,7 @@ def cmd_eval(args):
     model = _load_model_file(args.model)
     dataset = _load_eval_data(args)
     _require_fit(model, dataset)
-    if args.loss not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss {args.loss!r}; pick one of {LOSS_KINDS}")
+    _loss_kind(args.loss)
     scores = evaluate(model, dataset, args.loss)
     report = {
         "accuracy": scores["accuracy"],
@@ -350,19 +356,18 @@ def cmd_gridsearch(args):
     started = time.perf_counter()
     config = _load_config(args.config)
     out = _out_dir(args)
-    loss_kind = _loss_kind(config)
+    loss_kind = _loss_kind(config.get("loss", DEFAULT_LOSS))
     grid = config.get("grid") or {}
-    grid_a = grid.get("a", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
-    grid_b = grid.get("b", [0.0, 1e-4, 1e-3, 1e-2, 1e-1])
+    # the axes and folds are the command's own; grid_search has none
+    grid_a, grid_b = (grid.get(key, [0.0, 1e-4, 1e-3, 1e-2, 1e-1]) for key in "ab")
     for key, axis in (("a", grid_a), ("b", grid_b)):
         if not isinstance(axis, list) or any(isinstance(c, bool) for c in axis):
             raise ConfigError(f"grid axis {key!r} must be a list of coefficients")
     folds = grid.get("folds", 5)
-    select_by = grid.get("select_by", "accuracy")
     tcfg = _build_train_config(config.get("train"), args.seed, args.epochs)
-    model_spec = config.get("model", {})
+    model_spec = config.get("model") or {}
     reg_spec = config.get("regularizers")
-    dataset = _build_dataset(config.get("data", {}))
+    dataset = _build_dataset(config.get("data") or {})
 
     def model_builder(seed):
         spec = dict(model_spec)
@@ -397,7 +402,7 @@ def cmd_gridsearch(args):
             folds,
             tcfg,
             reg_builder,
-            select_by=select_by,
+            **_given(grid, "select_by"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -427,23 +432,22 @@ def cmd_verify(args):
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    seed = args.seed or 0
-    # each suite keeps its own default count unless --count is given
-    count = {} if args.count is None else {"count": args.count}
+    # each suite keeps its own default seed and count unless a flag gives one
+    options = _flags(args, "seed", "count")
     if mode == "eigencheck":
-        records, ok = power_method_fidelity_suite(seed=seed, **count)
+        records, ok = power_method_fidelity_suite(**options)
     elif mode == "lemma1":
-        records, ok = quadratic_form_bound_suite(seed=seed, **count)
+        records, ok = quadratic_form_bound_suite(**options)
     elif mode == "gradcheck":
         if args.model:
             model = _load_model_file(args.model)
             _require_finite_grams(mode, model.layers)
             try:
-                records, ok = model_gradient_check(model, seed=seed)
+                records, ok = model_gradient_check(model, **_flags(args, "seed"))
             except (DegenerateIterateError, OverflowError) as exc:
                 raise DataError(f"{mode}: {exc}") from None
         else:
-            records, ok = gradient_check_suite(seed=seed, **count)
+            records, ok = gradient_check_suite(**options)
     elif mode == "theorem1":
         if not args.model:
             raise ConfigError("theorem1 verification needs --model")
@@ -458,17 +462,14 @@ def cmd_verify(args):
             raise ConfigError(
                 f"--class {args.cls} out of range for {model.n_out} outputs"
             )
-        if args.anchors < 1:
-            raise ConfigError(f"--anchors must be >= 1, got {args.anchors}")
+        if args.anchors_per_example is not None and args.anchors_per_example < 1:
+            raise ConfigError(f"--anchors must be >= 1, got {args.anchors_per_example}")
         _require_finite_grams(mode, model.hidden)
         dataset = _load_eval_data(args)
         _require_fit(model, dataset)
         try:
             reports, ok = verify_theorem1(
-                model,
-                dataset,
-                args.cls,
-                anchors_per_example=args.anchors,
+                model, dataset, args.cls, **_flags(args, "anchors_per_example")
             )
         except (AnchorSamplingError, NonFiniteMidpointError, OverflowError) as exc:
             raise DataError(f"theorem1: {exc}") from None
@@ -508,20 +509,15 @@ def cmd_verify(args):
 def cmd_gendata(args):
     started = time.perf_counter()
     out = _out_dir(args)
-    spec = {"kind": args.kind, "seed": args.seed or 0}
-    if args.kind == "two_gaussians":
-        spec.update(n_per_class=args.n, sigma=args.sigma)
-    elif args.kind == "two_moons":
-        spec.update(n=args.n, noise=args.noise)
-    else:
-        spec.update(n=args.n)
+    size = "n_per_class" if args.kind == "two_gaussians" else "n"
+    spec = {"kind": args.kind, size: args.n, **_flags(args, "seed", "sigma", "noise")}
     dataset = _build_dataset(spec)
     write_delimited(dataset, out / "data.csv")
     _write_manifest(
         out,
         "gendata",
-        {"kind": args.kind, "n": args.n, "seed": args.seed or 0},
-        args.seed or 0,
+        {"kind": args.kind, "n": args.n, "seed": args.seed},
+        args.seed,
         started,
         ["data.csv"],
     )
@@ -541,25 +537,25 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model from a JSON config")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--epochs", type=int)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", default=None, help="CSV with labels in the last column")
-    p_eval.add_argument("--images", default=None, help="IDX images file")
-    p_eval.add_argument("--labels", default=None, help="IDX labels file")
-    p_eval.add_argument("--limit", type=int, default=None)
-    p_eval.add_argument("--loss", default="mse")
+    p_eval.add_argument("--data", help="CSV with labels in the last column")
+    p_eval.add_argument("--images", help="IDX images file")
+    p_eval.add_argument("--labels", help="IDX labels file")
+    p_eval.add_argument("--limit", type=int)
+    p_eval.add_argument("--loss", default=DEFAULT_LOSS)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_grid = sub.add_parser("gridsearch", help="cross-validated 2-d grid search")
     p_grid.add_argument("--config", required=True)
     p_grid.add_argument("--out", required=True)
-    p_grid.add_argument("--seed", type=int, default=None)
-    p_grid.add_argument("--epochs", type=int, default=None)
+    p_grid.add_argument("--seed", type=int)
+    p_grid.add_argument("--epochs", type=int)
     p_grid.set_defaults(fn=cmd_gridsearch)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -568,15 +564,15 @@ def build_parser():
         required=True,
         choices=["theorem1", "lemma1", "gradcheck", "eigencheck"],
     )
-    p_verify.add_argument("--model", default=None)
-    p_verify.add_argument("--data", default=None)
-    p_verify.add_argument("--images", default=None)
-    p_verify.add_argument("--labels", default=None)
-    p_verify.add_argument("--limit", type=int, default=None)
+    p_verify.add_argument("--model")
+    p_verify.add_argument("--data")
+    p_verify.add_argument("--images")
+    p_verify.add_argument("--labels")
+    p_verify.add_argument("--limit", type=int)
     p_verify.add_argument("--class", dest="cls", type=int, default=0)
-    p_verify.add_argument("--anchors", type=int, default=5)
-    p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--anchors", dest="anchors_per_example", type=int, metavar="N")
+    p_verify.add_argument("--count", type=int)
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -585,9 +581,9 @@ def build_parser():
         "--kind", required=True, choices=["two_gaussians", "two_moons", "xor"]
     )
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--sigma", type=float, default=0.5)
-    p_gen.add_argument("--noise", type=float, default=0.1)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--sigma", type=float)
+    p_gen.add_argument("--noise", type=float)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=cmd_gendata)
 

@@ -29,6 +29,13 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_count(name, value, low):
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def encode_batch_pm1(targets, n_classes):
     targets = np.asarray(targets)
     out = np.full((targets.shape[0], n_classes), -1.0)
@@ -198,6 +205,7 @@ def gen_two_gaussians(n_per_class, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.5,
         raise ValueError(f"need at least one example per class, got {n_per_class}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=float)
     features = []
@@ -217,6 +225,7 @@ def gen_two_moons(n, noise=0.1, seed=0):
         raise ValueError(f"need at least two examples, got {n}")
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
@@ -233,6 +242,7 @@ def gen_xor(n, seed=0):
     """Uniform points in [-1, 1]^2 labeled by quadrant parity."""
     if n < 1:
         raise ValueError(f"need at least one example, got {n}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(n, 2))
     targets = ((pts[:, 0] > 0) ^ (pts[:, 1] > 0)).astype(np.int64)

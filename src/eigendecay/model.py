@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .data import _is_int, _is_real
+from .data import _check_count, _is_int, _is_real
 from .linalg import as_matrix, as_vector
 
 
@@ -271,6 +271,7 @@ def init_mlp(layer_sizes, hidden_activation="sigmoid", seed=0):
         kinds = [kinds] * (len(layer_sizes) - 2)
     if len(kinds) != len(layer_sizes) - 2:
         raise ValueError("one hidden activation per hidden layer expected")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

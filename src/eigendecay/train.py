@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .data import _is_int, _is_real, kfold, split_indices, write_jsonl
+from .data import _check_count, _is_int, _is_real, kfold, split_indices, write_jsonl
 from .grad import backward
 from .linalg import POWER_STEPS
 from .model import (
@@ -30,13 +30,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch, message):
         super().__init__(message)
         self.epoch = epoch
-
-
-def _check_count(name, value, low):
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

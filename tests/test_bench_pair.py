@@ -36,9 +36,33 @@ def test_parse_run_output_takes_the_last_line_and_the_env():
         "check outputs_repeat: PASS (1 distinct outputs over 9 repetitions)",
         json.dumps(result),
     ])
-    parsed, env = bench_pair.parse_run_output(stdout + "\n")
+    parsed, env, reps = bench_pair.parse_run_output(stdout + "\n")
     assert parsed == result
     assert env == {"nproc": 2, "source_sha256": "abc"}
+    assert reps is None  # no timing line
+
+
+def test_parse_run_output_reads_the_timed_repetitions():
+    stdout = "\n".join([
+        'env {"nproc": 2}',
+        "metric wall_refs 4000 ref",
+        "timing 41 repetitions, medians; setup_s = imports 0.1800 s (median of 5 "
+        "fresh interpreters) + median of 3 set-ups",
+        "check outputs_repeat: PASS (1 distinct outputs over 41 repetitions)",
+        json.dumps(_result(4000.0, 15000.0)),
+    ])
+    assert bench_pair.parse_run_output(stdout)[2] == 41
+
+
+def test_workload_record_keeps_each_sides_repetitions():
+    pairs = [(_result(4000.0, 15000.0), _result(3900.0, 15500.0)),
+             (_result(4100.0, 14800.0), _result(4000.0, 15100.0, correct=False))]
+    repetitions = {"base": [40, 41], "change": [43, 42]}
+    record = bench_pair.workload_record(pairs, repetitions, END_TO_END)
+    assert record["pairs"] == 2
+    assert record["repetitions"] == {"base": [40, 41], "change": [43, 42]}
+    assert record["correct"] == {"base": True, "change": False}
+    assert record["metrics"] == bench_pair.summarize(pairs, END_TO_END)
 
 
 def test_summarize_medians_quartiles_and_pairs_won():

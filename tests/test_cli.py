@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import write_idx
 
-from eigendecay import train
-from eigendecay.cli import main
+from eigendecay import train, verify
+from eigendecay.cli import DEFAULT_LOSS, main
 from eigendecay.data import (
     Dataset,
     gen_two_gaussians,
@@ -35,8 +37,9 @@ from eigendecay.model import (
     model_to_dict,
     save_model,
 )
+from eigendecay.margin import verify_theorem1
 from eigendecay.objectives import LOSS_KINDS, RegularizerSpec
-from eigendecay.train import TrainConfig, sgd_train
+from eigendecay.train import EarlyStopping, TrainConfig, grid_search, sgd_train
 
 
 def _two_gaussians_config(tmp_path, **train_overrides):
@@ -63,7 +66,10 @@ def _two_gaussians_config(tmp_path, **train_overrides):
 
 
 class TestTrainCommand:
-    def test_success_writes_artifacts(self, tmp_path):
+    def test_success_writes_artifacts(self, tmp_path, monkeypatch):
+        # read when the manifest is written; BLAS took its threads at import
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         config, _ = _two_gaussians_config(tmp_path)
         out = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
@@ -73,6 +79,16 @@ class TestTrainCommand:
         assert manifest["command"] == "train"
         assert manifest["schema_version"] == 1
         assert "duration_s" in manifest
+        # what report bytes depend on besides the config and seeds
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert manifest["numerics"] == {
+            "numpy": np.__version__,
+            "blas": blas["name"],
+            "blas_version": blas["version"],
+            "affinity_cpus": len(os.sched_getaffinity(0)),
+            "OPENBLAS_NUM_THREADS": "3",
+            "OMP_NUM_THREADS": None,
+        }
         load_model(out / "model.json")  # parses back
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
@@ -996,6 +1012,19 @@ NAN, INF = float("nan"), float("inf")
     ("gridsearch", ("grid", "folds"), True),
     ("gridsearch", ("grid", "a"), [0.0, True]),
     ("gridsearch", ("grid", "b"), [False]),
+    ("train", ("model", "seed"), None),
+    ("train", ("model", "seed"), True),
+    ("train", ("model", "seed"), 2.5),
+    ("train", ("model", "seed"), -1),
+    ("train", ("data", "seed"), None),
+    ("train", ("data", "seed"), True),
+    ("train", ("data", "seed"), 2.5),
+    ("train", ("data", "seed"), -1),
+    ("train", ("regularizers", "layers", 0), "x"),
+    ("train", ("regularizers", "layers", 0), [1]),
+    ("train", ("train", "early_stopping"), [1]),
+    ("train", ("data",), None),
+    ("gridsearch", ("model",), None),
 ], ids=[
     "batch_size_fraction", "max_epochs_fraction", "seed_fraction", "p_fraction",
     "grid_string", "grid_scalar_axis", "train_not_object", "data_not_object",
@@ -1003,7 +1032,10 @@ NAN, INF = float("nan"), float("inf")
     "learning_rate_inf", "grid_nan", "folds_fraction", "patience_fraction",
     "shuffle_string", "batch_size_true", "max_epochs_true", "seed_false",
     "learning_rate_true", "momentum_false", "patience_true", "c_true", "p_true",
-    "folds_true", "grid_true", "grid_false",
+    "folds_true", "grid_true", "grid_false", "model_seed_null", "model_seed_true",
+    "model_seed_fraction", "model_seed_negative", "data_seed_null", "data_seed_true",
+    "data_seed_fraction", "data_seed_negative", "layer_entry_string", "layer_entry_list",
+    "early_stopping_list", "data_null", "model_null",
 ])
 def test_config_value_of_wrong_type_or_not_finite_is_config_error(
         tmp_path, capsys, command, keys, value):
@@ -1013,6 +1045,100 @@ def test_config_value_of_wrong_type_or_not_finite_is_config_error(
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     _assert_one_line_error(capsys, "config error")
+
+
+def _library_defaults(fn, *names):
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
+def _same_reports(tmp_path, bare, spelled):
+    """The reports of argv bare, after checking that argv spelled writes
+    the same bytes; the manifest holds the wall clock and is left out."""
+    written = []
+    for k, argv in enumerate((bare, spelled)):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "manifest.json"})
+    assert written[0] == written[1]
+    return written[0]
+
+
+class TestCliAddsNoDefault:
+    """Each command writes the same reports with every optional key or flag
+    left out as with the library's defaults spelled out: a key or flag the
+    user leaves out is not passed on, so the library's default applies."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", []), ("gridsearch", ["--epochs", "2"])])
+    def test_config_commands(self, tmp_path, command, flags):
+        bare = {
+            "model": {"layers": [2, 4, 2]},
+            "data": {"kind": "two_gaussians", "n_per_class": 20},
+            "train": {"learning_rate": 0.3},
+        }
+        none = RegularizerSpec.none(2, 1)
+        spelled = {
+            "model": {**bare["model"],
+                      **_library_defaults(init_mlp, "hidden_activation", "seed")},
+            "data": {**bare["data"],
+                     **_library_defaults(gen_two_gaussians, "centers", "sigma", "seed")},
+            "train": {
+                **bare["train"],
+                **_library_defaults(TrainConfig, "batch_size", "max_epochs", "seed",
+                                    "shuffle", "momentum"),
+                "early_stopping": dataclasses.asdict(EarlyStopping()),
+            },
+            "regularizers": {"layers": [dataclasses.asdict(e) for e in none.layers],
+                             "dropout": list(none.dropout)},
+            "loss": DEFAULT_LOSS,
+            # the command's own axes and folds, and grid_search's selection
+            "grid": {"a": [0.0, 1e-4, 1e-3, 1e-2, 1e-1], "b": [0.0, 1e-4, 1e-3, 1e-2, 1e-1],
+                     "folds": 5, **_library_defaults(grid_search, "select_by")},
+        }
+        argvs = []
+        for name, config in (("bare", bare), ("spelled", spelled)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            argvs.append([command, "--config", str(path), *flags])
+        reports = _same_reports(tmp_path, *argvs)
+        assert len(reports) == (2 if command == "train" else 1)
+
+    @pytest.mark.parametrize("kind, generator, names", [
+        ("two_gaussians", gen_two_gaussians, ("seed", "sigma")),
+        ("two_moons", gen_two_moons, ("seed", "noise")),
+        ("xor", gen_xor, ("seed",)),
+    ])
+    def test_gendata(self, tmp_path, kind, generator, names):
+        argv = ["gendata", "--kind", kind, "--n", "9"]
+        for name, value in _library_defaults(generator, *names).items():
+            argv += [f"--{name}", repr(value)]
+        _same_reports(tmp_path, argv[:5], argv)
+
+    @pytest.mark.parametrize("mode, suite", [
+        ("eigencheck", verify.power_method_fidelity_suite),
+        ("lemma1", verify.quadratic_form_bound_suite),
+        ("gradcheck", verify.gradient_check_suite),
+    ])
+    def test_verify_suites(self, tmp_path, mode, suite):
+        argv = ["verify", "--mode", mode, "--count", "2"]
+        seed = _library_defaults(suite, "seed")["seed"]
+        _same_reports(tmp_path, argv, [*argv, "--seed", str(seed)])
+
+    def test_verify_theorem1(self, tmp_path):
+        ds = gen_two_gaussians(20, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=4)
+        model = init_mlp([2, 6, 2], "sigmoid", seed=5)
+        sgd_train(model, ds, "mse", RegularizerSpec.none(2, 1),
+                  TrainConfig(learning_rate=0.5, batch_size=8, max_epochs=40, seed=6))
+        save_model(model, tmp_path / "m.json")
+        write_delimited(ds, tmp_path / "d.csv")
+        argv = ["verify", "--mode", "theorem1", "--model", str(tmp_path / "m.json"),
+                "--data", str(tmp_path / "d.csv")]
+        anchors = _library_defaults(verify_theorem1, "anchors_per_example")
+        spelled = [*argv, "--anchors", str(anchors["anchors_per_example"]), "--class", "0"]
+        reports = _same_reports(tmp_path, argv, spelled)
+        assert set(reports) == {"margin.jsonl", "verify.jsonl"}
 
 
 _SMALL_INT = st.integers(-3, 5).map(str)
@@ -1040,7 +1166,7 @@ def _config(draw, command):
     layers = [2] + [_value(draw, [1, 3], [0, 2.5]) for _ in range(n_hidden)] + [2]
     model = {"layers": layers}
     _maybe(draw, model, "hidden_activation", ["sigmoid", "tanh", "relu", "linear"], ["cubic"])
-    _maybe(draw, model, "seed", [0, 3], [-1, "x", 2.5])
+    _maybe(draw, model, "seed", [0, 3], [-1, "x", 2.5, None, True])
     data = _value(draw, [
         {"kind": "two_gaussians", "n_per_class": 6, "sigma": 0.5},
         {"kind": "xor", "n": 12},
