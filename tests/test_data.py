@@ -187,6 +187,18 @@ class TestGenerators:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.targets, b.targets)
 
+    @pytest.mark.parametrize("gen", [
+        lambda s: gen_two_gaussians(4, seed=s),
+        lambda s: gen_two_moons(4, seed=s),
+        lambda s: gen_xor(4, seed=s),
+    ], ids=["two_gaussians", "two_moons", "xor"])
+    def test_seed_must_be_a_non_negative_integer(self, gen):
+        # None would draw an unseeded stream and True would act as 1
+        for seed in (None, True, 2.5, -1):
+            with pytest.raises(ValueError, match="seed must be"):
+                gen(seed)
+        assert np.array_equal(gen(np.int64(3)).features, gen(3).features)
+
     def test_two_moons_exact_balance(self):
         ds = gen_two_moons(1000, seed=0)
         assert int(np.sum(ds.targets == 0)) == 500

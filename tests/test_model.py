@@ -217,6 +217,11 @@ class TestInit:
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
 
+    @pytest.mark.parametrize("seed", [None, True, 2.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            init_mlp([2, 3, 2], seed=seed)
+
     def test_glorot_range(self):
         model = init_mlp([100, 50, 10], seed=0)
         w = model.hidden[0].weights
