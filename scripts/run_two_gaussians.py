@@ -13,19 +13,13 @@ from eigendecay.data import gen_two_gaussians
 from eigendecay.margin import save_margin_reports, verify_theorem1
 from eigendecay.model import init_mlp
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
-from eigendecay.train import TrainConfig, evaluate, sgd_train
+from eigendecay.train import TrainConfig, evaluate, sgd_train_runs
 
 
-def run(C, seed, train, test, epochs):
-    model = init_mlp([2, 8, 2], "sigmoid", seed=seed)
+def reg_for(C):
     if C > 0:
-        reg = RegularizerSpec((LayerPenalty("eigen_decay", C), LayerPenalty()), (0.0,))
-    else:
-        reg = RegularizerSpec.none(2, 1)
-    cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=epochs, seed=seed)
-    model, history = sgd_train(model, train, "mse", reg, cfg)
-    acc = evaluate(model, test)["accuracy"]
-    return model, history, acc
+        return RegularizerSpec((LayerPenalty("eigen_decay", C), LayerPenalty()), (0.0,))
+    return RegularizerSpec.none(2, 1)
 
 
 def main():
@@ -41,8 +35,13 @@ def main():
     test = gen_two_gaussians(100, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5,
                              seed=args.seed + 1000)
 
-    for label, C in (("plain", 0.0), ("eigen-decay", args.penalty)):
-        model, history, acc = run(C, args.seed, train, test, args.epochs)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=args.epochs, seed=args.seed)
+    labels = (("plain", 0.0), ("eigen-decay", args.penalty))
+    runs = [(init_mlp([2, 8, 2], "sigmoid", seed=args.seed), train, reg_for(C), cfg)
+            for _, C in labels]
+    # both runs train as one stack, each with the bits it has alone
+    for (label, C), (model, history) in zip(labels, sgd_train_runs(runs, "mse")):
+        acc = evaluate(model, test)["accuracy"]
         lam = history.epochs[-1].lambda_dom
         print(f"{label:12s} test acc {acc:.3f}  final lambda_dom per layer "
               f"{tuple(round(v, 3) for v in lam)}")

@@ -202,7 +202,9 @@ def _build_train_config(spec, seed_override=None, epochs_override=None):
         spec["seed"] = seed_override
     if epochs_override is not None:
         spec["max_epochs"] = epochs_override
-    es_spec = spec.get("early_stopping") or {}
+    es_spec = spec.get("early_stopping")
+    if es_spec is None:
+        es_spec = {}  # as a null top-level section, null leaves it off
     if not isinstance(es_spec, dict):
         raise ConfigError("config section 'early_stopping' must be a JSON object")
     try:
@@ -374,7 +376,8 @@ def cmd_gridsearch(args):
         spec["seed"] = seed
         return _build_model(spec)
 
-    template = model_builder(0)
+    # the config's own model section, so its seed is checked too
+    template = _build_model(model_spec)
     n_layers = len(template.layers)
     n_hidden = len(template.hidden)
     base = _build_regularizers(reg_spec, n_layers, n_hidden)

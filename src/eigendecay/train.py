@@ -2,12 +2,12 @@
 validation split, evaluation, and k-fold cross-validated grid search over
 the two regularization constants."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
 
-from .data import _check_count, _is_int, _is_real, kfold, split_indices, write_jsonl
+from .data import Dataset, _check_count, _is_int, _is_real, kfold, split_indices, write_jsonl
 from .grad import backward
 from .linalg import POWER_STEPS
 from .model import (
@@ -108,15 +108,16 @@ def save_history(history, path):
 class _Member:
     """One training run in a stack: its model, penalties, the rows of the
     shared dataset it trains on (None: all of them, in order), the rows of
-    its validation split (None: early stopping is off), its EpochRecords
-    (None: it keeps none, as grid_search's members do), and its
-    early-stopping state. Rows are gathered when used, so a member never
-    holds a copy of the data."""
+    its validation split (None: early stopping is off), the seed of its
+    draws, its EpochRecords (None: it keeps none, as grid_search's members
+    do), and its early-stopping state. Rows are gathered when used, so a
+    member never holds a copy of the data."""
 
     model: object
     reg: object
     rows: object
     val_rows: object
+    seed: int
     history: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
@@ -131,8 +132,9 @@ class _Member:
 
 
 def _member(model, dataset, rows, reg, config):
-    """Checks one training run's inputs and carves its validation split.
-    rows picks the dataset rows it trains on; None means all of them."""
+    """Checks one training run's inputs and carves its validation split
+    with config.seed, the seed of its draws. rows picks the dataset rows it
+    trains on; None means all of them."""
     if (len(dataset) if rows is None else len(rows)) == 0:
         raise ValueError("dataset must be nonempty")
     reg.check_against(model)
@@ -152,7 +154,7 @@ def _member(model, dataset, rows, reg, config):
         pool = np.arange(len(dataset)) if rows is None else rows
         first, second = split_indices(len(pool), 1.0 - es.validation_fraction, config.seed)
         rows, val_rows = pool[first], pool[second]
-    return _Member(model, reg, rows, val_rows)
+    return _Member(model, reg, rows, val_rows, config.seed)
 
 
 def _stack(arrays):
@@ -167,8 +169,9 @@ def _stacked_masks(streams, rngs, stream_of, hidden_dims, batch):
     without dropout in a layer gets ones there (x * 1.0 == x), and a layer
     no stream drops gets None."""
     drawn = [
-        None if key is None else sample_dropout_masks(key, hidden_dims, batch, rngs[key])
-        for key in streams
+        None if rates is None
+        else sample_dropout_masks(rates, hidden_dims, batch, rngs[seed, rates])
+        for seed, rates in streams
     ]
     masks = []
     for k, width in enumerate(hidden_dims):
@@ -282,11 +285,11 @@ def _sgd_stack(members, dataset, loss_kind, config):
 
     Every parameter, activation and gradient carries a leading member axis,
     and each member's slice has the bits it would have trained alone. Each
-    member's draws would come from its own Generator(config.seed): its
+    member's draws would come from its own Generator(member.seed): its
     permutation, then its dropout masks, batch by batch. Members whose
     draws are the same share one such generator, a draw stream keyed by
-    their dropout rates, which draws each epoch's permutation and each
-    batch's masks once for all of them. All members must have the same
+    their seed and dropout rates, which draws each epoch's permutation and
+    each batch's masks once for all of them. All members must have the same
     training set size; each epoch's batch rows come from one fancy index
     into the live members' stacked row indices. At each epoch end every
     member is checked on its own; one that stops early or diverges leaves
@@ -304,16 +307,17 @@ def _sgd_stack(members, dataset, loss_kind, config):
     es = config.early_stopping
     template = members[0].model
     n = members[0].train_size(dataset)
-    # alone, every member draws from a Generator(config.seed), so members
-    # with equal dropout rates draw the same permutations and masks, and
-    # members without dropout the same permutations: one draw stream each
-    keys = [m.reg.dropout if m.reg.has_dropout else None for m in members]
-    rngs = {key: np.random.default_rng(config.seed) for key in dict.fromkeys(keys)}
+    # alone, every member draws from a Generator(member.seed), so members
+    # with equal seeds and dropout rates draw the same permutations and
+    # masks, and members of one seed without dropout the same permutations:
+    # one draw stream each
+    keys = [(m.seed, m.reg.dropout if m.reg.has_dropout else None) for m in members]
+    rngs = {key: np.random.default_rng(key[0]) for key in dict.fromkeys(keys)}
     results = [None] * len(members)
     active = list(range(len(members)))
     params = [_stack(arrays) for arrays in zip(*(model_params(m.model) for m in members))]
     velocity = [np.zeros_like(p) for p in params] if config.momentum > 0 else None
-    any_dropout = any(key is not None for key in keys)
+    any_dropout = any(rates is not None for _, rates in keys)
     specs = None  # the live set's grouped specs; None once some leave
 
     for epoch in range(config.max_epochs):
@@ -426,14 +430,56 @@ def sgd_train(model, dataset, loss_kind, reg, config):
 
     With early stopping enabled, a validation split is carved out first and
     the returned parameters are the ones from the epoch of minimum
-    validation loss. This is the one-member case of the stacked loop that
-    grid_search runs.
+    validation loss. This is the one-run case of sgd_train_runs.
     """
-    member = _member(model, dataset, None, reg, config)
-    (result,) = _sgd_stack([member], dataset, loss_kind, config)
-    if isinstance(result, DivergenceError):
-        raise result
-    return model, result
+    ((model, history),) = sgd_train_runs([(model, dataset, reg, config)], loss_kind)
+    return model, history
+
+
+def sgd_train_runs(runs, loss_kind):
+    """Trains independent runs, each a (model, dataset, reg, config) that
+    sgd_train takes, together; returns in run order the (model,
+    TrainHistory) sgd_train returns for each run alone, bit for bit.
+
+    The configs must agree in every field but the seed, the datasets in
+    length and widths, and the models in layer shapes and activations; no
+    model may appear twice. Distinct datasets are concatenated once, and
+    each run trains on its own rows. Runs train in stacks of up to
+    _stack_cap members, in run order; the first DivergenceError in run
+    order is raised.
+    """
+    runs = list(runs)
+    if not runs:
+        return []
+    config = runs[0][3]
+    if any(replace(c, seed=config.seed) != config for _, _, _, c in runs):
+        raise ValueError("the runs' train configs may differ only in their seeds")
+    if len({id(model) for model, _, _, _ in runs}) < len(runs):
+        raise ValueError("a model may appear in only one run")
+    datasets = list({id(ds): ds for _, ds, _, _ in runs}.values())
+    shapes = {(len(ds), ds.n_features, ds.n_classes) for ds in datasets}
+    if len(shapes) > 1:
+        raise ValueError(f"the runs' datasets differ in length or widths: {sorted(shapes)}")
+    dataset, rows = datasets[0], {id(datasets[0]): None}
+    if len(datasets) > 1:
+        # each dataset's rows of the concatenation, in order of first run
+        n = len(dataset)
+        rows = {id(ds): k * n + np.arange(n) for k, ds in enumerate(datasets)}
+        dataset = Dataset(*(np.concatenate([getattr(ds, a) for ds in datasets])
+                            for a in ("features", "targets", "encoded")), dataset.n_classes)
+    members = [_member(model, dataset, rows[id(ds)], reg, c) for model, ds, reg, c in runs]
+    if len({m.stack_key(dataset) for m in members}) > 1:
+        raise ValueError("the runs' models must share their layer shapes and activations")
+
+    out = []
+    cap = _stack_cap(members[0].model, config.batch_size)
+    for first in range(0, len(members), cap):
+        stack = members[first : first + cap]
+        for m, result in zip(stack, _sgd_stack(stack, dataset, loss_kind, config)):
+            if isinstance(result, DivergenceError):
+                raise result
+            out.append((m.model, result))
+    return out
 
 
 def evaluate(model, dataset, loss_kind="mse"):

@@ -15,7 +15,7 @@ from eigendecay.data import Dataset, gen_two_gaussians, load_idx
 from eigendecay.margin import verify_theorem1
 from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
-from eigendecay.train import TrainConfig, evaluate, grid_search, sgd_train
+from eigendecay.train import TrainConfig, evaluate, grid_search, sgd_train, sgd_train_runs
 from eigendecay.verify import (
     denominator_inequality_suite,
     gradient_check_suite,
@@ -130,36 +130,32 @@ def test_criterion_5_denominator_inequality():
 
 
 def test_criterion_6_regularization_effect():
-    def run(seed, C):
-        train = gen_two_gaussians(100, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=seed)
-        test = gen_two_gaussians(100, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5,
-                                 seed=seed + 1000)
-        model = init_mlp([2, 8, 2], "sigmoid", seed=seed)
-        if C > 0:
-            reg = RegularizerSpec(
-                (LayerPenalty("eigen_decay", C), LayerPenalty()), (0.0,)
-            )
-        else:
-            reg = RegularizerSpec.none(2, 1)
-        _, history = sgd_train(
-            model, train, "mse", reg,
-            TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=150, seed=seed),
-        )
-        return history.epochs[-1].lambda_dom[0], evaluate(model, test)["accuracy"]
-
-    wins = 0
-    max_gap = 0.0
+    # each seed's penalized and plain run, trained as one stack
+    centers = ((-1.5, 0.0), (1.5, 0.0))
+    runs, tests = [], []
     for seed in range(10):
-        lam_reg, acc_reg = run(seed, 0.01)
-        lam_plain, acc_plain = run(seed, 0.0)
-        wins += lam_reg < lam_plain
-        max_gap = max(max_gap, abs(acc_reg - acc_plain))
+        train = gen_two_gaussians(100, centers=centers, sigma=0.5, seed=seed)
+        tests.append(gen_two_gaussians(100, centers=centers, sigma=0.5, seed=seed + 1000))
+        config = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=150, seed=seed)
+        for reg in (RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty()), (0.0,)),
+                    RegularizerSpec.none(2, 1)):
+            runs.append((init_mlp([2, 8, 2], "sigmoid", seed=seed), train, reg, config))
+    trained = sgd_train_runs(runs, "mse")
+
+    records = []  # per seed: penalized and plain hidden lambda, then accuracy
+    for seed, test in enumerate(tests):
+        (m_reg, h_reg), (m_plain, h_plain) = trained[2 * seed : 2 * seed + 2]
+        records.append([h_reg.epochs[-1].lambda_dom[0], h_plain.epochs[-1].lambda_dom[0],
+                        evaluate(m_reg, test)["accuracy"], evaluate(m_plain, test)["accuracy"]])
+    wins = sum(lam_reg < lam_plain for lam_reg, lam_plain, _, _ in records)
+    max_gap = max(abs(acc_reg - acc_plain) for _, _, acc_reg, acc_plain in records)
     check(
         6,
         "regularization shrinks the dominant eigenvalue",
         wins >= 9 and max_gap <= 0.02,
         f"{wins}/10 seed pairs smaller, max accuracy gap {max_gap:.3f}",
     )
+    assert records_hash(records) == "586d6caf41604c1d"
 
 
 def _mnist_reg(c_hidden, c_out, dropout=0.2):

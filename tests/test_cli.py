@@ -736,14 +736,19 @@ def test_zero_epochs_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "gridsearch"])
-@pytest.mark.parametrize("layers, flags", [
-    ([2, 0, 2], []),
-    ([2, 0, 0, 2], []),
-    ([2, 3, 2], ["--seed", "-1"]),
-], ids=["zero_width", "zero_widths", "negative_seed"])
-def test_bad_model_or_seed_is_config_error(tmp_path, capsys, command, layers, flags):
+@pytest.mark.parametrize("model, flags, message", [
+    ({"layers": [2, 0, 2]}, [], "must be >= "),
+    ({"layers": [2, 0, 0, 2]}, [], "must be >= "),
+    ({"layers": [2, 3, 2]}, ["--seed", "-1"], "must be >= "),
+    # gridsearch seeds each member itself, but checks the config's seed
+    ({"layers": [2, 3, 2], "seed": "x"}, [], "seed must be an integer"),
+    ({"layers": [2, 3, 2], "seed": None}, [], "seed must be an integer"),
+    ({"layers": [2, 3, 2], "seed": True}, [], "seed must be an integer"),
+], ids=["zero_width", "zero_widths", "negative_seed", "model_seed_string",
+        "model_seed_null", "model_seed_true"])
+def test_bad_model_or_seed_is_config_error(tmp_path, capsys, command, model, flags, message):
     config = {
-        "model": {"layers": layers},
+        "model": model,
         "data": {"kind": "xor", "n": 12, "seed": 0},
         "train": {"learning_rate": 0.1, "max_epochs": 1},
         "grid": {"a": [0.0], "b": [0.0], "folds": 2},
@@ -752,7 +757,30 @@ def test_bad_model_or_seed_is_config_error(tmp_path, capsys, command, layers, fl
     path.write_text(json.dumps(config))
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
     assert rc == 1
-    assert "must be >= " in capsys.readouterr().err
+    _assert_one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "string"])
+def test_falsy_early_stopping_is_config_error(tmp_path, capsys, value):
+    # an absent or null section leaves early stopping off; a falsy
+    # non-object is an error, as any other non-object is
+    path, config = _two_gaussians_config(tmp_path, max_epochs=2)
+    config["train"]["early_stopping"] = value
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_one_line_error(capsys, "'early_stopping' must be a JSON object")
+
+
+def test_null_early_stopping_leaves_it_off(tmp_path):
+    path, config = _two_gaussians_config(tmp_path, max_epochs=2)
+    main(["train", "--config", str(path), "--out", str(tmp_path / "absent")])
+    config["train"]["early_stopping"] = None
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "null")])
+    assert rc == 0
+    assert (tmp_path / "null" / "history.jsonl").read_bytes() == (
+        tmp_path / "absent" / "history.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("command", [

@@ -392,7 +392,7 @@ def _epoch_records(params, regs, X, Y):
     R, B = X.shape[:2]
     ds = Dataset(X.reshape(R * B, -1), np.zeros(R * B, dtype=np.int64),
                  Y.reshape(R * B, -1), Y.shape[-1])
-    members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None)
+    members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None, 0)
                for r, reg in enumerate(regs)]
     template = _two_layer([p[0] for p in params])
     return train._epoch_end(members, params, template, train._gathers(members, ds),

@@ -7,6 +7,7 @@ import pytest
 from conftest import small_model
 
 from eigendecay.data import gen_two_gaussians, gen_xor
+from eigendecay import model as model_module, train
 from eigendecay.model import forward, init_mlp, model_params
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
 from eigendecay.train import (
@@ -17,6 +18,7 @@ from eigendecay.train import (
     grid_search,
     save_history,
     sgd_train,
+    sgd_train_runs,
 )
 
 
@@ -246,29 +248,6 @@ class TestSgdTrain:
         assert all(len(r.epochs) == 3 for r in results)
         assert checked == regs
 
-    def test_regularized_layer_ends_with_smaller_lambda(self):
-        # identical seeds, with and without the eigenvalue penalty on the
-        # hidden layer; the penalized run should end smaller nearly always
-        wins = 0
-        for seed in range(10):
-            results = {}
-            for C in (0.01, 0.0):
-                ds = _blobs(seed, n=80)
-                model = small_model(dims=(2, 8, 2), seed=seed)
-                if C:
-                    reg = RegularizerSpec(
-                        (LayerPenalty("eigen_decay", C), LayerPenalty()), (0.0,)
-                    )
-                else:
-                    reg = RegularizerSpec.none(2, 1)
-                _, history = sgd_train(
-                    model, ds, "mse", reg,
-                    TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=80, seed=seed),
-                )
-                results[C] = history.epochs[-1].lambda_dom[0]
-            wins += results[0.01] < results[0.0]
-        assert wins >= 9
-
     def test_empty_dataset_rejected(self):
         model = small_model()
         ds = gen_xor(4, seed=0).subset([])
@@ -292,6 +271,164 @@ class TestSgdTrain:
         assert plain_hist.records() != mom_hist.records()
         assert mom_hist.epochs[-1].train_loss < mom_hist.epochs[0].train_loss
         assert evaluate(mom_model, _blobs(6, n=80))["accuracy"] >= 0.95
+
+
+def _history_bits(history):
+    """A TrainHistory as int64 views of every float it records (nan for a
+    val_loss that early stopping off leaves None), its best epoch last."""
+    rows = [[r.epoch, r.train_objective, r.train_loss,
+             np.nan if r.val_loss is None else r.val_loss, *r.lambda_dom]
+            for r in history.epochs]
+    return np.array(rows, dtype=float).view(np.int64), history.best_epoch
+
+
+def _assert_runs_train_as_alone(make_runs, loss_kind="mse"):
+    """Trains make_runs()'s runs with one sgd_train_runs call and a fresh
+    copy of each with its own sgd_train; every history record and final
+    parameter must agree bit for bit. Returns the solo histories."""
+    together = sgd_train_runs(make_runs(), loss_kind)
+    alone = [sgd_train(model, ds, loss_kind, reg, cfg) for model, ds, reg, cfg in make_runs()]
+    assert len(together) == len(alone)
+    for (model, history), (solo_model, solo_history) in zip(together, alone):
+        got, want = _history_bits(history), _history_bits(solo_history)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        for p, q in zip(model_params(model), model_params(solo_model)):
+            np.testing.assert_array_equal(p.view(np.int64), q.view(np.int64))
+    return [history for _, history in alone]
+
+
+def _reg(hidden, out=LayerPenalty(), dropout=0.0):
+    return RegularizerSpec((hidden, out), (dropout,))
+
+
+# each run's penalties and dropout rate: eigen decay (C = 0 among them), l1
+# and l2, and dropout next to runs without it, at the same and other seeds
+_MIXED = [
+    _reg(LayerPenalty("eigen_decay", 0.01)),
+    _reg(LayerPenalty("eigen_decay", 0.0), LayerPenalty("eigen_decay", 4e-3, 5)),
+    _reg(LayerPenalty("l1", 1e-3), dropout=0.2),
+    _reg(LayerPenalty()),
+    _reg(LayerPenalty("l2", 2e-3), dropout=0.2),
+    _reg(LayerPenalty("eigen_decay", 0.02), dropout=0.3),
+]
+
+# what makes run 1 of three unstackable: (its slot, the new value given the
+# runs, the error's message)
+_UNSTACKABLE = {
+    "learning_rate": (3, lambda runs: TrainConfig(learning_rate=0.2, seed=1),
+                      "differ only in their seeds"),
+    "momentum": (3, lambda runs: TrainConfig(learning_rate=0.1, seed=1, momentum=0.5),
+                 "differ only in their seeds"),
+    "dataset_length": (1, lambda runs: _blobs(1, n=30), "length or widths"),
+    "model_twice": (0, lambda runs: runs[0][0], "only one run"),
+    "widths": (0, lambda runs: small_model(dims=(2, 6, 2), seed=1), "layer shapes"),
+    "activation": (0, lambda runs: small_model((2, 5, 2), "tanh", seed=1), "layer shapes"),
+}
+
+
+class TestSgdTrainRuns:
+    @pytest.mark.parametrize("momentum", [0.0, 0.6])
+    def test_distinct_seeds_and_datasets(self, momentum):
+        # six runs over three seeds, each seed with its own dataset
+        def runs():
+            out = []
+            for k, reg in enumerate(_MIXED):
+                seed = k // 2
+                cfg = TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=6, seed=seed,
+                                  momentum=momentum)
+                out.append((small_model(dims=(2, 5, 2), seed=10 + k), datasets[seed], reg,
+                            cfg))
+            return out
+
+        datasets = [_blobs(seed, n=25) for seed in range(3)]
+        _assert_runs_train_as_alone(runs)
+
+    def test_one_shared_dataset(self):
+        ds = _blobs(4, n=30)
+
+        def runs():
+            return [(small_model(dims=(2, 5, 2), seed=k), ds, reg,
+                     TrainConfig(learning_rate=0.3, batch_size=16, max_epochs=5, seed=k % 3))
+                    for k, reg in enumerate(_MIXED)]
+
+        _assert_runs_train_as_alone(runs, "binary_cross_entropy")
+
+    def test_early_stopping_follows_each_runs_seed(self):
+        # one dataset for all runs: only the seed picks each run's
+        # validation split, permutations and patience clock
+        ds = _blobs(8, n=40)
+
+        def runs():
+            return [(small_model(dims=(2, 6, 2), seed=3), ds, reg,
+                     TrainConfig(learning_rate=0.6, batch_size=8, max_epochs=40, seed=seed,
+                                 early_stopping=EarlyStopping(True, patience=2,
+                                                              validation_fraction=0.25)))
+                    for seed in range(4) for reg in (_MIXED[0], _MIXED[2])]
+
+        histories = _assert_runs_train_as_alone(runs)
+        assert len({len(h.epochs) for h in histories}) > 1
+        assert len({h.best_epoch for h in histories}) > 1
+        assert all(len(h.epochs) < 40 for h in histories)
+
+    def test_runs_beyond_the_stack_cap_train_in_run_order(self, monkeypatch):
+        # 2-5-2 at batch 8: the largest per-step array is the 8 x 5 batch
+        # of hidden activations, so this budget stacks two members
+        monkeypatch.setattr(model_module, "STACK_FLOATS", 2 * 8 * 5)
+        stacks = []
+        original = train._sgd_stack
+
+        def spy(members, *args):
+            stacks.append([m.seed for m in members])
+            return original(members, *args)
+
+        monkeypatch.setattr(train, "_sgd_stack", spy)
+        datasets = [_blobs(seed, n=20) for seed in range(5)]
+
+        def runs():
+            return [(small_model(dims=(2, 5, 2), seed=seed), datasets[seed], reg,
+                     TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=4, seed=seed))
+                    for seed, reg in enumerate(_MIXED[:5])]
+
+        _assert_runs_train_as_alone(runs)
+        assert stacks[:3] == [[0, 1], [2, 3], [4]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_first_divergent_run_raises_its_solo_error(self):
+        # run 1 diverges in epoch 3 and run 2 in epoch 1; run order decides
+        ds = _blobs(9, n=20)
+        regs = [_MIXED[0], _reg(LayerPenalty("l2", 0.05), LayerPenalty("l2", 1e10)),
+                _reg(LayerPenalty("eigen_decay", 0.05), LayerPenalty("l2", 1e20))]
+
+        def runs():
+            return [(small_model(dims=(2, 5, 2), seed=seed), ds, reg,
+                     TrainConfig(learning_rate=0.2, batch_size=8, max_epochs=6, seed=seed))
+                    for seed, reg in enumerate(regs)]
+
+        with pytest.raises(DivergenceError) as solo:
+            model, ds_, reg, cfg = runs()[1]
+            sgd_train(model, ds_, "mse", reg, cfg)
+        with pytest.raises(DivergenceError) as got:
+            sgd_train_runs(runs(), "mse")
+        assert (got.value.epoch, str(got.value)) == (solo.value.epoch, str(solo.value))
+        assert got.value.epoch == 3
+
+    @pytest.mark.parametrize("case", list(_UNSTACKABLE))
+    def test_runs_that_cannot_stack_are_rejected(self, case):
+        slot, value, message = _UNSTACKABLE[case]
+        runs = [[small_model(dims=(2, 5, 2), seed=seed), _blobs(seed, n=20),
+                 RegularizerSpec.none(2, 1), TrainConfig(learning_rate=0.1, seed=seed)]
+                for seed in range(3)]
+        runs[1][slot] = value(runs)
+        before = [[p.copy() for p in model_params(run[0])] for run in runs]
+        with pytest.raises(ValueError, match=message):
+            sgd_train_runs([tuple(run) for run in runs], "mse")
+        for run, params in zip(runs, before):
+            for p, q in zip(model_params(run[0]), params):
+                assert np.array_equal(p, q)
+
+    def test_no_runs_train_nothing(self):
+        assert sgd_train_runs([], "mse") == []
 
 
 class TestEvaluate:
