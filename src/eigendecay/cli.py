@@ -169,7 +169,7 @@ def _build_model(spec):
         return init_mlp(spec["layers"], **_given(spec, "hidden_activation", "seed"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from None
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:  # a width past float range overflows
         raise ConfigError(f"model too large to allocate: {exc}") from None
 
 

@@ -29,6 +29,15 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    """Whether value is a real number that converts to a finite float: not
+    a bool, nan or an infinity, nor an integer past float range."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_count(name, value, low):
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -203,8 +212,10 @@ def gen_two_gaussians(n_per_class, centers=((-1.0, 0.0), (1.0, 0.0)), sigma=0.5,
     """Isotropic gaussian blob per center; one class per center."""
     if n_per_class < 1:
         raise ValueError(f"need at least one example per class, got {n_per_class}")
-    if not (math.isfinite(sigma) and sigma >= 0):
+    if not (_is_finite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not all(_is_finite(x) for center in centers for x in center):
+        raise ValueError(f"center coordinates must be finite numbers, got {centers}")
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=float)
@@ -223,7 +234,7 @@ def gen_two_moons(n, noise=0.1, seed=0):
     """Two interleaved half circles; classes split n as evenly as possible."""
     if n < 2:
         raise ValueError(f"need at least two examples, got {n}")
-    if not (math.isfinite(noise) and noise >= 0):
+    if not (_is_finite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)

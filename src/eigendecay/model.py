@@ -295,7 +295,7 @@ STACK_FLOATS = 1 << 16
 
 
 def _stack_cap(model, batch_size):
-    """Members per stacked SGD loop (train.grid_search) for model at this
+    """Members per stacked SGD loop (train._trained) for model at this
     batch size."""
     widths = [model.n_in] + [layer.weights.shape[0] for layer in model.layers]
     largest = max(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .data import _is_int, _is_real
+from .data import _is_finite, _is_int
 from .linalg import NONFINITE_MATRIX, POWER_STEPS, gram, power_dominant_eigen
 from .model import forward_batch
 
@@ -132,7 +132,7 @@ class LayerPenalty:
             raise ValueError(
                 f"unknown penalty kind {self.kind!r}; pick one of {PENALTY_KINDS}"
             )
-        if not _is_real(self.c) or not 0.0 <= self.c < math.inf:
+        if not _is_finite(self.c) or self.c < 0:
             raise ValueError(f"penalty coefficient must be finite and >= 0, got {self.c!r}")
         if not _is_int(self.p):
             raise ValueError(f"power-method step count must be an integer, got {self.p!r}")
@@ -152,7 +152,7 @@ class RegularizerSpec:
             if not isinstance(entry, LayerPenalty):
                 raise ValueError("layers must hold LayerPenalty entries")
         for rate in self.dropout:
-            if not 0.0 <= rate < 1.0:
+            if not _is_finite(rate) or not 0.0 <= rate < 1.0:
                 raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
 
     @classmethod

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, _check_count, _is_int, _is_real, kfold, split_indices, write_jsonl
+from .data import Dataset, _check_count, _is_finite, _is_int, kfold, split_indices, write_jsonl
 from .grad import backward
 from .linalg import POWER_STEPS
 from .model import (
@@ -43,7 +43,7 @@ class EarlyStopping:
             raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
         if self.enabled or not _is_int(self.patience):
             _check_count("patience", self.patience, 1)
-        if not _is_real(self.validation_fraction) or not 0.0 < self.validation_fraction < 1.0:
+        if not _is_finite(self.validation_fraction) or not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation fraction must lie in (0, 1), got "
                 f"{self.validation_fraction}"
@@ -61,12 +61,12 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not _is_real(self.learning_rate) or not 0 <= self.learning_rate < math.inf:
+        if not _is_finite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate!r}")
         _check_count("batch size", self.batch_size, 1)
         _check_count("epoch budget", self.max_epochs, 1)
         _check_count("seed", self.seed, 0)
-        if not _is_real(self.momentum) or not 0.0 <= self.momentum < 1.0:
+        if not _is_finite(self.momentum) or not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
@@ -108,16 +108,16 @@ def save_history(history, path):
 class _Member:
     """One training run in a stack: its model, penalties, the rows of the
     shared dataset it trains on (None: all of them, in order), the rows of
-    its validation split (None: early stopping is off), the seed of its
-    draws, its EpochRecords (None: it keeps none, as grid_search's members
-    do), and its early-stopping state. Rows are gathered when used, so a
-    member never holds a copy of the data."""
+    its validation split (None: early stopping is off), its TrainConfig,
+    whose seed seeds its draws, its EpochRecords (None: it keeps none, as
+    grid_search's members do), and its early-stopping state. Rows are
+    gathered when used, so a member never holds a copy of the data."""
 
     model: object
     reg: object
     rows: object
     val_rows: object
-    seed: int
+    config: TrainConfig
     history: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
@@ -127,8 +127,9 @@ class _Member:
         return len(dataset) if self.rows is None else len(self.rows)
 
     def stack_key(self, dataset):
+        # what one stack's members share: _sgd_stack reads one config
         layers = tuple((l.weights.shape, l.activation.kind) for l in self.model.layers)
-        return self.train_size(dataset), layers
+        return self.train_size(dataset), layers, replace(self.config, seed=0)
 
 
 def _member(model, dataset, rows, reg, config):
@@ -154,7 +155,7 @@ def _member(model, dataset, rows, reg, config):
         pool = np.arange(len(dataset)) if rows is None else rows
         first, second = split_indices(len(pool), 1.0 - es.validation_fraction, config.seed)
         rows, val_rows = pool[first], pool[second]
-    return _Member(model, reg, rows, val_rows, config.seed)
+    return _Member(model, reg, rows, val_rows, config)
 
 
 def _stack(arrays):
@@ -279,24 +280,22 @@ def _write_back(member, result, params):
     set_model_params(member.model, member.best_params if best else params)
 
 
-def _sgd_stack(members, dataset, loss_kind, config):
-    """Minibatch SGD for same-shape members together: one step for all of
-    them per batch.
+def _sgd_stack(members, dataset, loss_kind):
+    """Minibatch SGD for members of one stack_key together: one step for
+    all of them per batch, under members[0].config.
 
     Every parameter, activation and gradient carries a leading member axis,
     and each member's slice has the bits it would have trained alone. Each
-    member's draws would come from its own Generator(member.seed): its
+    member's draws would come from its own Generator(config.seed): its
     permutation, then its dropout masks, batch by batch. Members whose
     draws are the same share one such generator, a draw stream keyed by
     their seed and dropout rates, which draws each epoch's permutation and
-    each batch's masks once for all of them. All members must have the same
-    training set size; each epoch's batch rows come from one fancy index
-    into the live members' stacked row indices. At each epoch end every
-    member is checked on its own; one that stops early or diverges leaves
-    the stack. The live members' specs are grouped
-    (objectives._StackSpecs), their row indices stacked and their
-    epoch-end rows gathered (_gathers) once, and again only when some
-    leave.
+    each batch's masks once for all of them. Each epoch's batch rows come
+    from one fancy index into the live members' stacked row indices. At
+    each epoch end every member is checked on its own; one that stops early
+    or diverges leaves the stack. The live members' specs are grouped
+    (objectives._StackSpecs), their row indices stacked and their epoch-end
+    rows gathered (_gathers) once, and again only when some leave.
 
     Returns one TrainHistory or DivergenceError per member, in order; a
     member that keeps no history gets TrainHistory(None, best_epoch). Each
@@ -304,14 +303,15 @@ def _sgd_stack(members, dataset, loss_kind, config):
     ends: with its final parameters, or with the best validation epoch's
     under early stopping, or as they were when it diverged.
     """
+    config = members[0].config
     es = config.early_stopping
     template = members[0].model
     n = members[0].train_size(dataset)
-    # alone, every member draws from a Generator(member.seed), so members
+    # alone, every member draws from a Generator(config.seed), so members
     # with equal seeds and dropout rates draw the same permutations and
     # masks, and members of one seed without dropout the same permutations:
     # one draw stream each
-    keys = [(m.seed, m.reg.dropout if m.reg.has_dropout else None) for m in members]
+    keys = [(m.config.seed, m.reg.dropout if m.reg.has_dropout else None) for m in members]
     rngs = {key: np.random.default_rng(key[0]) for key in dict.fromkeys(keys)}
     results = [None] * len(members)
     active = list(range(len(members)))
@@ -425,6 +425,41 @@ def _sgd_stack(members, dataset, loss_kind, config):
     return results
 
 
+def _trained(members, dataset, loss_kind):
+    """Trains the members an iterable yields as _sgd_stack members, and
+    yields (position, member, TrainHistory) for each as its stack ends;
+    position counts the members in the order they came.
+
+    Members wait in an open stack, one per stack_key, that trains once it
+    holds _stack_cap members; the stacks left at the end train in order of
+    first member. The first DivergenceError in position order is raised as
+    soon as no open stack holds an earlier member.
+    """
+    waiting = {}  # stack key -> [(position, member)]
+    failures = {}  # position -> DivergenceError
+
+    def stacks():
+        for pos, m in enumerate(members):
+            key = m.stack_key(dataset)
+            waiting.setdefault(key, []).append((pos, m))
+            if len(waiting[key]) == _stack_cap(m.model, m.config.batch_size):
+                yield waiting.pop(key)
+        while waiting:
+            yield waiting.pop(next(iter(waiting)))
+
+    for stack in stacks():
+        results = _sgd_stack([m for _, m in stack], dataset, loss_kind)
+        for (pos, m), result in zip(stack, results):
+            if isinstance(result, DivergenceError):
+                failures[pos] = result
+            else:
+                yield pos, m, result
+        if failures:
+            first = min(failures)
+            if all(pos > first for other in waiting.values() for pos, _ in other):
+                raise failures[first]
+
+
 def sgd_train(model, dataset, loss_kind, reg, config):
     """Train the model in place; returns (model, TrainHistory).
 
@@ -441,44 +476,32 @@ def sgd_train_runs(runs, loss_kind):
     sgd_train takes, together; returns in run order the (model,
     TrainHistory) sgd_train returns for each run alone, bit for bit.
 
-    The configs must agree in every field but the seed, the datasets in
-    length and widths, and the models in layer shapes and activations; no
-    model may appear twice. Distinct datasets are concatenated once, and
-    each run trains on its own rows. Runs train in stacks of up to
-    _stack_cap members, in run order; the first DivergenceError in run
-    order is raised.
+    No model may appear twice, and the datasets must agree in feature and
+    class count. Distinct datasets are concatenated once, and each run
+    trains on its own rows. Runs of one training-set size, layer shape and
+    config but for the seed share a stack (_trained); the first
+    DivergenceError in run order is raised.
     """
     runs = list(runs)
     if not runs:
         return []
-    config = runs[0][3]
-    if any(replace(c, seed=config.seed) != config for _, _, _, c in runs):
-        raise ValueError("the runs' train configs may differ only in their seeds")
     if len({id(model) for model, _, _, _ in runs}) < len(runs):
         raise ValueError("a model may appear in only one run")
     datasets = list({id(ds): ds for _, ds, _, _ in runs}.values())
-    shapes = {(len(ds), ds.n_features, ds.n_classes) for ds in datasets}
-    if len(shapes) > 1:
-        raise ValueError(f"the runs' datasets differ in length or widths: {sorted(shapes)}")
+    widths = {(ds.n_features, ds.n_classes) for ds in datasets}
+    if len(widths) > 1:
+        raise ValueError(f"the runs' datasets differ in widths: {sorted(widths)}")
     dataset, rows = datasets[0], {id(datasets[0]): None}
     if len(datasets) > 1:
         # each dataset's rows of the concatenation, in order of first run
-        n = len(dataset)
-        rows = {id(ds): k * n + np.arange(n) for k, ds in enumerate(datasets)}
+        ends = np.cumsum([len(ds) for ds in datasets])
+        rows = {id(ds): np.arange(end - len(ds), end) for ds, end in zip(datasets, ends)}
         dataset = Dataset(*(np.concatenate([getattr(ds, a) for ds in datasets])
                             for a in ("features", "targets", "encoded")), dataset.n_classes)
     members = [_member(model, dataset, rows[id(ds)], reg, c) for model, ds, reg, c in runs]
-    if len({m.stack_key(dataset) for m in members}) > 1:
-        raise ValueError("the runs' models must share their layer shapes and activations")
-
-    out = []
-    cap = _stack_cap(members[0].model, config.batch_size)
-    for first in range(0, len(members), cap):
-        stack = members[first : first + cap]
-        for m, result in zip(stack, _sgd_stack(stack, dataset, loss_kind, config)):
-            if isinstance(result, DivergenceError):
-                raise result
-            out.append((m.model, result))
+    out = [None] * len(members)
+    for pos, m, history in _trained(members, dataset, loss_kind):
+        out[pos] = (m.model, history)
     return out
 
 
@@ -520,9 +543,9 @@ def grid_search(
 
     model_builder(seed) must return a fresh model; reg_builder(c_a, c_b)
     maps a grid cell to its regularizers. Cells x folds of one training-set
-    size and layer shape train together as members of a stacked SGD loop,
-    up to _stack_cap members per stack, with the results of training each
-    alone; the first DivergenceError in grid order is raised. Fold
+    size and layer shape train together as members of a stacked SGD loop
+    (_trained), with the results of training each alone; the first
+    DivergenceError in grid order is raised. Fold
     assignment and per-cell model seeds derive from config.seed. Ties in
     the score go to the lexicographically smallest (c_a, c_b).
     """
@@ -535,48 +558,22 @@ def grid_search(
     train_rows = [np.setdiff1d(all_idx, held) for held in fold_indices]
     n_folds = len(fold_indices)
 
-    # members are built in grid order and wait in an open stack, one per
-    # training-set size and layer shape, that trains once it is full
-    scores = {}  # grid position -> evaluate() on its held-out fold
-    failures = {}  # grid position -> DivergenceError
-    pending = {}
-
-    def train(stack):
-        trained = _sgd_stack([m for _, m in stack], dataset, loss_kind, config)
-        for (pos, m), result in zip(stack, trained):
-            if isinstance(result, DivergenceError):
-                failures[pos] = result
-            else:
-                held = dataset.subset(fold_indices[pos % n_folds])
-                scores[pos] = evaluate(m.model, held, loss_kind)
-
-    def raise_settled():
-        # once no open stack holds an earlier member, the first divergence
-        # in grid order is known
-        if failures:
-            first = min(failures)
-            if all(pos > first for stack in pending.values() for pos, _ in stack):
-                raise failures[first]
-
     # every cell's spec is built first, so a bad grid value fails before
-    # any cell trains
+    # any cell trains; its members are built as _trained takes them
     specs = [reg_builder(c_a, c_b) for c_a in grid_a for c_b in grid_b]
-    pos = 0
-    for cell, reg in enumerate(specs):
-        ia, ib = divmod(cell, len(grid_b))
-        for f in range(n_folds):
-            model = model_builder(_cell_seed(config.seed, ia, ib, f))
-            m = _member(model, dataset, train_rows[f], reg, config)
-            m.history = None  # the search reads no member's history
-            key = m.stack_key(dataset)
-            pending.setdefault(key, []).append((pos, m))
-            if len(pending[key]) == _stack_cap(model, config.batch_size):
-                train(pending.pop(key))
-                raise_settled()
-            pos += 1
-    while pending:
-        train(pending.pop(next(iter(pending))))
-        raise_settled()
+
+    def members():
+        for cell, reg in enumerate(specs):
+            ia, ib = divmod(cell, len(grid_b))
+            for f in range(n_folds):
+                model = model_builder(_cell_seed(config.seed, ia, ib, f))
+                m = _member(model, dataset, train_rows[f], reg, config)
+                m.history = None  # the search reads no member's history
+                yield m
+
+    scores = {}  # grid position -> evaluate() on its held-out fold
+    for pos, m, _ in _trained(members(), dataset, loss_kind):
+        scores[pos] = evaluate(m.model, dataset.subset(fold_indices[pos % n_folds]), loss_kind)
 
     cells = []
     keys = [(c_a, c_b) for c_a in grid_a for c_b in grid_b]

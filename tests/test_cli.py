@@ -1008,6 +1008,7 @@ def _set(config, keys, value):
 
 
 NAN, INF = float("nan"), float("inf")
+PAST_FLOAT = 10**400  # a JSON integer past float range
 
 
 @pytest.mark.parametrize("command, keys, value", [
@@ -1053,6 +1054,21 @@ NAN, INF = float("nan"), float("inf")
     ("train", ("train", "early_stopping"), [1]),
     ("train", ("data",), None),
     ("gridsearch", ("model",), None),
+    ("train", ("regularizers", "layers", 0, "c"), PAST_FLOAT),
+    ("train", ("train", "learning_rate"), PAST_FLOAT),
+    ("gridsearch", ("grid", "a"), [0.0, PAST_FLOAT]),
+    ("train", ("data", "sigma"), PAST_FLOAT),
+    ("train", ("data", "centers"), [[PAST_FLOAT, 0.0], [1.0, 0.0]]),
+    ("train", ("data", "centers"), [[NAN, 0.0], [1.0, 0.0]]),
+    ("train", ("data", "centers"), [[-1.0, 0.0], [1.0, INF]]),
+    ("train", ("data", "sigma"), True),
+    ("train", ("data", "sigma"), False),
+    ("train", ("data", "centers"), [[True, 0.0], [1.0, 0.0]]),
+    ("train", ("regularizers", "dropout"), [False]),
+    ("train", ("data",), {"kind": "two_moons", "n": 20, "noise": PAST_FLOAT}),
+    ("train", ("data",), {"kind": "two_moons", "n": 20, "noise": True}),
+    ("train", ("data", "centers"), [-1.0, 1.0]),
+    ("train", ("model", "layers"), [2, PAST_FLOAT, 2]),
 ], ids=[
     "batch_size_fraction", "max_epochs_fraction", "seed_fraction", "p_fraction",
     "grid_string", "grid_scalar_axis", "train_not_object", "data_not_object",
@@ -1063,7 +1079,10 @@ NAN, INF = float("nan"), float("inf")
     "folds_true", "grid_true", "grid_false", "model_seed_null", "model_seed_true",
     "model_seed_fraction", "model_seed_negative", "data_seed_null", "data_seed_true",
     "data_seed_fraction", "data_seed_negative", "layer_entry_string", "layer_entry_list",
-    "early_stopping_list", "data_null", "model_null",
+    "early_stopping_list", "data_null", "model_null", "c_past_float",
+    "learning_rate_past_float", "grid_past_float", "sigma_past_float", "center_past_float",
+    "center_nan", "center_inf", "sigma_true", "sigma_false", "center_true", "dropout_false",
+    "noise_past_float", "noise_true", "centers_flat", "width_past_float",
 ])
 def test_config_value_of_wrong_type_or_not_finite_is_config_error(
         tmp_path, capsys, command, keys, value):
@@ -1201,33 +1220,40 @@ def _config(draw, command):
         {"kind": "two_moons", "n": 12},
     ], [
         {"kind": "two_gaussians", "n_per_class": 0},
+        {"kind": "two_gaussians", "n_per_class": 6, "sigma": True},
+        {"kind": "two_gaussians", "n_per_class": 6, "sigma": PAST_FLOAT},
+        {"kind": "two_gaussians", "n_per_class": 6, "centers": [[False, 0.0], [1.0, 0.0]]},
+        {"kind": "two_gaussians", "n_per_class": 6, "centers": [[PAST_FLOAT, 0.0], [1.0, NAN]]},
         {"kind": "xor", "n": -1},
         {"kind": "two_moons", "n": 12, "noise": -1.0},
+        {"kind": "two_moons", "n": 12, "noise": PAST_FLOAT},
         {"kind": "spiral", "n": 12},
         {"n": 12},
     ])
-    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6], [-0.5, "x", NAN, INF, True])}
+    train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6],
+                                     [-0.5, "x", NAN, INF, True, PAST_FLOAT])}
     train["max_epochs"] = _value(draw, [1, 2], [0, 2.5, True])
     _maybe(draw, train, "batch_size", [1, 4], [0, 2.5, True])
-    _maybe(draw, train, "momentum", [0.0, 0.5], [1.0, False])
+    _maybe(draw, train, "momentum", [0.0, 0.5], [1.0, False, PAST_FLOAT])
     _maybe(draw, train, "early_stopping",
            [{"enabled": True, "patience": 1, "validation_fraction": 0.3}],
            [{"enabled": True, "patience": 0}, {"enabled": True, "patience": 2.5},
-            {"enabled": True, "patience": True}, {"validation_fraction": 1.5}])
+            {"enabled": True, "patience": True}, {"validation_fraction": 1.5},
+            {"validation_fraction": PAST_FLOAT}])
     entries = [
         {"kind": _value(draw, ["none", "eigen_decay", "l1", "l2"], ["l3"]),
-         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0, NAN, INF, True]),
+         "c": _value(draw, [0.0, 0.01, 1e8], [-1.0, NAN, INF, True, PAST_FLOAT]),
          "p": _value(draw, [1, 3], [0, 2.5, True])}
         for _ in range(len(layers) - 1 + _value(draw, [0], [-1, 1]))
     ]
-    dropout = [_value(draw, [0.0, 0.3], [1.0]) for _ in range(n_hidden)]
+    dropout = [_value(draw, [0.0, 0.3], [1.0, False, True, PAST_FLOAT]) for _ in range(n_hidden)]
     config = {"model": model, "data": data, "train": train}
     _maybe(draw, config, "loss", list(LOSS_KINDS), ["l0"])
     _maybe(draw, config, "regularizers", [{"layers": entries, "dropout": dropout}])
     if command == "gridsearch":
         grid = {"folds": _value(draw, [2, 3], [1, 2.5, True])}
         for key in ("a", "b"):
-            axis = [_value(draw, [0.0, 0.01], [-1.0, NAN, INF, "x", True])
+            axis = [_value(draw, [0.0, 0.01], [-1.0, NAN, INF, "x", True, PAST_FLOAT])
                     for _ in range(_value(draw, [1, 2], [0]))]
             grid[key] = _value(draw, [axis], [0.01])
         _maybe(draw, grid, "select_by", ["accuracy", "loss"], ["auc"])

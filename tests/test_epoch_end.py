@@ -114,7 +114,7 @@ def test_every_member_history_is_pinned(loss_kind, early_stopping, momentum):
     members = _members(ds, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        results = train._sgd_stack(members, ds, loss_kind, cfg)
+        results = train._sgd_stack(members, ds, loss_kind)
     assert isinstance(results[6], DivergenceError)
     assert all(np.isfinite(p).all() for p in model_params(members[6].model))
     if loss_kind != "categorical_cross_entropy":

@@ -426,7 +426,7 @@ def _train_grid_members(ds, cfg, keep_history):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for idx in by_size.values():
-            trained = train._sgd_stack([members[i] for i in idx], ds, "mse", cfg)
+            trained = train._sgd_stack([members[i] for i in idx], ds, "mse")
             for i, result in zip(idx, trained):
                 results[i] = result
     scores = [None if isinstance(r, DivergenceError) else evaluate(m.model, ds.subset(rows))

@@ -392,7 +392,8 @@ def _epoch_records(params, regs, X, Y):
     R, B = X.shape[:2]
     ds = Dataset(X.reshape(R * B, -1), np.zeros(R * B, dtype=np.int64),
                  Y.reshape(R * B, -1), Y.shape[-1])
-    members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None, 0)
+    cfg = TrainConfig(learning_rate=0.0)
+    members = [train._Member(None, reg, np.arange(r * B, (r + 1) * B), None, cfg)
                for r, reg in enumerate(regs)]
     template = _two_layer([p[0] for p in params])
     return train._epoch_end(members, params, template, train._gathers(members, ds),
@@ -628,7 +629,7 @@ def test_overflowing_member_fails_at_once_and_leaves_the_others_alone():
     models[1].hidden[0].weights *= 1e160
     start = [a.copy() for a in model_params(models[1])]
     members = [train._member(m, ds, None, reg, cfg) for m in models]
-    results = train._sgd_stack(members, ds, "mse", cfg)
+    results = train._sgd_stack(members, ds, "mse")
 
     assert isinstance(results[1], DivergenceError)
     assert str(results[1]) == "parameters diverged during epoch 0: matrix entries must be finite"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 import re
 
@@ -180,7 +181,7 @@ class TestSgdTrain:
                                 (0.0,))]
         members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, r, cfg)
                    for s, r in enumerate(regs)]
-        results = train._sgd_stack(members, ds, "mse", cfg)
+        results = train._sgd_stack(members, ds, "mse")
         assert all(len(r.epochs) == 6 for r in results)
         assert len(weights) == 6
         want = [(e + 1, gram(w[j]).tobytes())
@@ -209,7 +210,7 @@ class TestSgdTrain:
         models = [small_model(dims=(2, 5, 2), seed=s) for s in range(len(regs))]
         members = [train._member(m, ds, None, r, cfg) for m, r in zip(models, regs)]
         with np.errstate(all="ignore"):
-            results = train._sgd_stack(members, ds, "mse", cfg)
+            results = train._sgd_stack(members, ds, "mse")
         assert isinstance(results[0], DivergenceError) and results[0].epoch == 1
         for j, (model, reg, result) in enumerate(zip(models, regs, results)):
             alone = small_model(dims=(2, 5, 2), seed=j)
@@ -244,7 +245,7 @@ class TestSgdTrain:
         members = [train._member(small_model(dims=(2, 5, 2), seed=s), ds, None, r, cfg)
                    for s, r in enumerate(regs)]
         assert checked == regs
-        results = train._sgd_stack(members, ds, "mse", cfg)
+        results = train._sgd_stack(members, ds, "mse")
         assert all(len(r.epochs) == 3 for r in results)
         assert checked == regs
 
@@ -312,18 +313,35 @@ _MIXED = [
     _reg(LayerPenalty("eigen_decay", 0.02), dropout=0.3),
 ]
 
-# what makes run 1 of three unstackable: (its slot, the new value given the
-# runs, the error's message)
+# what makes run 1 of three unable to train with the others: (its slot,
+# the new value given the runs, the error's message)
 _UNSTACKABLE = {
-    "learning_rate": (3, lambda runs: TrainConfig(learning_rate=0.2, seed=1),
-                      "differ only in their seeds"),
-    "momentum": (3, lambda runs: TrainConfig(learning_rate=0.1, seed=1, momentum=0.5),
-                 "differ only in their seeds"),
-    "dataset_length": (1, lambda runs: _blobs(1, n=30), "length or widths"),
     "model_twice": (0, lambda runs: runs[0][0], "only one run"),
-    "widths": (0, lambda runs: small_model(dims=(2, 6, 2), seed=1), "layer shapes"),
-    "activation": (0, lambda runs: small_model((2, 5, 2), "tanh", seed=1), "layer shapes"),
+    "dataset_features": (1, lambda runs: gen_two_gaussians(
+        20, centers=((-1.0, 0.0, 0.5), (1.0, 0.0, -0.5)), seed=1), "widths"),
+    "dataset_classes": (1, lambda runs: gen_two_gaussians(
+        20, centers=((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), seed=1), "widths"),
 }
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The models of each _sgd_stack call's members, one list per call."""
+    calls = []
+    original = train._sgd_stack
+
+    def spy(members, *args):
+        calls.append([m.model for m in members])
+        return original(members, *args)
+
+    monkeypatch.setattr(train, "_sgd_stack", spy)
+    return calls
+
+
+def _run_stacks(stacks, runs):
+    """The stacks that trained runs' models, as lists of run indices."""
+    run_of = {id(run[0]): k for k, run in enumerate(runs)}
+    return [[run_of[id(m)] for m in stack] for stack in stacks if id(stack[0]) in run_of]
 
 
 class TestSgdTrainRuns:
@@ -370,27 +388,78 @@ class TestSgdTrainRuns:
         assert len({h.best_epoch for h in histories}) > 1
         assert all(len(h.epochs) < 40 for h in histories)
 
-    def test_runs_beyond_the_stack_cap_train_in_run_order(self, monkeypatch):
+    def test_runs_beyond_the_stack_cap_train_in_run_order(self, monkeypatch, stacks):
         # 2-5-2 at batch 8: the largest per-step array is the 8 x 5 batch
         # of hidden activations, so this budget stacks two members
         monkeypatch.setattr(model_module, "STACK_FLOATS", 2 * 8 * 5)
-        stacks = []
-        original = train._sgd_stack
-
-        def spy(members, *args):
-            stacks.append([m.seed for m in members])
-            return original(members, *args)
-
-        monkeypatch.setattr(train, "_sgd_stack", spy)
         datasets = [_blobs(seed, n=20) for seed in range(5)]
+        made = []
 
         def runs():
-            return [(small_model(dims=(2, 5, 2), seed=seed), datasets[seed], reg,
-                     TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=4, seed=seed))
-                    for seed, reg in enumerate(_MIXED[:5])]
+            made.append([(small_model(dims=(2, 5, 2), seed=seed), datasets[seed], reg,
+                          TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=4,
+                                      seed=seed))
+                         for seed, reg in enumerate(_MIXED[:5])])
+            return made[-1]
 
         _assert_runs_train_as_alone(runs)
-        assert stacks[:3] == [[0, 1], [2, 3], [4]]
+        assert _run_stacks(stacks, made[0]) == [[0, 1], [2, 3], [4]]
+
+    def test_runs_of_other_lengths_shapes_and_configs(self, stacks):
+        # runs 1-7 each differ from run 0 in one way: dataset length, hidden
+        # width (and dropout), activation (on a third dataset length),
+        # learning rate, momentum, epoch budget and early stopping; runs
+        # 8-10 repeat runs 0, 2 and 1 at other seeds, so each pair trains in
+        # one stack
+        datasets = [_blobs(0, n=25), _blobs(1, n=18), _blobs(2, n=21)]
+        base = TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=6, seed=0)
+        es = EarlyStopping(True, patience=2, validation_fraction=0.25)
+        made = []
+
+        def runs():
+            spec = [
+                ((2, 5, 2), "sigmoid", 0, _MIXED[0], base),
+                ((2, 5, 2), "sigmoid", 1, _MIXED[1], replace(base, seed=1)),
+                ((2, 7, 2), "sigmoid", 0, _MIXED[2], replace(base, seed=2)),
+                ((2, 5, 2), "tanh", 2, _MIXED[3], base),
+                ((2, 5, 2), "sigmoid", 0, _MIXED[4], replace(base, learning_rate=0.2)),
+                ((2, 5, 2), "sigmoid", 0, _MIXED[5], replace(base, momentum=0.6)),
+                ((2, 5, 2), "sigmoid", 0, _MIXED[0], replace(base, max_epochs=9)),
+                ((2, 5, 2), "sigmoid", 1, _MIXED[2], replace(base, early_stopping=es)),
+                ((2, 5, 2), "sigmoid", 0, _MIXED[5], replace(base, seed=3)),
+                ((2, 7, 2), "sigmoid", 0, _MIXED[0], replace(base, seed=1)),
+                ((2, 5, 2), "sigmoid", 1, _MIXED[4], replace(base, seed=2)),
+            ]
+            made.append([(small_model(dims, activation, seed=20 + k), datasets[d], reg, cfg)
+                         for k, (dims, activation, d, reg, cfg) in enumerate(spec)])
+            return made[-1]
+
+        _assert_runs_train_as_alone(runs)
+        assert _run_stacks(stacks, made[0]) == [[0, 8], [1, 10], [2, 9], [3], [4], [5], [6],
+                                                [7]]
+
+    def test_a_full_stack_trains_before_earlier_open_ones(self, monkeypatch, stacks):
+        # two members of 2-5-2 at batch 8 fill a stack, and one of 2-6-2:
+        # runs 1 and 2 fill theirs first, run 3 fills its own, and run 0
+        # waits for run 4, which shares its epoch budget
+        monkeypatch.setattr(model_module, "STACK_FLOATS", 2 * 8 * 5)
+        ds = _blobs(3, n=20)
+        cfg = TrainConfig(learning_rate=0.4, batch_size=8, max_epochs=4, seed=0)
+        made = []
+
+        def runs():
+            made.append([
+                (small_model(dims=(2, 5, 2), seed=0), ds, _MIXED[0], replace(cfg, max_epochs=5)),
+                (small_model(dims=(2, 5, 2), seed=1), ds, _MIXED[1], cfg),
+                (small_model(dims=(2, 5, 2), seed=2), ds, _MIXED[2], replace(cfg, seed=2)),
+                (small_model(dims=(2, 6, 2), seed=3), ds, _MIXED[3], cfg),
+                (small_model(dims=(2, 5, 2), seed=4), ds, _MIXED[4],
+                 replace(cfg, max_epochs=5, seed=4)),
+            ])
+            return made[-1]
+
+        _assert_runs_train_as_alone(runs)
+        assert _run_stacks(stacks, made[0]) == [[1, 2], [3], [0, 4]]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_the_first_divergent_run_raises_its_solo_error(self):
@@ -411,6 +480,35 @@ class TestSgdTrainRuns:
             sgd_train_runs(runs(), "mse")
         assert (got.value.epoch, str(got.value)) == (solo.value.epoch, str(solo.value))
         assert got.value.epoch == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_divergence_waits_for_earlier_runs_in_other_stacks(self, monkeypatch, stacks):
+        # runs 1 and 2 fill their stack and train first, and run 1 diverges
+        # in epoch 1; run 0, alone in a stack of its own epoch budget,
+        # trains last and diverges in epoch 3, and its error is raised
+        monkeypatch.setattr(model_module, "STACK_FLOATS", 2 * 8 * 5)
+        ds = _blobs(9, n=20)
+        cfg = TrainConfig(learning_rate=0.2, batch_size=8, max_epochs=6, seed=0)
+        regs = [_reg(LayerPenalty("l2", 0.05), LayerPenalty("l2", 1e10)),
+                _reg(LayerPenalty("eigen_decay", 0.05), LayerPenalty("l2", 1e20)),
+                _MIXED[0]]
+        configs = [replace(cfg, max_epochs=8), cfg, replace(cfg, seed=2)]
+
+        def runs():
+            return [(small_model(dims=(2, 5, 2), seed=k), ds, reg, c)
+                    for k, (reg, c) in enumerate(zip(regs, configs))]
+
+        solo = []
+        for model, ds_, reg, c in runs()[:2]:
+            with pytest.raises(DivergenceError) as raised:
+                sgd_train(model, ds_, "mse", reg, c)
+            solo.append((raised.value.epoch, str(raised.value)))
+        assert [epoch for epoch, _ in solo] == [3, 1]
+        made = runs()
+        with pytest.raises(DivergenceError) as got:
+            sgd_train_runs(made, "mse")
+        assert (got.value.epoch, str(got.value)) == solo[0]
+        assert _run_stacks(stacks, made) == [[1, 2], [0]]
 
     @pytest.mark.parametrize("case", list(_UNSTACKABLE))
     def test_runs_that_cannot_stack_are_rejected(self, case):
