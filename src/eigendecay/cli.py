@@ -227,8 +227,10 @@ def _loss_kind(kind):
 
 
 def _numerics():
-    """What report bytes depend on besides the config and seeds: the numpy
-    and BLAS build, and the threads BLAS may split a matmul across."""
+    """The numpy and BLAS build a run used and the BLAS thread settings it
+    saw, kept as provenance. Report bytes depend on the build; on one
+    build, the products linalg._blocked_matmul forms keep their bits at
+    any thread count."""
     build = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.26
     blas = build.get("Build Dependencies", {}).get("blas", {})
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _power, gram
+from .linalg import _blocked_matmul, _power, gram
 from .model import STACK_FLOATS, _with_params, forward_batch, model_params
 from .objectives import RegularizerSpec, _grouped, loss_gradient_batch, total_objective
 
@@ -77,10 +77,11 @@ def eigen_decay_gradient(ws, cs, p):
             u /= peaks[t - 1]
             du.append(u)
             if t > 1:  # v_0 is the fixed start, so nothing reads its dv
-                dv = m @ u
-        gm = np.concatenate(du, axis=2) @ np.concatenate(iterates[::-1], axis=2).swapaxes(1, 2)
+                dv = _blocked_matmul(m, u)
+        gm = _blocked_matmul(np.concatenate(du, axis=2),
+                             np.concatenate(iterates[::-1], axis=2).swapaxes(1, 2))
         # M = W W^T, so dL/dW = (G + G^T) W
-        grad = (gm + gm.swapaxes(1, 2)) @ ws
+        grad = _blocked_matmul(gm + gm.swapaxes(1, 2), ws)
         grad *= cs[:, None, None] / (2.0 * np.sqrt(lam))[:, None, None]
     # a finite, positive estimate everywhere (a nan min fails the
     # comparison): nothing to mark or zero
@@ -171,9 +172,9 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
     db = [None] * (K + 1)
 
     out = model.output
-    dW[K] = G.swapaxes(-1, -2) @ ys[-1]
+    dW[K] = _blocked_matmul(G.swapaxes(-1, -2), ys[-1])
     db[K] = G.sum(axis=-2)
-    D = G @ out.weights
+    D = _blocked_matmul(G, out.weights)
 
     for k in range(K - 1, -1, -1):
         layer = model.hidden[k]
@@ -181,10 +182,10 @@ def backward(model, X, Y, loss_kind, reg, dropout_masks=None):
             D *= dropout_masks[k]
         D *= layer.activation.slope(acts[k])
         prev = X if k == 0 else ys[k - 1]
-        dW[k] = D.swapaxes(-1, -2) @ prev
+        dW[k] = _blocked_matmul(D.swapaxes(-1, -2), prev)
         db[k] = D.sum(axis=-2)
         if k > 0:
-            D = D @ layer.weights
+            D = _blocked_matmul(D, layer.weights)
 
     failed = _add_penalty_gradients(dW, model, specs, stacked)
     if failed and not stacked:

@@ -11,13 +11,13 @@ a violation cannot be blamed on eigenvalue underestimation.
 The layer eigenvalues depend on the weights alone, so verify_theorem1
 computes them once per call (layer_lambda_dom). The segments from one
 example to its anchors are bisected together: each step evaluates the
-class output of every unfinished segment in one column pass, which gives
-each segment the bits of its bisection alone. The surface points of the
-whole call then go through one per_point_bound call per chunk: one
-forward pass and one input gradient per point, whose dot with the
-example's offset is the numerator of both the signed distance and the
-bound term, and row-wise products that give each point the bits of its
-single-point arithmetic.
+class output of every unfinished segment in one row pass, the forward
+pass training runs. The surface points of the whole call then go through
+one per_point_bound call per chunk: one forward pass of the chunk and one
+input gradient per point, whose dot with the example's offset is the
+numerator of both the signed distance and the bound term. A point's bits
+depend on which points share its stack, and the stacks are the same on
+every run.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .linalg import _dot, as_matrix, as_vector, exact_dominant_eigen, gram
 from .model import (
     SMOOTH_ACTIVATIONS,
     STACK_FLOATS,
-    _column_pass,
+    _row_pass,
     forward,
     forward_batch,
     input_gradient,
@@ -93,14 +93,13 @@ def find_surface_point(model, x_a, x_b, l):
     magnitude at its midpoint drops below BISECTION_TOL.
 
     x_a and x_b are (S, d) stacks of endpoints, bisected together: each
-    step evaluates the class output of every unfinished segment in one
-    column pass, and a segment that has finished or failed never moves
-    again. Returns (points, failed): points is (S, d), row s segment s's
-    surface point, or nan where failed maps s to its NoCrossingError,
-    NonFiniteMidpointError or BisectionToleranceError. Every segment takes
-    the steps, and has the bits, of its bisection alone. Endpoints of the
-    wrong shape or length, or with non-finite entries, raise ValueError
-    for the whole call.
+    step evaluates the class output of every unfinished segment, in
+    segment order, in one row pass, and a segment that has finished or
+    failed never moves again. Returns (points, failed): points is (S, d),
+    row s segment s's surface point, or nan where failed maps s to its
+    NoCrossingError, NonFiniteMidpointError or BisectionToleranceError.
+    Endpoints of the wrong shape or length, or with non-finite entries,
+    raise ValueError for the whole call.
     """
     x_a = as_vector(x_a, stacked=True)
     x_b = as_vector(x_b, stacked=True)
@@ -115,7 +114,7 @@ def find_surface_point(model, x_a, x_b, l):
         )
 
     def class_output(X):
-        return _column_pass(model, X)[1][:, l]
+        return _row_pass(model, X)[2][:, l]
 
     fa = class_output(x_a)
     fb = class_output(x_b)
@@ -189,9 +188,9 @@ def per_point_bound(model, X, P, l, targets, lambda_dom):
     one forward pass of P. Returns (distances, bounds, failed): failed maps
     a row whose gradient vanishes, or else whose bound denominator is
     zero, to its DegenerateGradientError; the value that could not be
-    formed is nan. Each row has the bits of its single-point arithmetic. A
-    target other than +/-1 or a zero output row raises for the whole call,
-    and so does an output row whose norm overflows (OverflowError).
+    formed is nan. A target other than +/-1 or a zero output row raises
+    for the whole call, and so does an output row whose norm overflows
+    (OverflowError).
     """
     _require_smooth(model)
     X = as_vector(X, stacked=True)

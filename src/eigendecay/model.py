@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .data import _check_count, _is_int, _is_real
-from .linalg import as_matrix, as_vector
+from .linalg import _blocked_matmul, as_matrix, as_vector
 
 
 def _sigmoid(v, out=None):
@@ -170,35 +170,39 @@ def _activate(layer, V):
     return _ACTIVATIONS[layer.activation.kind][0](V, out=V)
 
 
+def _row_pass(model, X, dropout_masks=None):
+    """forward_batch without its input checks: X is (n, n_in), or (R, n,
+    n_in) for a stacked model."""
+    acts, ys = [], []
+    Y = X
+    for k, layer in enumerate(model.hidden):
+        V = _blocked_matmul(Y, layer.weights.swapaxes(-1, -2))
+        V += layer.bias[..., None, :]
+        Y = _activate(layer, V)
+        acts.append(Y)
+        if dropout_masks is not None and dropout_masks[k] is not None:
+            Y = Y * dropout_masks[k]
+        ys.append(Y)
+    out = model.output
+    Yhat = _blocked_matmul(Y, out.weights.swapaxes(-1, -2))
+    Yhat += out.bias[..., None, :]
+    return acts, ys, Yhat
+
+
 def forward(model, x):
     """Forward pass keeping every intermediate. x is one input (n_in,), or
-    a stack of inputs (N, n_in) whose trace holds one row per input, each
-    with the bits of that input passed alone (see _column_pass)."""
+    a stack of inputs (N, n_in) whose trace holds one row per input, from
+    one row pass of the stack."""
     single = np.ndim(x) == 1
     x = as_vector(x, stacked=not single)
     if x.shape[-1] != model.n_in:
         raise ValueError(
             f"input has length {x.shape[-1]} but the model expects {model.n_in}"
         )
-    return ForwardTrace(x, *_column_pass(model, x))
-
-
-def _column_pass(model, X):
-    """Forward pass of one input X (n_in,) or a stack of inputs (S, n_in),
-    one example per row, without input checks. Returns (activations,
-    outputs), the first a list over hidden layers.
-
-    Each row has the bits of that example passed alone: every layer
-    broadcasts its shared W over the stacked columns, one GEMV per row.
-    The row GEMM of forward_batch rounds differently.
-    """
-    ys = []
-    Y = X
-    for layer in model.hidden:
-        Y = _activate(layer, (layer.weights @ Y[..., None])[..., 0] + layer.bias)
-        ys.append(Y)
-    out = model.output
-    return ys, (out.weights @ Y[..., None])[..., 0] + out.bias
+    acts, _, out = _row_pass(model, x[None] if single else x)
+    if single:
+        acts, out = [y[0] for y in acts], out[0]
+    return ForwardTrace(x, acts, out)
 
 
 def forward_batch(model, X, dropout_masks=None):
@@ -224,20 +228,7 @@ def forward_batch(model, X, dropout_masks=None):
         raise ValueError(
             f"batch has shape {X.shape} but the model expects ({lead}n, {model.n_in})"
         )
-    acts, ys = [], []
-    Y = X
-    for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.swapaxes(-1, -2)
-        V += layer.bias[..., None, :]
-        Y = _activate(layer, V)
-        acts.append(Y)
-        if dropout_masks is not None and dropout_masks[k] is not None:
-            Y = Y * dropout_masks[k]
-        ys.append(Y)
-    out = model.output
-    Yhat = Y @ out.weights.swapaxes(-1, -2)
-    Yhat += out.bias[..., None, :]
-    return acts, ys, Yhat
+    return _row_pass(model, X, dropout_masks)
 
 
 def input_gradient(model, trace, l):
@@ -245,15 +236,14 @@ def input_gradient(model, trace, l):
 
     The row is the product of the output row with each hidden layer's
     weight matrix scaled by the activation slopes read from the trace.
-    A stacked trace gives one row per input, (N, n_in): each row times the
-    shared W is its own vector-matrix product, with the bits of the
-    single-input call.
+    A stacked trace gives one row per input, (N, n_in), from one product
+    per layer.
     """
     if not 0 <= l < model.n_out:
         raise ValueError(f"class index {l} out of range for {model.n_out} outputs")
     g = model.output.weights[l]
     for layer, y in zip(reversed(model.hidden), reversed(trace.activations)):
-        g = ((g * layer.activation.slope(y))[..., None, :] @ layer.weights)[..., 0, :]
+        g = _blocked_matmul(g * layer.activation.slope(y), layer.weights)
     return g
 
 

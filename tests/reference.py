@@ -75,6 +75,24 @@ def slope(kind, v):
     return np.ones_like(v)
 
 
+# matrix products
+
+# the widest inner dimension one matmul of blocked() sums
+INNER_BLOCK = 384
+
+
+def blocked(A, B):
+    """A @ B as a sum over contiguous blocks of at most INNER_BLOCK columns
+    of A and rows of B: one matmul per block, each a new array, added in
+    order."""
+    products = [A[..., start:start + INNER_BLOCK] @ B[..., start:start + INNER_BLOCK, :]
+                for start in range(0, A.shape[-1], INNER_BLOCK)]
+    total = products[0]
+    for product in products[1:]:
+        total = total + product
+    return total
+
+
 # the gram, the power iteration and its gradient
 
 def gram(w):
@@ -86,8 +104,8 @@ def gram(w):
 
 def power(m, p):
     """(lambda, error) of the p-step power iteration on one symmetric
-    matrix m from the all-ones start, with 1-D numpy: each step a GEMV,
-    then a division by the max-abs peak and one by np.linalg.norm. error
+    matrix m from the all-ones start, with 1-D numpy: each step a blocked
+    GEMV, then a division by the max-abs peak and one by np.linalg.norm. error
     is what power_dominant_eigen records for m, else None, and lambda is
     nan where it is not None."""
     if not np.isfinite(m).all():
@@ -95,13 +113,13 @@ def power(m, p):
     v = np.ones(m.shape[0])
     with np.errstate(all="ignore"):
         for _ in range(p):
-            v = m @ v
+            v = blocked(m, v[:, None])[:, 0]
             peak = float(np.max(np.abs(v)))
             if peak == 0.0:
                 return math.nan, DegenerateIterateError(DEGENERATE_START)
             v = v / peak
             v = v / float(np.linalg.norm(v))
-        num, den = float((m @ v) @ v), float(v @ v)
+        num, den = float(blocked(m, v[:, None])[:, 0] @ v), float(v @ v)
     if not (math.isfinite(num) and math.isfinite(den)):
         return math.nan, OverflowError(ITERATE_OVERFLOW)
     return num / den, None
@@ -141,7 +159,7 @@ def raw_power_gradient(w, C, p):
 
 
 def _mv(m, v):
-    return (m @ v[..., None])[..., 0]
+    return blocked(m, v[..., None])[..., 0]
 
 
 def _dot(a, b):
@@ -184,8 +202,8 @@ def power_gradient(ws, cs, p):
             dus.append(du)
             if t > 1:
                 dv = _mv(m, du)
-        gm = np.stack(dus, axis=2) @ np.stack(iterates[::-1], axis=1)
-        dlam_dw = (gm + gm.swapaxes(-1, -2)) @ ws
+        gm = blocked(np.stack(dus, axis=2), np.stack(iterates[::-1], axis=1))
+        dlam_dw = blocked(gm + gm.swapaxes(-1, -2), ws)
         grad = dlam_dw * (cs / (2.0 * np.sqrt(lam)))[:, None, None]
     failed = {}
     for r in np.flatnonzero(ws.any(axis=(1, 2))).tolist():
@@ -389,14 +407,14 @@ def forward_batch(model, X, masks=None):
     vs, acts, ys = [], [], []
     Y = X
     for k, layer in enumerate(model.hidden):
-        V = Y @ layer.weights.swapaxes(-1, -2) + layer.bias[..., None, :]
+        V = blocked(Y, layer.weights.swapaxes(-1, -2)) + layer.bias[..., None, :]
         A = activation(layer.activation.kind, V)
         Y = A if masks is None or masks[k] is None else A * masks[k]
         vs.append(V)
         acts.append(A)
         ys.append(Y)
     out = model.output
-    return vs, acts, ys, Y @ out.weights.swapaxes(-1, -2) + out.bias[..., None, :]
+    return vs, acts, ys, blocked(Y, out.weights.swapaxes(-1, -2)) + out.bias[..., None, :]
 
 
 def backward(model, X, Y, loss_kind, regs, masks):
@@ -406,19 +424,19 @@ def backward(model, X, Y, loss_kind, regs, masks):
     G = loss_gradient(loss_kind, Yhat, Y)
     K = len(model.hidden)
     dW, db = [None] * (K + 1), [None] * (K + 1)
-    dW[K] = G.swapaxes(-1, -2) @ ys[-1]
+    dW[K] = blocked(G.swapaxes(-1, -2), ys[-1])
     db[K] = G.sum(axis=-2)
-    D = G @ model.output.weights
+    D = blocked(G, model.output.weights)
     for k in range(K - 1, -1, -1):
         layer = model.hidden[k]
         if masks is not None and masks[k] is not None:
             D = D * masks[k]
         D = D * slope(layer.activation.kind, vs[k])
         prev = X if k == 0 else ys[k - 1]
-        dW[k] = D.swapaxes(-1, -2) @ prev
+        dW[k] = blocked(D.swapaxes(-1, -2), prev)
         db[k] = D.sum(axis=-2)
         if k > 0:
-            D = D @ layer.weights
+            D = blocked(D, layer.weights)
     failed = {}
     for k, layer in enumerate(model.layers):
         # one penalty gradient call per (kind, p) of the penalized members
@@ -494,30 +512,39 @@ class Trace:
     output: np.ndarray
 
 
-def forward(model, x):
-    """The column forward pass of one input x (n_in,), keeping the
-    preactivations."""
-    x = np.asarray(x, dtype=float)
+def forward(model, X):
+    """The row forward pass of a stack of inputs X (N, n_in), keeping the
+    preactivations; one input (n_in,) passes as the stack of one."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        return row(forward(model, X[None]), 0)
     vs, ys = [], []
-    y = x
+    Y = X
     for layer in model.hidden:
-        v = (layer.weights @ y[:, None])[:, 0] + layer.bias
-        y = activation(layer.activation.kind, v)
-        vs.append(v)
-        ys.append(y)
-    out = model.output
-    return Trace(x, vs, ys, (out.weights @ y[:, None])[:, 0] + out.bias)
+        V = blocked(Y, layer.weights.T) + layer.bias
+        Y = activation(layer.activation.kind, V)
+        vs.append(V)
+        ys.append(Y)
+    return Trace(X, vs, ys, blocked(Y, model.output.weights.T) + model.output.bias)
+
+
+def row(trace, s):
+    """Row s of a stacked trace."""
+    return Trace(trace.input[s], [v[s] for v in trace.preactivations],
+                 [y[s] for y in trace.activations], trace.output[s])
 
 
 def input_gradient(model, trace, l):
+    """Each row's gradient of output l: the output row through each hidden
+    layer's slopes, then one blocked product with W per layer."""
     g = model.output.weights[l]
     for layer, v in zip(reversed(model.hidden), reversed(trace.preactivations)):
-        g = (g * slope(layer.activation.kind, v)) @ layer.weights
+        g = blocked(g * slope(layer.activation.kind, v), layer.weights)
     return g
 
 
-def signed_distance(model, x_i, point, l, trace):
-    g = input_gradient(model, trace, l)
+def signed_distance(g, x_i, point, l):
+    """x_i's distance from point along g, the input gradient's row there."""
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise DegenerateGradientError(
@@ -572,31 +599,54 @@ def bound(model, x_i, point, l, y_target, trace, lambda_dom):
         ) from None
 
 
-def surface_point(model, x_a, x_b, l):
-    """find_surface_point as it bisected one segment at a time."""
-    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
-    fa, fb = (float(forward(model, x).output[l]) for x in (x_a, x_b))
-    if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-        raise NoCrossingError(
-            f"class-{l} output does not change sign along the segment "
-            f"({fa:.3e} vs {fb:.3e})"
-        )
-    lo, hi = x_a, x_b
-    for _ in range(BISECTION_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not np.isfinite(mid).all():
-            raise NonFiniteMidpointError("bisection midpoint entries must be finite")
-        fm = float(forward(model, mid).output[l])
-        if abs(fm) < BISECTION_TOL:
-            return mid
-        if (fm > 0) == (fa > 0):
-            lo = mid
+def surface_points(model, x_a, x_b, l):
+    """find_surface_point on the endpoint stacks x_a and x_b (S, d), one
+    outcome per segment: its point, or its error. Each step takes the
+    midpoints of the unfinished segments in segment order, drops those that
+    are not finite, and evaluates the rest as one stack."""
+    fa, fb = (forward(model, x).output[:, l] for x in (x_a, x_b))
+    outcomes = [None] * len(fa)
+    live, lo, hi = [], {}, {}
+    for s in range(len(fa)):
+        if fa[s] == 0.0 or fb[s] == 0.0 or (fa[s] > 0) == (fb[s] > 0):
+            outcomes[s] = NoCrossingError(
+                f"class-{l} output does not change sign along the segment "
+                f"({fa[s]:.3e} vs {fb[s]:.3e})"
+            )
         else:
-            hi = mid
-    raise BisectionToleranceError(
-        f"bisection did not reach |output| < {BISECTION_TOL:g} in "
-        f"{BISECTION_MAX_STEPS} steps"
-    )
+            live.append(s)
+            lo[s], hi[s] = x_a[s], x_b[s]
+    for _ in range(BISECTION_MAX_STEPS):
+        if not live:
+            break
+        mids = {}
+        for s in live:
+            mid = 0.5 * (lo[s] + hi[s])
+            if np.isfinite(mid).all():
+                mids[s] = mid
+            else:
+                outcomes[s] = NonFiniteMidpointError("bisection midpoint entries must be finite")
+        live = list(mids)
+        if not live:
+            break
+        fm = forward(model, np.array([mids[s] for s in live])).output[:, l]
+        unfinished = []
+        for s, f in zip(live, fm):
+            if abs(f) < BISECTION_TOL:
+                outcomes[s] = mids[s]
+                continue
+            if (f > 0) == (fa[s] > 0):
+                lo[s] = mids[s]
+            else:
+                hi[s] = mids[s]
+            unfinished.append(s)
+        live = unfinished
+    for s in live:
+        outcomes[s] = BisectionToleranceError(
+            f"bisection did not reach |output| < {BISECTION_TOL:g} in "
+            f"{BISECTION_MAX_STEPS} steps"
+        )
+    return outcomes
 
 
 def anchors(dataset, yl, i, anchors_per_example):
@@ -614,25 +664,49 @@ def anchors(dataset, yl, i, anchors_per_example):
     return dataset.features[opposite[order]]
 
 
-def reports(model, dataset, l, anchors_per_example, sizes=None):
-    """verify_theorem1 one point at a time: the anchor search, bisection,
-    forward pass, distance and bound of each point alone, raising each
-    error as it comes, and each layer's lambda from jacobi(). If sizes is a
+def reports(model, dataset, l, anchors_per_example, sizes=None, chunk=None):
+    """verify_theorem1 one example at a time, stacked as it stacks: the
+    anchor search of each example alone and one bisection stack of its
+    segments, until the first example that fails; then the forward pass
+    and input gradient of each chunk of chunk surface points (all of them
+    when None) as one stack; then each point's distance and bound, raising
+    each error in example order, and last the error that ended the
+    bisections. Each layer's lambda comes from jacobi(). If sizes is a
     list, each point's bound size is appended to it."""
     yl = forward_batch(model, dataset.features)[-1][:, l]
     lambda_dom = [float(np.max(jacobi(gram(layer.weights)))) for layer in model.hidden]
+    owners, points, pending = [], [], None
+    try:
+        for i in range(len(dataset)):
+            if not dataset.encoded[i, l] * yl[i] > 0.0:
+                continue
+            found = anchors(dataset, yl, i, anchors_per_example)
+            outcomes = surface_points(model, np.broadcast_to(dataset.features[i], found.shape),
+                                      found, l)
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
+            owners += [i] * anchors_per_example
+            points += outcomes
+    except (AnchorSamplingError, NoCrossingError, NonFiniteMidpointError,
+            BisectionToleranceError) as exc:
+        pending = exc
+    chunk = chunk or max(1, len(points))
+    traces, grads = [], []
+    for start in range(0, len(points), chunk):
+        trace = forward(model, np.array(points[start:start + chunk]))
+        g = input_gradient(model, trace, l)
+        traces += [row(trace, s) for s in range(len(g))]
+        grads += list(g)
     out = []
-    for i in range(len(dataset)):
-        if not dataset.encoded[i, l] * yl[i] > 0.0:
-            continue
+    for start in range(0, len(owners), anchors_per_example):
+        i = owners[start]
         x_i = dataset.features[i]
         target = float(dataset.encoded[i, l])
         records = []
-        for anchor in anchors(dataset, yl, i, anchors_per_example):
-            point = surface_point(model, x_i, anchor, l)
-            trace = forward(model, point)
-            d = signed_distance(model, x_i, point, l, trace)
-            b, size = bound(model, x_i, point, l, target, trace, lambda_dom)
+        for s in range(start, start + anchors_per_example):
+            d = signed_distance(grads[s], x_i, points[s], l)
+            b, size = bound(model, x_i, points[s], l, target, traces[s], lambda_dom)
             if sizes is not None:
                 sizes.append(size)
             records.append(
@@ -647,4 +721,6 @@ def reports(model, dataset, l, anchors_per_example, sizes=None):
             theorem_bound=min(r.bound for r in records),
             ok=all(r.ok for r in records),
         ))
+    if pending is not None:
+        raise pending
     return out

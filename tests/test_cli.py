@@ -373,12 +373,13 @@ class TestVerifyCommand:
                 assert abs(rec["target"] * d - b) <= 1e-9 * (1 + abs(d))
 
     # sha256 of margin.jsonl on numpy 2.4.6 with OpenBLAS, two trained nets
-    # and 5 anchors per example: distances as the one-segment-at-a-time
-    # bisection wrote them, bounds with the input gradient's dot as the
-    # numerator
+    # and 5 anchors per example: surface points bisected one example's
+    # segments at a time, distances and bounds from the row pass and the
+    # row-product input gradient of the whole call's points, the bounds
+    # with the input gradient's dot as the numerator
     @pytest.mark.parametrize("layers, activation, sha256", [
-        ([2, 8, 2], "sigmoid", "3ee3768508c2d0f6926da25e6de5788f778e242b60c5cf05bf03f3e0495fb9ac"),
-        ([2, 5, 4, 2], "tanh", "884e4ddeb464db73538f1c4ea0e4c9f477e88776b4baeb9f86a7b17d35c9b3ce"),
+        ([2, 8, 2], "sigmoid", "7e8b0c8b4ff295cf18cd5399c128fc5dbfc1b71b73a1013043da912795841150"),
+        ([2, 5, 4, 2], "tanh", "0cd419cb5be2416357605dd3843703977ab59e51d87d4587d5b24137cb49591f"),
     ], ids=["sigmoid_2_8_2", "tanh_2_5_4_2"])
     def test_theorem1_output_bytes_unchanged(self, tmp_path, layers, activation, sha256):
         centers = ((-1.5, 0.0), (1.5, 0.0))

@@ -30,7 +30,7 @@ from eigendecay.model import (
     Activation,
     DenseLayer,
     MlpModel,
-    _column_pass,
+    _row_pass,
     forward,
     forward_batch,
     init_mlp,
@@ -164,13 +164,6 @@ def _outcome(point, error):
     return point.tobytes()
 
 
-def _alone(model, x_a, x_b, l, bisect):
-    try:
-        return _outcome(bisect(model, x_a, x_b, l), None)
-    except (NoCrossingError, NonFiniteMidpointError, BisectionToleranceError) as exc:
-        return _outcome(None, exc)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
@@ -180,7 +173,10 @@ def _alone(model, x_a, x_b, l, bisect):
 def test_stacked_bisection_equals_each_segment_alone(kind, widths, n_in, S, huge, seed):
     # endpoints near x and -x, so that many segments cross; with huge, the
     # last coordinate is the same large value at both ends, which overflows
-    # the midpoint for about two segments in three, and has no weight
+    # the midpoint for about two segments in three, and has no weight. A
+    # segment's bits depend on the segments that share its steps, so each
+    # segment's outcome is compared with the frozen bisection of the same
+    # stack, which walks the segments one by one.
     rng = np.random.default_rng(seed)
     model = init_mlp([n_in, *widths, 2], kind, seed=seed)
     for layer in model.layers:
@@ -192,11 +188,10 @@ def test_stacked_bisection_equals_each_segment_alone(kind, widths, n_in, S, huge
         model.hidden[0].weights[:, -1] = 0.0
     l = int(rng.integers(2))
     points, failed = find_surface_point(model, x_a, x_b, l)
-    for s in range(S):
-        want = _alone(model, x_a[s], x_b[s], l, reference.surface_point)
-        assert _outcome(points[s], failed.get(s)) == want
+    for s, want in enumerate(reference.surface_points(model, x_a, x_b, l)):
+        error = want if isinstance(want, Exception) else None
+        assert _outcome(points[s], failed.get(s)) == _outcome(want, error)
         assert np.isnan(points[s]).all() == (s in failed)
-        assert _alone(model, x_a[s], x_b[s], l, _surface_point) == want
 
 
 class TestSignedDistance:
@@ -457,12 +452,13 @@ def _run(call):
         return type(exc), str(exc)
 
 
-def _assert_agrees_with_reference(got, model, dataset, l, anchors):
+def _assert_agrees_with_reference(got, model, dataset, l, anchors, chunk=None):
     """got, the _run outcome of verify_theorem1's reports, against that of
-    reference.reports: the same error, or reports with the same bytes but
-    for the bounds, each within BOUND_REL_TOL of its size."""
+    reference.reports with the same chunk of surface points: the same
+    error, or reports with the same bytes but for the bounds, each within
+    BOUND_REL_TOL of its size."""
     sizes = []
-    want = _run(lambda: reference.reports(model, dataset, l, anchors, sizes))
+    want = _run(lambda: reference.reports(model, dataset, l, anchors, sizes, chunk))
     if isinstance(got, tuple) or isinstance(want, tuple):
         assert got == want
         return
@@ -479,10 +475,11 @@ def _assert_agrees_with_reference(got, model, dataset, l, anchors):
 
 
 class TestSharedPerPointWork:
-    """verify_theorem1 shares one forward pass per surface point and one
-    eigenvalue per layer across its calls; its reports must equal those of
-    the per-point calls left to recompute everything: bit for bit, but for
-    the bounds, which agree to BOUND_REL_TOL of their size."""
+    """verify_theorem1 shares one forward pass per chunk of surface points
+    and one eigenvalue per layer across its calls; its reports must equal
+    those of the frozen arithmetic that recomputes everything example by
+    example, on the same stacks: bit for bit, but for the bounds, which
+    agree to BOUND_REL_TOL of their size."""
 
     def _assert_matches_reference(self, model, dataset, anchors):
         reports, _ = verify_theorem1(model, dataset, 0, anchors_per_example=anchors)
@@ -505,24 +502,51 @@ class TestSharedPerPointWork:
         self._assert_matches_reference(model, test, 5)
 
     def test_bisection_output_is_forward_output(self, rng):
-        # the stacked column pass the bisection steps make gives each row
-        # the bits of forward on that row and of the frozen per-layer loop
+        # the row pass the bisection steps make has the bits of forward on
+        # the same stack and of the frozen per-layer loop, and so has the
+        # stack of one
         for width in range(1, 65, 3):
             for kind, n_out in (("sigmoid", 10), ("tanh", 3)):
                 model = small_model(dims=(3, width, width, n_out), activation=kind,
                                     seed=width)
                 X = rng.standard_normal((5, 3))
-                outputs = _column_pass(model, X)[1]
-                for x, out in zip(X, outputs):
-                    assert out.tobytes() == forward(model, x).output.tobytes()
-                    assert list(reference.forward(model, x).output) == list(out)
+                outputs = _row_pass(model, X)[2]
+                assert outputs.tobytes() == forward(model, X).output.tobytes()
+                assert outputs.tobytes() == reference.forward(model, X).output.tobytes()
+                one = _row_pass(model, X[:1])[2][0]
+                assert one.tobytes() == forward(model, X[0]).output.tobytes()
+                assert one.tobytes() == reference.forward(model, X[0]).output.tobytes()
+
+    def test_784_d_stacks_keep_the_frozen_bits(self, rng):
+        # at 784-d the first layer's product sums two blocks and a rest: the
+        # bisection of five segments and the per-point pass of a chunk of 83
+        # points keep the bits of the frozen blocked arithmetic
+        model = init_mlp([784, 32, 3], "sigmoid", seed=9)
+        features = rng.standard_normal((300, 784))
+        out = forward_batch(model, features)[2][:, 1]
+        x_a, x_b = features[out > 0][:5], features[out < 0][:5]
+        points, failed = find_surface_point(model, x_a, x_b, 1)
+        assert failed == {}
+        for s, want in enumerate(reference.surface_points(model, x_a, x_b, 1)):
+            assert points[s].tobytes() == want.tobytes()
+        X, P = features[:83], features[100:183]
+        d, _, failed = per_point_bound(model, X, P, 1, np.ones(83), layer_lambda_dom(model))
+        assert failed == {}
+        ref = reference.forward(model, P)
+        ref_g = reference.input_gradient(model, ref, 1)
+        trace = forward(model, P)
+        for got, want in [(trace.output, ref.output), (input_gradient(model, trace, 1), ref_g),
+                          *zip(trace.activations, ref.activations)]:
+            assert got.tobytes() == want.tobytes()
+        want = [reference.signed_distance(ref_g[s], X[s], P[s], 1) for s in range(83)]
+        np.testing.assert_array_equal(_bits(d), _bits(want))
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def _alone_outcome(call):
+def _value_outcome(call):
     outcome = _run(call)
     return outcome if isinstance(outcome, tuple) else _bits(outcome).tolist()
 
@@ -561,25 +585,24 @@ RANDOM_POINTS = dict(kind=st.sampled_from(["sigmoid", "tanh", "linear"]),
 @given(**RANDOM_POINTS)
 def test_stacked_per_point_pass_equals_each_point_alone(kind, widths, n_in, n_out, N,
                                                         seed):
+    # a point's bits depend on the points that share its stack, so each
+    # point's distance, bound and error are compared with the frozen
+    # arithmetic of that row of the same stack
     model, l, X, P, targets = _random_points(kind, widths, n_in, n_out, N, seed)
     lambda_dom = layer_lambda_dom(model)
     trace = forward(model, P)
     g = input_gradient(model, trace, l)
     d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
+    ref = reference.forward(model, P)
+    ref_g = reference.input_gradient(model, ref, l)
+    for got, want in [(trace.input, ref.input), (trace.output, ref.output), (g, ref_g),
+                      *zip(trace.activations, ref.activations)]:
+        np.testing.assert_array_equal(_bits(got), _bits(want))
     for s in range(N):
-        ref = reference.forward(model, P[s])
-        for got, want in [(trace.input, ref.input), (trace.output, ref.output),
-                          *zip(trace.activations, ref.activations)]:
-            np.testing.assert_array_equal(_bits(got[s]), _bits(want))
-        np.testing.assert_array_equal(
-            _bits(g[s]), _bits(reference.input_gradient(model, ref, l)))
         got = _row_outcomes((d, b), failed, s)
-        # the stack of one
-        *one, one_failed = per_point_bound(model, X[s:s + 1], P[s:s + 1], l,
-                                           targets[s:s + 1], lambda_dom)
-        assert _row_outcomes(one, one_failed, 0) == got
-        want = [_alone_outcome(lambda: reference.signed_distance(model, X[s], P[s], l, ref)),
-                _alone_outcome(lambda: reference.bound(model, X[s], P[s], l, targets[s], ref,
+        one = reference.row(ref, s)
+        want = [_value_outcome(lambda: reference.signed_distance(ref_g[s], X[s], P[s], l)),
+                _value_outcome(lambda: reference.bound(model, X[s], P[s], l, targets[s], one,
                                                        lambda_dom)[0])]
         # the row keeps its first error: a vanishing gradient before a zero
         # denominator. A bound that is formed is compared with the frozen
@@ -603,10 +626,12 @@ def test_bounds_agree_with_the_frozen_omega_arithmetic(kind, widths, n_in, n_out
     model, l, X, P, targets = _random_points(kind, widths, n_in, n_out, N, seed)
     lambda_dom = layer_lambda_dom(model)
     d, b, failed = per_point_bound(model, X, P, l, targets, lambda_dom)
+    ref = reference.forward(model, P)
+    ref_g = reference.input_gradient(model, ref, l)
     for s in sorted(set(range(N)) - set(failed)):
-        ref = reference.forward(model, P[s])
-        want_d = reference.signed_distance(model, X[s], P[s], l, ref)
-        want_b, size = reference.bound(model, X[s], P[s], l, targets[s], ref, lambda_dom)
+        want_d = reference.signed_distance(ref_g[s], X[s], P[s], l)
+        want_b, size = reference.bound(model, X[s], P[s], l, targets[s],
+                                       reference.row(ref, s), lambda_dom)
         assert _bits(d[s]) == _bits(want_d)
         assert abs(b[s] - want_b) <= BOUND_REL_TOL * size
         t = targets[s]
@@ -645,7 +670,7 @@ def test_chunked_verify_theorem1_equals_the_reference(kind, widths, chunk, ancho
         mp.setattr(margin, "STACK_FLOATS", chunk * widest + widest - 1)
         mp.setattr(margin, "forward", spy)
         got = _run(lambda: verify_theorem1(model, ds, 0, anchors)[0])
-    _assert_agrees_with_reference(got, model, ds, 0, anchors)
+    _assert_agrees_with_reference(got, model, ds, 0, anchors, chunk)
     if not isinstance(got, tuple):
         points = sum(len(r.points) for r in got)
         assert calls == [min(chunk, points - start) for start in range(0, points, chunk)]

@@ -96,28 +96,14 @@ class TestPrimitives:
             M, v = _stack((h, h), R, rng), _stack((h,), R, rng)
             assert_bitwise((M @ v[..., None])[..., 0], [M[r] @ v[r] for r in range(R)])
 
-    def test_shared_w_gemv_over_stacked_columns(self, sizes, B, R):
-        # one W broadcast over S stacked columns, as margin's bisection and
-        # forward pass it, at the layer shapes, their transposes and every
-        # square width up to 64
-        rng = np.random.default_rng(12 + R)
-        shapes = [(h, d) for d, h in zip(sizes[:-1], sizes[1:])]
-        shapes += [(d, h) for h, d in shapes] + [(w, w) for w in range(1, 65)]
-        for out, d in shapes:
-            W = _stack((out, d), 1, rng)[0]
-            for S in (1, 3, 5, 750):
-                Y = _stack((d,), S, rng)
-                stacked = (W @ Y[:, :, None])[:, :, 0]
-                alone = np.stack([W @ Y[s] for s in range(S)])
-                np.testing.assert_array_equal(_bits(stacked), _bits(alone))
-
     # margin's per-point pass stacks up to one theorem1 call's surface
     # points, about 1,050 at 2-8-2, and 83 at a time at 784-128-10
     SURFACE_STACKS = (1, 3, 5, 83, 1050)
 
     def test_gradient_row_times_shared_w(self, sizes, B, R):
-        # input_gradient: each row of G times one W, as a vector-matrix
-        # product, at the hidden and output layer shapes
+        # each row of G times one W, as a vector-matrix product, at the
+        # hidden and output layer shapes. input_gradient no longer relies
+        # on this: it forms one row product per layer.
         rng = np.random.default_rng(14 + R)
         for d, h in zip(sizes[:-1], sizes[1:]):
             W = _stack((h, d), 1, rng)[0]
@@ -788,6 +774,20 @@ def test_backward_keeps_the_frozen_bits_at_784_128_10(kind, dropout):
                             (0.2,) if dropout else ())]
     masks = [np.where(rng.random((R, B, 128)) < 0.2, 0.0, 1.25)] if dropout else None
     _assert_backward_matches_the_reference(model, X, Y, "mse", regs, masks)
+
+
+def test_backward_keeps_the_frozen_bits_past_one_inner_block():
+    # a batch of 400 and hidden layers 390 and 386 wide: the weight
+    # gradients, the second hidden layer's forward, backprop and penalty
+    # gradient each sum an inner dimension wider than one block
+    rng = np.random.default_rng(21)
+    R, B = 2, 400
+    model = _random_stack(R, [20, 390, 386, 3], ["tanh", "sigmoid"], rng)
+    X = rng.uniform(-1.0, 1.0, (R, B, 20))
+    Y = np.where(rng.random((R, B, 3)) < 0.5, 1.0, -1.0)
+    regs = [RegularizerSpec((LayerPenalty("eigen_decay", 1e-3), LayerPenalty("eigen_decay", c),
+                             LayerPenalty()), ()) for c in (1e-2, 1e-1)]
+    _assert_backward_matches_the_reference(model, X, Y, "mse", regs, None)
 
 
 EDGE_POISON = (np.nan, np.inf, -np.inf)
