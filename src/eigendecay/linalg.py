@@ -59,7 +59,7 @@ def as_vector(a, stacked=False):
 # kept its bits. The backward products D^T X (K the batch) and D W (K a
 # layer width) first lost theirs at K = 385 too, and the power iteration's
 # square M @ v at K = 681; blocked, M @ v kept them at every K to 3,072.
-# At K = 784 and 2 threads the blocks cost 8-15% at 128 rows and 22-31%
+# At K = 784 and 2 threads the blocks cost 8-15% at 128 rows and 22-34%
 # at 10,000.
 INNER_BLOCK = 384
 
