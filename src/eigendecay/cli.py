@@ -121,10 +121,12 @@ def _build_dataset(spec):
     kind = spec.get("kind")
     try:
         if kind == "csv":
-            return _load_csv(spec["path"], **_given(spec, "sep", "header", "n_classes"))
+            return _load_csv(_data_path(spec, "path"),
+                             **_given(spec, "sep", "header", "n_classes"))
         if kind == "idx":
             return _load_idx_pair(
-                spec["images"], spec["labels"], **_given(spec, "n_classes", "limit")
+                _data_path(spec, "images"), _data_path(spec, "labels"),
+                **_given(spec, "n_classes", "limit"),
             )
         if kind == "two_gaussians":
             return gen_two_gaussians(
@@ -143,6 +145,14 @@ def _build_dataset(spec):
     except MemoryError as exc:
         raise ConfigError(f"data spec too large to generate: {exc}") from None
     raise ConfigError(f"unknown data kind {kind!r}")
+
+
+def _data_path(spec, key):
+    # os.path.isfile would take an int or a bool as a file descriptor
+    path = spec[key]
+    if not isinstance(path, str):
+        raise ConfigError(f"data.{key} must be a string, got {path!r}")
+    return path
 
 
 def _load_csv(path, **options):

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+from pathlib import Path
 import struct
 import warnings
 
@@ -52,6 +54,16 @@ def write_idx(dataset, images_path, labels_path, rows, cols):
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         fh.write(dataset.targets.astype(np.uint8).tobytes())
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded from its path; its main()
+    does not run."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mnist_paths():

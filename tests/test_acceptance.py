@@ -8,20 +8,24 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mnist_paths
+from conftest import load_script, mnist_paths
 
 from eigendecay.cli import main as cli_main
 from eigendecay.data import Dataset, gen_two_gaussians, load_idx
 from eigendecay.margin import verify_theorem1
 from eigendecay.model import Activation, DenseLayer, MlpModel, init_mlp
-from eigendecay.objectives import LayerPenalty, RegularizerSpec
-from eigendecay.train import TrainConfig, evaluate, grid_search, sgd_train, sgd_train_runs
+from eigendecay.objectives import RegularizerSpec
+from eigendecay.train import TrainConfig, evaluate, sgd_train
 from eigendecay.verify import (
     denominator_inequality_suite,
     gradient_check_suite,
     power_method_fidelity_suite,
     quadratic_form_bound_suite,
 )
+
+# criteria 6 and 7 run these scripts' protocols, the code the demos run
+run_two_gaussians = load_script("run_two_gaussians")
+run_mnist = load_script("run_mnist")
 
 
 def check(num, name, ok, detail=""):
@@ -130,21 +134,9 @@ def test_criterion_5_denominator_inequality():
 
 
 def test_criterion_6_regularization_effect():
-    # each seed's penalized and plain run, trained as one stack
-    centers = ((-1.5, 0.0), (1.5, 0.0))
-    runs, tests = [], []
-    for seed in range(10):
-        train = gen_two_gaussians(100, centers=centers, sigma=0.5, seed=seed)
-        tests.append(gen_two_gaussians(100, centers=centers, sigma=0.5, seed=seed + 1000))
-        config = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=150, seed=seed)
-        for reg in (RegularizerSpec((LayerPenalty("eigen_decay", 0.01), LayerPenalty()), (0.0,)),
-                    RegularizerSpec.none(2, 1)):
-            runs.append((init_mlp([2, 8, 2], "sigmoid", seed=seed), train, reg, config))
-    trained = sgd_train_runs(runs, "mse")
-
     records = []  # per seed: penalized and plain hidden lambda, then accuracy
-    for seed, test in enumerate(tests):
-        (m_reg, h_reg), (m_plain, h_plain) = trained[2 * seed : 2 * seed + 2]
+    for test, (m_plain, h_plain), (m_reg, h_reg) in run_two_gaussians.train_pairs(
+            range(10), 0.01, 150):
         records.append([h_reg.epochs[-1].lambda_dom[0], h_plain.epochs[-1].lambda_dom[0],
                         evaluate(m_reg, test)["accuracy"], evaluate(m_plain, test)["accuracy"]])
     wins = sum(lam_reg < lam_plain for lam_reg, lam_plain, _, _ in records)
@@ -156,13 +148,6 @@ def test_criterion_6_regularization_effect():
         f"{wins}/10 seed pairs smaller, max accuracy gap {max_gap:.3f}",
     )
     assert records_hash(records) == "586d6caf41604c1d"
-
-
-def _mnist_reg(c_hidden, c_out, dropout=0.2):
-    def layer(c):
-        return LayerPenalty("eigen_decay", c) if c > 0 else LayerPenalty()
-
-    return RegularizerSpec((layer(c_hidden), layer(c_out)), (dropout,))
 
 
 def test_criterion_7_handwritten_digits_subset():
@@ -178,38 +163,12 @@ def test_criterion_7_handwritten_digits_subset():
     test = load_idx(paths["test_images"], paths["test_labels"], n_classes=10)
     assert len(test) == 10000
 
-    cfg = TrainConfig(learning_rate=0.1, batch_size=128, max_epochs=6, seed=0)
-
-    def model_builder(seed):
-        return init_mlp([784, 128, 10], "relu", seed=seed)
-
-    result = grid_search(
-        train, model_builder, "categorical_cross_entropy",
-        [0.0, 1e-3], [0.0, 1e-3], 5, cfg,
-        lambda ca, cb: _mnist_reg(ca, cb),
-    )
-    c_a, c_b = result.selected
-    if c_a == 0.0 and c_b == 0.0:
-        # directional comparison still exercises the regularizer
-        c_a = c_b = 1e-3
-
-    ed_accs, plain_accs = [], []
-    run_cfg = TrainConfig(learning_rate=0.1, batch_size=128, max_epochs=25, seed=0)
-    for seed in range(5):
-        for accs, reg in (
-            (ed_accs, _mnist_reg(c_a, c_b)),
-            (plain_accs, _mnist_reg(0.0, 0.0)),
-        ):
-            model = model_builder(seed)
-            sgd_train(
-                model, train, "categorical_cross_entropy", reg,
-                TrainConfig(learning_rate=0.1, batch_size=128,
-                            max_epochs=run_cfg.max_epochs, seed=seed),
-            )
-            accs.append(evaluate(model, test, "categorical_cross_entropy")["accuracy"])
+    # a grid choice of (0, 0) falls back to (1e-3, 1e-3), so the regularizer runs
+    _, (c_a, c_b), accs = run_mnist.compare(train, test, [0.0, 1e-3], cv_epochs=6,
+                                            epochs=25, seeds=5)
     elapsed = time.perf_counter() - started
-    ed_mean = float(np.mean(ed_accs))
-    plain_mean = float(np.mean(plain_accs))
+    ed_mean = float(np.mean(accs["dropout+ed"]))
+    plain_mean = float(np.mean(accs["dropout"]))
     check(
         7,
         "digits subset accuracy",
@@ -270,14 +229,14 @@ def test_criterion_9_regularizer_overhead():
         )
 
     def epoch_time(reg):
-        model = init_mlp([784, 128, 10], "relu", seed=0)
+        model = run_mnist.model_builder(0)
         cfg = TrainConfig(learning_rate=0.1, batch_size=128, max_epochs=1, seed=0)
         started = time.perf_counter()
         sgd_train(model, train, "categorical_cross_entropy", reg, cfg)
         return time.perf_counter() - started
 
-    plain = epoch_time(_mnist_reg(0.0, 0.0))
-    regularized = epoch_time(_mnist_reg(1e-3, 1e-3))
+    plain = epoch_time(run_mnist.reg_spec(0.0, 0.0))
+    regularized = epoch_time(run_mnist.reg_spec(1e-3, 1e-3))
     ratio = regularized / plain
     check(
         9,

@@ -1070,6 +1070,12 @@ PAST_FLOAT = 10**400  # a JSON integer past float range
     ("train", ("data",), {"kind": "two_moons", "n": 20, "noise": True}),
     ("train", ("data", "centers"), [-1.0, 1.0]),
     ("train", ("model", "layers"), [2, PAST_FLOAT, 2]),
+    # os.path.isfile would take these as file descriptors; the existing
+    # file beside each puts the wrong-typed path first in line to be read
+    ("train", ("data",), {"kind": "csv", "path": 1}),
+    ("gridsearch", ("data",), {"kind": "csv", "path": True}),
+    ("train", ("data",), {"kind": "idx", "images": 1, "labels": __file__}),
+    ("gridsearch", ("data",), {"kind": "idx", "images": __file__, "labels": 1}),
 ], ids=[
     "batch_size_fraction", "max_epochs_fraction", "seed_fraction", "p_fraction",
     "grid_string", "grid_scalar_axis", "train_not_object", "data_not_object",
@@ -1084,6 +1090,7 @@ PAST_FLOAT = 10**400  # a JSON integer past float range
     "learning_rate_past_float", "grid_past_float", "sigma_past_float", "center_past_float",
     "center_nan", "center_inf", "sigma_true", "sigma_false", "center_true", "dropout_false",
     "noise_past_float", "noise_true", "centers_flat", "width_past_float",
+    "path_int", "path_true", "images_int", "labels_int",
 ])
 def test_config_value_of_wrong_type_or_not_finite_is_config_error(
         tmp_path, capsys, command, keys, value):
@@ -1190,6 +1197,8 @@ class TestCliAddsNoDefault:
 
 
 _SMALL_INT = st.integers(-3, 5).map(str)
+# a data path that os.path.isfile would take as a file descriptor
+_DESCRIPTOR = st.one_of(st.integers(0, 2), st.booleans())
 _FLOAT_FLAGS = ("--sigma", "--noise")
 
 
@@ -1230,6 +1239,9 @@ def _config(draw, command):
         {"kind": "two_moons", "n": 12, "noise": PAST_FLOAT},
         {"kind": "spiral", "n": 12},
         {"n": 12},
+        {"kind": "csv", "path": draw(_DESCRIPTOR)},
+        {"kind": "idx", "images": draw(_DESCRIPTOR), "labels": "labels.idx"},
+        {"kind": "idx", "images": "images.idx", "labels": draw(_DESCRIPTOR)},
     ])
     train = {"learning_rate": _value(draw, [0.1, 0.5, 1e6],
                                      [-0.5, "x", NAN, INF, True, PAST_FLOAT])}

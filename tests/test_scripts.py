@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts under scripts/, each as a subprocess."""
+"""Smoke runs of the demo scripts under scripts/, each as a subprocess, and
+their argument checks, in process."""
 
 import json
 from pathlib import Path
@@ -6,8 +7,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from conftest import write_idx
+from conftest import load_script, write_idx
 
 from eigendecay.data import Dataset
 
@@ -49,9 +51,14 @@ def test_run_mnist_runs_its_grid_and_seed_runs_on_synthetic_digits(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "train subset 60, test 40"
-    assert lines[1].startswith("grid search (") and "selected (" in lines[1]
+    assert lines[1].startswith("grid search: selected (")
     runs = [line.split()[:3] for line in lines if "test acc" in line]
     assert runs == [["seed", "0", "dropout"], ["seed", "0", "dropout+ed"]]
+    # results on stdout, the timing on stderr
+    assert "s/epoch" not in done.stdout and "overhead" not in done.stdout
+    timing = done.stderr.splitlines()
+    assert timing[0].startswith("grid search: ") and timing[0].endswith("s")
+    assert timing[-1].startswith("eigenvalue-penalty epoch-time overhead: ")
 
 
 def test_run_mnist_without_its_files_exits_1(tmp_path):
@@ -59,3 +66,31 @@ def test_run_mnist_without_its_files_exits_1(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == f"no IDX files under {tmp_path}; run scripts/fetch_mnist.py first\n"
+
+
+@pytest.mark.parametrize("script, flags", [
+    ("run_mnist", ["--seeds", "0"]),
+    ("run_mnist", ["--epochs", "0"]),
+    ("run_mnist", ["--cv-epochs", "0"]),
+    ("run_mnist", ["--subset", "0"]),
+    ("run_two_gaussians", ["--epochs", "0"]),
+    ("run_two_gaussians", ["--seed", "-1"]),
+    ("run_two_gaussians", ["--penalty", "-1"]),
+    ("run_two_gaussians", ["--penalty", "nan"]),
+    ("run_two_gaussians", ["--penalty", "0"]),
+    ("run_two_gaussians", ["--penalty", "inf"]),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+def test_scripts_refuse_a_bad_flag_before_any_work(tmp_path, capsys, monkeypatch, script,
+                                                   flags):
+    # past its flags, run_mnist would exit 1 on the empty data dir and
+    # run_two_gaussians would train
+    data = ["--data-dir", str(tmp_path)] if script == "run_mnist" else []
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", *flags, *data])
+    with pytest.raises(SystemExit) as exited:
+        load_script(script).main()
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, *_, error = err.splitlines()
+    assert usage.startswith(f"usage: {script}.py ")
+    assert error.startswith(f"{script}.py: error: argument {flags[0]}: ")

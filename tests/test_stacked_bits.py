@@ -100,18 +100,6 @@ class TestPrimitives:
     # points, about 1,050 at 2-8-2, and 83 at a time at 784-128-10
     SURFACE_STACKS = (1, 3, 5, 83, 1050)
 
-    def test_gradient_row_times_shared_w(self, sizes, B, R):
-        # each row of G times one W, as a vector-matrix product, at the
-        # hidden and output layer shapes. input_gradient no longer relies
-        # on this: it forms one row product per layer.
-        rng = np.random.default_rng(14 + R)
-        for d, h in zip(sizes[:-1], sizes[1:]):
-            W = _stack((h, d), 1, rng)[0]
-            for S in self.SURFACE_STACKS:
-                G = _stack((h,), S, rng)
-                stacked = (G[:, None, :] @ W)[:, 0, :]
-                assert_bitwise(stacked, [G[s] @ W for s in range(S)])
-
     def test_dot_over_surface_point_stacks(self, sizes, B, R):
         # per_point_bound: one dot and one norm per row
         rng = np.random.default_rng(18 + R)
@@ -139,13 +127,6 @@ class TestPrimitives:
             assert_bitwise(stacked[:, None],
                            [np.array([np.linalg.norm(v[r])]) for r in range(R)])
 
-    def test_outer_is_broadcast_product(self, sizes, B, R):
-        rng = np.random.default_rng(8)
-        for n in sizes[1:]:
-            a, b = _stack((n,), R, rng), _stack((n,), R, rng)
-            assert_bitwise(a[:, :, None] * b[:, None, :],
-                           [np.outer(a[r], b[r]) for r in range(R)])
-
     def test_bias_sums_over_the_batch_axis(self, sizes, B, R):
         rng = np.random.default_rng(9)
         for h in sizes[1:]:
@@ -166,8 +147,6 @@ class TestPrimitives:
             assert_bitwise(gram(W), want)
 
 
-@pytest.mark.parametrize("R", STACKS)
-@pytest.mark.parametrize("sizes, B", SHAPES)
 def _member_gradient(W, C, p, r):
     """Member r's gradient and error, from the stack of that member alone."""
     grad, failed = eigen_decay_gradient(W[r:r + 1], C[r:r + 1], p)
