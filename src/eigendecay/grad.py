@@ -103,8 +103,9 @@ def _add_penalty_gradients(dW, model, specs, stacked):
     (one group of the _StackSpecs specs) get one call. Members with C == 0
     or kind none get no add at all (adding 0.0 would turn -0.0 into +0.0).
     Returns {member: error} for members whose eigen-decay gradient cannot
-    be formed, and adds nothing for them; the first error in layer order is
-    kept, as a single run would raise it.
+    be formed; the first error in layer order is kept, as a single run
+    would raise it. eigen_decay_gradient has zeroed their gradient, which
+    is added like any other member's.
     """
     failed = {}
     for k, (layer, groups) in enumerate(zip(model.layers, specs.layers)):
@@ -121,12 +122,9 @@ def _add_penalty_gradients(dW, model, specs, stacked):
                 pg, errors = eigen_decay_gradient(wk, c, g.p)
                 for j, exc in errors.items():
                     failed.setdefault(int(idx[j]), exc)
-                if errors:
-                    ok = [j for j in range(len(idx)) if j not in errors]
-                    idx, pg = idx[ok], pg[ok]
             if len(idx) == len(d):
                 d += pg
-            elif len(idx):
+            else:
                 d[idx] += pg
         dW[k] = d if stacked else d[0]
     return failed

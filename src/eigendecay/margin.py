@@ -313,7 +313,7 @@ def verify_theorem1(model, dataset, l, anchors_per_example=5):
     try:
         for i, anchors in _nearest_anchors(dataset, yl, correct, anchors_per_example):
             stack, failed = find_surface_point(
-                model, np.broadcast_to(dataset.features[i], anchors.shape), anchors, l)
+                model, np.repeat(dataset.features[i][None], len(anchors), axis=0), anchors, l)
             if failed:
                 raise failed[min(failed)]
             found.append(i)

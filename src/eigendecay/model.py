@@ -306,8 +306,9 @@ def model_params(model):
 def _with_params(model, params):
     """model with each layer's weights and bias replaced by params[2k] and
     params[2k + 1], uncopied; (R, ...) params make a stacked model. Unlike
-    a new DenseLayer, the arrays are not scanned for finiteness: training
-    stacks only finite params, and the objective checks none it is handed."""
+    a new DenseLayer, the arrays are not scanned for finiteness: a training
+    stack carries a diverging member's params to its epoch end, and the
+    objective checks none it is handed."""
     layers = []
     for k, layer in enumerate(model.layers):
         layer = copy.copy(layer)

@@ -230,9 +230,9 @@ def _unread_lambdas(lambdas, params, specs, recorded):
 
 
 def _epoch_end(members, params, template, gathered, loss_kind, epoch, specs):
-    """The epoch-end record of each member of a stack whose parameters are
-    finite, or the DivergenceError that ends it. gathered is the members'
-    _gathers and specs their objectives._StackSpecs.
+    """The epoch-end record of each member of a stack, or the
+    DivergenceError that ends it. gathered is the members' _gathers and
+    specs their objectives._StackSpecs.
 
     One stacked total_objective over each member's training rows gives the
     objective and the lambda of each penalized eigen-decay layer; a member
@@ -240,13 +240,15 @@ def _epoch_end(members, params, template, gathered, loss_kind, epoch, specs):
     history also records the lambdas no penalty read (_unread_lambdas); one
     that keeps none gets a record without lambdas. One stacked forward pass
     per validation split size gives the validation loss; a member where it
-    or the objective is not finite diverges.
+    or the objective is not finite diverges. Members whose parameters are
+    not finite run through the same calls, so the caller runs them under
+    np.errstate.
     """
     X, Y, val = gathered
     stack = _with_params(template, params)
     objectives, lambdas, failed = total_objective(stack, X, Y, loss_kind, specs)
 
-    recorded = [r for r, m in enumerate(members) if m.history is not None and r not in failed]
+    recorded = [r for r, m in enumerate(members) if m.history is not None]
     if recorded:
         _unread_lambdas(lambdas, params, specs, recorded)
 
@@ -291,17 +293,24 @@ def _sgd_stack(members, dataset, loss_kind):
     draws are the same share one such generator, a draw stream keyed by
     their seed and dropout rates, which draws each epoch's permutation and
     each batch's masks once for all of them. Each epoch's batch rows come
-    from one fancy index into the live members' stacked row indices. At
-    each epoch end every member is checked on its own; one that stops early
-    or diverges leaves the stack. The live members' specs are grouped
-    (objectives._StackSpecs), their row indices stacked and their epoch-end
-    rows gathered (_gathers) once, and again only when some leave.
+    from one fancy index into the live members' stacked row indices.
+
+    A member that fails a step runs along with the rest to the epoch end,
+    its penalty gradient zeroed; the caller runs the stack under
+    np.errstate, so no numpy warning comes first. Each epoch ends in one
+    _epoch_end call on every live member and one loop, where a member that
+    diverges, stops early or reaches max_epochs gets its result, has its
+    model written and leaves: the one place the live set shrinks. The live
+    members' specs are grouped (objectives._StackSpecs), their row indices
+    stacked and their epoch-end rows gathered (_gathers) once, and again
+    only when some leave.
 
     Returns one TrainHistory or DivergenceError per member, in order; a
     member that keeps no history gets TrainHistory(None, best_epoch). Each
-    member's model is written once, when it leaves the stack or training
-    ends: with its final parameters, or with the best validation epoch's
-    under early stopping, or as they were when it diverged.
+    member's model is written once, when it leaves the stack: with its
+    final parameters, or with the best validation epoch's under early
+    stopping, or as they were at its failed step or epoch end when it
+    diverged.
     """
     config = members[0].config
     es = config.early_stopping
@@ -336,7 +345,7 @@ def _sgd_stack(members, dataset, loss_kind):
         if config.shuffle:
             orders = np.stack([rngs[key].permutation(n) for key in streams])
             rows = member_rows[lanes, orders[stream_of]]
-        failed = {}  # stack position -> divergence message
+        failed = {}  # stack position -> its failed step's DivergenceError
         for start in range(0, n, config.batch_size):
             idx = rows[:, start : start + config.batch_size]
             masks = None
@@ -348,8 +357,9 @@ def _sgd_stack(members, dataset, loss_kind):
             )
             for j, exc in grads.failed.items():
                 if j not in failed:
-                    failed[j] = f"parameters diverged during epoch {epoch}: {exc}"
-                    # it leaves at the epoch end, but keeps these parameters
+                    failed[j] = DivergenceError(
+                        epoch, f"parameters diverged during epoch {epoch}: {exc}")
+                    # it runs along to the epoch end, but keeps these parameters
                     set_model_params(live[j].model, [p[j] for p in params])
             if len(failed) == len(live):
                 break
@@ -369,46 +379,31 @@ def _sgd_stack(members, dataset, loss_kind):
         finite = np.ones(len(live), dtype=bool)
         for p in params:
             finite &= np.isfinite(p).reshape(len(live), -1).all(axis=1)
-        evaluate_at = []  # stack positions that reach the epoch-end evaluation
-        for j, i in enumerate(active):
+        records = _epoch_end(live, params, template, gathered, loss_kind, epoch, specs)
+        keep = []
+        for j, (i, m, record) in enumerate(zip(active, live, records)):
             if j in failed:
-                results[i] = DivergenceError(epoch, failed[j])
+                record = failed[j]
             elif not finite[j]:
-                results[i] = DivergenceError(
-                    epoch, f"parameters diverged during epoch {epoch}"
-                )
-            else:
-                evaluate_at.append(j)
-        records = []
-        if len(evaluate_at) == len(live):
-            records = _epoch_end(live, params, template, gathered, loss_kind, epoch, specs)
-        elif evaluate_at:
-            evaluated = [live[j] for j in evaluate_at]
-            records = _epoch_end(evaluated, [p[evaluate_at] for p in params], template,
-                                 _gathers(evaluated, dataset), loss_kind, epoch,
-                                 _StackSpecs(specs[j] for j in evaluate_at))
-        for j, record in zip(evaluate_at, records):
-            i, m = active[j], live[j]
+                record = DivergenceError(epoch, f"parameters diverged during epoch {epoch}")
             if isinstance(record, DivergenceError):
                 results[i] = record
-                continue
-            if m.history is not None:
-                m.history.append(record)
-            if not es.enabled:
-                m.best_epoch = epoch
-            elif record.val_loss < m.best_val:
-                m.best_val = record.val_loss
-                m.best_epoch = epoch
-                m.best_params = [p[j].copy() for p in params]
-            elif epoch - m.best_epoch >= es.patience:
-                results[i] = TrainHistory(m.history, m.best_epoch)
-
-        keep = []
-        for j, i in enumerate(active):
+            else:
+                if m.history is not None:
+                    m.history.append(record)
+                if not es.enabled:
+                    m.best_epoch = epoch
+                elif record.val_loss < m.best_val:
+                    m.best_val = record.val_loss
+                    m.best_epoch = epoch
+                    m.best_params = [p[j].copy() for p in params]
+                if epoch == config.max_epochs - 1 or (
+                        es.enabled and epoch - m.best_epoch >= es.patience):
+                    results[i] = TrainHistory(m.history, m.best_epoch)
             if results[i] is None:
                 keep.append(j)
             elif j not in failed:
-                _write_back(members[i], results[i], [p[j] for p in params])
+                _write_back(m, results[i], [p[j] for p in params])
         if len(keep) < len(active):
             active = [active[j] for j in keep]
             if not active:
@@ -417,11 +412,6 @@ def _sgd_stack(members, dataset, loss_kind):
             if velocity is not None:
                 velocity = [v[keep] for v in velocity]
             specs = None
-
-    for j, i in enumerate(active):
-        m = members[i]
-        results[i] = TrainHistory(m.history, m.best_epoch)
-        _write_back(m, results[i], [p[j] for p in params])
     return results
 
 
@@ -432,8 +422,11 @@ def _trained(members, dataset, loss_kind):
 
     Members wait in an open stack, one per stack_key, that trains once it
     holds _stack_cap members; the stacks left at the end train in order of
-    first member. The first DivergenceError in position order is raised as
-    soon as no open stack holds an earlier member.
+    first member. Each stack trains under one np.errstate that ignores
+    overflow, invalid and divide, as linalg._power asks of its callers: a
+    diverging member ends in its DivergenceError, with no numpy warning
+    first. The first DivergenceError in position order is raised as soon
+    as no open stack holds an earlier member.
     """
     waiting = {}  # stack key -> [(position, member)]
     failures = {}  # position -> DivergenceError
@@ -448,7 +441,8 @@ def _trained(members, dataset, loss_kind):
             yield waiting.pop(next(iter(waiting)))
 
     for stack in stacks():
-        results = _sgd_stack([m for _, m in stack], dataset, loss_kind)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            results = _sgd_stack([m for _, m in stack], dataset, loss_kind)
         for (pos, m), result in zip(stack, results):
             if isinstance(result, DivergenceError):
                 failures[pos] = result

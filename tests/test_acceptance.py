@@ -3,6 +3,7 @@ PASS/FAIL line (run with -s to see them on success)."""
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -235,8 +236,13 @@ def test_criterion_9_regularizer_overhead():
         sgd_train(model, train, "categorical_cross_entropy", reg, cfg)
         return time.perf_counter() - started
 
-    plain = epoch_time(run_mnist.reg_spec(0.0, 0.0))
-    regularized = epoch_time(run_mnist.reg_spec(1e-3, 1e-3))
+    # the arms alternate, plain first, and each keeps its faster epoch, so
+    # the plain arm alone does not pay for the process's first 784-wide
+    # training
+    plain = regularized = math.inf
+    for _ in range(2):
+        plain = min(plain, epoch_time(run_mnist.reg_spec(0.0, 0.0)))
+        regularized = min(regularized, epoch_time(run_mnist.reg_spec(1e-3, 1e-3)))
     ratio = regularized / plain
     check(
         9,

@@ -21,7 +21,7 @@ from eigendecay import train
 from eigendecay.data import gen_two_gaussians
 from eigendecay.model import init_mlp, model_params
 from eigendecay.objectives import LayerPenalty, RegularizerSpec
-from eigendecay.train import DivergenceError, EarlyStopping, TrainConfig
+from eigendecay.train import DivergenceError, EarlyStopping, TrainConfig, sgd_train
 
 N_ROWS = 90
 
@@ -123,3 +123,78 @@ def test_every_member_history_is_pinned(loss_kind, early_stopping, momentum):
     if early_stopping:
         assert len({len(r.epochs) for r in results[:6]}) > 2
     assert [_digest(m, r) for m, r in zip(members, results)] == GOLDEN[loss_kind]
+
+
+def _exits():
+    """(model, reg) for six members of one stack, each of which leaves it
+    at epoch 2, the last of max_epochs = 3, in its own way. The diverging
+    members saturate their hidden layer and start with output weights near
+    float range, which the output layer's step then grows at each batch."""
+    none = RegularizerSpec((LayerPenalty(), LayerPenalty()), (0.0,))
+    eigen = RegularizerSpec((LayerPenalty(), LayerPenalty("eigen_decay", 1e-3)), (0.0,))
+
+    def model(seed, hidden, output):
+        m = init_mlp([2, 8, 2], "tanh", seed=seed)
+        m.hidden[0].weights[...] *= hidden
+        m.output.weights[...] *= output
+        return m
+
+    return [
+        (model(0, 100.0, 1e149), eigen),    # its output gram overflows in a step
+        (model(0, 100.0, 1.5e148), eigen),  # it overflows first at the epoch end
+        (model(0, 100.0, 3e148), eigen),    # its weights are not finite there
+        (model(0, 100.0, 1e148), none),     # its objective overflows there
+        (model(7, 1.0, 1.0), none),         # its patience runs out there
+        (model(4, 1.0, 1.0), none),         # it reaches max_epochs
+    ]
+
+
+def test_every_exit_in_one_epoch_matches_each_solo_run(monkeypatch):
+    ds = gen_two_gaussians(40, centers=((-1.5, 0.0), (1.5, 0.0)), sigma=0.5, seed=0)
+    cfg = TrainConfig(learning_rate=0.6, batch_size=8, max_epochs=3, seed=3,
+                      early_stopping=EarlyStopping(True, patience=2,
+                                                   validation_fraction=0.25))
+    members = [train._member(m, ds, None, reg, cfg) for m, reg in _exits()]
+
+    # each step's stacked parameters, and the members whose step failed
+    steps = []
+    backward = train.backward
+
+    def spy(model, *args):
+        params = [p.copy() for p in model_params(model)]
+        grads = backward(model, *args)
+        steps.append((params, set(grads.failed)))
+        return grads
+
+    with monkeypatch.context() as patched:
+        patched.setattr(train, "backward", spy)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            results = train._sgd_stack(members, ds, "mse")
+
+    assert [str(r) for r in results[:4]] == [
+        "parameters diverged during epoch 2: matrix entries must be finite",
+        "parameters diverged during epoch 2: matrix entries must be finite",
+        "parameters diverged during epoch 2",
+        "objective diverged at epoch 2: inf",
+    ]
+    assert all(r.epoch == 2 for r in results[:4])
+    assert [(len(r.epochs), r.best_epoch) for r in results[4:]] == [(3, 0), (3, 2)]
+    # 8 batches an epoch: member 0, and only it, failed a step, in epoch 2;
+    # its model holds the parameters that step's gradient failed at
+    failing = [k for k, (_, failed) in enumerate(steps) if failed]
+    assert 16 <= failing[0] < 24
+    assert all(steps[k][1] == {0} for k in failing)
+    for got, want in zip(model_params(members[0].model), steps[failing[0]][0]):
+        np.testing.assert_array_equal(got.view(np.int64), want[0].view(np.int64))
+
+    for m, result, (alone, reg) in zip(members, results, _exits()):
+        if isinstance(result, DivergenceError):
+            with pytest.raises(DivergenceError) as solo:
+                sgd_train(alone, ds, "mse", reg, cfg)
+            assert (solo.value.epoch, str(solo.value)) == (result.epoch, str(result))
+        else:
+            _, history = sgd_train(alone, ds, "mse", reg, cfg)
+            assert (history.records(), history.best_epoch) == (result.records(),
+                                                               result.best_epoch)
+        for got, want in zip(model_params(m.model), model_params(alone)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -152,7 +152,6 @@ class TestGridSearchMatchesPerMemberTraining:
         assert max(stack_sizes) > 1
         _assert_same(stacked, _per_member_grid(*args, select_by="loss"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("activation, kind, lr, message", [
         # the weights go non-finite mid-epoch and the next penalty gradient
         # finds them
@@ -263,7 +262,6 @@ class TestStackSize:
         assert max(stacks) == 3 and len(stacks) > 2
         _assert_same(got, _per_member_grid(*args))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_settled_divergence_stops_the_search(self, monkeypatch, stacks):
         # the first cell diverges in its own stack, so the later cells
         # never train

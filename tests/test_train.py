@@ -1,6 +1,7 @@
 from dataclasses import replace
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -81,7 +82,6 @@ class TestSgdTrain:
         assert h1.records() == h2.records()
         assert h1.best_epoch == h2.best_epoch
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
         ds = _blobs(3, n=40)
         model = small_model(seed=2)
@@ -89,6 +89,20 @@ class TestSgdTrain:
             sgd_train(model, ds, "mse", RegularizerSpec.none(2, 1),
                       TrainConfig(learning_rate=1e6, max_epochs=10, seed=0))
         assert info.value.epoch >= 0
+
+    def test_divergence_raises_with_no_warning_first(self):
+        # the weights overflow in the products of epoch 4; the stack trains
+        # under np.errstate, so the run ends in its DivergenceError alone
+        ds = gen_two_gaussians(40, centers=((-1.5, 0), (1.5, 0)), sigma=0.5, seed=0)
+        model = init_mlp([2, 8, 2], "tanh", seed=1)
+        errstate = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                sgd_train(model, ds, "mse", RegularizerSpec.none(2, 1),
+                          TrainConfig(learning_rate=1e3, batch_size=8, max_epochs=5, seed=0))
+        assert (info.value.epoch, str(info.value)) == (4, "parameters diverged during epoch 4")
+        assert np.geterr() == errstate
 
     def test_unknown_loss_kind_rejected_before_training(self):
         ds = _blobs(3, n=40)
@@ -214,13 +228,12 @@ class TestSgdTrain:
         assert isinstance(results[0], DivergenceError) and results[0].epoch == 1
         for j, (model, reg, result) in enumerate(zip(models, regs, results)):
             alone = small_model(dims=(2, 5, 2), seed=j)
-            with np.errstate(all="ignore"):
-                if j == 0:
-                    with pytest.raises(DivergenceError, match=re.escape(str(result))):
-                        sgd_train(alone, ds, "mse", reg, cfg)
-                else:
-                    _, history = sgd_train(alone, ds, "mse", reg, cfg)
-                    assert result.records() == history.records()
+            if j == 0:
+                with pytest.raises(DivergenceError, match=re.escape(str(result))):
+                    sgd_train(alone, ds, "mse", reg, cfg)
+            else:
+                _, history = sgd_train(alone, ds, "mse", reg, cfg)
+                assert result.records() == history.records()
             for got, want in zip(model_params(model), model_params(alone)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -461,7 +474,6 @@ class TestSgdTrainRuns:
         _assert_runs_train_as_alone(runs)
         assert _run_stacks(stacks, made[0]) == [[1, 2], [3], [0, 4]]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_the_first_divergent_run_raises_its_solo_error(self):
         # run 1 diverges in epoch 3 and run 2 in epoch 1; run order decides
         ds = _blobs(9, n=20)
@@ -481,7 +493,6 @@ class TestSgdTrainRuns:
         assert (got.value.epoch, str(got.value)) == (solo.value.epoch, str(solo.value))
         assert got.value.epoch == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_divergence_waits_for_earlier_runs_in_other_stacks(self, monkeypatch, stacks):
         # runs 1 and 2 fill their stack and train first, and run 1 diverges
         # in epoch 1; run 0, alone in a stack of its own epoch budget,
